@@ -75,8 +75,7 @@ class CompressedSetCache:
         self._sets = [_Set(config.tags_per_set) for _ in range(self.n_sets)]
         self._map: Dict[int, TagEntry] = {}
         self._valid_count = 0
-        # Packed tree direction bits per set; aliased in place by the
-        # fast engine.  None in LRU mode.
+        # Packed tree direction bits per set; None in LRU mode.
         self._plru: Optional[List[int]] = (
             [0] * self.n_sets if config.replacement == "plru" else None
         )

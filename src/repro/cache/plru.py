@@ -12,10 +12,7 @@ valid ones (the compressed L2 evicts among live lines only) — when the
 indicated subtree holds no candidate, the walk diverts to the sibling.
 
 The per-set bit vectors are packed into a single int each and stored by
-the caches in plain lists, so the flat-array kernel
-(:mod:`repro.core.fastsim`) aliases the same list and both engines
-mutate identical state.  These two functions are the single shared
-implementation for both engines; the differential oracle
+the caches in plain lists.  The differential oracle
 (:mod:`repro.verify.oracle`) reimplements the policy independently, per
 its no-shared-cache-code rule.
 """

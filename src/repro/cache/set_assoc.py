@@ -59,8 +59,7 @@ class SetAssocCache:
         if config.replacement == "plru":
             # One packed int of tree direction bits per set, plus a fixed
             # way -> frame index (the stacks reorder; the tree needs the
-            # physical position).  The bits list is aliased in place by
-            # the fast engine, so it never needs syncing.
+            # physical position).
             self._plru: Optional[List[int]] = [0] * self.n_sets
             self._frames: Optional[List[List[TagEntry]]] = [
                 list(stack) for stack in self._sets

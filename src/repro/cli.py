@@ -782,75 +782,44 @@ _BENCH_POINTS = (("zeus", "base"), ("zeus", "pref_compr"), ("oltp", "pref_compr"
 
 
 def cmd_bench(args) -> int:
-    """A/B throughput benchmark of the reference vs fast engine.
+    """Throughput benchmark of the simulator on three fixed points.
 
-    Engines alternate back-to-back within each repetition so machine
-    drift (thermal, scheduler) hits both equally; per (point, engine)
-    the best of ``--reps`` runs is kept.  Absolute events/sec is
-    machine-dependent; the speedup ratio is the comparable quantity.
+    Points run round-robin within each repetition so machine drift
+    (thermal, scheduler) spreads over all of them; per point the best of
+    ``--reps`` runs is kept.  Absolute events/sec is machine-dependent:
+    compare runs made in one session, not across sessions.
     """
-    import dataclasses
     import json
-    import os
     import time
 
-    engines = ("ref", "fast") if args.engine == "both" else (args.engine,)
     if args.quick:
         events, warmup, reps = 1_500, 1_500, 1
     else:
         events, warmup, reps = args.events, args.warmup, args.reps
 
-    def measure(workload: str, key: str, engine: str) -> float:
-        cfg = dataclasses.replace(
-            make_config(key, n_cores=args.cores, scale=args.scale), engine=engine
-        )
+    def measure(workload: str, key: str) -> float:
+        cfg = make_config(key, n_cores=args.cores, scale=args.scale)
         system = CMPSystem(cfg, workload, seed=args.seed)
         t0 = time.perf_counter()
         system.run(events, warmup_events=warmup)
         wall = time.perf_counter() - t0
         return (events + warmup) * args.cores / wall
 
-    best = {(wl, key, eng): 0.0 for wl, key in _BENCH_POINTS for eng in engines}
-    # An ambient REPRO_ENGINE would silently force every run onto one
-    # engine and turn the A/B comparison into A/A; suspend it.
-    saved_env = os.environ.pop("REPRO_ENGINE", None)
-    try:
-        for _ in range(reps):
-            for wl, key in _BENCH_POINTS:
-                for eng in engines:
-                    eps = measure(wl, key, eng)
-                    if eps > best[(wl, key, eng)]:
-                        best[(wl, key, eng)] = eps
-    finally:
-        if saved_env is not None:
-            os.environ["REPRO_ENGINE"] = saved_env
+    best = {point: 0.0 for point in _BENCH_POINTS}
+    for _ in range(reps):
+        for point in _BENCH_POINTS:
+            best[point] = max(best[point], measure(*point))
 
     points = {}
-    table = Table(
-        ["point", "ref ev/s", "fast ev/s", "speedup"], float_format="{:.2f}"
-    )
-    for wl, key in _BENCH_POINTS:
-        ref = best.get((wl, key, "ref"), 0.0)
-        fast = best.get((wl, key, "fast"), 0.0)
-        entry = {}
-        if "ref" in engines:
-            entry["ref_events_per_sec"] = round(ref, 1)
-        if "fast" in engines:
-            entry["fast_events_per_sec"] = round(fast, 1)
-        if ref and fast:
-            entry["speedup_fast_vs_ref"] = round(fast / ref, 3)
-        points[f"{wl}/{key}"] = entry
-        table.add_row(
-            [f"{wl}/{key}", round(ref, 1), round(fast, 1),
-             fast / ref if ref and fast else 0.0]
-        )
+    table = Table(["point", "ev/s"], float_format="{:.1f}")
+    for (wl, key), eps in best.items():
+        points[f"{wl}/{key}"] = {"ref_events_per_sec": round(eps, 1)}
+        table.add_row([f"{wl}/{key}", round(eps, 1)])
     payload = {
         "methodology": (
-            "best-of-N wall clock per (point, engine); engines alternate "
-            "back-to-back within each repetition; events/sec counts warmup "
-            "+ measured events across all cores.  Absolute numbers are "
-            "machine-dependent — compare the speedup ratios, not ev/s, "
-            "across sessions."
+            "best-of-N wall clock per point; points alternate within each "
+            "repetition; events/sec counts warmup + measured events across "
+            "all cores.  Absolute numbers are machine-dependent."
         ),
         "command": "repro bench" + (" --quick" if args.quick else ""),
         "events_per_core": events,
@@ -859,7 +828,6 @@ def cmd_bench(args) -> int:
         "scale": args.scale,
         "reps": reps,
         "seed": args.seed,
-        "engines": list(engines),
         "points": points,
     }
     if args.output:
@@ -1071,8 +1039,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_fuzz)
 
-    p = sub.add_parser("bench", help="A/B throughput benchmark: reference vs fast engine")
-    p.add_argument("--engine", choices=("ref", "fast", "both"), default="both")
+    p = sub.add_parser("bench", help="simulator throughput benchmark (events/sec)")
     p.add_argument("--events", type=int, default=6_000, help="measured events per core")
     p.add_argument("--warmup", type=int, default=10_000, help="warmup events per core")
     p.add_argument("--reps", type=int, default=3, help="best-of-N repetitions")

@@ -90,15 +90,12 @@ def point_key(
     results — the audit
     and obs test suites prove bit-identical fingerprints — so toggling
     them must not split the cache into parallel universes of identical
-    results.  The ``engine`` selector is stripped for the same reason:
-    the fast kernel is bit-identical to the reference by contract
-    (golden-snapshot, oracle and fuzz equivalence suites), so a cached
-    result is valid under either engine.
+    results.
     """
     cfg = asdict(config)
     for observability_field in (
         "audit", "audit_interval", "trace", "metrics", "metrics_interval",
-        "attribution", "engine",
+        "attribution",
     ):
         cfg.pop(observability_field, None)
     payload = {

@@ -271,8 +271,8 @@ class MemoryHierarchy:
                 entry.dirty = True
             result = (latency, pure_hit)
         else:
-            result = self._l1_miss(core, kind, addr, now, route)
-            latency = result[0]
+            latency = self._demand_miss(core, kind, addr, now, route)
+            result = (latency, False)
             if tracer is not None:
                 # Demand-miss lifetime on the issuing core's track.
                 tracer.span(
@@ -354,41 +354,230 @@ class MemoryHierarchy:
     # L1 paths
     # ------------------------------------------------------------------
 
-    def _l1_miss(self, core, kind, addr, now, route) -> Tuple[float, bool]:
+    def _demand_miss(self, core, kind, addr, now, route) -> float:
+        """One demand miss from the L1 to memory and back; returns its latency.
+
+        The L1 miss, the shared-L2 access (a hit, or the default-model
+        fetch: request pins -> DRAM -> data pins -> L2 fill and its
+        evictions) and the L1 refill run in this one frame, because
+        demand misses are most trace events on small caches.  Every
+        optional mechanism keeps one guard and its own helper: the MSHR
+        file (``_fetch_line``), the write-back buffer
+        (``_send_writeback``), tree-PLRU, stream buffers, adaptive
+        compression, the NoC, the tracer and attribution.
+        """
         l1, pf, stats, _hist, fill_lat, level = route
         stats.demand_misses += 1
         if self._adaptive and l1.victim_match(addr) and l1.set_has_prefetched_line(addr):
             pf.stats.harmful += 1
             pf.adaptive.on_harmful()
             self.taxonomy.on_victim_live(level)
-
         store = kind == STORE
-        l2_latency = self._l2_access(core, addr, now, store, True)
+        att = self.attribution
+
+        # ---- shared L2: bank occupancy (busy-until), then hit or miss ----
+        count = self._l2_access_count + 1
+        self._l2_access_count = count
+        l2 = self.l2
+        if not count % _SAMPLE_EVERY:
+            self.compression_stats.record_sample(l2.resident_lines())
+        bank_free = self._bank_free
+        bank = addr % self._n_banks
+        start = bank_free[bank]
+        if start < now:
+            start = now
+        bank_free[bank] = start + _BANK_OCCUPANCY
+        bank_delay = start - now
+        tracer = self.tracer
+        if tracer is not None:
+            # Bank occupancy window (busy-until, so spans never overlap).
+            tracer.span(tracer.bank_tid(bank), "busy", start, _BANK_OCCUPANCY)
+        l2s = self.l2_stats
+        l2map = l2._map
+        entry = l2map.get(addr)  # CompressedSetCache.probe, inlined
+        if entry is not None and entry.valid:
+            latency = bank_delay + self._l2_hit_lat
+            line_compressed = l2.compressed and entry.segments < SEGMENTS_PER_LINE
+            if line_compressed:
+                latency += self._decompression_cycles
+                l2s.compressed_hits += 1
+            cp = self.compression_policy
+            if cp.enabled:
+                cp.on_hit(
+                    l2.stack_depth(addr), self.config.l2.uncompressed_assoc, line_compressed
+                )
+            if att is not None:
+                # Stack depth must be read before the LRU touch below.
+                att.on_l2_demand_hit(
+                    addr,
+                    l2.stack_depth(addr) >= self.config.l2.uncompressed_assoc,
+                    entry.fill_time > now,
+                )
+            wait = entry.fill_time - now
+            if wait > 0:
+                if wait > latency:
+                    latency = wait
+                if entry.prefetch_bit:
+                    l2s.partial_hits += 1
+                    self._l2_prefetch_used()
+                    entry.prefetch_bit = False
+            l2s.demand_hits += 1
+            if entry.prefetch_bit:
+                l2s.prefetch_hits += 1
+                self._l2_prefetch_used()
+                entry.prefetch_bit = False
+            # CompressedSetCache.touch_entry, inlined.
+            stack = l2._sets[addr % l2.n_sets].valid_stack
+            if stack[0] is not entry:
+                stack.remove(entry)
+                stack.insert(0, entry)
+            plru = l2._plru
+            if plru is not None:
+                si = addr % l2.n_sets
+                plru[si] = plru_touch(plru[si], entry.way, l2.tags_per_set)
+            if store:
+                latency += self._invalidate_other_sharers(entry, core)
+                self.directory.set_owner(entry, core)
+                entry.dirty = True
+            elif entry.owner not in (-1, core):
+                # Dirty intervention: the owning L1 supplies the data.
+                self._downgrade_owner(entry)
+                latency += _INTERVENTION_COST
+            entry.sharers |= 1 << core  # Directory.add_sharer, inlined
+            if self._pf_on:
+                for p in self.pf_l2[core].observe_hit(addr):
+                    self._issue_l2_prefetch(core, p, now)
+        else:
+            latency = None
+            if self.stream_buffers is not None:
+                latency = self._stream_buffer_hit(core, addr, now, bank_delay, store, True)
+            if latency is None:
+                l2s.demand_misses += 1
+                if att is not None:
+                    att.on_l2_demand_miss(addr)
+                if self._pf_on and l2.victim_match(addr) and l2.set_has_prefetched_line(addr):
+                    self.taxonomy.on_victim_live("l2")
+                    if self._adaptive:
+                        self._pf2_stats.harmful += 1
+                        self.l2_adaptive.on_harmful()
+                request_ready = now + bank_delay + self._l2_hit_lat
+                if self.mshr is not None:
+                    data_done, segments = self._fetch_line(core, addr, request_ready, True)
+                else:
+                    # _fetch_line's default model: request pins -> DRAM -> data pins.
+                    segments = self.values.segments_for(addr)
+                    cp = self.compression_policy
+                    if cp.enabled and not cp.should_compress():
+                        segments = SEGMENTS_PER_LINE  # store uncompressed this phase
+                    link = self.link
+                    data_done = link.send_data(
+                        self.dram.issue_demand(core, link.send_request(request_ready), addr),
+                        segments,
+                    )
+                latency = data_done - now
+                # LatencyHistogram.record, inlined (latencies are non-negative).
+                hist = self._l2_miss_hist
+                bucket = int(latency).bit_length()
+                if bucket > 24:  # LatencyHistogram.MAX_BUCKET
+                    bucket = 24
+                hist._buckets[bucket] += 1
+                hist.count += 1
+                hist.total += latency
+                # _fill_l2 for a demand fill, inlined.
+                cstats = self.compression_stats
+                if segments < SEGMENTS_PER_LINE:
+                    cstats.compressed_lines += 1
+                else:
+                    cstats.uncompressed_lines += 1
+                cstats.segment_sum += segments
+                if att is not None:
+                    att.on_l2_fill(addr, "demand", segments)
+                for ev in l2.insert(
+                    addr,
+                    segments,
+                    dirty=store,
+                    fill_time=data_done,
+                    sharers=1 << core,
+                    owner=core if store else -1,
+                    state=MSIState.MODIFIED if store else MSIState.SHARED,
+                ):
+                    self._handle_l2_eviction(ev, now)
+                if self._pf_on:
+                    for p in self.pf_l2[core].observe_miss(addr):
+                        self._issue_l2_prefetch(core, p, now)
+
+        # ---- back at the L1: the refill ----
         # The refill pays its own L1's fill latency: L1I for instruction
         # fetches, L1D for loads and stores.
-        total = fill_lat + l2_latency
+        total = fill_lat + latency
         if self._noc_on:
             # The fill crosses the on-chip network from the L2 bank.
             total = self.noc.transfer_line(core, now + total) - now
-        # Fill the L1 — unless an L2 prefetch triggered inside the
-        # _l2_access above already pushed this very line back out of the
-        # L2 (possible in small caches when the prefetcher bursts into
-        # the same set); inserting it then would break inclusion, since
-        # the eviction's back-invalidate ran before the L1 had the line.
-        l2e = self.l2._map.get(addr)  # CompressedSetCache.probe, inlined
+        # Fill the L1 — unless an L2 prefetch triggered above already
+        # pushed this very line back out of the L2 (possible in small
+        # caches when the prefetcher bursts into the same set); inserting
+        # it then would break inclusion, since the eviction's
+        # back-invalidate ran before the L1 had the line.
+        l2e = l2map.get(addr)
         if l2e is not None and l2e.valid:
-            att = self.attribution
             if att is not None:
                 att.on_l1_fill(level, core, addr, "demand")
-            ev = l1.insert(
-                addr, MSIState.MODIFIED if store else MSIState.SHARED, store, False, now + total
-            )
-            if ev is not None:
-                self._handle_l1_eviction(core, ev, pf, stats, level, now)
+            state = MSIState.MODIFIED if store else MSIState.SHARED
+            if l1._plru is not None:
+                ev = l1.insert(addr, state, store, False, now + total)
+                if ev is not None:
+                    self._handle_l1_eviction(core, ev, pf, stats, level, now)
+            else:
+                # SetAssocCache.insert (LRU) and _handle_l1_eviction,
+                # inlined.  Invalid frames sit at the stack tail, so the
+                # tail is a free frame or the LRU line.
+                stack = l1._sets[addr % l1.n_sets]
+                frame = stack.pop()
+                l1map = l1._map
+                if frame.valid:
+                    old = frame.addr
+                    l1map.pop(old, None)
+                    depth = l1.victim_depth
+                    if depth:
+                        victims = l1._victims[old % l1.n_sets]
+                        if old in victims:
+                            victims.remove(old)
+                        victims.insert(0, old)
+                        del victims[depth:]
+                    stats.evictions += 1
+                    if att is not None:
+                        att.on_l1_evict(level, core, old, "demand_fill")
+                    if frame.prefetch_bit:
+                        pf.stats.useless += 1
+                        pf.adaptive.on_useless()
+                        self.taxonomy.on_evicted_unused(level)
+                    l2e = l2map.get(old)
+                    if l2e is not None and l2e.valid:
+                        # Directory.remove_sharer, inlined.
+                        l2e.sharers &= ~(1 << core)
+                        if l2e.owner == core:
+                            l2e.owner = -1
+                        if frame.dirty:
+                            l2e.dirty = True
+                            stats.writebacks += 1
+                    elif frame.dirty:
+                        # Inclusion normally prevents this; write to memory.
+                        self._send_writeback(now, self.values.segments_for(old))
+                        stats.writebacks += 1
+                    frame.sharers = 0
+                    frame.owner = -1
+                frame.addr = addr
+                frame.valid = True
+                frame.state = state
+                frame.dirty = store
+                frame.prefetch_bit = False
+                frame.fill_time = now + total
+                l1map[addr] = frame
+                stack.insert(0, frame)
         if self._pf_on:
             for p in pf.observe_miss(addr):
                 self._issue_l1_prefetch(core, kind, p, now)
-        return total, False
+        return total
 
     def _handle_l1_eviction(
         self, core, ev: Eviction, pf, stats, level: str, now: float,
@@ -439,28 +628,23 @@ class MemoryHierarchy:
         self._bank_free[bank] = start + _BANK_OCCUPANCY
         return start - now
 
-    def _l2_access(
-        self,
-        core: int,
-        addr: int,
-        now: float,
-        store: bool,
-        demand: bool,
-        prefetch: bool = False,
-        from_l1_prefetch: bool = False,
-    ) -> float:
-        """Access the shared L2; returns latency from ``now``.
+    def _l2_prefetch_used(self) -> None:
+        """First use of a line an L2 prefetch brought in."""
+        self._pf2_stats.useful += 1
+        self.l2_adaptive.on_useful()
+        self.taxonomy.on_used("l2")
 
-        ``demand``: a core is waiting on this access.
-        ``prefetch``/``from_l1_prefetch``: fills get prefetch bits and the
-        L2 prefetcher is triggered by L1-prefetch-induced misses too (the
-        paper "allows L1 prefetches to trigger L2 prefetches").
+    def _l2_access(self, core: int, addr: int, now: float, from_l1_prefetch: bool) -> float:
+        """A prefetch's access to the shared L2; returns latency from ``now``.
+
+        Demand accesses take :meth:`_demand_miss`.  Fills get prefetch
+        bits, and an L1 prefetch that misses trains the L2 prefetcher too
+        (the paper "allows L1 prefetches to trigger L2 prefetches").
         """
         count = self._l2_access_count + 1
         self._l2_access_count = count
         if not count % _SAMPLE_EVERY:
             self.compression_stats.record_sample(self.l2.resident_lines())
-        # Inline bank busy-until accounting (one call per L2 access saved).
         bank_free = self._bank_free
         bank = addr % self._n_banks
         start = bank_free[bank]
@@ -470,120 +654,56 @@ class MemoryHierarchy:
         bank_delay = start - now
         tracer = self.tracer
         if tracer is not None:
-            # Bank occupancy window (busy-until, so spans never overlap).
             tracer.span(tracer.bank_tid(bank), "busy", start, _BANK_OCCUPANCY)
-
         l2 = self.l2
-        l2s = self.l2_stats
         entry = l2._map.get(addr)  # CompressedSetCache.probe, inlined
-        if entry is not None and not entry.valid:
-            entry = None
-        pf2 = self.pf_l2[core]
-
-        if entry is not None:
+        if entry is not None and entry.valid:
             latency = bank_delay + self._l2_hit_lat
             line_compressed = l2.compressed and entry.segments < SEGMENTS_PER_LINE
             if line_compressed:
                 latency += self._decompression_cycles
-                l2s.compressed_hits += 1
+                self.l2_stats.compressed_hits += 1
             cp = self.compression_policy
             if cp.enabled:
                 cp.on_hit(
                     l2.stack_depth(addr), self.config.l2.uncompressed_assoc, line_compressed
                 )
-            att = self.attribution
-            if att is not None and demand:
-                # Stack depth must be read before the LRU touch below.
-                att.on_l2_demand_hit(
-                    addr,
-                    l2.stack_depth(addr) >= self.config.l2.uncompressed_assoc,
-                    entry.fill_time > now,
-                )
+            latency = max(latency, entry.fill_time - now)
             # The prefetch bit resets on the *first access* to the line —
             # including an L1 prefetch consuming an L2-prefetched line
             # (the L2 prefetch did provide the data the core later used).
-            first_access = demand or from_l1_prefetch
-            if entry.fill_time > now:
-                latency = max(latency, entry.fill_time - now)
-                if first_access and entry.prefetch_bit:
-                    l2s.partial_hits += 1
-                    self._pf2_stats.useful += 1
-                    self.l2_adaptive.on_useful()
-                    self.taxonomy.on_used("l2")
-                    entry.prefetch_bit = False
-            if first_access:
-                if demand:
-                    l2s.demand_hits += 1
+            if from_l1_prefetch:
                 if entry.prefetch_bit:
-                    l2s.prefetch_hits += 1
-                    self._pf2_stats.useful += 1
-                    self.l2_adaptive.on_useful()
-                    self.taxonomy.on_used("l2")
-                entry.prefetch_bit = False
-            # CompressedSetCache.touch_entry, inlined.
-            stack = l2._sets[addr % l2.n_sets].valid_stack
-            if stack[0] is not entry:
-                stack.remove(entry)
-                stack.insert(0, entry)
-            plru = l2._plru
-            if plru is not None:
-                si = addr % l2.n_sets
-                plru[si] = plru_touch(plru[si], entry.way, l2.tags_per_set)
-
-            if store:
-                latency += self._invalidate_other_sharers(entry, core)
-                self.directory.set_owner(entry, core)
-                entry.dirty = True
-            elif entry.owner not in (-1, core):
+                    if entry.fill_time > now:
+                        self.l2_stats.partial_hits += 1
+                    else:
+                        self.l2_stats.prefetch_hits += 1
+                    self._l2_prefetch_used()
+                    entry.prefetch_bit = False
+                entry.sharers |= 1 << core  # Directory.add_sharer, inlined
+            l2.touch_entry(entry)
+            if entry.owner not in (-1, core):
                 # Dirty intervention: the owning L1 supplies the data.
                 self._downgrade_owner(entry)
                 latency += _INTERVENTION_COST
-            if demand or from_l1_prefetch:
-                entry.sharers |= 1 << core  # Directory.add_sharer, inlined
-
-            if demand and self._pf_on:
-                for p in pf2.observe_hit(addr):
-                    self._issue_l2_prefetch(core, p, now)
             return latency
 
         # ---- L2 miss ----
-        if self.stream_buffers is not None and (demand or from_l1_prefetch):
-            hit = self._stream_buffer_hit(
-                core, addr, now, bank_delay, store=store, demand=demand,
-                from_l1_prefetch=from_l1_prefetch,
-            )
+        if self.stream_buffers is not None and from_l1_prefetch:
+            hit = self._stream_buffer_hit(core, addr, now, bank_delay, False, False)
             if hit is not None:
                 return hit
-        if demand:
-            l2s.demand_misses += 1
-            att = self.attribution
-            if att is not None:
-                att.on_l2_demand_miss(addr)
-            if (
-                self._pf_on
-                and l2.victim_match(addr)
-                and l2.set_has_prefetched_line(addr)
-            ):
-                self.taxonomy.on_victim_live("l2")
-                if self._adaptive:
-                    self._pf2_stats.harmful += 1
-                    self.l2_adaptive.on_harmful()
-
         data_done, segments = self._fetch_line(
-            core, addr, now + bank_delay + self._l2_hit_lat, demand
+            core, addr, now + bank_delay + self._l2_hit_lat, False
         )
-        latency = data_done - now
-        if demand:
-            self._l2_miss_hist.record(latency)
-
         self._fill_l2(
-            core, addr, segments, now, data_done, store, demand, prefetch,
-            from_l1_prefetch,
+            core, addr, segments, now, data_done, False,
+            "l1_prefetch" if from_l1_prefetch else "l2_prefetch",
         )
-        if (demand or from_l1_prefetch) and self._pf_on:
-            for p in pf2.observe_miss(addr):
+        if from_l1_prefetch and self._pf_on:
+            for p in self.pf_l2[core].observe_miss(addr):
                 self._issue_l2_prefetch(core, p, now)
-        return latency
+        return data_done - now
 
     def _fetch_line(self, core: int, addr: int, request_ready: float, demand: bool):
         """Fetch a line from memory: request pins -> DRAM -> data pins.
@@ -595,18 +715,15 @@ class MemoryHierarchy:
         the existing entry (no request message, no DRAM access, no data
         message — it rides the in-flight fill), a full file makes demand
         misses wait for the oldest entry, and entries are held until the
-        data lands on-chip.  Coalesced fetches append a ``("C", addr)``
-        record to the oracle tap stream so the differential oracle can
-        mirror the merge without re-deriving MSHR timing.
+        data lands on-chip.  The oracle tap (:mod:`repro.verify.tap`)
+        records coalesced fetches so the differential oracle can mirror
+        the merge without re-deriving MSHR timing.
         """
         mshr = self.mshr
         if mshr is not None:
             rec = mshr.lookup(addr, request_ready)
             if rec is not None:
                 mshr.coalesced += 1
-                ops = self.__dict__.get("_tap_ops")
-                if ops is not None:
-                    ops.append(("C", addr))
                 if self.tracer is not None:
                     self.tracer.instant(
                         self.tracer.mshr_tid, "coalesce", request_ready,
@@ -635,9 +752,7 @@ class MemoryHierarchy:
             mem_done = self.dram.issue_prefetch(core, request_done, addr)
         return self.link.send_data(mem_done, segments), segments
 
-    def _stream_buffer_hit(
-        self, core, addr, now, bank_delay, *, store, demand, from_l1_prefetch
-    ):
+    def _stream_buffer_hit(self, core, addr, now, bank_delay, store, demand):
         """Demand (or L1-prefetch) miss satisfied by the core's stream
         buffers: promote the line into the L2 and count a prefetch hit.
         Returns the latency, or None when the buffers miss too."""
@@ -648,60 +763,41 @@ class MemoryHierarchy:
         latency = max(latency, entry.fill_time - now)
         if demand:
             self.l2_stats.prefetch_hits += 1
-            self.pf_stats["l2"].useful += 1
-            self.l2_adaptive.on_useful()
-            self.taxonomy.on_used("l2")
+            self._l2_prefetch_used()
         self._fill_l2(
-            core, addr, entry.segments, now, now + latency, store, demand,
-            False, from_l1_prefetch,
+            core, addr, entry.segments, now, now + latency, store,
+            "demand" if demand else "l1_prefetch",
         )
         if demand:
             for p in self.pf_l2[core].observe_hit(addr):
                 self._issue_l2_prefetch(core, p, now)
         return latency
 
-    def _fill_l2(
-        self,
-        core,
-        addr,
-        segments,
-        now,
-        fill_time,
-        store,
-        demand,
-        prefetch,
-        from_l1_prefetch,
-    ) -> None:
-        sharers = (1 << core) if (demand or from_l1_prefetch) else 0
-        owner = core if store else -1
-        state = MSIState.MODIFIED if store else MSIState.SHARED
+    def _fill_l2(self, core, addr, segments, now, fill_time, store, source) -> None:
+        """Install a fetched line in the L2 and handle its evictions.
+
+        ``source`` is ``"demand"``, ``"l1_prefetch"`` or ``"l2_prefetch"``.
+        """
         self.note_line_compression(segments)
         att = self.attribution
         if att is not None:
             # Same pre-clamp segments note_line_compression sees; the
             # tracker gates its compression ledger on l2.compressed.
-            att.on_l2_fill(
-                addr,
-                "l2_prefetch" if prefetch and not from_l1_prefetch
-                else "l1_prefetch" if from_l1_prefetch
-                else "demand",
-                segments,
-            )
+            att.on_l2_fill(addr, source, segments)
+        l2_prefetch = source == "l2_prefetch"
         evictions = self.l2.insert(
             addr,
             segments,
             dirty=store,
             # Only L2-prefetcher fills carry the L2 prefetch bit; lines
             # pulled in by an L1 prefetch are tracked by the L1 copy's bit.
-            prefetch=prefetch and not from_l1_prefetch,
+            prefetch=l2_prefetch,
             fill_time=fill_time,
-            sharers=sharers,
-            owner=owner,
-            state=state,
+            sharers=0 if l2_prefetch else 1 << core,
+            owner=core if store else -1,
+            state=MSIState.MODIFIED if store else MSIState.SHARED,
         )
-        cause = (
-            "prefetch_fill" if (prefetch or from_l1_prefetch) else "demand_fill"
-        )
+        cause = "demand_fill" if source == "demand" else "prefetch_fill"
         for ev in evictions:
             self._handle_l2_eviction(ev, now, cause)
 
@@ -815,7 +911,7 @@ class MemoryHierarchy:
             return
         pf.stats.issued += 1
         self.taxonomy.on_issued(route[5])
-        latency = self._l2_access(core, addr, now, False, False, True, True)
+        latency = self._l2_access(core, addr, now, True)
         tracer = self.tracer
         if tracer is not None:
             # Prefetch issue→fill window on the issuing core's track.
@@ -826,7 +922,7 @@ class MemoryHierarchy:
         # The prefetched fill pays its own L1's fill latency (L1I for
         # instruction-side prefetches, L1D for data-side ones).  Skip the
         # fill if a nested L2 prefetch evicted this line from the L2
-        # again before the L1 could take it (see _l1_miss).
+        # again before the L1 could take it (see _demand_miss).
         l2e = self.l2._map.get(addr)  # CompressedSetCache.probe, inlined
         if l2e is not None and l2e.valid:
             att = self.attribution
@@ -866,7 +962,7 @@ class MemoryHierarchy:
                     ("addr", addr, "placement", "stream_buffer"),
                 )
             return
-        latency = self._l2_access(core, addr, now, False, False, True)
+        latency = self._l2_access(core, addr, now, False)
         if tracer is not None:
             tracer.span(
                 tracer.core_tid(core), "pf.l2", now, latency, ("addr", addr)

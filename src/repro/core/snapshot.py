@@ -9,15 +9,13 @@ controller state, coherence directory, DRAM/NoC timing state, workload
 cursor state, and all stats — is serialized into a checksummed,
 versioned snapshot file, and a killed run resumes from the last phase
 boundary bit-identically (kill-and-resume equals run-to-completion on
-``result_fingerprint``, under either engine; the snapshot itself is
-engine-neutral because both engines keep the object hierarchy
-authoritative between ``run_events`` calls).
+``result_fingerprint``).
 
 Snapshot file layout (all little-endian)::
 
     offset   content
     0        magic  b"RPSN"
-    4        u16    format version (currently 1)
+    4        u16    format version (currently 2)
     6        u32    meta length
     10       meta   canonical JSON (run identity, progress counters,
                     payload_sha256)
@@ -70,7 +68,9 @@ from repro.faults import inject as _faults
 from repro.obs import telemetry as _telemetry
 
 SNAPSHOT_MAGIC = b"RPSN"
-SNAPSHOT_VERSION = 1
+#: Version 2: workload cursors moved to ``repro.workloads.base`` and
+#: carry one chunk of event tuples; version-1 payloads cannot unpickle.
+SNAPSHOT_VERSION = 2
 
 ENV_INTERVAL = "REPRO_SNAPSHOT_INTERVAL"
 ENV_DIR = "REPRO_SNAPSHOT_DIR"
@@ -202,14 +202,11 @@ class ResourceGuard:
 
 
 def capture_state(system) -> Dict[str, Any]:
-    """The complete, engine-neutral simulator state of one CMPSystem.
+    """The complete simulator state of one CMPSystem.
 
-    Both engines keep the object hierarchy authoritative between
-    ``run_events`` calls (the fast kernel writes its flat arrays back at
-    the end of every call), so pickling the object model — plus the
-    workload cursors, whose generators persist their walk state through
-    ``fill_chunk`` — captures everything, and a snapshot written under
-    one engine restores under the other.
+    Pickling the object model plus the workload cursors (whose
+    generators keep their walk state on the instance) captures
+    everything.
     """
     if system.tracer is not None or system.sampler is not None:
         raise SnapshotError(
@@ -232,12 +229,7 @@ def capture_state(system) -> Dict[str, Any]:
             it.pos % len(it.events) for it in system._generators
         ]
     else:
-        if system._cursors is None:
-            raise SnapshotError(
-                "-",
-                "workload generators are not in cursor mode; cannot snapshot",
-            )
-        state["cursors"] = system._cursors
+        state["cursors"] = system._generators
     return state
 
 
@@ -332,8 +324,7 @@ def read_snapshot(path: str) -> Tuple[Dict[str, Any], Dict[str, Any]]:
 def run_key(config, workload: str, seed: int, events: int, warmup: int) -> str:
     """Stable identity of one long run — everything that changes the
     result, nothing that only changes execution.  Reuses the disk
-    cache's key derivation, which strips the observability knobs and the
-    engine selector (a snapshot is valid under either engine)."""
+    cache's key derivation, which strips the observability knobs."""
     from repro.core import diskcache
 
     return diskcache.point_key(config, workload, seed, events, warmup)

@@ -14,7 +14,6 @@ import sys
 import time
 from typing import List, Optional, Union
 
-from repro.core import fastsim as _fastsim
 from repro.core import snapshot as _snapshot
 from repro.core.hierarchy import MemoryHierarchy
 from repro.core.results import SimulationResult
@@ -57,23 +56,13 @@ class CMPSystem:
         else:
             self.spec = get_spec(workload) if isinstance(workload, str) else workload
         self.seed = seed
-        # Engine selection: the env var wins over the config field so an
-        # existing suite can be re-run under the fast kernel unchanged
-        # (``REPRO_ENGINE=fast pytest ...``).  Both engines are
-        # bit-identical by contract; see repro.core.fastsim.
-        env_engine = os.environ.get("REPRO_ENGINE", "")
-        engine = env_engine if env_engine else config.engine
-        if engine not in ("ref", "fast"):
-            raise ValueError(f"unknown engine {engine!r} (expected 'ref' or 'fast')")
-        self.engine = engine
         # Linked-data workloads carry a deterministic heap graph shared by
         # the trace generators (which walk it), the value model (which
         # sizes its pointer bytes) and the pointer-chase prefetcher
-        # (which scans them).  One object, one topology, both engines.
+        # (which scans them).  One object, one topology.
         heap = None
         if self.spec.pointer_fraction > 0:
             heap = HeapModel.from_spec(self.spec, seed=seed)
-        self._heap = heap
         self._trace = trace
         self.values = ValueModel(
             self.spec.value_mix, seed=seed, scheme=config.l2.scheme, heap=heap
@@ -83,11 +72,13 @@ class CMPSystem:
             CoreTimingModel(i, cpi_base=self.spec.cpi_base, tolerance=self.spec.tolerance)
             for i in range(config.n_cores)
         ]
-        self._cursors: Optional[List[_fastsim.ChunkCursor]] = None
+        # Per-core event sources: trace cursors for a recorded trace,
+        # chunked generator cursors otherwise.  Both pickle, so every run
+        # can be snapshotted.
         if trace is not None:
             self._generators = [trace.iterator(i) for i in range(config.n_cores)]
         else:
-            gens = [
+            self._generators = [
                 TraceGenerator(
                     self.spec,
                     core_id=i,
@@ -96,19 +87,9 @@ class CMPSystem:
                     l1i_lines=config.l1i.n_lines,
                     seed=seed,
                     heap=heap,
-                )
+                ).events()
                 for i in range(config.n_cores)
             ]
-            if engine == "fast":
-                # Chunked event generation for the fast kernel.  The
-                # reference loop, if it ever runs on this system (kernel
-                # fallback), consumes the same cursors via the iterator
-                # adapter, so the generator RNG streams are drawn exactly
-                # once either way.
-                self._cursors = [_fastsim.ChunkCursor(g) for g in gens]
-                self._generators = [c.events() for c in self._cursors]
-            else:
-                self._generators = [g.events() for g in gens]
         self._events_processed = 0
         #: Phase number this run was restored from (None = clean start);
         #: set by the snapshot-resume path, read by run_point telemetry.
@@ -136,8 +117,7 @@ class CMPSystem:
             else None
         )
         # Opt-in causal attribution (repro.obs.attribution).  Read-only
-        # like trace/metrics, but hook data are scalars, so the fast
-        # kernel drives the tracker too — no engine fallback needed.
+        # like trace/metrics.
         if _attribution.attribution_enabled(config):
             self.hierarchy.attach_attribution(
                 _attribution.AttributionTracker(config)
@@ -259,38 +239,6 @@ class CMPSystem:
 
     # -- crash-safe phased execution (repro.core.snapshot) -----------------
 
-    def _ensure_cursors(self) -> None:
-        """Put workload generation into serializable cursor mode.
-
-        The reference engine's raw ``events()`` generators keep their
-        walk state in generator locals, which no snapshot can reach;
-        chunk cursors persist it back to the generator instance.  Both
-        sources draw the identical RNG stream (the engine-equivalence
-        suite pins this), so rebuilding the generators is safe — but
-        only before the first event is drawn.
-        """
-        if self._cursors is not None or self._trace is not None:
-            return
-        if self._events_processed:
-            raise ValueError(
-                "snapshots need cursor-mode generators from the start of "
-                "the run; this system already consumed events in raw mode"
-            )
-        gens = [
-            TraceGenerator(
-                self.spec,
-                core_id=i,
-                n_cores=self.config.n_cores,
-                l2_lines=self.config.l2.n_lines,
-                l1i_lines=self.config.l1i.n_lines,
-                seed=self.seed,
-                heap=self._heap,
-            )
-            for i in range(self.config.n_cores)
-        ]
-        self._cursors = [_fastsim.ChunkCursor(g) for g in gens]
-        self._generators = [c.events() for c in self._cursors]
-
     def _restore_state(self, state: dict) -> None:
         """Swap in a snapshot's simulator state (inverse of
         :func:`repro.core.snapshot.capture_state`)."""
@@ -312,8 +260,7 @@ class CMPSystem:
                 raise _snapshot.SnapshotError(
                     "-", "snapshot does not match this system's core count"
                 )
-            self._cursors = cursors
-            self._generators = [c.events() for c in cursors]
+            self._generators = cursors
         # The auditor is bound to the (replaced) hierarchy; rebuild it.
         if self.auditor is not None:
             self.auditor = _audit.Auditor(
@@ -361,8 +308,6 @@ class CMPSystem:
                     "no matching snapshot found; starting clean",
                     file=sys.stderr,
                 )
-        if restored is None:
-            self._ensure_cursors()
         guard = _snapshot.ResourceGuard()
         t0 = time.perf_counter()
 
@@ -377,7 +322,6 @@ class CMPSystem:
                 "config_name": name,
                 "events_per_core": events_per_core,
                 "warmup_events": warmup_events,
-                "engine": self.engine,
                 "trace": self._trace is not None,
             })
 
@@ -504,20 +448,6 @@ class CMPSystem:
         return result
 
     def _run_events(self, events_per_core: int) -> None:
-        # Engine dispatch.  The fast kernel does not support the
-        # read-only observability layers (tracer/metrics sampler) — those
-        # runs, and runs with unknown method wrappers on the hierarchy,
-        # fall through to the reference loop.
-        if (
-            self.engine == "fast"
-            and self.tracer is None
-            and self.sampler is None
-            and _fastsim.run_events(self, events_per_core)
-        ):
-            return
-        self._run_events_ref(events_per_core)
-
-    def _run_events_ref(self, events_per_core: int) -> None:
         # Hot loop: the core timing model (advance_compute /
         # apply_memory_latency) is inlined here with per-core state held
         # in locals, and written back once at the end.  The arithmetic is

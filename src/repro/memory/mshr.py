@@ -20,10 +20,8 @@ write-backs and delays further evictions' link traffic until the oldest
 drains (the eviction itself never stalls — hardware retires the line
 and parks the data).
 
-Both structures are deliberately timing-only state machines over plain
-heaps so the flat-array kernel (:mod:`repro.core.fastsim`) can keep them
-live and call them directly, exactly like the DRAM and NoC objects.
-Measurement counters (allocations, coalesced fills, stalls, peaks) are
+Both structures are timing-only state machines over plain heaps, like
+the DRAM and NoC objects.  Measurement counters (allocations, coalesced fills, stalls, peaks) are
 zeroed by ``MemoryHierarchy.reset_stats``; occupancy state is machine
 state and survives the warmup boundary.
 """
@@ -124,8 +122,7 @@ class WriteBackBuffer:
     """Bounded buffer of in-flight L2-to-memory write-backs.
 
     ``insert`` sends the write-back's data message through ``send``
-    (``PinLink.send_data`` in the reference engine, the flat link
-    closure in the fast kernel) — immediately when a slot is free, else
+    (``PinLink.send_data``) — immediately when a slot is free, else
     delayed to the oldest in-flight write-back's drain time.  A slot is
     held until its link transfer completes.
     """

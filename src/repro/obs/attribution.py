@@ -4,8 +4,8 @@ The paper's Figure-8 decomposition (:mod:`repro.core.missclass`) only
 *estimates* the miss split by set arithmetic over four aggregate runs;
 the simulator itself never records why an individual miss happened or
 what evicted an individual line.  This module closes that gap with a
-read-only provenance tracker that rides the fill/evict/miss sites of
-both engines:
+read-only provenance tracker that rides the hierarchy's fill/evict/miss
+sites:
 
 * every cached line is tagged with its **inserter** (demand fill, L1
   prefetch, or L2 prefetch);
@@ -46,7 +46,7 @@ Two structural notes:
   time (``ValueModel.segments_for`` is static per address), so no
   resident line ever grows and forces a repack eviction.  The channel
   exists so a future dynamic value model lights it up without another
-  cross-engine wiring pass;
+  wiring pass;
 * a compression "avoided miss" is a demand hit whose LRU stack depth is
   at or beyond ``uncompressed_assoc`` — the line is resident only
   because compression packed extra lines into the set (the same
@@ -95,11 +95,7 @@ def attribution_path() -> Optional[str]:
 class AttributionTracker:
     """Per-event provenance for one :class:`~repro.core.system.CMPSystem`.
 
-    Hooks receive only scalars (addresses, cause strings, booleans), so
-    the flat-array fast kernel and the object-model reference engine
-    drive the tracker through the exact same call sequence — the
-    attribution totals themselves are part of the cross-engine
-    equivalence contract.
+    Hooks receive only scalars (addresses, cause strings, booleans).
 
     Counter state (the ledgers) zeroes on :meth:`reset_counters` at the
     warmup boundary; provenance state — the first-touch set, resident
@@ -121,8 +117,7 @@ class AttributionTracker:
         # evicted addrs -> eviction cause (insertion-ordered dict; the
         # oldest entry ages out first).
         self._shadow: List[Dict[int, str]] = [{} for _ in range(self.n_sets)]
-        # Instant-event hook installed by the tracer (ref engine only;
-        # traced runs always use the reference loop).
+        # Instant-event hook installed by the tracer.
         self.trace_hook = None
         self.reset_counters()
 
@@ -139,7 +134,7 @@ class AttributionTracker:
         self.comp_segments_saved = 0  # segments freed vs uncompressed storage
         self.comp_avoided_hits = 0  # demand hits beyond uncompressed depth
 
-    # -- hooks (scalars only; called identically by both engines) ----------
+    # -- hooks (scalars only) ------------------------------------------------
 
     def on_l2_demand_miss(self, addr: int) -> str:
         """Classify one L2 demand miss; returns the class name."""

@@ -180,9 +180,9 @@ def result_fingerprint(result: SimulationResult) -> str:
     ``attr_*`` extras are stripped before hashing: causal attribution
     (:mod:`repro.obs.attribution`) records observations *about* the run,
     and stripping its rows here is what lets the on/off bit-identity
-    contract be stated as plain fingerprint equality.  Cross-engine
-    equality of the attribution rows themselves is enforced separately
-    (the dual-engine test fixtures compare full dicts, extras included).
+    contract be stated as plain fingerprint equality.  The attribution
+    rows themselves are pinned by full-dict hashes in the frozen-case
+    suite (``tests/test_engine_equivalence.py``).
     """
     import hashlib
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Tuple
 
 IFETCH, LOAD, STORE = 0, 1, 2
 
@@ -184,101 +184,20 @@ class TraceGenerator:
 
     # -- public -------------------------------------------------------------
 
-    def events(self) -> Iterator[Tuple[int, int, int]]:
-        """Yield (instr_gap, kind, line_addr) forever.
+    def events(self) -> "ChunkCursor":
+        """The event stream: ``(instr_gap, kind, line_addr)`` forever,
+        generated :data:`CHUNK` events at a time."""
+        return ChunkCursor(self)
 
-        The loop body runs once per trace event, so the spec scalars and
-        PC-walk state are held in locals; the RNG call sequence is
-        identical to the straightforward formulation.
-        """
-        rng = self.rng
-        spec = self.spec
-        random_ = rng.random
-        expovariate = rng.expovariate
-        jump_prob = spec.i_jump_prob
-        i_locality = spec.i_locality
-        store_fraction = spec.store_fraction
-        i_lines = self.i_lines
-        mean = spec.instr_per_event
-        rate = 1.0 / mean if mean > 1 else 0.0
-        # _data_address, inlined below with the same RNG call sequence.
-        stride_fraction = spec.stride_fraction
-        stride_or_hot = spec.stride_fraction + spec.hot_fraction
-        hot_or_pointer = stride_or_hot + spec.pointer_fraction
-        shared_fraction = spec.shared_fraction
-        locality = spec.locality
-        shared_lines = self.shared_lines
-        private_lines = self.private_lines
-        private_base = self.private_base
-        hot_lines = self.hot_lines
-        heap = self.heap
-        chase_node = self._chase_node
-        randrange = rng.randrange
-        stream_address = self._stream_address
-        pc_line = self._pc_line
-        instr_into_line = self._instr_into_line
-        pending: List[Tuple[int, int, int]] = []
-        append = pending.append
-        pop = pending.pop
-        while True:
-            while pending:
-                yield pop()
-            # Geometric-ish gap with the configured mean, at least 1.
-            gap = 1 + int(expovariate(rate)) if rate else 1
-            # Instruction-side: advance the PC, jump occasionally, emit an
-            # IFETCH for every new code line entered.
-            if random_() < jump_prob:
-                pc_line = int(i_lines * (random_() ** i_locality))
-                instr_into_line = 0
-                append((0, IFETCH, _I_BASE + pc_line))
-            instr_into_line += gap
-            crossed = instr_into_line // _INSTR_PER_LINE
-            if crossed:
-                instr_into_line %= _INSTR_PER_LINE
-                # Emit at most 2 fetch events per gap; a long sequential run
-                # touches each line once, and the gap rarely spans more.
-                for i in range(min(crossed, 2)):
-                    pc_line = (pc_line + 1) % i_lines
-                    append((0, IFETCH, _I_BASE + pc_line))
-            # Data-side: one access per step (_data_address, inlined).
-            r = random_()
-            if r < stride_fraction:
-                addr = stream_address()
-            elif r < stride_or_hot:
-                addr = private_base + randrange(hot_lines)
-            elif r < hot_or_pointer:
-                node = chase_node
-                chase_node = heap.successor(node, randrange(heap.out_degree))
-                addr = heap.node_line(node) + randrange(heap.node_lines)
-            elif random_() < shared_fraction:
-                addr = _SHARED_BASE + int(shared_lines * (random_() ** locality))
-            else:
-                addr = private_base + int(private_lines * (random_() ** locality))
-            kind = STORE if random_() < store_fraction else LOAD
-            yield (gap, kind, addr)
+    def fill_chunk(self, n: int) -> List[Tuple[int, int, int]]:
+        """The next ``n`` events of the stream, as a list.
 
-    def fill_chunk(
-        self,
-        gaps: List[int],
-        kinds: List[int],
-        addrs: List[int],
-        n: int,
-    ) -> None:
-        """Append exactly ``n`` events to three parallel lists.
-
-        This is the fast engine's vectorized event source: one call
-        amortises the spec/RNG local binding over thousands of events and
-        hands the kernel plain lists instead of a generator to resume per
-        event.  The loop body, the RNG call sequence, and the emission
-        order (each step's data event first, then its pending instruction
-        fetches in LIFO order) are identical to :meth:`events` — the
-        engine-equivalence suite pins this bit-exactly.
-
-        Unlike :meth:`events`, the PC-walk state is persisted back to the
-        instance (and a chunk boundary mid-step parks the unemitted
-        fetches in ``_chunk_pending``), so one generator must be consumed
-        *either* through ``events()`` *or* through ``fill_chunk`` — never
-        both; the two would share the RNG but not the walk state.
+        One call amortises the spec/RNG local binding over the whole
+        chunk.  Each step draws one data event, emitted first, then its
+        pending instruction fetches in LIFO order.  The PC-walk state is
+        persisted back to the instance, and a chunk boundary mid-step
+        parks the unemitted fetches in ``_chunk_pending``, so the stream
+        does not depend on how it is cut into chunks.
         """
         rng = self.rng
         spec = self.spec
@@ -308,18 +227,17 @@ class TraceGenerator:
         pending = self._chunk_pending
         append = pending.append
         pop = pending.pop
-        g_app = gaps.append
-        k_app = kinds.append
-        a_app = addrs.append
+        out: List[Tuple[int, int, int]] = []
+        emit = out.append
         count = 0
         while pending and count < n:
-            pg, pk, pa = pop()
-            g_app(pg)
-            k_app(pk)
-            a_app(pa)
+            emit(pop())
             count += 1
         while count < n:
+            # Geometric-ish gap with the configured mean, at least 1.
             gap = 1 + int(expovariate(rate)) if rate else 1
+            # Instruction-side: advance the PC, jump occasionally, queue an
+            # IFETCH for every new code line entered.
             if random_() < jump_prob:
                 pc_line = int(i_lines * (random_() ** i_locality))
                 instr_into_line = 0
@@ -328,9 +246,13 @@ class TraceGenerator:
             crossed = instr_into_line // _INSTR_PER_LINE
             if crossed:
                 instr_into_line %= _INSTR_PER_LINE
+                # At most 2 fetch events per gap; a long sequential run
+                # touches each line once, and the gap rarely spans more.
                 for i in range(min(crossed, 2)):
                     pc_line = (pc_line + 1) % i_lines
                     append((0, IFETCH, _I_BASE + pc_line))
+            # Data-side: one access per step (_data_address, inlined with
+            # the same RNG call sequence).
             r = random_()
             if r < stride_fraction:
                 addr = stream_address()
@@ -344,84 +266,17 @@ class TraceGenerator:
                 addr = _SHARED_BASE + int(shared_lines * (random_() ** locality))
             else:
                 addr = private_base + int(private_lines * (random_() ** locality))
-            g_app(gap)
-            k_app(STORE if random_() < store_fraction else LOAD)
-            a_app(addr)
+            emit((gap, STORE if random_() < store_fraction else LOAD, addr))
             count += 1
             while pending and count < n:
-                pg, pk, pa = pop()
-                g_app(pg)
-                k_app(pk)
-                a_app(pa)
+                emit(pop())
                 count += 1
         self._pc_line = pc_line
         self._instr_into_line = instr_into_line
         self._chase_node = chase_node
-
-    def cursor_state(self) -> dict:
-        """The generator's complete resumable cursor as plain data.
-
-        Only meaningful for generators consumed through
-        :meth:`fill_chunk` (chunked mode persists the PC-walk state back
-        to the instance; ``events()`` keeps it in generator locals,
-        which no serialization can reach).  Together with the chunk
-        buffer tail held by the consuming cursor, this is everything a
-        snapshot needs to continue the stream bit-identically — the
-        generator never materializes more than one chunk of trace.
-        """
-        return {
-            "rng": self.rng.getstate(),
-            "pc_line": self._pc_line,
-            "instr_into_line": self._instr_into_line,
-            "chase_node": self._chase_node,
-            "streams": [(s.pos, s.stride, s.remaining) for s in self._streams],
-            "chunk_pending": list(self._chunk_pending),
-        }
-
-    def restore_cursor(self, state: dict) -> None:
-        """Inverse of :meth:`cursor_state`; the generator must have been
-        constructed with the same (spec, core_id, n_cores, footprints,
-        seed, heap) for the restored stream to continue correctly."""
-        self.rng.setstate(state["rng"])
-        self._pc_line = state["pc_line"]
-        self._instr_into_line = state["instr_into_line"]
-        self._chase_node = state["chase_node"]
-        if len(state["streams"]) != len(self._streams):
-            raise ValueError(
-                f"cursor has {len(state['streams'])} stream(s), "
-                f"generator has {len(self._streams)}"
-            )
-        for stream, (pos, stride, remaining) in zip(self._streams, state["streams"]):
-            stream.pos = pos
-            stream.stride = stride
-            stream.remaining = remaining
-        self._chunk_pending = [tuple(e) for e in state["chunk_pending"]]
+        return out
 
     # -- internals ------------------------------------------------------------
-
-    def _draw_gap(self) -> int:
-        """Geometric-ish gap with the configured mean, at least 1."""
-        mean = self.spec.instr_per_event
-        return 1 + int(self.rng.expovariate(1.0 / mean)) if mean > 1 else 1
-
-    def _data_address(self) -> int:
-        rng = self.rng
-        spec = self.spec
-        r = rng.random()
-        if r < spec.stride_fraction:
-            return self._stream_address()
-        if r < spec.stride_fraction + spec.hot_fraction:
-            return self.private_base + rng.randrange(self.hot_lines)
-        if r < spec.stride_fraction + spec.hot_fraction + spec.pointer_fraction:
-            heap = self.heap
-            node = self._chase_node
-            self._chase_node = heap.successor(node, rng.randrange(heap.out_degree))
-            return heap.node_line(node) + rng.randrange(heap.node_lines)
-        if rng.random() < spec.shared_fraction:
-            idx = int(self.shared_lines * (rng.random() ** spec.locality))
-            return _SHARED_BASE + idx
-        idx = int(self.private_lines * (rng.random() ** spec.locality))
-        return self.private_base + idx
 
     def _stream_address(self) -> int:
         stream = self._streams[self.rng.randrange(len(self._streams))]
@@ -437,3 +292,46 @@ class TraceGenerator:
         stream.stride = self.rng.choices(self._stride_choices, self._stride_weights)[0]
         stream.remaining = self.spec.stream_length
         return stream
+
+
+#: Events per :class:`ChunkCursor` refill.
+CHUNK = 1024
+
+
+class ChunkCursor:
+    """Iterator over a :class:`TraceGenerator`'s events, refilled a chunk
+    at a time through :meth:`TraceGenerator.fill_chunk`.
+
+    The generator keeps all walk state on the instance, so a cursor
+    pickles (simulator snapshots, :mod:`repro.core.snapshot`) and
+    resumes the identical stream.
+    """
+
+    __slots__ = ("gen", "chunk", "pos")
+
+    def __init__(self, gen: TraceGenerator) -> None:
+        self.gen = gen
+        self.chunk: List[Tuple[int, int, int]] = []
+        self.pos = 0
+
+    def __iter__(self) -> "ChunkCursor":
+        return self
+
+    def __next__(self) -> Tuple[int, int, int]:
+        i = self.pos
+        chunk = self.chunk
+        if i >= len(chunk):
+            chunk = self.chunk = self.gen.fill_chunk(CHUNK)
+            i = 0
+        self.pos = i + 1
+        return chunk[i]
+
+    # A pickled cursor keeps only the *unconsumed* tail of its chunk, so
+    # the snapshot size does not depend on where in the chunk the phase
+    # boundary landed.
+    def __getstate__(self):
+        return (self.gen, self.chunk[self.pos:])
+
+    def __setstate__(self, state) -> None:
+        self.gen, self.chunk = state
+        self.pos = 0

@@ -23,8 +23,8 @@ small filler values.  The same object serves three consumers:
 
 Successors are a mix-hash of (node, slot, seed) within a forward
 ``window``, so the chase wanders the whole heap with tunable spatial
-locality and no RNG state of its own — both engines and the oracle see
-the identical graph.
+locality and no RNG state of its own — the generators, the value model,
+the prefetcher and the oracle all see the identical graph.
 """
 
 from __future__ import annotations

@@ -23,43 +23,23 @@ def _isolated_disk_cache(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def engine_pair_run():
-    """Session-memoized dual-engine runner for system-level suites.
+def memo_run():
+    """Session-memoized runner for system-level suites.
 
-    Runs one (config, workload, seed, events, warmup) point under BOTH
-    engines, asserts their full result dicts are bit-identical, and
-    returns the reference result.  Identical points requested by
-    different tests (or different suites) are simulated once per
-    session — the frozen config dataclasses hash, so the memo key is
-    exact, not approximate.  REPRO_ENGINE is suspended around each pair
-    so an ambient override cannot turn the A/B comparison into A/A.
+    Runs one (config, workload, seed, events, warmup) point and returns
+    its result.  Identical points requested by different tests (or
+    different suites) are simulated once per session — the frozen
+    config dataclasses hash, so the memo key is exact, not approximate.
     """
-    import os
-    from dataclasses import replace as _replace
-
     from repro.core.system import CMPSystem
-    from repro.report.export import result_to_full_dict
 
     cache = {}
 
     def run(config, workload="oltp", *, seed=3, events=1500, warmup=None):
         key = (config, workload, seed, events, warmup)
         if key not in cache:
-            saved = os.environ.pop("REPRO_ENGINE", None)
-            try:
-                results = {}
-                for engine in ("ref", "fast"):
-                    system = CMPSystem(
-                        _replace(config, engine=engine), workload=workload, seed=seed
-                    )
-                    results[engine] = system.run(events, warmup_events=warmup)
-            finally:
-                if saved is not None:
-                    os.environ["REPRO_ENGINE"] = saved
-            assert result_to_full_dict(results["ref"]) == result_to_full_dict(
-                results["fast"]
-            ), f"engines diverged on {workload} seed={seed}"
-            cache[key] = results["ref"]
+            system = CMPSystem(config, workload=workload, seed=seed)
+            cache[key] = system.run(events, warmup_events=warmup)
         return cache[key]
 
     return run

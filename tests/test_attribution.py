@@ -1,7 +1,7 @@
 """Causal attribution must explain every event without perturbing any.
 
 The two load-bearing guarantees, proven across the full workload x
-config matrix under *both* engines:
+config matrix:
 
 * **read-only** — ``REPRO_ATTRIBUTION``/``SystemConfig.attribution``
   leaves ``result_fingerprint`` bit-identical to a plain run;
@@ -30,47 +30,38 @@ from repro.core.system import CMPSystem
 from repro.obs import attribution as attr_mod
 from repro.obs.attribution import AttributionTracker
 from repro.params import SystemConfig
-from repro.report.export import result_fingerprint, result_to_full_dict
+from repro.report.export import result_fingerprint
 from repro.workloads.registry import all_names
 
 
-def _tracked_run(key, workload, engine, *, events=400, warmup=200, seed=5):
-    cfg = replace(make_config(key, n_cores=2, scale=16),
-                  attribution=True, engine=engine)
+def _tracked_run(key, workload, *, events=400, warmup=200, seed=5):
+    cfg = replace(make_config(key, n_cores=2, scale=16), attribution=True)
     system = CMPSystem(cfg, workload, seed=seed)
     result = system.run(events, warmup_events=warmup)
     return system, result
 
 
 # ---------------------------------------------------------------------------
-# read-only + exact-accounting guarantee: the full 8x8 matrix, both engines
+# read-only + exact-accounting guarantee: the full 8x8 matrix
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("workload", sorted(all_names()))
 @pytest.mark.parametrize("key", sorted(CONFIG_FEATURES))
 def test_attribution_never_changes_results(workload, key, monkeypatch):
-    """Attribution off vs on: bit-identical fingerprints under both
-    engines, identical attribution totals across engines, and exact
+    """Attribution off vs on: bit-identical fingerprints and exact
     reconciliation against the stats counters."""
     monkeypatch.delenv("REPRO_ATTRIBUTION", raising=False)
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
     plain_cfg = make_config(key, n_cores=2, scale=16)
     plain = CMPSystem(plain_cfg, workload, seed=5).run(400, warmup_events=200)
-    sys_ref, on_ref = _tracked_run(key, workload, "ref")
-    sys_fast, on_fast = _tracked_run(key, workload, "fast")
-    assert result_fingerprint(plain) == result_fingerprint(on_ref)
-    assert result_fingerprint(plain) == result_fingerprint(on_fast)
-    # The attr_* extras are part of the cross-engine contract: the flat
-    # kernel and the reference engine drove the tracker identically.
-    assert result_to_full_dict(on_ref) == result_to_full_dict(on_fast)
-    for system, result in ((sys_ref, on_ref), (sys_fast, on_fast)):
-        tracker = system.hierarchy.attribution
-        assert tracker is not None
-        assert tracker.reconcile_result(result) == []
-    # The tracked runs actually observed something.
-    assert sys_ref.hierarchy.attribution.classified_misses() > 0
-    assert any(k.startswith("attr_") for k in on_ref.extra)
+    system, tracked = _tracked_run(key, workload)
+    assert result_fingerprint(plain) == result_fingerprint(tracked)
+    tracker = system.hierarchy.attribution
+    assert tracker is not None
+    assert tracker.reconcile_result(tracked) == []
+    # The tracked run actually observed something.
+    assert tracker.classified_misses() > 0
+    assert any(k.startswith("attr_") for k in tracked.extra)
 
 
 def test_attr_extras_do_not_perturb_fingerprint_input():

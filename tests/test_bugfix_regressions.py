@@ -57,7 +57,7 @@ class TestPartialHitCountsUseful:
     def test_l1_partial_hit_increments_useful(self):
         h = make_hierarchy(prefetch=True)
         addr = 0x140
-        l2_lat = h._l2_access(0, addr, 0.0, False, False, True, True)
+        l2_lat = h._l2_access(0, addr, 0.0, True)
         h.l1d[0].insert(addr, MSIState.SHARED, False, True, fill_time=l2_lat + 50.0)
         before_useful = h.pf_stats["l1d"].useful
         latency, pure_hit = h.access(0, 1, addr, now=0.0)  # LOAD

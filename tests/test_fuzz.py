@@ -39,6 +39,14 @@ class TestRandomConfig:
             cfg = random_config(rng)
             assert config_from_dict(asdict(cfg)) == cfg
 
+    @pytest.mark.parametrize("engine", ["ref", "fast"])
+    def test_loads_configs_persisted_with_an_engine_key(self, engine):
+        """Crash-corpus configs written while the engine was a config
+        field still carry it; they must load, and the key is ignored."""
+        cfg = random_config(random.Random(99))
+        data = json.loads(json.dumps(dict(asdict(cfg), engine=engine)))
+        assert config_from_dict(data) == cfg
+
 
 class TestRandomTrace:
     def test_shape_and_kinds(self):

@@ -48,13 +48,6 @@ POINTS = [
 #: Run parameters for every locked point (small enough for tier 1).
 RUN = dict(seed=0, events=1500, warmup=1500, n_cores=8, scale=4, bandwidth_gbs=20.0)
 
-#: Both engines replay every point against the *same* locked snapshot:
-#: the fast array kernel is bit-identical to the reference by contract
-#: (see repro.core.fastsim), so a golden diff under exactly one engine
-#: means the engines diverged, not that behaviour drifted.
-ENGINES = ("ref", "fast")
-
-
 def _variant_config(key: str):
     """Configs for the ``base_key+feature+...`` variant points."""
     from dataclasses import replace
@@ -94,13 +87,10 @@ def _variant_config(key: str):
     return config
 
 
-def _simulate(workload: str, key: str, engine: str = "ref"):
-    from dataclasses import replace
-
+def _simulate(workload: str, key: str):
     from repro.core.system import CMPSystem
 
-    config = replace(_variant_config(key), engine=engine)
-    system = CMPSystem(config, workload, seed=RUN["seed"])
+    system = CMPSystem(_variant_config(key), workload, seed=RUN["seed"])
     return system.run(RUN["events"], warmup_events=RUN["warmup"], config_name=key)
 
 
@@ -110,10 +100,10 @@ def _normalise(full_dict: dict) -> dict:
     return json.loads(json.dumps(full_dict, sort_keys=True))
 
 
-def _snapshot(workload: str, key: str, engine: str = "ref") -> dict:
+def _snapshot(workload: str, key: str) -> dict:
     from repro.report.export import result_fingerprint, result_to_full_dict
 
-    result = _simulate(workload, key, engine)
+    result = _simulate(workload, key)
     return {
         "fingerprint": result_fingerprint(result),
         "result": _normalise(result_to_full_dict(result)),
@@ -133,13 +123,12 @@ class TestGoldenSnapshots:
         assert golden["run"] == _normalise(RUN)
         assert [tuple(p) for p in golden["points"]] == POINTS
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("workload,key", POINTS)
-    def test_point_matches_snapshot(self, golden, workload, key, engine):
+    def test_point_matches_snapshot(self, golden, workload, key):
         expected = golden["snapshots"][f"{workload}/{key}"]
-        actual = _snapshot(workload, key, engine)
+        actual = _snapshot(workload, key)
         assert actual["fingerprint"] == expected["fingerprint"], (
-            f"{workload}/{key} ({engine} engine) drifted: fingerprint "
+            f"{workload}/{key} drifted: fingerprint "
             f"{actual['fingerprint'][:12]} != locked {expected['fingerprint'][:12]}.\n"
             "If this change is intentional, regenerate:\n"
             f"  PYTHONPATH=src python {__file__} regen\n"

@@ -4,8 +4,8 @@ Covers the structures in :mod:`repro.memory.mshr` and
 :mod:`repro.cache.plru` at three levels: the bare state machines, the
 reference hierarchy's use of them (coalescing, demand stalls, prefetch
 gating, bounded write-back traffic), and whole-system runs proving the
-knobs change timing measurably while both engines and the differential
-oracle stay in lockstep.
+knobs change timing measurably while the differential oracle stays in
+lockstep.
 """
 
 from __future__ import annotations
@@ -246,29 +246,29 @@ class TestHierarchyMissHandling:
 
 
 # ---------------------------------------------------------------------------
-# whole-system behaviour, both engines
+# whole-system behaviour
 # ---------------------------------------------------------------------------
 
 
-# The dual-engine runs go through the session-memoized ``engine_pair_run``
-# fixture (tests/conftest.py): the shared 4-core baseline is simulated once
-# per session, and every pair is checked for cross-engine bit-identity.
+# The runs go through the session-memoized ``memo_run`` fixture
+# (tests/conftest.py): the shared 4-core baseline is simulated once per
+# session.
 _SMALL = SystemConfig(n_cores=4)
 
 
 class TestSystemLevel:
-    def test_small_mshr_file_changes_ipc(self, engine_pair_run):
-        unconstrained = engine_pair_run(_SMALL)
-        constrained = engine_pair_run(
+    def test_small_mshr_file_changes_ipc(self, memo_run):
+        unconstrained = memo_run(_SMALL)
+        constrained = memo_run(
             replace(_SMALL, memory=replace(_SMALL.memory, mshr_entries=2))
         )
         assert constrained.extra["mshr_demand_stalls"] > 0
         assert constrained.ipc != unconstrained.ipc
 
-    def test_mshr_counters_exported_only_when_configured(self, engine_pair_run):
-        plain = engine_pair_run(_SMALL)
+    def test_mshr_counters_exported_only_when_configured(self, memo_run):
+        plain = memo_run(_SMALL)
         assert "mshr_allocations" not in plain.extra
-        withm = engine_pair_run(
+        withm = memo_run(
             replace(_SMALL, memory=replace(_SMALL.memory, mshr_entries=8))
         )
         assert withm.extra["mshr_allocations"] > 0
@@ -279,7 +279,7 @@ class TestSystemLevel:
         """High memory latency + a tiny L2 + sequential prefetching keep
         lines in flight after their L2 frame is re-victimised, so repeat
         misses coalesce.  The differential oracle must replay the merged
-        fills exactly (its C-record protocol) in both engines."""
+        fills exactly (its C-record protocol)."""
         from repro.verify.oracle import verify_system
 
         base = SystemConfig()
@@ -291,19 +291,14 @@ class TestSystemLevel:
             memory=replace(base.memory, latency_cycles=1000, mshr_entries=8),
             prefetch=replace(base.prefetch, enabled=True, kind="sequential"),
         )
-        counters = {}
-        for engine in ("ref", "fast"):
-            system = CMPSystem(replace(cfg, engine=engine), workload="apache", seed=3)
-            result, problems = verify_system(system, 2000)
-            assert problems == [], f"{engine}: {problems[:3]}"
-            mshr = system.hierarchy.mshr
-            counters[engine] = (mshr.allocations, mshr.coalesced, mshr.stalls)
-        assert counters["ref"] == counters["fast"]
-        assert counters["ref"][1] > 0  # coalesced fills actually happened
+        system = CMPSystem(cfg, workload="apache", seed=3)
+        result, problems = verify_system(system, 2000)
+        assert problems == [], problems[:3]
+        assert system.hierarchy.mshr.coalesced > 0  # coalesced fills happened
 
-    def test_plru_replacement_changes_results_and_engines_agree(self, engine_pair_run):
-        lru = engine_pair_run(_SMALL)
-        plru = engine_pair_run(
+    def test_plru_replacement_changes_results(self, memo_run):
+        lru = memo_run(_SMALL)
+        plru = memo_run(
             replace(
                 _SMALL,
                 l1i=replace(_SMALL.l1i, replacement="plru"),
@@ -313,12 +308,12 @@ class TestSystemLevel:
         )
         assert plru.ipc != lru.ipc
 
-    def test_writeback_buffer_backpressure_visible_in_results(self, engine_pair_run):
+    def test_writeback_buffer_backpressure_visible_in_results(self, memo_run):
         # Write-back pressure needs the full 8-core system; 4 cores never
         # fill even a one-entry buffer on this workload.
         base = SystemConfig()
         cfg = replace(base, memory=replace(base.memory, writeback_buffer=1))
-        result = engine_pair_run(cfg, workload="apache", events=1500)
+        result = memo_run(cfg, workload="apache", events=1500)
         assert result.extra["wb_inserted"] > 0
         assert "wb_full_stalls" in result.extra
         assert "wb_peak_occupancy" in result.extra

@@ -3,6 +3,8 @@ and the bugs it has already caught (pinned as regressions)."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.experiment import make_config
@@ -16,10 +18,37 @@ from repro.workloads.base import LOAD, STORE
 SMALL = dict(n_cores=4, scale=8, bandwidth_gbs=20.0)
 EVENTS = 800
 
+#: ``base_key+feature+...`` variants: each feature switches on one
+#: guarded branch of the hierarchy's demand-miss path.
+FEATURES = {
+    "mshr": lambda c: replace(c, memory=replace(c.memory, mshr_entries=4)),
+    "wb": lambda c: replace(c, memory=replace(c.memory, writeback_buffer=2)),
+    "plru": lambda c: replace(
+        c,
+        l1i=replace(c.l1i, replacement="plru"),
+        l1d=replace(c.l1d, replacement="plru"),
+        l2=replace(c.l2, replacement="plru"),
+    ),
+    "stream_buffer": lambda c: replace(
+        c, prefetch=replace(c.prefetch, placement="stream_buffer")
+    ),
+    "noc": lambda c: replace(c, onchip_bandwidth_gbs=320.0),
+    "row_buffer": lambda c: replace(c, memory=replace(c.memory, row_buffer=True)),
+    "adaptive_policy": lambda c: replace(c, l2=replace(c.l2, adaptive_compression=True)),
+    "attribution": lambda c: replace(c, attribution=True),
+}
+
+
+def _config(key: str):
+    base_key, *features = key.split("+")
+    config = make_config(base_key, **SMALL)
+    for feature in features:
+        config = FEATURES[feature](config)
+    return config
+
 
 def _verify(workload: str, key: str, **overrides):
-    config = make_config(key, **SMALL)
-    system = CMPSystem(config, workload, seed=overrides.pop("seed", 0))
+    system = CMPSystem(_config(key), workload, seed=overrides.pop("seed", 0))
     return verify_system(system, EVENTS, warmup_events=EVENTS, config_name=key)
 
 
@@ -32,6 +61,11 @@ class TestOracleAgreement:
             ("oltp", "pref_compr"),
             ("jbb", "adaptive_compr"),
             ("art", "compr"),
+            ("apache", "pref_compr+mshr+wb+plru"),
+            ("apache", "pref+stream_buffer"),
+            ("art", "pref_compr+noc+row_buffer"),
+            ("zeus", "pref_compr+adaptive_policy"),
+            ("oltp", "pref_compr+attribution"),
         ],
     )
     def test_exact_agreement(self, workload, key):

@@ -3,10 +3,8 @@
 The contract under test (see :mod:`repro.core.snapshot`): a phased run
 that is killed or guard-truncated at a phase boundary and later resumed
 must produce the *bit-identical* result of the same phased run executed
-uninterrupted — under either engine, and across engines (a snapshot
-written by the fast engine restores under the reference engine and vice
-versa).  Damaged snapshots are quarantined and restore falls back, never
-surfacing a raw exception.
+uninterrupted.  Damaged snapshots are quarantined and restore falls
+back, never surfacing a raw exception.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -34,13 +31,13 @@ def snap_env(monkeypatch, tmp_path):
     root = tmp_path / "snaps"
     monkeypatch.setenv(snap.ENV_DIR, str(root))
     for var in (snap.ENV_INTERVAL, snap.ENV_RESUME, snap.ENV_DEADLINE,
-                snap.ENV_MEM_LIMIT, "REPRO_ENGINE", "REPRO_FAULTS"):
+                snap.ENV_MEM_LIMIT, "REPRO_FAULTS"):
         monkeypatch.delenv(var, raising=False)
     return root
 
 
-def _config(engine="ref"):
-    return replace(make_tiny_system(), engine=engine)
+def _config():
+    return make_tiny_system()
 
 
 def _run(config, *, resume=None):
@@ -70,9 +67,8 @@ class TestPhasedIdentity:
         assert result_fingerprint(plain) == result_fingerprint(phased)
         assert not list(snap_env.glob("*.rpsn"))  # discarded on completion
 
-    @pytest.mark.parametrize("engine", ["ref", "fast"])
-    def test_truncate_then_resume_is_noop(self, snap_env, monkeypatch, engine):
-        cfg = _config(engine)
+    def test_truncate_then_resume_is_noop(self, snap_env, monkeypatch):
+        cfg = _config()
         monkeypatch.setenv(snap.ENV_INTERVAL, str(INTERVAL))
         _, expected = _run(cfg)  # uninterrupted phased run
         assert not expected.extra.get("truncated")
@@ -88,24 +84,10 @@ class TestPhasedIdentity:
         assert system.resumed_from_phase == 1
         assert result_fingerprint(resumed) == result_fingerprint(expected)
 
-    @pytest.mark.parametrize("kill_engine,resume_engine",
-                             [("fast", "ref"), ("ref", "fast")])
-    def test_cross_engine_resume(self, snap_env, monkeypatch,
-                                 kill_engine, resume_engine):
-        monkeypatch.setenv(snap.ENV_INTERVAL, str(INTERVAL))
-        _, expected = _run(_config("ref"))
-
-        monkeypatch.setenv(snap.ENV_DEADLINE, "0")
-        _run(_config(kill_engine))
-        monkeypatch.delenv(snap.ENV_DEADLINE)
-        system, resumed = _run(_config(resume_engine))
-        assert system.resumed_from_phase is not None
-        assert result_fingerprint(resumed) == result_fingerprint(expected)
-
     def test_interrupt_every_boundary(self, snap_env, monkeypatch):
         """The worst case: one kill per phase boundary, stitched back
         together phase by phase."""
-        cfg = _config("fast")
+        cfg = _config()
         monkeypatch.setenv(snap.ENV_INTERVAL, str(INTERVAL))
         _, expected = _run(cfg)
         monkeypatch.setenv(snap.ENV_DEADLINE, "0")
@@ -185,12 +167,17 @@ class TestRobustnessFallbacks:
             "bad-magic": b"XXXX" + b"\x00" * 64,
             "bad-meta": snap._HEAD_STRUCT.pack(b"RPSN", 1, 5) + b"not j",
             "bad-version": snap._HEAD_STRUCT.pack(b"RPSN", 99, 2) + b"{}",
+            # Version 1 payloads pickle workload cursors from a module
+            # that no longer exists; they must be refused by version.
+            "old-version": snap._HEAD_STRUCT.pack(b"RPSN", 1, 2) + b"{}",
         }
         for name, blob in cases.items():
             path = tmp_path / name
             path.write_bytes(blob)
-            with pytest.raises(snap.SnapshotError):
+            with pytest.raises(snap.SnapshotError) as info:
                 snap.read_snapshot(str(path))
+            if name.endswith("version"):
+                assert "unsupported snapshot version" in str(info.value)
 
     def test_checksum_guards_the_payload(self, tmp_path):
         path = str(tmp_path / "x.rpsn")
@@ -243,15 +230,27 @@ class TestRobustnessFallbacks:
         with pytest.raises(ValueError, match="REPRO_DEADLINE"):
             snap.ResourceGuard()
 
-    def test_raw_generator_mode_refuses_snapshots(self, snap_env, monkeypatch):
-        """A system that already consumed events in raw-generator mode
-        cannot switch to serializable cursors mid-run."""
-        cfg = _config("ref")
-        system = CMPSystem(cfg, "oltp", seed=3)
-        system._run_events(50)
+    def test_old_version_snapshot_is_quarantined(self, snap_env, monkeypatch):
+        """A well-formed snapshot of an older format version (whose
+        payload may reference classes that no longer exist) is refused
+        by version before unpickling, quarantined, and the run starts
+        clean."""
+        cfg = _config()
         monkeypatch.setenv(snap.ENV_INTERVAL, str(INTERVAL))
-        with pytest.raises(ValueError, match="cursor"):
-            system.run(EVENTS, warmup_events=WARMUP)
+        _, expected = _run(cfg)
+        with monkeypatch.context() as m:
+            m.setattr(snap, "SNAPSHOT_VERSION", 1)
+            m.setenv(snap.ENV_DEADLINE, "0")
+            _run(cfg)
+        (old,) = snap_env.glob("*.rpsn")
+        with pytest.raises(snap.SnapshotError, match="unsupported snapshot version 1"):
+            snap.read_snapshot(str(old))
+
+        system, resumed = _run(cfg)
+        assert system.resumed_from_phase is None  # clean start
+        assert result_fingerprint(resumed) == result_fingerprint(expected)
+        quarantined = list((snap_env / snap.QUARANTINE_DIR).glob("*.rpsn"))
+        assert [p.name for p in quarantined] == [old.name]
 
 
 class TestKillAndResumeCLI:
@@ -263,20 +262,17 @@ class TestKillAndResumeCLI:
             "--warmup", "300", "--scale", "16", "--cores", "2",
             "--seed", "3", "--snapshot-interval", "150", "--json"]
 
-    def _cli(self, tmp_path, *, faults=None, engine=None, resume=False,
-             deadline=None):
+    def _cli(self, tmp_path, *, faults=None, resume=False, deadline=None):
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         env["REPRO_SNAPSHOT_DIR"] = str(tmp_path / "snaps")
-        for var in ("REPRO_FAULTS", "REPRO_ENGINE", "REPRO_DEADLINE",
+        for var in ("REPRO_FAULTS", "REPRO_DEADLINE",
                     "REPRO_MEM_LIMIT", "REPRO_RESUME_SNAPSHOT",
                     "REPRO_SNAPSHOT_INTERVAL", "REPRO_TELEMETRY"):
             env.pop(var, None)
         if faults:
             env["REPRO_FAULTS"] = faults
-        if engine:
-            env["REPRO_ENGINE"] = engine
         if deadline is not None:
             env["REPRO_DEADLINE"] = deadline
         args = list(self.ARGS) + (["--resume-snapshot"] if resume else [])
@@ -292,16 +288,13 @@ class TestKillAndResumeCLI:
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
-    @pytest.mark.parametrize("kill_engine,resume_engine",
-                             [("ref", "ref"), ("fast", "fast"), ("fast", "ref")])
-    def test_kill_resume_bit_identical(self, tmp_path, uninterrupted_json,
-                                       kill_engine, resume_engine):
-        killed = self._cli(tmp_path, faults="snapkill@2", engine=kill_engine)
+    def test_kill_resume_bit_identical(self, tmp_path, uninterrupted_json):
+        killed = self._cli(tmp_path, faults="snapkill@2")
         assert killed.returncode == 137, (killed.stdout, killed.stderr)
         assert list((tmp_path / "snaps").glob("*.rpsn")), \
             "killed run must leave snapshots"
 
-        resumed = self._cli(tmp_path, engine=resume_engine, resume=True)
+        resumed = self._cli(tmp_path, resume=True)
         assert resumed.returncode == 0, resumed.stderr
         assert json.loads(resumed.stdout) == json.loads(uninterrupted_json)
         assert not list((tmp_path / "snaps").glob("*.rpsn")), \
