@@ -7,7 +7,7 @@ paper reports, and makes weak *shape* assertions (who wins, direction of
 effects) rather than absolute-number assertions — our substrate is a
 synthetic trace-driven simulator, not the authors' Simics/GEMS testbed.
 
-Runtime knobs (environment):
+Runtime knobs (environment, read through :mod:`repro.settings`):
 
 * ``REPRO_EVENTS``  — measured events per core   (default 8000 here)
 * ``REPRO_WARMUP``  — warmup events per core     (default 12000 here)
@@ -21,17 +21,17 @@ are the same four runs).
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Tuple
 
+from repro import settings
 from repro.core.experiment import run_point
 from repro.core.results import SimulationResult
 from repro.stats.confidence import mean_ci
 from repro.workloads.registry import all_names, commercial_names, scientific_names
 
-EVENTS = int(os.environ.get("REPRO_EVENTS", 8000))
-WARMUP = int(os.environ.get("REPRO_WARMUP", 12000))
-SEEDS = int(os.environ.get("REPRO_SEEDS", 1))
+EVENTS = settings.get("REPRO_EVENTS", 8000)
+WARMUP = settings.get("REPRO_WARMUP", 12000)
+SEEDS = settings.get("REPRO_SEEDS")
 
 ALL = all_names()
 COMMERCIAL = commercial_names()

@@ -12,13 +12,12 @@ Run:  python examples/bandwidth_planning.py [workload]
 
 from __future__ import annotations
 
-import os
 import sys
 
-from repro import CMPSystem, SystemConfig, interaction_coefficient
+from repro import CMPSystem, SystemConfig, interaction_coefficient, settings
 
-EVENTS = int(os.environ.get("REPRO_EVENTS", 5000))
-WARMUP = int(os.environ.get("REPRO_WARMUP", 8000))
+EVENTS = settings.get("REPRO_EVENTS", 5000)
+WARMUP = settings.get("REPRO_WARMUP", 8000)
 BANDWIDTHS = (10.0, 20.0, 40.0, 80.0)
 
 

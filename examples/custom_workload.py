@@ -14,11 +14,11 @@ from __future__ import annotations
 import os
 import tempfile
 
-from repro import CMPSystem, SystemConfig, interaction_coefficient
+from repro import CMPSystem, SystemConfig, interaction_coefficient, settings
 from repro.workloads.custom import WorkloadBuilder, load_spec, save_spec
 
-EVENTS = int(os.environ.get("REPRO_EVENTS", 5000))
-WARMUP = int(os.environ.get("REPRO_WARMUP", 8000))
+EVENTS = settings.get("REPRO_EVENTS", 5000)
+WARMUP = settings.get("REPRO_WARMUP", 8000)
 
 
 def main() -> None:

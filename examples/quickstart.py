@@ -7,13 +7,12 @@ Run:  python examples/quickstart.py [workload]
 
 from __future__ import annotations
 
-import os
 import sys
 
-from repro import CMPSystem, SystemConfig
+from repro import CMPSystem, SystemConfig, settings
 
-EVENTS = int(os.environ.get("REPRO_EVENTS", 6000))
-WARMUP = int(os.environ.get("REPRO_WARMUP", 10000))
+EVENTS = settings.get("REPRO_EVENTS", 6000)
+WARMUP = settings.get("REPRO_WARMUP", 10000)
 
 
 def main() -> None:

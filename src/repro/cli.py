@@ -22,6 +22,7 @@
     python -m repro metrics zeus adaptive_compr --interval 2000
     python -m repro profile zeus --engine sampler
     python -m repro bench --quick
+    python -m repro config
 
 Output defaults to an aligned table; ``--json`` / ``--csv`` switch the
 format for piping into other tools.
@@ -30,10 +31,10 @@ format for piping into other tools.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
+from repro import settings
 from repro.core.experiment import CONFIG_FEATURES, make_config, run_point
 from repro.core.interaction import InteractionBreakdown
 from repro.core.results import SimulationResult
@@ -68,14 +69,12 @@ def _add_snapshot_args(p: argparse.ArgumentParser) -> None:
 def _apply_snapshot_args(args) -> None:
     """Map the snapshot CLI flags onto the env knobs the simulator (and
     any worker processes it spawns) reads."""
-    from repro.core import snapshot as _snapshot
-
     if getattr(args, "snapshot_interval", None) is not None:
         if args.snapshot_interval < 0:
             raise ValueError("--snapshot-interval must be >= 0")
-        os.environ[_snapshot.ENV_INTERVAL] = str(args.snapshot_interval)
+        settings.put("REPRO_SNAPSHOT_INTERVAL", args.snapshot_interval)
     if getattr(args, "resume_snapshot", False):
-        os.environ[_snapshot.ENV_RESUME] = "1"
+        settings.put("REPRO_RESUME_SNAPSHOT", 1)
 
 
 def _finish_run(result: SimulationResult) -> int:
@@ -189,7 +188,7 @@ def cmd_sweep(args) -> int:
     if args.jobs == 0:
         from repro.core.runner import default_jobs
 
-        jobs = default_jobs()  # validates REPRO_JOBS with a readable error
+        jobs = default_jobs()
     else:
         jobs = args.jobs
     try:
@@ -268,8 +267,6 @@ def cmd_table5(args) -> int:
 
 def cmd_matrix(args) -> int:
     """Rank every prefetcher x compression pair by EQ 5 interaction."""
-    import os
-
     from repro.report.matrix import PREFETCHERS, SCHEMES, run_matrix
 
     workloads = args.workloads.split(",") if args.workloads else all_names()
@@ -282,10 +279,6 @@ def cmd_matrix(args) -> int:
         bandwidth_gbs=args.bandwidth or None,
         infinite_bandwidth=args.bandwidth == 0,
     )
-    if args.attribution:
-        # The flag's whole point is annotation; an ambient
-        # REPRO_ATTRIBUTION=0 must not silently blank the shares.
-        os.environ.pop("REPRO_ATTRIBUTION", None)
     # --verbose keeps the legacy one-line-per-simulation log; otherwise
     # a live progress bar renders when stderr is a terminal.
     if args.verbose:
@@ -296,17 +289,20 @@ def cmd_matrix(args) -> int:
         from repro.obs.progress import default_progress
 
         progress = default_progress(label="matrix")
-    report = run_matrix(
-        workloads,
-        base_config=base,
-        prefetchers=prefetchers,
-        schemes=schemes,
-        seed=args.seed,
-        events=args.events,
-        warmup=args.warmup,
-        progress=progress,
-        attribution=args.attribution,
-    )
+    # --attribution's whole point is annotation; an ambient
+    # REPRO_ATTRIBUTION=0 must not silently blank the shares.
+    with settings.suspended(*(("REPRO_ATTRIBUTION",) if args.attribution else ())):
+        report = run_matrix(
+            workloads,
+            base_config=base,
+            prefetchers=prefetchers,
+            schemes=schemes,
+            seed=args.seed,
+            events=args.events,
+            warmup=args.warmup,
+            progress=progress,
+            attribution=args.attribution,
+        )
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(report.to_csv())
@@ -343,7 +339,6 @@ def cmd_matrix(args) -> int:
 
 def cmd_why(args) -> int:
     """Run one point with causal attribution on; print the why table."""
-    import os
     from dataclasses import replace
 
     cfg = make_config(
@@ -357,8 +352,8 @@ def cmd_why(args) -> int:
     # The command's whole point is attribution; an ambient
     # REPRO_ATTRIBUTION=0 must not turn it off, and a path value must
     # not double-write.
-    os.environ.pop("REPRO_ATTRIBUTION", None)
-    system = CMPSystem(cfg, args.workload, seed=args.seed)
+    with settings.suspended("REPRO_ATTRIBUTION"):
+        system = CMPSystem(cfg, args.workload, seed=args.seed)
     warmup = args.warmup if args.warmup is not None else args.events
     result = system.run(args.events, warmup_events=warmup, config_name=args.config)
     att = system.hierarchy.attribution
@@ -383,13 +378,10 @@ def cmd_why(args) -> int:
 def cmd_figure8(args) -> int:
     """Figure 8's four-run miss classification, per workload; with
     ``--attribution``, also the measured-vs-estimated delta."""
-    import os
     from dataclasses import replace
 
     from repro.core.missclass import classify_misses
 
-    if args.attribution:
-        os.environ.pop("REPRO_ATTRIBUTION", None)
     workloads = args.workloads.split(",") if args.workloads else all_names()
     warmup = args.warmup if args.warmup is not None else args.events
     for workload in workloads:
@@ -405,7 +397,10 @@ def cmd_figure8(args) -> int:
             )
             if args.attribution:
                 cfg = replace(cfg, attribution=True)
-            system = CMPSystem(cfg, workload, seed=args.seed)
+            with settings.suspended(
+                *(("REPRO_ATTRIBUTION",) if args.attribution else ())
+            ):
+                system = CMPSystem(cfg, workload, seed=args.seed)
             runs[key] = system.run(
                 args.events, warmup_events=warmup, config_name=key
             )
@@ -497,10 +492,8 @@ def cmd_audit(args) -> int:
     cfg = replace(cfg, audit=True, audit_interval=args.interval)
     # The command's whole point is auditing; an ambient REPRO_AUDIT=0
     # must not silently turn it into a plain run.
-    import os
-
-    os.environ.pop("REPRO_AUDIT", None)
-    system = CMPSystem(cfg, args.workload, seed=args.seed)
+    with settings.suspended("REPRO_AUDIT"):
+        system = CMPSystem(cfg, args.workload, seed=args.seed)
     warmup = args.warmup if args.warmup is not None else args.events
     try:
         result = system.run(args.events, warmup_events=warmup, config_name=args.config)
@@ -574,7 +567,6 @@ def cmd_telemetry(args) -> int:
 
 def cmd_trace(args) -> int:
     """Run one point with event tracing on; export Perfetto/Chrome JSON."""
-    import os
     from dataclasses import replace
 
     from repro.obs.trace import validate_trace
@@ -589,8 +581,8 @@ def cmd_trace(args) -> int:
     cfg = replace(cfg, trace=True)
     # The command's whole point is tracing; an ambient REPRO_TRACE=0 must
     # not turn it off, and a path value must not double-write.
-    os.environ.pop("REPRO_TRACE", None)
-    system = CMPSystem(cfg, args.workload, seed=args.seed)
+    with settings.suspended("REPRO_TRACE"):
+        system = CMPSystem(cfg, args.workload, seed=args.seed)
     if args.limit is not None:
         system.tracer.limit = max(args.limit, 1)
     warmup = args.warmup if args.warmup is not None else args.events
@@ -610,7 +602,6 @@ def cmd_trace(args) -> int:
 
 def cmd_metrics(args) -> int:
     """Run one point with interval metrics on; export and chart the series."""
-    import os
     from dataclasses import replace
 
     from repro.report.charts import timeseries_chart
@@ -623,9 +614,8 @@ def cmd_metrics(args) -> int:
         infinite_bandwidth=args.bandwidth == 0,
     )
     cfg = replace(cfg, metrics=True, metrics_interval=args.interval)
-    os.environ.pop("REPRO_METRICS", None)
-    os.environ.pop("REPRO_METRICS_INTERVAL", None)
-    system = CMPSystem(cfg, args.workload, seed=args.seed)
+    with settings.suspended("REPRO_METRICS", "REPRO_METRICS_INTERVAL"):
+        system = CMPSystem(cfg, args.workload, seed=args.seed)
     warmup = args.warmup if args.warmup is not None else args.events
     system.run(args.events, warmup_events=warmup, config_name=args.config)
     sampler = system.sampler
@@ -855,6 +845,28 @@ def cmd_schemes(args) -> int:
     return 0
 
 
+def cmd_config(args) -> int:
+    """Print every ``REPRO_*`` knob: effective value, source and doc."""
+    import json as _json
+
+    rows = [
+        (row, settings.get(row.name), settings.source(row.name))
+        for row in settings.TABLE.values()
+    ]
+    if args.json:
+        print(_json.dumps(
+            [{"name": row.name, "value": value, "source": source, "doc": row.doc}
+             for row, value, source in rows],
+            indent=2,
+        ))
+        return 0
+    table = Table(["knob", "value", "source", "doc"])
+    for row, value, source in rows:
+        table.add_row([row.name, row.show(value), source, row.doc])
+    print(table.render())
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -1052,12 +1064,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON artifact path (empty = don't write)")
     p.set_defaults(func=cmd_bench)
 
+    p = sub.add_parser(
+        "config", help="print every REPRO_* knob with its effective value and source"
+    )
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_config)
+
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Every knob is validated before any command runs, so a bad value
+        # fails the same way whatever the command would have read.
+        settings.check()
         return args.func(args)
     except KeyboardInterrupt:
         return 130

@@ -18,11 +18,12 @@ Journal line shape::
      "error": {"kind": "...", "error": "...", "workload": ..., "key": ...}}
 
 A truncated trailing line (the record being written when the process
-died) is skipped on load, exactly like telemetry replay.  ``error``
+died) is skipped on load, exactly like telemetry replay; an ``ok``
+record whose result does not match its fingerprint is recomputed.  ``error``
 records are loaded but *not* treated as completed: a resumed sweep
 retries them.
 
-Journals live under ``REPRO_SWEEP_DIR`` (default ``.repro_sweep/``),
+Journals live under ``REPRO_SWEEP_DIR`` (see :mod:`repro.settings`),
 named by a hash of the sweep specification, so rerunning the same
 command with ``--resume`` finds the right file without bookkeeping.
 """
@@ -37,6 +38,7 @@ import sys
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional
 
+from repro import settings
 from repro.core.results import SimulationResult
 from repro.obs import telemetry as _telemetry
 from repro.report.export import (
@@ -46,14 +48,6 @@ from repro.report.export import (
 )
 
 JOURNAL_VERSION = 1
-
-ENV_DIR = "REPRO_SWEEP_DIR"
-DEFAULT_DIR = ".repro_sweep"
-
-
-def default_journal_dir() -> str:
-    return os.environ.get(ENV_DIR) or DEFAULT_DIR
-
 
 def _stable_hash(payload: Any) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=repr)
@@ -75,7 +69,7 @@ def point_journal_key(coords: Dict[str, Any], kwargs: Dict[str, Any]) -> str:
 
 
 def default_journal_path(spec_key: str) -> str:
-    return os.path.join(default_journal_dir(), f"sweep-{spec_key}.jsonl")
+    return os.path.join(settings.get("REPRO_SWEEP_DIR"), f"sweep-{spec_key}.jsonl")
 
 
 class SweepJournal:
@@ -117,15 +111,25 @@ class SweepJournal:
 
     def result_for(self, key: str) -> Optional[SimulationResult]:
         """The completed result for a point key, or None when the point
-        is absent, failed, or its record does not deserialize (a bad
-        record degrades to a recompute, never an error)."""
+        is absent, failed, or its record is corrupt: it does not
+        deserialize, or its result no longer matches the fingerprint
+        written beside it.  A corrupt record degrades to a recompute
+        (and a ``corrupt`` telemetry record), never an error."""
         record = self.loaded.get(key)
         if not record or record.get("outcome") != "ok":
             return None
         try:
-            return result_from_dict(record["result"])
+            result = result_from_dict(record["result"])
         except (ValueError, KeyError, TypeError):
-            return None
+            reason = "result does not deserialize"
+        else:
+            if result_fingerprint(result) == record.get("fingerprint"):
+                return result
+            reason = "fingerprint mismatch"
+        _telemetry.emit(
+            "journal", action="corrupt", path=self.path, key=key, reason=reason
+        )
+        return None
 
     def completed_count(self) -> int:
         return sum(1 for r in self.loaded.values() if r.get("outcome") == "ok")

@@ -26,11 +26,8 @@ then recomputed.  Stale ``*.json.tmp.*`` files left by killed writers
 are swept on first open per process, and ``repro cache verify`` audits
 every entry's checksum on demand.
 
-Environment knobs:
-
-* ``REPRO_CACHE=0``      — disable the disk cache entirely
-* ``REPRO_CACHE_DIR=...`` — store under a different root
-  (default ``.repro_cache/`` in the working directory)
+``REPRO_CACHE`` and ``REPRO_CACHE_DIR`` are declared in
+:mod:`repro.settings`.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ import time
 from dataclasses import asdict
 from typing import Dict, Optional
 
-from repro import faults
+from repro import faults, settings
 from repro.core.results import SimulationResult
 from repro.obs import telemetry as _telemetry
 from repro.params import SystemConfig
@@ -56,8 +53,6 @@ from repro.report.export import (
 #: v2: entries carry a per-entry integrity checksum envelope.
 CACHE_FORMAT_VERSION = 2
 
-DEFAULT_CACHE_DIR = ".repro_cache"
-
 #: Corrupt entries are moved here (under the cache root) for post-mortem
 #: inspection instead of being deleted or silently re-read forever.
 QUARANTINE_DIR = "_quarantine"
@@ -65,15 +60,6 @@ QUARANTINE_DIR = "_quarantine"
 #: A ``*.json.tmp.<pid>`` older than this is a leftover from a killed
 #: writer, not an in-flight write, and is swept on open.
 STALE_TMP_S = 15 * 60
-
-
-def cache_enabled() -> bool:
-    """The disk cache is on unless ``REPRO_CACHE=0``."""
-    return os.environ.get("REPRO_CACHE", "1") != "0"
-
-
-def default_cache_dir() -> str:
-    return os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR
 
 
 def point_key(
@@ -135,7 +121,7 @@ class DiskCache:
     """Content-addressed store of simulation results under one root."""
 
     def __init__(self, root: Optional[str] = None) -> None:
-        self.root = root if root is not None else default_cache_dir()
+        self.root = root if root is not None else settings.get("REPRO_CACHE_DIR")
         self._sweep_stale_tmp()
 
     def path_for(self, key: str) -> str:

@@ -7,31 +7,20 @@ share configurations — Figure 9 and Table 5, for example, reuse the
 same four runs) backed by the persistent disk cache
 (:mod:`repro.core.diskcache`), which survives across processes.
 
-Environment knobs (all optional):
-
-* ``REPRO_EVENTS``   — measured trace events per core (default 20000)
-* ``REPRO_WARMUP``   — warmup events per core (default = REPRO_EVENTS)
-* ``REPRO_SEEDS``    — seeds per data point (default 1; >1 adds 95% CIs)
-* ``REPRO_SCALE``    — capacity scale divisor (default 4; 1 = full scale)
-* ``REPRO_MEMO_CAP`` — max in-process memoised results (default 512)
-* ``REPRO_CACHE``    — ``0`` disables the on-disk cache
-* ``REPRO_CACHE_DIR``— on-disk cache root (default ``.repro_cache/``)
-* ``REPRO_JOBS``     — default worker count for parallel sweeps
-
-Long-run durability knobs (``REPRO_SNAPSHOT_INTERVAL``,
-``REPRO_SNAPSHOT_DIR``, ``REPRO_RESUME_SNAPSHOT``, ``REPRO_DEADLINE``,
-``REPRO_MEM_LIMIT``) live in :mod:`repro.core.snapshot`.
+Default sizing (events, warmup, seeds, scale), the memo bound, the disk
+cache switch and every other ``REPRO_*`` knob are declared in
+:mod:`repro.settings`.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core import diskcache
 from repro.core.results import SimulationResult
 from repro.core.system import CMPSystem
+from repro import settings
 from repro.obs import telemetry as _telemetry
 from repro.params import SystemConfig
 
@@ -48,25 +37,9 @@ CONFIG_FEATURES: Dict[str, Dict[str, bool]] = {
 }
 
 
-def env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    return int(value) if value else default
-
-
-def default_events() -> int:
-    return env_int("REPRO_EVENTS", 20_000)
-
-
-def default_warmup() -> int:
-    return env_int("REPRO_WARMUP", default_events())
-
-
-def default_seeds() -> int:
-    return env_int("REPRO_SEEDS", 1)
-
-
-def default_scale() -> int:
-    return env_int("REPRO_SCALE", 4)
+def _default_warmup() -> int:
+    """``REPRO_WARMUP``, falling back to ``REPRO_EVENTS``."""
+    return settings.get("REPRO_WARMUP", settings.get("REPRO_EVENTS"))
 
 
 def make_config(
@@ -87,7 +60,7 @@ def make_config(
     from dataclasses import replace
 
     cfg = SystemConfig(n_cores=n_cores)
-    cfg = cfg.scaled(scale if scale is not None else default_scale())
+    cfg = cfg.scaled(scale if scale is not None else settings.get("REPRO_SCALE"))
     bw = None if infinite_bandwidth else bandwidth_gbs
     cfg = replace(cfg, link=replace(cfg.link, bandwidth_gbs=bw))
     return cfg.with_features(**CONFIG_FEATURES[key])
@@ -97,10 +70,6 @@ def make_config(
 # sweep sessions cannot grow it without limit.  The disk cache below it
 # has no bound; ``repro cache clear`` manages that one.
 _CACHE: Dict[Tuple, SimulationResult] = {}
-
-
-def default_memo_cap() -> int:
-    return env_int("REPRO_MEMO_CAP", 512)
 
 
 def _memo_get(key: Tuple) -> Optional[SimulationResult]:
@@ -115,7 +84,7 @@ def _memo_put(key: Tuple, result: SimulationResult) -> None:
     if key in _CACHE:
         del _CACHE[key]
     else:
-        cap = default_memo_cap()
+        cap = settings.get("REPRO_MEMO_CAP")
         while len(_CACHE) >= cap > 0:
             del _CACHE[next(iter(_CACHE))]  # evict LRU
     _CACHE[key] = result
@@ -138,10 +107,10 @@ def point_cache_key(
         workload,
         key,
         seed,
-        events if events is not None else default_events(),
-        warmup if warmup is not None else default_warmup(),
+        events if events is not None else settings.get("REPRO_EVENTS"),
+        warmup if warmup is not None else _default_warmup(),
         n_cores,
-        scale if scale is not None else default_scale(),
+        scale if scale is not None else settings.get("REPRO_SCALE"),
         bandwidth_gbs,
         infinite_bandwidth,
     )
@@ -181,8 +150,8 @@ def run_point(
     (``result.extra["truncated"]``) is returned but never cached — a
     partial result must not shadow the eventual complete one.
     """
-    events = events if events is not None else default_events()
-    warmup = warmup if warmup is not None else default_warmup()
+    events = events if events is not None else settings.get("REPRO_EVENTS")
+    warmup = warmup if warmup is not None else _default_warmup()
     t0 = time.perf_counter()
     cache_key = point_cache_key(
         workload, key, seed=seed, events=events, warmup=warmup, n_cores=n_cores,
@@ -200,7 +169,7 @@ def run_point(
         bandwidth_gbs=bandwidth_gbs,
         infinite_bandwidth=infinite_bandwidth,
     )
-    disk = use_cache and diskcache.cache_enabled()
+    disk = use_cache and settings.get("REPRO_CACHE")
     disk_key = None
     if disk:
         disk_key = diskcache.point_key(config, workload, seed, events, warmup)
@@ -291,7 +260,7 @@ def run_seeds(
 
     ``jobs`` > 1 runs the seeds across worker processes.
     """
-    n = seeds if seeds is not None else default_seeds()
+    n = seeds if seeds is not None else settings.get("REPRO_SEEDS")
     if jobs is not None and jobs > 1 and n > 1:
         points = [((workload, key), dict(kwargs, seed=s)) for s in range(n)]
         return _run_parallel(points, jobs)

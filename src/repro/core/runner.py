@@ -30,16 +30,8 @@ Workers inherit the disk cache (:mod:`repro.core.diskcache`): each
 worker process consults and populates it through ``run_point``, so a
 parallel sweep warms the same persistent cache a serial one would.
 
-Environment knobs:
-
-* ``REPRO_JOBS``          — default worker count (falls back to
-  ``os.cpu_count()``)
-* ``REPRO_RETRIES``       — max retries per point for retryable
-  failures (default 2)
-* ``REPRO_POINT_TIMEOUT`` — per-point wall-clock budget in seconds
-  (default: none)
-* ``REPRO_RETRY_BACKOFF`` — base backoff seconds before the first
-  retry (default 0.05; doubled per attempt, with deterministic jitter)
+The ``REPRO_JOBS``, ``REPRO_RETRIES``, ``REPRO_POINT_TIMEOUT`` and
+``REPRO_RETRY_BACKOFF`` knobs are declared in :mod:`repro.settings`.
 """
 
 from __future__ import annotations
@@ -56,8 +48,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro import faults
-from repro.core import snapshot as _snapshot
+from repro import faults, settings
 from repro.core.results import SimulationResult
 from repro.obs import telemetry as _telemetry
 
@@ -107,66 +98,17 @@ _TIMEOUT_NOTE = (
 _Outcome = Tuple[int, Any, Optional[Tuple[str, str, str]], str, bool, int]
 
 
-def _env_pos_int(name: str, default: int, *, minimum: int = 0) -> int:
-    """A non-negative integer env knob with a readable failure mode."""
-    value = os.environ.get(name)
-    if not value:
-        return default
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise ValueError(
-            f"{name} must be an integer >= {minimum}, got {value!r}"
-        ) from None
-    if parsed < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {parsed}")
-    return parsed
-
-
 def default_jobs() -> int:
-    """``REPRO_JOBS`` if set, else the machine's CPU count.
-
-    A non-integer value (e.g. ``REPRO_JOBS=max``) raises a readable
-    :class:`ValueError` instead of a bare conversion traceback; the CLI
-    turns it into a one-line error with exit code 2.
-    """
-    return max(_env_pos_int("REPRO_JOBS", os.cpu_count() or 1, minimum=1), 1)
-
-
-def default_retries() -> int:
-    """``REPRO_RETRIES``: max retries per point for retryable failures."""
-    return _env_pos_int("REPRO_RETRIES", 2, minimum=0)
-
-
-def default_point_timeout() -> Optional[float]:
-    """``REPRO_POINT_TIMEOUT`` in seconds, or None when unset."""
-    value = os.environ.get("REPRO_POINT_TIMEOUT")
-    if not value:
-        return None
-    try:
-        timeout = float(value)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_POINT_TIMEOUT must be a number of seconds, got {value!r}"
-        ) from None
-    if timeout <= 0:
-        raise ValueError(f"REPRO_POINT_TIMEOUT must be positive, got {timeout}")
-    return timeout
+    """``REPRO_JOBS`` if set, else the machine's CPU count."""
+    return settings.get("REPRO_JOBS") or os.cpu_count() or 1
 
 
 def _retry_backoff_s(index: int, attempt: int) -> float:
     """Exponential backoff before retry ``attempt`` (1-based) of point
     ``index``, with deterministic jitter in [0.5, 1.0) so retried points
     neither stampede together nor perturb reproducibility."""
-    value = os.environ.get("REPRO_RETRY_BACKOFF")
-    try:
-        base = float(value) if value else 0.05
-    except ValueError:
-        raise ValueError(
-            f"REPRO_RETRY_BACKOFF must be a number of seconds, got {value!r}"
-        ) from None
     jitter = 0.5 + 0.5 * (zlib.crc32(f"{index}:{attempt}".encode()) / 0xFFFFFFFF)
-    return base * (2.0 ** (attempt - 1)) * jitter
+    return settings.get("REPRO_RETRY_BACKOFF") * (2.0 ** (attempt - 1)) * jitter
 
 
 #: True in pool worker processes (set by the pool initializer); the
@@ -300,7 +242,7 @@ class ParallelRunner:
         t0 = time.perf_counter()
         results: List[Optional[PointOutcome]] = [None] * total
         stats = {"retries": 0, "restarts": 0, "timeouts": 0, "quarantines": 0}
-        max_retries = default_retries()
+        max_retries = settings.get("REPRO_RETRIES")
         if self.jobs == 1 or total <= 1:
             self._run_serial(points, results, progress, on_outcome, stats, max_retries)
         else:
@@ -356,7 +298,7 @@ class ParallelRunner:
         plain ``ProcessPoolExecutor``."""
         total = len(points)
         workers = min(self.jobs, total)
-        timeout = default_point_timeout()
+        timeout = settings.get("REPRO_POINT_TIMEOUT")
         pool = ProcessPoolExecutor(max_workers=workers, initializer=_worker_init)
         queue: deque = deque((i, 0) for i in range(total))
         waiting: List[Tuple[float, int, int]] = []  # (ready_at, index, attempt)
@@ -484,7 +426,7 @@ class ParallelRunner:
                             # the timed-out point deserves a retry
                             # instead of a terminal error.
                             resumable = (
-                                _snapshot.snapshot_interval() > 0
+                                settings.get("REPRO_SNAPSHOT_INTERVAL") > 0
                                 and att < max_retries
                             )
                             if _telemetry.enabled():

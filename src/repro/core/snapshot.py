@@ -28,17 +28,11 @@ the payload is unpickled; a bad snapshot is quarantined into
 snapshot (or a clean start) — the same self-healing contract as
 :mod:`repro.core.diskcache`.
 
-Environment knobs:
-
-* ``REPRO_SNAPSHOT_INTERVAL`` — trace events per core per phase; a
-  snapshot is written at every phase boundary (0/unset = off);
-* ``REPRO_SNAPSHOT_DIR``      — snapshot directory (default
-  ``.repro_snapshots/``);
-* ``REPRO_RESUME_SNAPSHOT``   — force a resume attempt even when the
-  interval is unset (``repro run --resume-snapshot`` sets this);
-* ``REPRO_DEADLINE``          — wall-clock budget in seconds for one
-  ``CMPSystem.run``, checked cooperatively at phase boundaries;
-* ``REPRO_MEM_LIMIT``         — RSS budget in MiB, same check points.
+The knobs — ``REPRO_SNAPSHOT_INTERVAL`` (events per core per phase; a
+snapshot at every phase boundary), ``REPRO_SNAPSHOT_DIR``,
+``REPRO_RESUME_SNAPSHOT`` and the ``REPRO_DEADLINE`` /
+``REPRO_MEM_LIMIT`` resource guards, checked cooperatively at phase
+boundaries — are declared in :mod:`repro.settings`.
 
 On a guard breach the run does *not* die: it keeps its latest snapshot,
 returns a structured partial result carrying a ``truncated`` extra, and
@@ -64,6 +58,7 @@ import struct
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro import settings
 from repro.faults import inject as _faults
 from repro.obs import telemetry as _telemetry
 
@@ -78,7 +73,6 @@ ENV_RESUME = "REPRO_RESUME_SNAPSHOT"
 ENV_DEADLINE = "REPRO_DEADLINE"
 ENV_MEM_LIMIT = "REPRO_MEM_LIMIT"
 
-DEFAULT_DIR = ".repro_snapshots"
 QUARANTINE_DIR = "_quarantine"
 
 #: Snapshots kept per run: the newest phase plus one fallback, so a
@@ -98,47 +92,6 @@ class SnapshotError(Exception):
         self.path = str(path)
         self.reason = reason
         super().__init__(f"bad snapshot {path}: {reason}")
-
-
-# -- env knobs ----------------------------------------------------------------
-
-
-def snapshot_interval() -> int:
-    """Phase length in trace events per core (0 = snapshots off)."""
-    raw = os.environ.get(ENV_INTERVAL)
-    if not raw:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENV_INTERVAL} must be an integer event count, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ValueError(f"{ENV_INTERVAL} must be >= 0, got {value}")
-    return value
-
-
-def resume_requested() -> bool:
-    """Has a resume been forced via ``REPRO_RESUME_SNAPSHOT``?"""
-    return os.environ.get(ENV_RESUME, "") not in ("", "0")
-
-
-def snapshot_dir() -> str:
-    return os.environ.get(ENV_DIR) or DEFAULT_DIR
-
-
-def _env_float(name: str) -> Optional[float]:
-    raw = os.environ.get(name)
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from None
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return value
 
 
 # -- resource guards ----------------------------------------------------------
@@ -172,8 +125,8 @@ class ResourceGuard:
     """
 
     def __init__(self) -> None:
-        self.deadline_s = _env_float(ENV_DEADLINE)
-        self.mem_limit_mib = _env_float(ENV_MEM_LIMIT)
+        self.deadline_s = settings.get(ENV_DEADLINE)
+        self.mem_limit_mib = settings.get(ENV_MEM_LIMIT)
         self._t0 = time.monotonic()
 
     def active(self) -> bool:
@@ -336,7 +289,7 @@ class SnapshotManager:
 
     def __init__(self, key: str, directory: Optional[str] = None) -> None:
         self.key = key
-        self.root = directory or snapshot_dir()
+        self.root = directory or settings.get(ENV_DIR)
 
     # -- paths --------------------------------------------------------------
 

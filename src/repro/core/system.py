@@ -14,6 +14,7 @@ import sys
 import time
 from typing import List, Optional, Union
 
+from repro import settings
 from repro.core import snapshot as _snapshot
 from repro.core.hierarchy import MemoryHierarchy
 from repro.core.results import SimulationResult
@@ -94,11 +95,22 @@ class CMPSystem:
         #: Phase number this run was restored from (None = clean start);
         #: set by the snapshot-resume path, read by run_point telemetry.
         self.resumed_from_phase: Optional[int] = None
+        # Each observer's REPRO_* knob overrides its config field; a path
+        # value also names the file the run writes when it completes.
+        audit = settings.override("REPRO_AUDIT", config.audit)
+        trace = settings.override("REPRO_TRACE", config.trace)
+        metrics = settings.override("REPRO_METRICS", config.metrics)
+        attribution = settings.override("REPRO_ATTRIBUTION", config.attribution)
+        observers = {"trace": trace, "metrics": metrics, "attribution": attribution}
+        self._outputs = {k: v for k, v in observers.items() if isinstance(v, str)}
         # Opt-in invariant auditing (repro.obs.audit).  When off, the hot
         # loop's only extra cost is one falsy-int test per event.
         self.auditor: Optional[_audit.Auditor] = (
-            _audit.Auditor(self.hierarchy, _audit.audit_interval(config))
-            if _audit.audit_enabled(config)
+            _audit.Auditor(
+                self.hierarchy,
+                settings.override("REPRO_AUDIT_INTERVAL", config.audit_interval),
+            )
+            if audit
             else None
         )
         # Opt-in observability (repro.obs.trace / repro.obs.metrics).
@@ -106,19 +118,21 @@ class CMPSystem:
         # with them on or off — and when off each instrumentation site
         # costs one ``is not None`` branch.
         self.tracer: Optional[_trace.Tracer] = None
-        if _trace.trace_enabled(config):
+        if trace:
             self.tracer = _trace.Tracer(config.n_cores, config.l2.n_banks)
             self.hierarchy.attach_tracer(self.tracer)
             for core in self.cores:
                 core.tracer = self.tracer
         self.sampler: Optional[_metrics.IntervalSampler] = (
-            _metrics.IntervalSampler(_metrics.metrics_interval(config))
-            if _metrics.metrics_enabled(config)
+            _metrics.IntervalSampler(
+                settings.override("REPRO_METRICS_INTERVAL", config.metrics_interval)
+            )
+            if metrics
             else None
         )
         # Opt-in causal attribution (repro.obs.attribution).  Read-only
         # like trace/metrics.
-        if _attribution.attribution_enabled(config):
+        if attribution:
             self.hierarchy.attach_attribution(
                 _attribution.AttributionTracker(config)
             )
@@ -152,16 +166,16 @@ class CMPSystem:
             raise ValueError("events_per_core must be positive")
         if warmup_events is None:
             warmup_events = events_per_core // 2
-        interval = _snapshot.snapshot_interval()
+        interval = settings.get(_snapshot.ENV_INTERVAL)
+        resume_requested = bool(settings.get(_snapshot.ENV_RESUME))
         want_resume = resume_snapshot is True or (
-            resume_snapshot is None
-            and (interval > 0 or _snapshot.resume_requested())
+            resume_snapshot is None and (interval > 0 or resume_requested)
         )
         if interval > 0 or want_resume:
             return self._run_phased(
                 events_per_core, warmup_events, config_name, interval,
                 want_resume,
-                explicit=resume_snapshot is True or _snapshot.resume_requested(),
+                explicit=resume_snapshot is True or resume_requested,
             )
         return self._run_plain(events_per_core, warmup_events, config_name)
 
@@ -221,20 +235,12 @@ class CMPSystem:
             metrics_samples=self.sampler.samples if self.sampler is not None else 0,
             attribution=self.hierarchy.attribution is not None,
         )
-        # Path-valued env knobs auto-write the artifacts at end of run
-        # (mirroring REPRO_AUDIT's path behaviour).
-        if tracer is not None:
-            out = _trace.trace_path()
-            if out:
-                tracer.write(out)
-        if self.sampler is not None:
-            out = _metrics.metrics_path()
-            if out:
-                self.sampler.write(out)
-        if self.hierarchy.attribution is not None:
-            out = _attribution.attribution_path()
-            if out:
-                self.hierarchy.attribution.write(out)
+        if "trace" in self._outputs:
+            tracer.write(self._outputs["trace"])
+        if "metrics" in self._outputs:
+            self.sampler.write(self._outputs["metrics"])
+        if "attribution" in self._outputs:
+            self.hierarchy.attribution.write(self._outputs["attribution"])
         return result
 
     # -- crash-safe phased execution (repro.core.snapshot) -----------------
@@ -263,9 +269,7 @@ class CMPSystem:
             self._generators = cursors
         # The auditor is bound to the (replaced) hierarchy; rebuild it.
         if self.auditor is not None:
-            self.auditor = _audit.Auditor(
-                self.hierarchy, _audit.audit_interval(self.config)
-            )
+            self.auditor = _audit.Auditor(self.hierarchy, self.auditor.interval)
 
     def _run_phased(
         self,
@@ -386,10 +390,8 @@ class CMPSystem:
             phases=phase,
             resumed_phase=self.resumed_from_phase,
         )
-        if self.hierarchy.attribution is not None:
-            out = _attribution.attribution_path()
-            if out:
-                self.hierarchy.attribution.write(out)
+        if "attribution" in self._outputs:
+            self.hierarchy.attribution.write(self._outputs["attribution"])
         return result
 
     def _truncated_result(

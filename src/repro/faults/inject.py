@@ -8,8 +8,9 @@ failures *injectable and deterministic* so every recovery path in
 tests and by the CI chaos job — not just reasoned about.
 
 Faults are described by a plan in the ``REPRO_FAULTS`` environment
-variable (inherited by worker processes), a semicolon-separated list of
-clauses::
+variable (inherited by worker processes; declared and validated with
+every other knob in :mod:`repro.settings`), a semicolon-separated list
+of clauses::
 
     REPRO_FAULTS="kill@2;transient@0,5;hang(2.5)@7;corrupt@every:3;slowio(0.01)@p:0.5:42"
 
@@ -55,16 +56,17 @@ by one retry.  A clause's ``x<times>`` suffix widens that to the first
 exhaustion).  Sites with no natural index (the disk-cache sites) match
 against a per-process, per-kind occurrence counter.
 
-With ``REPRO_FAULTS`` unset, :func:`should` is a single dict lookup —
-the machinery adds nothing to a clean run.
+With ``REPRO_FAULTS`` unset, :func:`should` is a single environment
+lookup — the machinery adds nothing to a clean run.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+from repro import settings
 
 ENV_VAR = "REPRO_FAULTS"
 
@@ -194,7 +196,7 @@ _COUNTERS: Dict[str, int] = {}
 
 def active() -> bool:
     """Is a fault plan installed?"""
-    return bool(os.environ.get(ENV_VAR))
+    return settings.get(ENV_VAR) is not None
 
 
 def reset() -> None:
@@ -218,8 +220,8 @@ def should(
     for site context (e.g. a cache key) but does not affect selection —
     selection must stay deterministic under retry and reordering.
     """
-    spec = os.environ.get(ENV_VAR)
-    if not spec:
+    spec = settings.get(ENV_VAR)
+    if spec is None:
         return None
     plan = _PARSED.get(spec)
     if plan is None:

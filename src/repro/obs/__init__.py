@@ -18,20 +18,16 @@ from repro.obs.audit import (
     AuditViolation,
     Auditor,
     Violation,
-    audit_enabled,
     audit_hierarchy,
-    audit_interval,
 )
 from repro.obs import telemetry
 from repro.obs.metrics import (
     IntervalSampler,
     MetricsRegistry,
     default_registry,
-    metrics_enabled,
-    metrics_interval,
 )
 from repro.obs.progress import SweepProgress, default_progress
-from repro.obs.trace import Tracer, trace_enabled, validate_trace
+from repro.obs.trace import Tracer, validate_trace
 
 __all__ = [
     "AuditViolation",
@@ -41,14 +37,9 @@ __all__ = [
     "SweepProgress",
     "Tracer",
     "Violation",
-    "audit_enabled",
     "audit_hierarchy",
-    "audit_interval",
     "default_progress",
     "default_registry",
-    "metrics_enabled",
-    "metrics_interval",
     "telemetry",
-    "trace_enabled",
     "validate_trace",
 ]

@@ -56,12 +56,9 @@ Two structural notes:
 from __future__ import annotations
 
 import json
-import os
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.params import SEGMENT_BYTES, SEGMENTS_PER_LINE
-
-ENV_VAR = "REPRO_ATTRIBUTION"
 
 #: L2 demand-miss classes (exhaustive and exclusive).
 MISS_CLASSES = ("compulsory", "capacity", "pollution", "expansion")
@@ -74,22 +71,6 @@ L1_EVICT_CAUSES = ("demand_fill", "prefetch_fill", "inclusion", "upgrade")
 
 #: Line inserters recorded on every L2 fill.
 INSERTERS = ("demand", "l1_prefetch", "l2_prefetch")
-
-
-def attribution_enabled(config=None) -> bool:
-    """Resolve the switch: ``REPRO_ATTRIBUTION`` overrides the config."""
-    env = os.environ.get(ENV_VAR, "")
-    if env != "":
-        return env != "0"
-    return bool(config is not None and getattr(config, "attribution", False))
-
-
-def attribution_path() -> Optional[str]:
-    """Output path carried in ``REPRO_ATTRIBUTION`` (None for bare on/off)."""
-    env = os.environ.get(ENV_VAR, "")
-    if env in ("", "0", "1"):
-        return None
-    return env
 
 
 class AttributionTracker:

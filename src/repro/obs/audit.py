@@ -35,7 +35,6 @@ read-only: results with auditing on are bit-identical to auditing off.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -71,22 +70,6 @@ class AuditViolation(AssertionError):
         if len(self.violations) > 20:
             lines.append(f"  ... and {len(self.violations) - 20} more")
         super().__init__("\n".join(lines))
-
-
-def audit_enabled(config=None) -> bool:
-    """Resolve the audit switch: ``REPRO_AUDIT`` overrides the config."""
-    env = os.environ.get("REPRO_AUDIT", "")
-    if env != "":
-        return env != "0"
-    return bool(config is not None and getattr(config, "audit", False))
-
-
-def audit_interval(config=None) -> int:
-    """Resolve the audit cadence: ``REPRO_AUDIT_INTERVAL`` overrides."""
-    env = os.environ.get("REPRO_AUDIT_INTERVAL", "")
-    if env != "":
-        return max(int(env), 1)
-    return int(getattr(config, "audit_interval", 4096)) if config is not None else 4096
 
 
 # ---------------------------------------------------------------------------

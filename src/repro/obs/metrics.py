@@ -36,40 +36,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 from typing import Callable, Dict, List, Optional, Tuple
 
-ENV_VAR = "REPRO_METRICS"
-ENV_INTERVAL = "REPRO_METRICS_INTERVAL"
-
-DEFAULT_INTERVAL = 5_000  # simulated cycles between samples
-
-
-def metrics_enabled(config=None) -> bool:
-    """Resolve the metrics switch: ``REPRO_METRICS`` overrides the config."""
-    env = os.environ.get(ENV_VAR, "")
-    if env != "":
-        return env != "0"
-    return bool(config is not None and getattr(config, "metrics", False))
-
-
-def metrics_path() -> Optional[str]:
-    """Output path carried in ``REPRO_METRICS`` (None for bare on/off)."""
-    env = os.environ.get(ENV_VAR, "")
-    if env in ("", "0", "1"):
-        return None
-    return env
-
-
-def metrics_interval(config=None) -> int:
-    """Resolve the sampling cadence: ``REPRO_METRICS_INTERVAL`` overrides."""
-    env = os.environ.get(ENV_INTERVAL, "")
-    if env != "":
-        return max(int(env), 1)
-    if config is not None:
-        return int(getattr(config, "metrics_interval", DEFAULT_INTERVAL))
-    return DEFAULT_INTERVAL
-
+from repro import settings
 
 #: A metric reads the live system; it must never mutate it.
 MetricFn = Callable[["object"], float]
@@ -238,7 +207,9 @@ class IntervalSampler:
 
     def __init__(self, interval: Optional[int] = None,
                  registry: Optional[MetricsRegistry] = None) -> None:
-        self.interval = metrics_interval() if interval is None else int(interval)
+        self.interval = (
+            settings.get("REPRO_METRICS_INTERVAL") if interval is None else int(interval)
+        )
         if self.interval <= 0:
             raise ValueError("metrics interval must be positive")
         self.registry = registry if registry is not None else default_registry()

@@ -9,7 +9,8 @@ the data needed to keep the pure-Python simulator's throughput honest
 Enable by pointing ``REPRO_TELEMETRY`` at a file path; every record is
 appended as one JSON line (``O_APPEND`` keeps concurrent workers from
 interleaving partial lines for the short records emitted here).  When
-the variable is unset, :func:`emit` is a no-op costing one dict lookup.
+the variable is unset, :func:`emit` is a no-op costing one environment
+lookup.
 I/O errors are swallowed: telemetry must never be able to fail a run.
 
 Record shape (all records)::
@@ -43,7 +44,8 @@ Kinds emitted by the simulator stack:
   ``REPRO_MEM_LIMIT``): the reason, progress counters and the snapshot
   left behind to resume from;
 * ``journal`` — one per checkpointed sweep: journal path, points loaded
-  on resume, points recorded;
+  on resume, points recorded; plus one ``action="corrupt"`` record per
+  journaled result that failed to load or to match its fingerprint;
 * ``matrix-point`` — one per simulated interaction-matrix point
   (:func:`repro.report.matrix.run_matrix`): workload, prefetcher,
   scheme, runtime, done/total progress;
@@ -61,12 +63,11 @@ import os
 import time
 from typing import Any, Dict, Iterable, List
 
-ENV_VAR = "REPRO_TELEMETRY"
-
+from repro import settings
 
 def enabled() -> bool:
     """Is telemetry directed anywhere?"""
-    return bool(os.environ.get(ENV_VAR))
+    return settings.get("REPRO_TELEMETRY") is not None
 
 
 # Cached append handles, keyed by sink path.  Reopening the file for
@@ -119,8 +120,8 @@ def emit(kind: str, **fields: Any) -> None:
     """Append one record to the telemetry sink; silently do nothing when
     disabled or when the sink cannot be written (telemetry must never
     fail a run)."""
-    path = os.environ.get(ENV_VAR)
-    if not path:
+    path = settings.get("REPRO_TELEMETRY")
+    if path is None:
         return
     record: Dict[str, Any] = {"kind": kind, "ts": time.time(), "pid": os.getpid()}
     record.update(fields)

@@ -44,39 +44,13 @@ of silently vanishing.
 from __future__ import annotations
 
 import json
-import os
 from typing import Any, Dict, List, Optional
 
-ENV_VAR = "REPRO_TRACE"
-ENV_LIMIT = "REPRO_TRACE_LIMIT"
+from repro import settings
 
 #: The single simulator process id used for every event.
 PID = 1
 
-DEFAULT_LIMIT = 1_000_000
-
-
-def trace_enabled(config=None) -> bool:
-    """Resolve the trace switch: ``REPRO_TRACE`` overrides the config."""
-    env = os.environ.get(ENV_VAR, "")
-    if env != "":
-        return env != "0"
-    return bool(config is not None and getattr(config, "trace", False))
-
-
-def trace_path() -> Optional[str]:
-    """Output path carried in ``REPRO_TRACE`` (None for bare on/off)."""
-    env = os.environ.get(ENV_VAR, "")
-    if env in ("", "0", "1"):
-        return None
-    return env
-
-
-def trace_limit() -> int:
-    env = os.environ.get(ENV_LIMIT, "")
-    if env != "":
-        return max(int(env), 1)
-    return DEFAULT_LIMIT
 
 
 class Tracer:
@@ -96,7 +70,7 @@ class Tracer:
             raise ValueError("need at least one core and one bank")
         self.n_cores = n_cores
         self.n_banks = n_banks
-        self.limit = trace_limit() if limit is None else max(int(limit), 1)
+        self.limit = settings.get("REPRO_TRACE_LIMIT") if limit is None else max(int(limit), 1)
         # Compact (ph, tid, name, ts, dur, args) records; JSON dicts are
         # only materialised at export.  Building a dict per event costs
         # ~3x a tuple append and keeps hundreds of thousands of tracked

@@ -21,22 +21,20 @@ whatever still reproduces) and persisted as JSON repro files in the
 crash corpus, replayable with :func:`reproduce` or
 ``repro fuzz --repro <file>``.
 
-Environment knobs:
-
-* ``REPRO_FUZZ_SEED`` — base seed the per-case seeds are derived from
-  (default 0; the CLI's ``--seed`` overrides)
-* ``REPRO_FUZZ_DIR``  — crash-corpus directory (default ``.repro_fuzz/``)
+``REPRO_FUZZ_SEED`` (the base case seed; the CLI's ``--seed``
+overrides) and ``REPRO_FUZZ_DIR`` (the crash corpus) are declared in
+:mod:`repro.settings`.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import settings
 from repro.core.system import CMPSystem
 from repro.obs.audit import AuditViolation
 from repro.params import LINE_BYTES, SystemConfig, asdict, config_from_dict
@@ -57,17 +55,6 @@ from repro.verify.properties import (
 from repro.workloads.base import IFETCH, LOAD, STORE
 from repro.workloads.linked import HEAP_BASE
 from repro.workloads.registry import all_names, get_spec
-
-DEFAULT_CORPUS = ".repro_fuzz"
-
-
-def base_seed() -> int:
-    return int(os.environ.get("REPRO_FUZZ_SEED", "0") or "0")
-
-
-def corpus_dir() -> Path:
-    return Path(os.environ.get("REPRO_FUZZ_DIR", "") or DEFAULT_CORPUS)
-
 
 # ---------------------------------------------------------------------------
 # random configurations (always satisfying the dataclass validators)
@@ -284,19 +271,6 @@ class FuzzFailure:
         )
 
 
-class _ForcedAudit:
-    """Make ``config.audit`` authoritative: an ambient ``REPRO_AUDIT=0``
-    must not silently disable the fuzz run's auditing."""
-
-    def __enter__(self):
-        self._saved = os.environ.pop("REPRO_AUDIT", None)
-        return self
-
-    def __exit__(self, *exc):
-        if self._saved is not None:
-            os.environ["REPRO_AUDIT"] = self._saved
-
-
 def _pack(config: SystemConfig, workload: str, events) -> TracePack:
     header = TraceHeader(
         workload=workload,
@@ -313,7 +287,9 @@ def _check_case(
     """Run the whole verification stack on one case; raise on failure."""
     events = trace.events_per_core
     warmup = events // 2
-    with _ForcedAudit():
+    # config.audit is authoritative: an ambient REPRO_AUDIT=0 must not
+    # silently disable the fuzz run's auditing.
+    with settings.suspended("REPRO_AUDIT"):
         audited = replace(config, audit=True, audit_interval=max(events // 4, 64))
         system = CMPSystem(audited, trace=trace)
         result, _ = verify_system(
@@ -473,7 +449,7 @@ def fuzz_one(
 
 
 def save_failure(failure: FuzzFailure, corpus: Optional[Path] = None) -> Path:
-    root = Path(corpus) if corpus is not None else corpus_dir()
+    root = Path(corpus if corpus is not None else settings.get("REPRO_FUZZ_DIR"))
     root.mkdir(parents=True, exist_ok=True)
     path = root / f"crash-seed{failure.seed}-{failure.stage.lower()}.json"
     path.write_text(failure.to_json())
@@ -512,7 +488,7 @@ def run_fuzz(
     """Run ``seeds`` cases (stopping early at ``budget_s`` wall seconds),
     persisting every failure to the crash corpus."""
     t0 = time.monotonic()
-    first = base_seed() if start_seed is None else start_seed
+    first = settings.get("REPRO_FUZZ_SEED") if start_seed is None else start_seed
     report = FuzzReport()
     for seed in range(first, first + seeds):
         if budget_s is not None and time.monotonic() - t0 >= budget_s:

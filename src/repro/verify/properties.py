@@ -14,9 +14,14 @@ The relations, and why each must hold:
     pack more lines than a plain cache (at most ``assoc`` lines fit
     either way, and ``assoc`` lines of <= 8 segments always fit in the
     ``assoc * 8`` data segments), so the two configurations must be
-    event-for-event identical.  The *only* permitted difference is the
-    ``l2.compressed_hits`` classification counter, which labels hits on
-    short lines without changing their latency (the penalty is zero).
+    event-for-event identical.  The *only* permitted differences are
+    labels of short lines that change no timing: the
+    ``l2.compressed_hits`` classification counter (the decompression
+    penalty is zero) and, with attribution on, the ``attr_comp_fills`` /
+    ``attr_comp_bytes_saved`` ledger rows, which count fills stored
+    short.  The attribution rows that describe behaviour
+    (``attr_comp_avoided_hits``, ``attr_comp_expansion_evictions``) must
+    still match.
 
 ``degree_zero``
     A stride prefetcher with both startup degrees at zero allocates
@@ -76,6 +81,7 @@ import json
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro import settings
 from repro.core.results import SimulationResult
 from repro.core.system import CMPSystem
 from repro.params import SystemConfig
@@ -117,10 +123,15 @@ def _simulate(
 # compression disabled == infinite segment budget
 # ---------------------------------------------------------------------------
 
-#: The one counter the compression-noop pair may disagree on: hits on
-#: lines stored short are *labelled* compressed in the compressed
-#: configuration, but with decompression_cycles=0 the label is free.
-COMPRESSION_NOOP_IGNORE = ("l2.compressed_hits",)
+#: The counters the compression-noop pair may disagree on: they only
+#: label lines stored short in the compressed configuration (hits on
+#: them, and with attribution on, fills of them and the bytes they
+#: save); with decompression_cycles=0 the labels change no timing.
+COMPRESSION_NOOP_IGNORE = (
+    "l2.compressed_hits",
+    "extra.attr_comp_bytes_saved",
+    "extra.attr_comp_fills",
+)
 
 
 def check_compression_noop(
@@ -411,24 +422,18 @@ def check_attribution_noop(
 ) -> None:
     """Attribution on must fingerprint identically to attribution off,
     and the tracker's ledgers must reconcile exactly with the stats."""
-    import os
-
     warmup = events if warmup is None else warmup
     off = replace(config, attribution=False)
     on = replace(config, attribution=True)
     # An ambient REPRO_ATTRIBUTION would override both sides of the
     # pair (turning A/B into A/A); suspend it for the comparison.
-    saved = os.environ.pop("REPRO_ATTRIBUTION", None)
-    try:
+    with settings.suspended("REPRO_ATTRIBUTION"):
         r_off = _simulate(off, workload, trace, seed, events, warmup)
         if trace is not None:
             system = CMPSystem(on, trace=trace)
         else:
             system = CMPSystem(on, workload, seed=seed)
         r_on = system.run(events, warmup_events=warmup, config_name="property")
-    finally:
-        if saved is not None:
-            os.environ["REPRO_ATTRIBUTION"] = saved
     f_off, f_on = result_fingerprint(r_off), result_fingerprint(r_on)
     if f_off != f_on:
         ignore = tuple(
@@ -473,22 +478,19 @@ def check_snapshot_resume_noop(
     """A phased run interrupted at every boundary and resumed must equal
     the uninterrupted phased run bit-exactly."""
     import math
-    import os
     import tempfile
 
     from repro.core import snapshot as _snapshot
 
     warmup = events if warmup is None else warmup
     interval = interval if interval is not None else max(events // 3, 1)
-    knobs = (
+    with settings.suspended(
         _snapshot.ENV_INTERVAL, _snapshot.ENV_DIR, _snapshot.ENV_RESUME,
         _snapshot.ENV_DEADLINE, _snapshot.ENV_MEM_LIMIT,
-    )
-    saved = {k: os.environ.pop(k, None) for k in knobs}
-    try:
+    ):
         with tempfile.TemporaryDirectory(prefix="repro-snap-prop-") as tmp:
-            os.environ[_snapshot.ENV_DIR] = tmp
-            os.environ[_snapshot.ENV_INTERVAL] = str(interval)
+            settings.put(_snapshot.ENV_DIR, tmp)
+            settings.put(_snapshot.ENV_INTERVAL, interval)
             ra = _simulate(config, workload, trace, seed, events, warmup)
             if ra.extra.get("truncated"):
                 raise PropertyViolation(
@@ -499,7 +501,7 @@ def check_snapshot_resume_noop(
             # at its first phase boundary, so each pass advances exactly
             # one phase before "dying"; auto-resume stitches them back
             # together until the run completes.
-            os.environ[_snapshot.ENV_DEADLINE] = "0"
+            settings.put(_snapshot.ENV_DEADLINE, 0)
             phases = math.ceil(warmup / interval) + math.ceil(events / interval)
             rb = None
             for _ in range(phases + 2):
@@ -511,12 +513,6 @@ def check_snapshot_resume_noop(
                     "snapshot_resume_noop: run never completed after "
                     f"{phases + 2} resume passes of interval {interval}"
                 )
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
     fa, fb = result_fingerprint(ra), result_fingerprint(rb)
     if fa != fb:
         problems = diff_full_dicts(result_to_full_dict(ra), result_to_full_dict(rb))

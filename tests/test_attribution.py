@@ -24,10 +24,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro import settings
 from repro.core.experiment import CONFIG_FEATURES, make_config
 from repro.core.missclass import classify_misses
 from repro.core.system import CMPSystem
-from repro.obs import attribution as attr_mod
 from repro.obs.attribution import AttributionTracker
 from repro.params import SystemConfig
 from repro.report.export import result_fingerprint
@@ -234,16 +234,19 @@ def test_shares_and_export_shapes():
 def test_env_gate_overrides_config(monkeypatch):
     on = replace(SystemConfig(), attribution=True)
     off = SystemConfig()
+    def enabled(cfg):
+        return bool(settings.override("REPRO_ATTRIBUTION", cfg.attribution))
+
     monkeypatch.delenv("REPRO_ATTRIBUTION", raising=False)
-    assert attr_mod.attribution_enabled(on)
-    assert not attr_mod.attribution_enabled(off)
+    assert enabled(on)
+    assert not enabled(off)
     monkeypatch.setenv("REPRO_ATTRIBUTION", "0")
-    assert not attr_mod.attribution_enabled(on)
+    assert not enabled(on)
     monkeypatch.setenv("REPRO_ATTRIBUTION", "1")
-    assert attr_mod.attribution_enabled(off)
-    assert attr_mod.attribution_path() is None
+    assert enabled(off)
+    assert settings.get("REPRO_ATTRIBUTION") is True
     monkeypatch.setenv("REPRO_ATTRIBUTION", "/tmp/a.json")
-    assert attr_mod.attribution_path() == "/tmp/a.json"
+    assert settings.get("REPRO_ATTRIBUTION") == "/tmp/a.json"
 
 
 def test_env_autowrite_artifact(tmp_path, monkeypatch):

@@ -18,14 +18,15 @@ import pytest
 
 from repro.core.checkpoint import (
     SweepJournal,
-    default_journal_dir,
     default_journal_path,
     point_journal_key,
     resume_guard,
     sweep_spec_key,
 )
+from repro import settings
 from repro.core.experiment import run_point
 from repro.core.runner import PointError
+from repro.obs.telemetry import read_records
 from repro.report.export import result_fingerprint
 
 FAST = dict(events=200, warmup=100, scale=16, n_cores=2)
@@ -51,10 +52,10 @@ class TestKeys:
 
     def test_default_path_under_sweep_dir(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_SWEEP_DIR", str(tmp_path))
-        assert default_journal_dir() == str(tmp_path)
+        assert settings.get("REPRO_SWEEP_DIR") == str(tmp_path)
         assert default_journal_path("abc") == os.path.join(str(tmp_path), "sweep-abc.jsonl")
         monkeypatch.delenv("REPRO_SWEEP_DIR")
-        assert default_journal_dir() == ".repro_sweep"
+        assert settings.get("REPRO_SWEEP_DIR") == ".repro_sweep"
 
 
 class TestJournal:
@@ -130,6 +131,27 @@ class TestJournal:
         loaded = SweepJournal(path, resume=True)
         assert loaded.completed_count() == 1  # claims ok ...
         assert loaded.result_for("k1") is None  # ... but never errors the sweep
+
+    def test_fingerprint_mismatch_degrades_to_recompute(
+        self, tmp_path, result, monkeypatch
+    ):
+        """An edited result that still parses must not load as-is."""
+        sink = tmp_path / "telemetry.jsonl"
+        monkeypatch.setenv("REPRO_TELEMETRY", str(sink))
+        path = str(tmp_path / "j.jsonl")
+        with SweepJournal(path, resume=False) as journal:
+            journal.record_result("k1", {"workload": "zeus", "key": "base"}, result)
+        with open(path, "r", encoding="utf-8") as fh:
+            record = json.loads(fh.readline())
+        record["result"]["clock_ghz"] += 1.0
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        loaded = SweepJournal(path, resume=True)
+        assert loaded.result_for("k1") is None
+        (corrupt,) = [r for r in read_records(str(sink)) if r["kind"] == "journal"]
+        assert corrupt["action"] == "corrupt"
+        assert corrupt["key"] == "k1"
+        assert corrupt["reason"] == "fingerprint mismatch"
 
 
 class TestResumeGuard:

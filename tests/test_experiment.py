@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
+from repro import settings
 from repro.core.experiment import (
     CONFIG_FEATURES,
     clear_cache,
-    default_events,
-    default_scale,
-    default_seeds,
-    env_int,
     make_config,
     run_matrix,
     run_point,
@@ -61,21 +56,20 @@ class TestConfigMatrix:
 
 
 class TestEnvKnobs:
-    def test_env_int_default(self):
-        os.environ.pop("REPRO_TEST_KNOB", None)
-        assert env_int("REPRO_TEST_KNOB", 42) == 42
+    def test_env_int_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_MEMO_CAP", raising=False)
+        assert settings.get("REPRO_MEMO_CAP") == 512
+        assert settings.get("REPRO_MEMO_CAP", 42) == 42
 
-    def test_env_int_set(self):
-        os.environ["REPRO_TEST_KNOB"] = "7"
-        try:
-            assert env_int("REPRO_TEST_KNOB", 42) == 7
-        finally:
-            del os.environ["REPRO_TEST_KNOB"]
+    def test_env_int_set(self, monkeypatch):
+        monkeypatch.setenv("REPRO_MEMO_CAP", "7")
+        assert settings.get("REPRO_MEMO_CAP") == 7
+        assert settings.get("REPRO_MEMO_CAP", 42) == 7
 
     def test_defaults_positive(self):
-        assert default_events() > 0
-        assert default_seeds() >= 1
-        assert default_scale() >= 1
+        assert settings.get("REPRO_EVENTS") > 0
+        assert settings.get("REPRO_SEEDS") >= 1
+        assert settings.get("REPRO_SCALE") >= 1
 
 
 class TestRunHelpers:

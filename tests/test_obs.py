@@ -8,15 +8,14 @@ import os
 
 import pytest
 
+from repro import settings
 from repro.cache.line import MSIState
 from repro.core.system import CMPSystem
 from repro.obs import telemetry
 from repro.obs.audit import (
     AuditViolation,
     Auditor,
-    audit_enabled,
     audit_hierarchy,
-    audit_interval,
     audit_cache_structure,
     audit_inclusion,
     audit_stats,
@@ -31,22 +30,22 @@ from tests.test_hierarchy import make_hierarchy
 class TestEnableResolution:
     def test_config_switch(self, monkeypatch):
         monkeypatch.delenv("REPRO_AUDIT", raising=False)
-        assert not audit_enabled(SystemConfig())
-        assert audit_enabled(SystemConfig(audit=True))
+        assert not settings.override("REPRO_AUDIT", SystemConfig().audit)
+        assert settings.override("REPRO_AUDIT", SystemConfig(audit=True).audit)
 
     def test_env_overrides_config_on(self, monkeypatch):
         monkeypatch.setenv("REPRO_AUDIT", "1")
-        assert audit_enabled(SystemConfig(audit=False))
+        assert settings.override("REPRO_AUDIT", SystemConfig(audit=False).audit)
 
     def test_env_zero_force_disables(self, monkeypatch):
         monkeypatch.setenv("REPRO_AUDIT", "0")
-        assert not audit_enabled(SystemConfig(audit=True))
+        assert not settings.override("REPRO_AUDIT", SystemConfig(audit=True).audit)
 
     def test_interval_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_AUDIT_INTERVAL", "128")
-        assert audit_interval(SystemConfig(audit_interval=4096)) == 128
+        assert settings.override("REPRO_AUDIT_INTERVAL", 4096) == 128
         monkeypatch.delenv("REPRO_AUDIT_INTERVAL")
-        assert audit_interval(SystemConfig(audit_interval=555)) == 555
+        assert settings.override("REPRO_AUDIT_INTERVAL", 555) == 555
 
     def test_interval_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -14,11 +14,11 @@ import os
 
 import pytest
 
+from repro import settings
 from repro.core import diskcache
 from repro.core.diskcache import DiskCache
 from repro.core.experiment import (
     clear_cache,
-    default_memo_cap,
     point_cache_key,
     run_matrix,
     run_point,
@@ -76,7 +76,7 @@ class TestDiskCache:
         monkeypatch.setenv("REPRO_CACHE", "0")
         clear_cache()
         run_point("zeus", "base", **FAST)
-        assert not diskcache.cache_enabled()
+        assert settings.get("REPRO_CACHE") is False
         assert DiskCache().stats()["entries"] == 0
 
     def test_corrupt_entry_degrades_to_recompute(self, tmp_path, monkeypatch):
@@ -132,7 +132,7 @@ class TestMemoBound:
         from repro.core import experiment
 
         monkeypatch.setenv("REPRO_MEMO_CAP", "2")
-        assert default_memo_cap() == 2
+        assert settings.get("REPRO_MEMO_CAP") == 2
         clear_cache()
         run_point("zeus", "base", **FAST)
         run_point("zeus", "pref", **FAST)

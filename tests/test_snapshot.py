@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import settings
 from repro.core import snapshot as snap
 from repro.core.system import CMPSystem
 from repro.report.export import result_fingerprint
@@ -222,10 +223,10 @@ class TestRobustnessFallbacks:
     def test_bad_env_values_are_readable_errors(self, snap_env, monkeypatch):
         monkeypatch.setenv(snap.ENV_INTERVAL, "soon")
         with pytest.raises(ValueError, match="REPRO_SNAPSHOT_INTERVAL"):
-            snap.snapshot_interval()
+            settings.get(snap.ENV_INTERVAL)
         monkeypatch.setenv(snap.ENV_INTERVAL, "-3")
         with pytest.raises(ValueError, match=">= 0"):
-            snap.snapshot_interval()
+            settings.get(snap.ENV_INTERVAL)
         monkeypatch.setenv(snap.ENV_DEADLINE, "tomorrow")
         with pytest.raises(ValueError, match="REPRO_DEADLINE"):
             snap.ResourceGuard()

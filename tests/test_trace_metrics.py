@@ -16,10 +16,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro import settings
 from repro.core.experiment import CONFIG_FEATURES, make_config
 from repro.core.system import CMPSystem
-from repro.obs import metrics as metrics_mod
-from repro.obs import trace as trace_mod
 from repro.obs.metrics import IntervalSampler, MetricsRegistry
 from repro.obs.progress import SweepProgress, default_progress
 from repro.obs.trace import Tracer, validate_trace
@@ -217,8 +216,10 @@ def test_registry_rejects_duplicates_and_reads_rates():
 def test_env_gates_override_config(monkeypatch):
     on = replace(SystemConfig(), trace=True, metrics=True)
     off = SystemConfig()
-    for var, enabled in (("REPRO_TRACE", trace_mod.trace_enabled),
-                         ("REPRO_METRICS", metrics_mod.metrics_enabled)):
+    for var, field in (("REPRO_TRACE", "trace"), ("REPRO_METRICS", "metrics")):
+        def enabled(cfg):
+            return bool(settings.override(var, getattr(cfg, field)))
+
         monkeypatch.delenv(var, raising=False)
         assert enabled(on) and not enabled(off)
         monkeypatch.setenv(var, "0")
@@ -231,19 +232,19 @@ def test_env_gates_override_config(monkeypatch):
 def test_path_valued_gates_carry_output_paths(monkeypatch):
     monkeypatch.setenv("REPRO_TRACE", "/tmp/t.json")
     monkeypatch.setenv("REPRO_METRICS", "/tmp/m.csv")
-    assert trace_mod.trace_enabled(SystemConfig())
-    assert trace_mod.trace_path() == "/tmp/t.json"
-    assert metrics_mod.metrics_path() == "/tmp/m.csv"
+    assert settings.override("REPRO_TRACE", SystemConfig().trace)
+    assert settings.get("REPRO_TRACE") == "/tmp/t.json"
+    assert settings.get("REPRO_METRICS") == "/tmp/m.csv"
     monkeypatch.setenv("REPRO_TRACE", "1")
-    assert trace_mod.trace_path() is None
+    assert settings.get("REPRO_TRACE") is True
 
 
 def test_interval_gate(monkeypatch):
     cfg = replace(SystemConfig(), metrics_interval=123)
     monkeypatch.delenv("REPRO_METRICS_INTERVAL", raising=False)
-    assert metrics_mod.metrics_interval(cfg) == 123
+    assert settings.override("REPRO_METRICS_INTERVAL", cfg.metrics_interval) == 123
     monkeypatch.setenv("REPRO_METRICS_INTERVAL", "77")
-    assert metrics_mod.metrics_interval(cfg) == 77
+    assert settings.override("REPRO_METRICS_INTERVAL", cfg.metrics_interval) == 77
 
 
 def test_env_autowrite_artifacts(tmp_path, monkeypatch):
