@@ -1,8 +1,6 @@
 """Crash-safe sweep checkpointing: an append-only journal of completed
 points that makes ``repro sweep --resume`` possible.
 
-A long sweep killed at point 900 of 1000 used to restart from zero (or
-lean on the disk cache, which ``repro sweep`` deliberately bypasses).
 The journal records every completed point — full-fidelity result plus
 its ``result_fingerprint`` — as one JSON line, flushed and fsynced
 before the sweep moves on, so a ``kill -9`` at any moment loses at most
@@ -17,11 +15,12 @@ Journal line shape::
     {"v": 1, "key": "...", "coords": {...}, "outcome": "error",
      "error": {"kind": "...", "error": "...", "workload": ..., "key": ...}}
 
-A truncated trailing line (the record being written when the process
-died) is skipped on load, exactly like telemetry replay; an ``ok``
-record whose result does not match its fingerprint is recomputed.  ``error``
-records are loaded but *not* treated as completed: a resumed sweep
-retries them.
+The journal is a JSON-lines log of :mod:`repro.core.durable`: a
+truncated trailing line (the record being written when the process
+died) is skipped on load and cut before a resumed sweep appends.  An
+``ok`` record whose result does not match its fingerprint is
+recomputed; ``error`` records are loaded but *not* treated as
+completed, so a resumed sweep retries them.
 
 Journals live under ``REPRO_SWEEP_DIR`` (see :mod:`repro.settings`),
 named by a hash of the sweep specification, so rerunning the same
@@ -39,6 +38,7 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional
 
 from repro import settings
+from repro.core import durable
 from repro.core.results import SimulationResult
 from repro.obs import telemetry as _telemetry
 from repro.report.export import (
@@ -87,27 +87,13 @@ class SweepJournal:
         self.recorded = 0
         self._fh = None
         if resume and os.path.exists(path):
-            self.loaded = self._load()
+            try:
+                records = durable.read_jsonl(path)
+            except OSError:
+                records = []
+            self.loaded = {str(r["key"]): r for r in records if "key" in r}
 
     # -- reading ------------------------------------------------------------
-
-    def _load(self) -> Dict[str, Dict[str, Any]]:
-        records: Dict[str, Dict[str, Any]] = {}
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue  # truncated tail from a killed writer
-                    if isinstance(record, dict) and "key" in record:
-                        records[str(record["key"])] = record
-        except OSError:
-            return {}
-        return records
 
     def result_for(self, key: str) -> Optional[SimulationResult]:
         """The completed result for a point key, or None when the point
@@ -136,19 +122,10 @@ class SweepJournal:
 
     # -- writing ------------------------------------------------------------
 
-    def _ensure_open(self):
-        if self._fh is None:
-            parent = os.path.dirname(self.path)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-            self._fh = open(self.path, "a" if self.resume else "w", encoding="utf-8")
-        return self._fh
-
     def _append(self, record: Dict[str, Any]) -> None:
-        fh = self._ensure_open()
-        fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
+        if self._fh is None:
+            self._fh = durable.open_append(self.path, fresh=not self.resume)
+        durable.append_line(self._fh, record)
         self.recorded += 1
 
     def record_result(

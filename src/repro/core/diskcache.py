@@ -8,23 +8,14 @@ full :class:`~repro.params.SystemConfig` plus the run parameters and a
 format version, so *any* config change (including future fields) yields
 a different key rather than a stale hit.
 
-Layout: ``<root>/<key[:2]>/<key>.json``, one result per file wrapping
-the full-fidelity form of :func:`repro.report.export.result_to_full_dict`
-in an integrity envelope::
+Layout: ``<root>/<key[:2]>/<key>.rpce``, one sealed file of
+:mod:`repro.core.durable` (magic ``RPCE``) per result, holding the JSON
+of :func:`repro.report.export.result_to_full_dict`.  Concurrent writers
+(parallel sweep workers) at worst compute the same point twice.
 
-    {"checksum": "<sha256 of the canonical result JSON>", "result": {...}}
-
-Writes are atomic (temp file + ``os.replace``), so concurrent writers —
-e.g. :class:`repro.core.runner.ParallelRunner` workers — at worst both
-compute the same point and one rename wins.
-
-The cache is *self-healing*: an entry that fails to parse or whose
-checksum does not match (torn write, disk corruption, an injected
-``corrupt`` fault) is moved into ``<root>/_quarantine/`` and reported as
-a distinct ``corrupt`` telemetry outcome — never a silent ``miss`` —
-then recomputed.  Stale ``*.json.tmp.*`` files left by killed writers
-are swept on first open per process, and ``repro cache verify`` audits
-every entry's checksum on demand.
+The cache is *self-healing*: a corrupt entry is quarantined and
+reported as a distinct ``corrupt`` telemetry outcome — never a silent
+``miss`` — then recomputed; ``repro cache verify`` audits every entry.
 
 ``REPRO_CACHE`` and ``REPRO_CACHE_DIR`` are declared in
 :mod:`repro.settings`.
@@ -40,6 +31,8 @@ from dataclasses import asdict
 from typing import Dict, Optional
 
 from repro import faults, settings
+from repro.core import durable
+from repro.core.durable import QUARANTINE_DIR, CorruptFile
 from repro.core.results import SimulationResult
 from repro.obs import telemetry as _telemetry
 from repro.params import SystemConfig
@@ -49,17 +42,13 @@ from repro.report.export import (
     result_to_full_dict,
 )
 
-#: Bump to invalidate every existing cache entry (key derivation change).
-#: v2: entries carry a per-entry integrity checksum envelope.
-CACHE_FORMAT_VERSION = 2
+#: Bump to invalidate every existing cache entry: the version is hashed
+#: into every key, so older entries are never looked up (they miss
+#: rather than quarantine).  v3: entries are sealed files.
+CACHE_FORMAT_VERSION = 3
 
-#: Corrupt entries are moved here (under the cache root) for post-mortem
-#: inspection instead of being deleted or silently re-read forever.
-QUARANTINE_DIR = "_quarantine"
-
-#: A ``*.json.tmp.<pid>`` older than this is a leftover from a killed
-#: writer, not an in-flight write, and is swept on open.
-STALE_TMP_S = 15 * 60
+ENTRY_MAGIC = b"RPCE"
+ENTRY_SUFFIX = ".rpce"
 
 
 def point_key(
@@ -68,6 +57,7 @@ def point_key(
     seed: int,
     events: int,
     warmup: int,
+    fmt: int = CACHE_FORMAT_VERSION,
 ) -> str:
     """Stable content hash identifying one simulation point.
 
@@ -85,7 +75,7 @@ def point_key(
     ):
         cfg.pop(observability_field, None)
     payload = {
-        "format": CACHE_FORMAT_VERSION,
+        "format": fmt,
         "schema": RESULT_SCHEMA_VERSION,
         "workload": workload,
         "seed": seed,
@@ -97,24 +87,17 @@ def point_key(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _checksum(result_dict: Dict) -> str:
-    blob = json.dumps(result_dict, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-# Per-process count of quarantined entries; the parallel runner diffs it
-# around each point so quarantines show up in the live progress line and
-# the sweep summary even when they happen inside worker processes.
-_QUARANTINED = 0
-
-# Roots already swept for stale tmp files this process (sweeping walks
-# the tree, so do it once per root per process, not once per open).
-_SWEPT_ROOTS: set = set()
-
-
-def quarantine_count() -> int:
-    """How many corrupt entries this process has quarantined."""
-    return _QUARANTINED
+def read_entry(path: str) -> SimulationResult:
+    """Load and fully validate one entry; any defect raises
+    :class:`~repro.core.durable.CorruptFile` (and a missing or
+    unreadable file :class:`OSError`)."""
+    _meta, payload = durable.read_sealed(
+        path, ENTRY_MAGIC, CACHE_FORMAT_VERSION, "cache entry"
+    )
+    try:
+        return result_from_dict(json.loads(payload.decode("utf-8")))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CorruptFile(path, f"invalid result: {exc}") from None
 
 
 class DiskCache:
@@ -122,10 +105,10 @@ class DiskCache:
 
     def __init__(self, root: Optional[str] = None) -> None:
         self.root = root if root is not None else settings.get("REPRO_CACHE_DIR")
-        self._sweep_stale_tmp()
+        durable.sweep_stale_tmp(self.root)
 
     def path_for(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], key + ".json")
+        return os.path.join(self.root, key[:2], key + ENTRY_SUFFIX)
 
     def quarantine_dir(self) -> str:
         return os.path.join(self.root, QUARANTINE_DIR)
@@ -135,37 +118,24 @@ class DiskCache:
     def get(self, key: str) -> Optional[SimulationResult]:
         """Load a cached result, or None on miss *or* corrupt entry.
 
-        A missing file is a ``miss``.  An unparseable, checksum-failing
-        or schema-invalid entry is ``corrupt``: it is quarantined (so
-        the same rot is never re-read) and the point degrades to a
-        recompute, never an error.
+        A missing or unreadable file is a ``miss`` (it may be fine for
+        the next reader).  An entry that fails validation is
+        ``corrupt``: it is quarantined so the same rot is never re-read,
+        and the point degrades to a recompute, never an error.
         """
         path = self.path_for(key)
         hit = faults.should("slowio", token=key)
         if hit is not None:
             time.sleep(hit.arg if hit.arg is not None else 0.02)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except FileNotFoundError:
-            _telemetry.emit("diskcache", outcome="miss", key=key)
-            return None
+            result = read_entry(path)
         except OSError:
-            # Unreadable but present (permissions, I/O error): degrade to
-            # a miss — the entry may be fine for the next reader.
             _telemetry.emit("diskcache", outcome="miss", key=key)
             return None
-        except ValueError:
-            self._quarantine(path, key, reason="unparseable JSON")
-            return None
-        try:
-            if not isinstance(data, dict) or "result" not in data:
-                raise ValueError("entry is not a checksum envelope")
-            if data.get("checksum") != _checksum(data["result"]):
-                raise ValueError("checksum mismatch")
-            result = result_from_dict(data["result"])
-        except (ValueError, KeyError, TypeError) as exc:
-            self._quarantine(path, key, reason=str(exc))
+        except CorruptFile as exc:
+            durable.quarantine(
+                path, self.root, exc.reason, "diskcache", outcome="corrupt", key=key
+            )
             return None
         _telemetry.emit("diskcache", outcome="hit", key=key)
         return result
@@ -173,17 +143,12 @@ class DiskCache:
     def put(self, key: str, result: SimulationResult) -> None:
         """Store a result atomically; failures are swallowed (the cache
         is an accelerator, not a correctness dependency) but recorded as
-        a telemetry-visible ``store-failed`` outcome, and the temp file
-        is always cleaned up — serialization errors (``TypeError`` /
-        ``ValueError`` from ``json.dump``) must not leave
-        ``*.json.tmp.<pid>`` litter behind."""
+        a telemetry-visible ``store-failed`` outcome."""
         path = self.path_for(key)
-        tmp = f"{path}.tmp.{os.getpid()}"
         hit = faults.should("slowio", token=key)
         if hit is not None:
             time.sleep(hit.arg if hit.arg is not None else 0.02)
         try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
             payload = result_to_full_dict(result)
             extra = payload.get("extra", {})
             if any(k.startswith("attr_") for k in extra):
@@ -195,73 +160,17 @@ class DiskCache:
                     k: v for k, v in extra.items()
                     if not k.startswith("attr_")
                 }
-            digest = _checksum(payload)
-            if faults.should("corrupt", token=key) is not None:
-                # Model silent bit rot: the entry stays valid JSON, so
-                # only the checksum (not the parser) can catch it.
-                digest = "deadbeef" + digest[8:]
-            blob = json.dumps(
-                {"checksum": digest, "result": payload}, separators=(",", ":")
+            blob = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+            durable.write_sealed(
+                path, ENTRY_MAGIC, CACHE_FORMAT_VERSION, {"key": key}, blob,
+                fault="corrupt",
             )
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(blob)
-            os.replace(tmp, path)
             _telemetry.emit("diskcache", outcome="store", key=key)
         except (OSError, TypeError, ValueError) as exc:
             _telemetry.emit(
                 "diskcache", outcome="store-failed", key=key,
                 error=f"{type(exc).__name__}: {exc}",
             )
-        finally:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-    def contains(self, key: str) -> bool:
-        return os.path.exists(self.path_for(key))
-
-    # -- self-healing -------------------------------------------------------
-
-    def _quarantine(self, path: str, key: str, reason: str) -> None:
-        """Move a corrupt entry aside and account for it."""
-        global _QUARANTINED
-        qdir = self.quarantine_dir()
-        try:
-            os.makedirs(qdir, exist_ok=True)
-            os.replace(path, os.path.join(qdir, os.path.basename(path)))
-        except OSError:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        _QUARANTINED += 1
-        _telemetry.emit("diskcache", outcome="corrupt", key=key, reason=reason)
-
-    def _sweep_stale_tmp(self, max_age_s: float = STALE_TMP_S) -> int:
-        """Delete ``*.json.tmp.*`` files older than ``max_age_s`` left by
-        killed writers.  Runs at most once per root per process."""
-        if self.root in _SWEPT_ROOTS or not os.path.isdir(self.root):
-            _SWEPT_ROOTS.add(self.root)
-            return 0
-        _SWEPT_ROOTS.add(self.root)
-        return self._sweep_tmp_files(max_age_s)
-
-    def _sweep_tmp_files(self, max_age_s: float = 0.0) -> int:
-        swept = 0
-        cutoff = time.time() - max_age_s
-        for dirpath, _dirnames, filenames in os.walk(self.root):
-            for name in filenames:
-                if ".json.tmp." not in name:
-                    continue
-                full = os.path.join(dirpath, name)
-                try:
-                    if os.path.getmtime(full) <= cutoff:
-                        os.unlink(full)
-                        swept += 1
-                except OSError:
-                    pass
-        return swept
 
     def verify(self) -> Dict[str, int]:
         """Audit every entry's integrity (the ``repro cache verify``
@@ -275,23 +184,19 @@ class DiskCache:
                 dirnames[:] = []
                 continue
             for name in filenames:
-                if not name.endswith(".json"):
+                if not name.endswith(ENTRY_SUFFIX):
                     continue
                 checked += 1
                 path = os.path.join(dirpath, name)
-                key = name[: -len(".json")]
                 try:
-                    with open(path, "r", encoding="utf-8") as fh:
-                        data = json.load(fh)
-                    if not isinstance(data, dict) or "result" not in data:
-                        raise ValueError("entry is not a checksum envelope")
-                    if data.get("checksum") != _checksum(data["result"]):
-                        raise ValueError("checksum mismatch")
-                    result_from_dict(data["result"])
-                except (OSError, ValueError, KeyError, TypeError) as exc:
+                    read_entry(path)
+                except (OSError, CorruptFile) as exc:
                     corrupt += 1
-                    self._quarantine(path, key, reason=str(exc))
-        swept = self._sweep_tmp_files(max_age_s=0.0)
+                    durable.quarantine(
+                        path, self.root, getattr(exc, "reason", str(exc)),
+                        "diskcache", outcome="corrupt", key=name[: -len(ENTRY_SUFFIX)],
+                    )
+        swept = durable.sweep_stale_tmp(self.root, 0.0, once=False)
         return {
             "checked": checked,
             "ok": checked - corrupt,
@@ -309,7 +214,7 @@ class DiskCache:
         for dirpath, _dirnames, filenames in os.walk(self.root):
             in_quarantine = os.path.abspath(dirpath) == qdir
             for name in filenames:
-                if not name.endswith(".json"):
+                if not name.endswith(ENTRY_SUFFIX):
                     continue
                 if in_quarantine:
                     quarantined += 1
@@ -334,10 +239,12 @@ class DiskCache:
         for dirpath, _dirnames, filenames in os.walk(self.root, topdown=False):
             in_quarantine = os.path.abspath(dirpath) == qdir
             for name in filenames:
-                if name.endswith(".json") or ".json.tmp." in name:
+                # ``.json``: entries of cache formats before v3.
+                live = name.endswith(ENTRY_SUFFIX)
+                if live or name.endswith(".json") or ".tmp" in name:
                     try:
                         os.unlink(os.path.join(dirpath, name))
-                        if name.endswith(".json") and not in_quarantine:
+                        if live and not in_quarantine:
                             removed += 1
                     except OSError:
                         pass

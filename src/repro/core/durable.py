@@ -1,0 +1,214 @@
+"""Durable files: the one way this package writes a file that must
+survive a crash, and reads back one that may not have.
+
+The disk cache (:mod:`repro.core.diskcache`), the sweep journal
+(:mod:`repro.core.checkpoint`) and the mid-run snapshots
+(:mod:`repro.core.snapshot`) keep their own policy (keys, rotation,
+what counts as a usable record) and share these mechanics; telemetry
+replay shares the JSON-lines reader.
+
+A sealed file is a ``<4sHI`` header (magic, u16 version, u32 meta
+length), a canonical-JSON meta object carrying ``payload_sha256`` and
+``payload_bytes``, then the payload; docs/architecture.md §10 has the
+table.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import struct
+import time
+from typing import Any, Dict, List, Tuple
+
+from repro.faults import inject as _faults
+from repro.obs import telemetry as _telemetry
+
+#: Bad files are moved here, under the store's root.
+QUARANTINE_DIR = "_quarantine"
+
+#: A temp file older than this was left by a killed writer.
+STALE_TMP_S = 15 * 60
+
+_HEAD = struct.Struct("<4sHI")
+
+
+class CorruptFile(Exception):
+    """A durable file that cannot be trusted: torn, the wrong magic or
+    version, unparseable meta, or a checksum mismatch.  Stores catch it,
+    quarantine the file and fall back; it never escapes to the user as a
+    raw ``KeyError``/``EOFError``."""
+
+    def __init__(self, path: str, reason: str) -> None:
+        self.reason = reason
+        super().__init__(f"corrupt file {path}: {reason}")
+
+
+def atomic_write(path: str, data: bytes) -> None:
+    """Replace ``path`` with ``data`` all at once, durably."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "wb") as out:
+            out.write(data)
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def write_sealed(
+    path: str, magic: bytes, version: int, meta: Dict[str, Any], payload: bytes,
+    fault: str,
+) -> None:
+    """Atomically write one sealed file.  ``fault`` names the store's
+    corruption fault kind (``corrupt``, ``snapcorrupt``): when it fires,
+    a payload byte is flipped *after* hashing, so the injected damage is
+    caught exactly like real bit rot."""
+    meta = dict(meta)
+    meta["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+    meta["payload_bytes"] = len(payload)
+    if _faults.should(fault, token=path) is not None and payload:
+        payload = payload[:-1] + bytes([payload[-1] ^ 0xFF])
+    blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    atomic_write(path, _HEAD.pack(magic, version, len(blob)) + blob + payload)
+
+
+def read_sealed(
+    path: str, magic: bytes, version: int, what: str
+) -> Tuple[Dict[str, Any], bytes]:
+    """Read and verify one sealed file; return ``(meta, payload)``.
+
+    A file that cannot be read raises :class:`OSError`; every defect of
+    its contents raises :class:`CorruptFile` (``what`` names the file in
+    the reason).  The payload is returned only after its checksum
+    verifies."""
+    with open(path, "rb") as stream:
+        data = stream.read()
+    if len(data) < _HEAD.size:
+        raise CorruptFile(path, "truncated header")
+    got_magic, got_version, meta_len = _HEAD.unpack_from(data)
+    if got_magic != magic:
+        raise CorruptFile(path, f"not a {what} (magic {got_magic!r})")
+    if got_version != version:
+        raise CorruptFile(path, f"unsupported {what} version {got_version}")
+    end = _HEAD.size + meta_len
+    if len(data) < end:
+        raise CorruptFile(path, "truncated meta block")
+    try:
+        meta = json.loads(data[_HEAD.size:end].decode("utf-8"))
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise CorruptFile(path, f"unparseable meta: {exc}") from None
+    if not isinstance(meta, dict) or "payload_sha256" not in meta:
+        raise CorruptFile(path, "meta is not a checksum envelope")
+    payload = data[end:]
+    if hashlib.sha256(payload).hexdigest() != meta["payload_sha256"]:
+        raise CorruptFile(path, "payload checksum mismatch")
+    return meta, payload
+
+
+# Per-process count of quarantined files; the parallel runner diffs it
+# around each point so quarantines show up in the live progress line and
+# the sweep summary even when they happen inside worker processes.
+_QUARANTINED = 0
+
+# Roots already swept for stale tmp files this process (sweeping walks
+# the tree, so do it once per root per process, not once per open).
+_SWEPT_ROOTS: set = set()
+
+
+def quarantine_count() -> int:
+    """How many files this process has quarantined."""
+    return _QUARANTINED
+
+
+def quarantine(path: str, root: str, reason: str, kind: str, /, **fields: Any) -> None:
+    """Move a bad file into ``<root>/_quarantine/`` (deleting it when it
+    cannot be moved), so the same rot is never read twice, and report it
+    as a ``kind`` telemetry record with ``reason`` and ``fields``."""
+    global _QUARANTINED
+    qdir = os.path.join(root, QUARANTINE_DIR)
+    try:
+        os.makedirs(qdir, exist_ok=True)
+        os.replace(path, os.path.join(qdir, os.path.basename(path)))
+    except OSError:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
+    _QUARANTINED += 1
+    _telemetry.emit(kind, reason=reason, **fields)
+
+
+def sweep_stale_tmp(
+    root: str, max_age_s: float = STALE_TMP_S, *, once: bool = True
+) -> int:
+    """Delete temp files under ``root`` older than ``max_age_s``; return
+    how many.  With ``once`` (the open-time sweep) each root is walked
+    at most once per process."""
+    if once and root in _SWEPT_ROOTS:
+        return 0
+    _SWEPT_ROOTS.add(root)
+    swept = 0
+    cutoff = time.time() - max_age_s
+    for dirpath, _dirnames, filenames in os.walk(root):
+        for name in filenames:
+            # ``<path>.tmp.<pid>``, and ``<path>.<pid>.tmp`` from the
+            # snapshot writer that preceded atomic_write.
+            if ".tmp" not in name:
+                continue
+            full = os.path.join(dirpath, name)
+            try:
+                if os.path.getmtime(full) <= cutoff:
+                    os.unlink(full)
+                    swept += 1
+            except OSError:
+                pass
+    return swept
+
+
+def open_append(path: str, fresh: bool = False):
+    """Open a JSON-lines log for :func:`append_line`.
+
+    ``fresh`` truncates any existing file; otherwise a torn trailing
+    line (a killed writer's partial record) is cut first, so the next
+    record starts on a line of its own instead of being glued to the
+    fragment.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    if not fresh and os.path.exists(path):
+        with open(path, "r+b") as raw:
+            keep = raw.read().rfind(b"\n") + 1
+            if keep != raw.tell():
+                raw.truncate(keep)
+                os.fsync(raw.fileno())
+    return open(path, "w" if fresh else "a", encoding="utf-8")
+
+
+def append_line(fh, record: Dict[str, Any]) -> None:
+    """Append one canonical-JSON record and make it durable before
+    returning: a kill at any moment loses at most this record."""
+    fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+    fh.flush()
+    os.fsync(fh.fileno())
+
+
+def read_jsonl(path: str) -> List[Dict[str, Any]]:
+    """Every JSON-object line of ``path``, skipping lines that do not
+    parse (a record torn by a killed writer must not hide the rest)."""
+    records: List[Dict[str, Any]] = []
+    with open(path, "r", encoding="utf-8", errors="replace") as stream:
+        for line in stream:
+            try:
+                record = json.loads(line)
+            except ValueError:  # torn, or blank
+                continue
+            if isinstance(record, dict):
+                records.append(record)
+    return records

@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import faults, settings
+from repro.core import durable
 from repro.core.results import SimulationResult
 from repro.obs import telemetry as _telemetry
 
@@ -136,15 +137,14 @@ def _run_one(item: Tuple[int, PointSpec, int]) -> _Outcome:
 
     The ``source`` element reports where the result came from (``sim`` /
     ``disk`` / ``memo`` / ``error``) for the live progress renderer;
-    ``quarantines`` counts disk-cache entries quarantined while the
+    ``quarantines`` counts durable files quarantined while the
     point ran so the parent can surface them.
     """
     index, ((workload, key), kwargs), attempt = item
     try:
-        from repro.core import diskcache
         from repro.core.experiment import last_point_source, run_point
 
-        quarantined_before = diskcache.quarantine_count()
+        quarantined_before = durable.quarantine_count()
         if faults.active():
             hit = faults.should("transient", index=index, attempt=attempt)
             if hit is not None:
@@ -159,7 +159,7 @@ def _run_one(item: Tuple[int, PointSpec, int]) -> _Outcome:
                 if hit is not None:
                     time.sleep(hit.arg if hit.arg is not None else 3600.0)
         result = run_point(workload, key, **kwargs)
-        quarantines = diskcache.quarantine_count() - quarantined_before
+        quarantines = durable.quarantine_count() - quarantined_before
         return index, result, None, last_point_source(), False, quarantines
     except faults.TransientFault as exc:
         return index, None, (repr(exc), traceback.format_exc(), "transient"), "error", True, 0
@@ -528,6 +528,7 @@ class ParallelRunner:
                 errors=errors,
                 workers=workers,
                 wall_s=time.perf_counter() - t0,
+                settings=settings.from_env(),
                 **(stats or {}),
             )
 

@@ -1,64 +1,41 @@
 """Mid-run simulator snapshots: crash-safe long simulations.
 
-PR 5's resilience layer retries and resumes at *sweep-point*
-granularity, so a worker death 90 minutes into one long full-scale
-simulation still loses the whole point.  This module checkpoints the
-*simulator itself* at phase boundaries: the complete machine state —
-cache arrays, MSHR/write-back buffers, prefetcher and adaptive-
-controller state, coherence directory, DRAM/NoC timing state, workload
-cursor state, and all stats — is serialized into a checksummed,
-versioned snapshot file, and a killed run resumes from the last phase
-boundary bit-identically (kill-and-resume equals run-to-completion on
+The *simulator itself* is checkpointed at phase boundaries: the complete
+machine state — cache arrays, MSHR/write-back buffers, prefetcher and
+adaptive-controller state, coherence directory, DRAM/NoC timing state,
+workload cursor state, and all stats — goes into one snapshot file per
+phase, and a killed run resumes from the last phase boundary
+bit-identically (kill-and-resume equals run-to-completion on
 ``result_fingerprint``).
 
-Snapshot file layout (all little-endian)::
+A snapshot is a sealed file of :mod:`repro.core.durable` (magic
+``RPSN``, format version 2): the meta block holds the run identity and
+progress counters, the payload the pickled state dict, which is
+unpickled only after its checksum verifies.  A bad snapshot is
+quarantined and restore falls back to the previous phase snapshot (or
+a clean start).
 
-    offset   content
-    0        magic  b"RPSN"
-    4        u16    format version (currently 2)
-    6        u32    meta length
-    10       meta   canonical JSON (run identity, progress counters,
-                    payload_sha256)
-    ...      payload: pickled state dict
-
-The meta block carries ``payload_sha256`` so a torn write, disk
-corruption, or an injected ``snapcorrupt`` fault is detected *before*
-the payload is unpickled; a bad snapshot is quarantined into
-``<dir>/_quarantine/`` and restore falls back to the previous phase
-snapshot (or a clean start) — the same self-healing contract as
-:mod:`repro.core.diskcache`.
-
-The knobs — ``REPRO_SNAPSHOT_INTERVAL`` (events per core per phase; a
-snapshot at every phase boundary), ``REPRO_SNAPSHOT_DIR``,
-``REPRO_RESUME_SNAPSHOT`` and the ``REPRO_DEADLINE`` /
-``REPRO_MEM_LIMIT`` resource guards, checked cooperatively at phase
-boundaries — are declared in :mod:`repro.settings`.
-
-On a guard breach the run does *not* die: it keeps its latest snapshot,
+On a ``REPRO_DEADLINE`` / ``REPRO_MEM_LIMIT`` breach (checked at phase
+boundaries) the run does *not* die: it keeps its latest snapshot,
 returns a structured partial result carrying a ``truncated`` extra, and
 prints the exact resume command.  Snapshots of a run that completes are
 deleted, so auto-resume (on whenever the interval is set) only ever
-picks up genuinely interrupted runs.
-
-Fault sites (chaos testing, see :mod:`repro.faults.inject`):
-``snapkill`` kills the process right after the Nth snapshot is written,
-``snapcorrupt`` mangles a written snapshot's payload on disk, and
-``diskfull`` makes a snapshot store fail with ``ENOSPC`` (the run must
-continue without it).
+picks up genuinely interrupted runs.  The knobs are declared in
+:mod:`repro.settings`; the ``snapkill``, ``snapcorrupt`` and
+``diskfull`` fault sites are listed in :mod:`repro.faults.inject`.
 """
 
 from __future__ import annotations
 
 import errno
-import hashlib
-import json
 import os
 import pickle
-import struct
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import settings
+from repro.core import durable
+from repro.core.durable import QUARANTINE_DIR, CorruptFile as SnapshotError
 from repro.faults import inject as _faults
 from repro.obs import telemetry as _telemetry
 
@@ -73,25 +50,9 @@ ENV_RESUME = "REPRO_RESUME_SNAPSHOT"
 ENV_DEADLINE = "REPRO_DEADLINE"
 ENV_MEM_LIMIT = "REPRO_MEM_LIMIT"
 
-QUARANTINE_DIR = "_quarantine"
-
 #: Snapshots kept per run: the newest phase plus one fallback, so a
 #: snapshot corrupted on disk still leaves a resume point.
 KEEP_PHASES = 2
-
-_HEAD_STRUCT = struct.Struct("<4sHI")
-
-
-class SnapshotError(Exception):
-    """A snapshot file that cannot be trusted (missing, torn, corrupt,
-    version-mismatched, or not unpicklable).  Restore paths catch this,
-    quarantine the file, and fall back — it never escapes to the user as
-    a raw ``KeyError``/``EOFError``."""
-
-    def __init__(self, path: str, reason: str) -> None:
-        self.path = str(path)
-        self.reason = reason
-        super().__init__(f"bad snapshot {path}: {reason}")
 
 
 # -- resource guards ----------------------------------------------------------
@@ -161,14 +122,10 @@ def capture_state(system) -> Dict[str, Any]:
     generators keep their walk state on the instance) captures
     everything.
     """
-    if system.tracer is not None or system.sampler is not None:
-        raise SnapshotError(
-            "-", "snapshots do not support event tracing or interval metrics"
-        )
     if "access" in system.hierarchy.__dict__:
         # Wrapped hierarchy methods (the differential-verification tap)
         # are closures; the snapshot would not round-trip them.
-        raise SnapshotError("-", "hierarchy methods are wrapped; cannot snapshot")
+        raise ValueError("hierarchy methods are wrapped; cannot snapshot")
     state: Dict[str, Any] = {
         "hierarchy": system.hierarchy,
         "cores": system.cores,
@@ -190,75 +147,26 @@ def capture_state(system) -> Dict[str, Any]:
 
 
 def write_snapshot(path: str, meta: Dict[str, Any], payload: bytes) -> None:
-    """Atomically write one snapshot file (tmp + rename).
-
-    ``meta["payload_sha256"]`` is filled in here.  The ``snapcorrupt``
-    fault site mangles the payload *after* the checksum is taken, so an
-    injected corruption is detectable exactly like a real one; the
-    ``diskfull`` site fails the write with ``ENOSPC``.
-    """
-    hit = _faults.should("diskfull", token=path)
-    if hit is not None:
+    """Atomically write one snapshot file; the ``diskfull`` fault site
+    fails it with ``ENOSPC``, the ``snapcorrupt`` site flips a payload
+    byte after hashing."""
+    if _faults.should("diskfull", token=path) is not None:
         raise OSError(errno.ENOSPC, "injected disk-full fault", path)
-    meta = dict(meta)
-    meta["payload_sha256"] = hashlib.sha256(payload).hexdigest()
-    meta["payload_bytes"] = len(payload)
-    if _faults.should("snapcorrupt", token=path) is not None and payload:
-        payload = payload[:-1] + bytes([payload[-1] ^ 0xFF])
-    blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as out:
-            out.write(_HEAD_STRUCT.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, len(blob)))
-            out.write(blob)
-            out.write(payload)
-            out.flush()
-            os.fsync(out.fileno())
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    durable.write_sealed(
+        path, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, meta, payload, fault="snapcorrupt"
+    )
 
 
 def read_snapshot(path: str) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    """Read and fully validate one snapshot file.
-
-    Every way the file can be wrong — missing, truncated, bad magic,
-    unsupported version, unparseable meta, checksum mismatch, payload
-    that does not unpickle — raises :class:`SnapshotError` with the path
-    and a readable reason; the payload is only unpickled after its
-    checksum verifies.
-    """
+    """Read and fully validate one snapshot file.  Every way it can be
+    wrong (missing, torn, any sealed-file defect, a payload that does not
+    unpickle, missing meta fields) raises :class:`SnapshotError`."""
     try:
-        with open(path, "rb") as stream:
-            head = stream.read(_HEAD_STRUCT.size)
-            if len(head) != _HEAD_STRUCT.size:
-                raise SnapshotError(path, "truncated header")
-            magic, version, meta_len = _HEAD_STRUCT.unpack(head)
-            if magic != SNAPSHOT_MAGIC:
-                raise SnapshotError(path, f"not a snapshot (magic {magic!r})")
-            if version != SNAPSHOT_VERSION:
-                raise SnapshotError(path, f"unsupported snapshot version {version}")
-            blob = stream.read(meta_len)
-            if len(blob) != meta_len:
-                raise SnapshotError(path, "truncated meta block")
-            payload = stream.read()
+        meta, payload = durable.read_sealed(
+            path, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, "snapshot"
+        )
     except OSError as exc:
         raise SnapshotError(path, f"unreadable: {exc}") from None
-    try:
-        meta = json.loads(blob.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise SnapshotError(path, f"unparseable meta: {exc}") from None
-    if not isinstance(meta, dict) or "payload_sha256" not in meta:
-        raise SnapshotError(path, "meta is not a checksum envelope")
-    if hashlib.sha256(payload).hexdigest() != meta["payload_sha256"]:
-        raise SnapshotError(path, "payload checksum mismatch")
     try:
         state = pickle.loads(payload)
     except Exception as exc:  # unpickling can raise nearly anything
@@ -277,10 +185,12 @@ def read_snapshot(path: str) -> Tuple[Dict[str, Any], Dict[str, Any]]:
 def run_key(config, workload: str, seed: int, events: int, warmup: int) -> str:
     """Stable identity of one long run — everything that changes the
     result, nothing that only changes execution.  Reuses the disk
-    cache's key derivation, which strips the observability knobs."""
+    cache's key derivation, which strips the observability knobs, at
+    the cache format that was current when RPSN v2 shipped, so a cache
+    format bump never orphans the snapshots already on disk."""
     from repro.core import diskcache
 
-    return diskcache.point_key(config, workload, seed, events, warmup)
+    return diskcache.point_key(config, workload, seed, events, warmup, fmt=2)
 
 
 class SnapshotManager:
@@ -290,14 +200,12 @@ class SnapshotManager:
     def __init__(self, key: str, directory: Optional[str] = None) -> None:
         self.key = key
         self.root = directory or settings.get(ENV_DIR)
+        durable.sweep_stale_tmp(self.root)
 
     # -- paths --------------------------------------------------------------
 
     def path_for(self, phase: int) -> str:
         return os.path.join(self.root, f"{self.key[:20]}-p{phase:05d}.rpsn")
-
-    def quarantine_root(self) -> str:
-        return os.path.join(self.root, QUARANTINE_DIR)
 
     def _candidates(self) -> List[Tuple[int, str]]:
         """(phase, path) pairs of this run's snapshots, newest first."""
@@ -340,7 +248,7 @@ class SnapshotManager:
                 **meta,
             }
             write_snapshot(path, full_meta, payload)
-        except (SnapshotError, OSError, pickle.PicklingError, TypeError,
+        except (ValueError, OSError, pickle.PicklingError, TypeError,
                 AttributeError) as exc:
             _telemetry.emit(
                 "snapshot", action="store-failed", path=path, phase=phase,
@@ -359,13 +267,17 @@ class SnapshotManager:
             os._exit(int(hit.arg) if hit.arg is not None else 137)
         return path
 
-    def _prune(self, keep_from: int) -> None:
+    def _prune(self, keep_from: int) -> int:
+        """Delete this run's snapshots older than phase ``keep_from``."""
+        removed = 0
         for phase, path in self._candidates():
             if phase < keep_from:
                 try:
                     os.unlink(path)
+                    removed += 1
                 except OSError:
                     pass
+        return removed
 
     # -- restore ------------------------------------------------------------
 
@@ -383,7 +295,9 @@ class SnapshotManager:
                 if meta.get("run_key") != self.key:
                     raise SnapshotError(path, "run key mismatch")
             except SnapshotError as exc:
-                self._quarantine(path, exc.reason)
+                durable.quarantine(
+                    path, self.root, exc.reason, "snapshot", action="corrupt", path=path
+                )
                 continue
             _telemetry.emit(
                 "snapshot", action="restore", path=path,
@@ -394,30 +308,13 @@ class SnapshotManager:
             return meta, state
         return None
 
-    def _quarantine(self, path: str, reason: str) -> None:
-        qdir = self.quarantine_root()
-        try:
-            os.makedirs(qdir, exist_ok=True)
-            os.replace(path, os.path.join(qdir, os.path.basename(path)))
-        except OSError:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        _telemetry.emit("snapshot", action="corrupt", path=path, reason=reason)
 
     # -- completion ---------------------------------------------------------
 
     def discard(self) -> int:
         """Delete this run's snapshots (called when the run completes, so
         auto-resume only ever sees genuinely interrupted runs)."""
-        removed = 0
-        for _phase, path in self._candidates():
-            try:
-                os.unlink(path)
-                removed += 1
-            except OSError:
-                pass
+        removed = self._prune(keep_from=float("inf"))
         if removed:
             _telemetry.emit("snapshot", action="discard", count=removed)
         return removed

@@ -217,6 +217,27 @@ class CMPSystem:
                 gc.set_threshold(*gc_threshold)
         t2 = time.perf_counter()
         result = self.collect(config_name or self.config.describe(), events_per_core)
+        self._emit_simulate(
+            t0, t1, t2, events_per_core, warmup_events,
+            trace_events=len(tracer.events) if tracer is not None else 0,
+            metrics_samples=self.sampler.samples if self.sampler is not None else 0,
+        )
+        if "trace" in self._outputs:
+            tracer.write(self._outputs["trace"])
+        if "metrics" in self._outputs:
+            self.sampler.write(self._outputs["metrics"])
+        if "attribution" in self._outputs:
+            self.hierarchy.attribution.write(self._outputs["attribution"])
+        return result
+
+    def _emit_simulate(
+        self, t0: float, t1: float, t2: float, events_per_core: int,
+        warmup_events: int, **extra,
+    ) -> None:
+        """The ``simulate`` telemetry record of a finished run: warmup
+        from ``t0`` to ``t1``, measurement from ``t1`` to ``t2``."""
+        if not _telemetry.enabled():
+            return
         measured = events_per_core * self.config.n_cores
         measure_wall = t2 - t1
         _telemetry.emit(
@@ -231,17 +252,10 @@ class CMPSystem:
             wall_s=t2 - t0,
             events_per_sec=(measured / measure_wall) if measure_wall > 0 else 0.0,
             audit_checks=self.auditor.checks_run if self.auditor is not None else 0,
-            trace_events=len(tracer.events) if tracer is not None else 0,
-            metrics_samples=self.sampler.samples if self.sampler is not None else 0,
             attribution=self.hierarchy.attribution is not None,
+            settings=settings.from_env(),
+            **extra,
         )
-        if "trace" in self._outputs:
-            tracer.write(self._outputs["trace"])
-        if "metrics" in self._outputs:
-            self.sampler.write(self._outputs["metrics"])
-        if "attribution" in self._outputs:
-            self.hierarchy.attribution.write(self._outputs["attribution"])
-        return result
 
     # -- crash-safe phased execution (repro.core.snapshot) -----------------
 
@@ -370,25 +384,10 @@ class CMPSystem:
         t2 = time.perf_counter()
         result = self.collect(name, events_per_core)
         manager.discard()
-        measured = events_per_core * self.config.n_cores
-        measure_wall = t2 - t1
-        _telemetry.emit(
-            "simulate",
-            workload=self.spec.name,
-            config=self.config.describe(),
-            seed=self.seed,
-            events=measured,
-            warmup_events=warmup_events * self.config.n_cores,
-            warmup_wall_s=t1 - t0,
-            measure_wall_s=measure_wall,
-            wall_s=t2 - t0,
-            events_per_sec=(measured / measure_wall) if measure_wall > 0 else 0.0,
-            audit_checks=self.auditor.checks_run if self.auditor is not None else 0,
-            trace_events=0,
-            metrics_samples=0,
-            attribution=self.hierarchy.attribution is not None,
-            phases=phase,
-            resumed_phase=self.resumed_from_phase,
+        self._emit_simulate(
+            t0, t1, t2, events_per_core, warmup_events,
+            trace_events=0, metrics_samples=0,
+            phases=phase, resumed_phase=self.resumed_from_phase,
         )
         if "attribution" in self._outputs:
             self.hierarchy.attribution.write(self._outputs["attribution"])

@@ -1,11 +1,11 @@
 """Deterministic fault injection for the sweep-execution stack.
 
 Production sweeps die in ways unit tests never exercise: a worker is
-OOM-killed mid-point, a point hangs on a pathological input, the disk
-cache returns a half-written JSON file.  This module makes those
-failures *injectable and deterministic* so every recovery path in
-:mod:`repro.core.runner` and :mod:`repro.core.diskcache` is exercised by
-tests and by the CI chaos job — not just reasoned about.
+OOM-killed mid-point, a point hangs on a pathological input, a durable
+file comes back torn.  This module makes those failures *injectable and
+deterministic* so every recovery path in :mod:`repro.core.runner` and
+:mod:`repro.core.durable` is exercised by tests and by the CI chaos job
+— not just reasoned about.
 
 Faults are described by a plan in the ``REPRO_FAULTS`` environment
 variable (inherited by worker processes; declared and validated with
@@ -37,12 +37,13 @@ kind            site                                              arg
                 ``REPRO_POINT_TIMEOUT``)                          (def 3600)
 ``transient``   worker body: raises :class:`TransientFault`       —
                 (retryable; the runner retries it)
-``corrupt``     ``DiskCache.put``: mangles the entry on disk      —
+``corrupt``     ``DiskCache.put`` via ``durable.write_sealed``:   —
+                flips a payload byte after hashing
 ``slowio``      ``DiskCache.get``/``put``: sleeps before I/O      seconds
 ``snapkill``    ``SnapshotManager.save``: ``os._exit`` right      exit code
                 after the selected phase snapshot is durable      (def 137)
-``snapcorrupt`` ``snapshot.write_snapshot``: mangles the payload  —
-                on disk (checksum catches it on restore)
+``snapcorrupt`` ``write_snapshot`` via ``durable.write_sealed``:  —
+                the same byte flip, on a snapshot
 ``diskfull``    ``snapshot.write_snapshot``: fails the store      —
                 with ``ENOSPC`` (the run must continue)
 =============== ================================================= =========
@@ -53,8 +54,9 @@ the snapshot's *phase* number instead — and, by default, fire only on
 the point's *first* attempt — so an injected transient fault is healed
 by one retry.  A clause's ``x<times>`` suffix widens that to the first
 ``times`` attempts (``transient@0x99`` keeps failing through retry
-exhaustion).  Sites with no natural index (the disk-cache sites) match
-against a per-process, per-kind occurrence counter.
+exhaustion).  Sites with no natural index (the disk-cache and
+durable-file sites) match against a per-process, per-kind occurrence
+counter.
 
 With ``REPRO_FAULTS`` unset, :func:`should` is a single environment
 lookup — the machinery adds nothing to a clean run.

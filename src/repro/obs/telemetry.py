@@ -20,7 +20,8 @@ Record shape (all records)::
 Kinds emitted by the simulator stack:
 
 * ``simulate`` — one per :meth:`CMPSystem.run`: workload, config
-  description, per-phase wall seconds, events/sec, audit check count;
+  description, per-phase wall seconds, events/sec, audit check count,
+  ``settings`` (each environment-set ``REPRO_*`` knob, parsed);
 * ``point`` — one per :func:`repro.core.experiment.run_point`: workload,
   config key, where the result came from (``memo`` / ``disk`` / ``sim``),
   the point's cache key, wall seconds;
@@ -29,7 +30,7 @@ Kinds emitted by the simulator stack:
   ``store-failed`` (serialization or I/O failure on write);
 * ``sweep`` — one per :meth:`ParallelRunner.run_points` call: point
   count, error count, worker count, wall seconds, plus retry / pool
-  restart / timeout / quarantine counts;
+  restart / timeout / quarantine counts and ``settings``;
 * ``retry`` — one per retried point attempt (index, attempt, fault kind);
 * ``pool-restart`` — one per worker-pool respawn after a lost worker or
   a timed-out point;
@@ -146,19 +147,9 @@ def emit(kind: str, **fields: Any) -> None:
 def read_records(path: str) -> List[Dict[str, Any]]:
     """Parse a telemetry file, skipping lines that do not parse (a record
     truncated by a killed worker must not hide the rest)."""
-    records: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as stream:
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-    return records
+    from repro.core.durable import read_jsonl  # repro.core imports this module
+
+    return read_jsonl(path)
 
 
 def summarize(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:

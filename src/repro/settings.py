@@ -182,6 +182,12 @@ def source(name: str) -> str:
     return "env" if os.environ.get(name, "") != "" else "default"
 
 
+def from_env() -> Dict[str, Any]:
+    """Every knob set in the environment, with its parsed value (the
+    ``settings`` field of ``simulate`` and ``sweep`` telemetry)."""
+    return {name: get(name) for name in TABLE if source(name) == "env"}
+
+
 def override(name: str, config_value: Any) -> Any:
     """The precedence shared by the observer knobs: a set env value wins
     over the matching ``SystemConfig`` field (so ``REPRO_AUDIT=0``

@@ -95,6 +95,23 @@ class TestJournal:
         assert loaded.completed_count() == 1
         assert loaded.result_for("k2") is None
 
+    def test_resume_after_torn_tail_keeps_every_record(self, tmp_path, result):
+        """A resumed journal must cut the killed writer's partial line
+        before appending, or its first record is glued onto the fragment
+        and lost on the next resume."""
+        path = str(tmp_path / "j.jsonl")
+        coords = {"workload": "zeus", "key": "base"}
+        with SweepJournal(path, resume=False) as journal:
+            journal.record_result("k1", coords, result)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"v": 1, "key": "k2", "outcome": "ok", "resu')  # killed mid-write
+        with SweepJournal(path, resume=True) as journal:
+            journal.record_result("k2", coords, result)
+            journal.record_result("k3", coords, result)
+        loaded = SweepJournal(path, resume=True)
+        assert sorted(loaded.loaded) == ["k1", "k2", "k3"]
+        assert all(loaded.result_for(k) is not None for k in ("k1", "k2", "k3"))
+
     def test_last_record_per_key_wins(self, tmp_path, result):
         path = str(tmp_path / "j.jsonl")
         err = PointError(workload="zeus", key="base", error="boom")

@@ -239,6 +239,17 @@ class TestTelemetry:
         assert sims[0]["events"] == 200 * 2
         assert sims[0]["wall_s"] > 0 and sims[0]["events_per_sec"] > 0
 
+    def test_simulate_record_carries_env_settings(self, tmp_path, monkeypatch):
+        sink = tmp_path / "runs.jsonl"
+        monkeypatch.setenv("REPRO_TELEMETRY", str(sink))
+        monkeypatch.setenv("REPRO_EVENTS", "300")
+        CMPSystem(make_tiny_system(), "zeus", seed=0).run(200, warmup_events=100)
+        (sim,) = [r for r in telemetry.read_records(str(sink))
+                  if r["kind"] == "simulate"]
+        assert sim["settings"]["REPRO_EVENTS"] == 300
+        assert sim["settings"]["REPRO_TELEMETRY"] == str(sink)
+        assert "REPRO_SEEDS" not in sim["settings"]  # unset knobs are left out
+
     def test_run_point_emits_source(self, tmp_path, monkeypatch):
         sink = tmp_path / "points.jsonl"
         monkeypatch.setenv("REPRO_TELEMETRY", str(sink))

@@ -10,7 +10,6 @@ rather than vanishing.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 import warnings
@@ -205,11 +204,11 @@ class TestSelfHealingCache:
         assert cached is not None
         assert result_fingerprint(cached) == result_fingerprint(result)
         path = store.path_for(key)
-        with open(path, "r", encoding="utf-8") as fh:
-            entry = json.load(fh)
-        entry["checksum"] = "0" * 64  # silent bit rot: valid JSON, bad sum
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh)
+        with open(path, "rb") as fh:
+            entry = bytearray(fh.read())
+        entry[-1] ^= 0xFF  # silent bit rot in the payload: bad checksum
+        with open(path, "wb") as fh:
+            fh.write(bytes(entry))
         assert store.get(key) is None               # corrupt, not miss
         assert not os.path.exists(path)             # moved aside ...
         assert os.path.exists(
@@ -221,7 +220,7 @@ class TestSelfHealingCache:
 
     def test_put_failure_emits_and_cleans_tmp(self, monkeypatch, tmp_path):
         """Satellite: a serialization failure in put must not raise, must
-        not leave ``*.json.tmp.*`` litter, and must be telemetry-visible."""
+        not leave temp-file litter, and must be telemetry-visible."""
         tele = str(tmp_path / "t.jsonl")
         result = run_point("zeus", "base", **FAST, use_cache=False)
         monkeypatch.setenv("REPRO_TELEMETRY", tele)

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from repro import settings
+from repro.core import diskcache, durable
 from repro.core import snapshot as snap
 from repro.core.system import CMPSystem
 from repro.report.export import result_fingerprint
@@ -122,6 +125,34 @@ class TestPhasedIdentity:
         assert "snapshot_resume_noop" in ALL_PROPERTIES
 
 
+def _sealed_store(store):
+    """(magic, version, noun, reader, writer) of one store built on the
+    sealed format; the writer stores one valid file under a directory
+    and returns its path."""
+    if store == "snapshot":
+        def write_snapshot(root):
+            path = str(root / "valid.rpsn")
+            meta = {"run_key": "k", "phase": 1, "warmup_done": 0,
+                    "measure_done": 0, "interval": 10}
+            snap.write_snapshot(path, meta, pickle.dumps({"ok": 1}))
+            return path
+
+        return (snap.SNAPSHOT_MAGIC, snap.SNAPSHOT_VERSION, "snapshot",
+                snap.read_snapshot, write_snapshot)
+
+    def write_entry(root):
+        from repro.core.experiment import run_point
+
+        result = run_point("zeus", "base", events=200, warmup=100, scale=16,
+                           n_cores=2, use_cache=False)
+        cache = diskcache.DiskCache(str(root / "cache"))
+        cache.put("ab" + "0" * 62, result)
+        return cache.path_for("ab" + "0" * 62)
+
+    return (diskcache.ENTRY_MAGIC, diskcache.CACHE_FORMAT_VERSION,
+            "cache entry", diskcache.read_entry, write_entry)
+
+
 class TestRobustnessFallbacks:
     def _truncate_twice(self, cfg, monkeypatch):
         """Leave two phase snapshots (p1, p2) behind."""
@@ -161,31 +192,42 @@ class TestRobustnessFallbacks:
         assert result_fingerprint(resumed) == result_fingerprint(expected)
         assert len(list((snap_env / snap.QUARANTINE_DIR).glob("*"))) == 2
 
-    def test_read_snapshot_rejects_garbage(self, tmp_path):
+    @pytest.mark.parametrize("store", ["snapshot", "cache"])
+    def test_read_snapshot_rejects_garbage(self, tmp_path, store):
+        """Both sealed-file readers refuse every malformed file with one
+        :class:`CorruptFile`."""
+        magic, version, what, read, write_valid = _sealed_store(store)
+        head = durable._HEAD.pack
         cases = {
             "empty": b"",
-            "short": b"RP",
+            "short": magic[:2],
             "bad-magic": b"XXXX" + b"\x00" * 64,
-            "bad-meta": snap._HEAD_STRUCT.pack(b"RPSN", 1, 5) + b"not j",
-            "bad-version": snap._HEAD_STRUCT.pack(b"RPSN", 99, 2) + b"{}",
-            # Version 1 payloads pickle workload cursors from a module
-            # that no longer exists; they must be refused by version.
-            "old-version": snap._HEAD_STRUCT.pack(b"RPSN", 1, 2) + b"{}",
+            "bad-meta": head(magic, version, 5) + b"not j",
+            "bad-version": head(magic, 99, 2) + b"{}",
+            # The previous format version is refused by version, before
+            # the payload is parsed (old snapshot payloads pickle
+            # workload cursors from a module that no longer exists).
+            "old-version": head(magic, version - 1, 2) + b"{}",
         }
         for name, blob in cases.items():
             path = tmp_path / name
             path.write_bytes(blob)
-            with pytest.raises(snap.SnapshotError) as info:
-                snap.read_snapshot(str(path))
+            with pytest.raises(durable.CorruptFile) as info:
+                read(str(path))
             if name.endswith("version"):
-                assert "unsupported snapshot version" in str(info.value)
+                assert f"unsupported {what} version" in str(info.value)
+        flipped = write_valid(tmp_path)
+        read(flipped)
+        data = bytearray(Path(flipped).read_bytes())
+        data[-1] ^= 0xFF
+        Path(flipped).write_bytes(bytes(data))
+        with pytest.raises(durable.CorruptFile, match="checksum"):
+            read(flipped)
 
     def test_checksum_guards_the_payload(self, tmp_path):
         path = str(tmp_path / "x.rpsn")
         meta = {"run_key": "k", "phase": 1, "warmup_done": 0,
                 "measure_done": 0, "interval": 10}
-        import pickle
-
         snap.write_snapshot(path, meta, pickle.dumps({"ok": 1}))
         got_meta, state = snap.read_snapshot(path)
         assert state == {"ok": 1} and got_meta["phase"] == 1
@@ -194,6 +236,22 @@ class TestRobustnessFallbacks:
         Path(path).write_bytes(bytes(data))
         with pytest.raises(snap.SnapshotError, match="checksum"):
             snap.read_snapshot(path)
+
+    def test_stale_tmp_from_killed_writer_is_swept(self, snap_env):
+        """A writer killed mid-write leaves a temp file no candidate scan
+        sees; the manager's open-time sweep removes it once it is older
+        than the stale threshold, and leaves a fresh one alone."""
+        snap_env.mkdir(parents=True)
+        stale = snap_env / "0123456789abcdef0123-p00001.rpsn.tmp.4242"
+        fresh = snap_env / "0123456789abcdef0123-p00002.rpsn.tmp.4243"
+        for path in (stale, fresh):
+            path.write_bytes(b"RPSN half a snapshot")
+        aged = time.time() - durable.STALE_TMP_S - 60
+        os.utime(stale, (aged, aged))
+        durable._SWEPT_ROOTS.discard(str(snap_env))
+        snap.SnapshotManager("0123456789abcdef0123" + "0" * 44)
+        assert not stale.exists()
+        assert fresh.exists()
 
     def test_diskfull_fault_does_not_kill_the_run(self, snap_env, monkeypatch):
         from repro import faults
