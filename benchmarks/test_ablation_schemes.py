@@ -34,7 +34,8 @@ def test_ablation_scheme_ratios(benchmark):
     for w, vals in rows.items():
         print_row(w, vals)
     for w, vals in rows.items():
-        fpc, fvc, selective, zero = vals
+        ratio = dict(zip(SCHEME_NAMES, vals))
+        fpc, selective, zero = ratio["fpc"], ratio["selective"], ratio["zero_only"]
         # FPC dominates its zero-only subset and selective (which discards
         # some of FPC's encodings) on every workload's data.
         assert fpc >= zero - 1e-9, w

@@ -32,17 +32,27 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from repro import settings
-from repro.core.experiment import CONFIG_FEATURES, make_config, run_point
+from repro.core import durable
+from repro.core.experiment import (
+    CONFIG_FEATURES,
+    completed,
+    make_config,
+    run_point,
+    run_points,
+)
 from repro.core.interaction import InteractionBreakdown
 from repro.core.results import SimulationResult
+from repro.core.runner import PointSpec
 from repro.core.system import CMPSystem
+from repro.obs.attribution import AttributionLedger
 from repro.report.export import result_to_dict, results_to_csv, results_to_json
 from repro.report.tables import Table
 from repro.trace.io import TracePack, record_trace
-from repro.workloads.registry import all_names
+from repro.workloads.registry import all_names, get_spec
 
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
@@ -116,24 +126,48 @@ def _emit(results: List[SimulationResult], args) -> None:
     print(table.render())
 
 
-def _run_one(workload: str, key: str, args) -> SimulationResult:
-    return run_point(
-        workload,
-        key,
-        seed=args.seed,
-        events=args.events,
-        warmup=args.warmup if args.warmup is not None else args.events,
+def _machine(args) -> dict:
+    """:func:`make_config`'s machine arguments from the run flags."""
+    return dict(
         n_cores=args.cores,
         scale=args.scale,
         bandwidth_gbs=args.bandwidth or None,
         infinite_bandwidth=args.bandwidth == 0,
-        use_cache=False,
     )
+
+
+def _sizing(args) -> dict:
+    warmup = args.warmup if args.warmup is not None else args.events
+    return dict(seed=args.seed, events=args.events, warmup=warmup)
+
+
+def _point(workload: str, key: str, args, attribution: bool = False) -> PointSpec:
+    """One named config at the command's sizing, as a pipeline point;
+    ``attribution`` turns causal attribution on in its config."""
+    if attribution:
+        config = replace(make_config(key, **_machine(args)), attribution=True)
+        return (workload, config), dict(_sizing(args), name=key)
+    return (workload, key), dict(_sizing(args), **_machine(args))
+
+
+def _workloads(args) -> List[str]:
+    """The ``--workloads`` list (every workload when unset); an unknown
+    name is an operator error before any point runs."""
+    workloads = args.workloads.split(",") if args.workloads else all_names()
+    for workload in workloads:
+        get_spec(workload)
+    return workloads
+
+
+def _run_points(points: List[PointSpec]) -> List[SimulationResult]:
+    """Run a command's points, on ``REPRO_JOBS`` workers when it is set."""
+    return completed(run_points(points, jobs=settings.get("REPRO_JOBS")))
 
 
 def cmd_run(args) -> int:
     _apply_snapshot_args(args)
-    result = _run_one(args.workload, args.config, args)
+    (workload, key), kwargs = _point(args.workload, args.config, args)
+    result = run_point(workload, key, use_cache=False, **kwargs)
     _emit([result], args)
     return _finish_run(result)
 
@@ -148,7 +182,7 @@ def cmd_sweep(args) -> int:
     )
     from repro.core.sweep import Sweep
 
-    workloads = args.workloads.split(",") if args.workloads else all_names()
+    workloads = _workloads(args)
     keys = args.configs.split(",")
     coords = [(w, k) for w in workloads for k in keys]
     # Live progress on stderr when it is a terminal; --quiet suppresses.
@@ -157,16 +191,7 @@ def cmd_sweep(args) -> int:
         from repro.obs.progress import default_progress
 
         progress = default_progress()
-    run_kwargs = dict(
-        seed=args.seed,
-        events=args.events,
-        warmup=args.warmup if args.warmup is not None else args.events,
-        n_cores=args.cores,
-        scale=args.scale,
-        bandwidth_gbs=args.bandwidth or None,
-        infinite_bandwidth=args.bandwidth == 0,
-        use_cache=False,
-    )
+    run_kwargs = dict(_sizing(args), **_machine(args))
     # Checkpoint journal: on by default for multi-point sweeps, so a
     # killed sweep can always be resumed with --resume.
     journal = None
@@ -244,18 +269,20 @@ def cmd_cache(args) -> int:
 
 
 def cmd_table5(args) -> int:
-    workloads = args.workloads.split(",") if args.workloads else all_names()
+    workloads = _workloads(args)
     table = Table(
         ["workload", "pref%", "compr%", "both%", "interaction%"], float_format="{:+.1f}"
     )
     for w in workloads:
-        base = _run_one(w, "base", args)
+        base, pref, compr, both = _run_points(
+            [_point(w, key, args) for key in ("base", "pref", "compr", "pref_compr")]
+        )
         b = InteractionBreakdown.from_runtimes(
             w,
             base=base.runtime,
-            with_a=_run_one(w, "pref", args).runtime,
-            with_b=_run_one(w, "compr", args).runtime,
-            with_both=_run_one(w, "pref_compr", args).runtime,
+            with_a=pref.runtime,
+            with_b=compr.runtime,
+            with_both=both.runtime,
         )
         table.add_row(
             [w, 100 * (b.speedup_a - 1), 100 * (b.speedup_b - 1),
@@ -269,16 +296,10 @@ def cmd_matrix(args) -> int:
     """Rank every prefetcher x compression pair by EQ 5 interaction."""
     from repro.report.matrix import PREFETCHERS, SCHEMES, run_matrix
 
-    workloads = args.workloads.split(",") if args.workloads else all_names()
+    workloads = _workloads(args)
     prefetchers = args.prefetchers.split(",") if args.prefetchers else list(PREFETCHERS)
     schemes = args.schemes.split(",") if args.schemes else list(SCHEMES)
-    base = make_config(
-        "base",
-        n_cores=args.cores,
-        scale=args.scale,
-        bandwidth_gbs=args.bandwidth or None,
-        infinite_bandwidth=args.bandwidth == 0,
-    )
+    base = make_config("base", **_machine(args))
     # --verbose keeps the legacy one-line-per-simulation log; otherwise
     # a live progress bar renders when stderr is a terminal.
     if args.verbose:
@@ -302,10 +323,10 @@ def cmd_matrix(args) -> int:
             warmup=args.warmup,
             progress=progress,
             attribution=args.attribution,
+            jobs=settings.get("REPRO_JOBS"),
         )
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(report.to_csv())
+        durable.atomic_write(args.output, report.to_csv().encode("utf-8"))
         print(f"wrote {len(report.cells)} cell(s) to {args.output}", file=sys.stderr)
     headers = ["workload", "prefetcher", "scheme", "pref%", "compr%", "both%",
                "interaction%"]
@@ -339,24 +360,15 @@ def cmd_matrix(args) -> int:
 
 def cmd_why(args) -> int:
     """Run one point with causal attribution on; print the why table."""
-    from dataclasses import replace
-
-    cfg = make_config(
-        args.config,
-        n_cores=args.cores,
-        scale=args.scale,
-        bandwidth_gbs=args.bandwidth or None,
-        infinite_bandwidth=args.bandwidth == 0,
+    (workload, config), kwargs = _point(
+        args.workload, args.config, args, attribution=True
     )
-    cfg = replace(cfg, attribution=True)
     # The command's whole point is attribution; an ambient
     # REPRO_ATTRIBUTION=0 must not turn it off, and a path value must
     # not double-write.
     with settings.suspended("REPRO_ATTRIBUTION"):
-        system = CMPSystem(cfg, args.workload, seed=args.seed)
-    warmup = args.warmup if args.warmup is not None else args.events
-    result = system.run(args.events, warmup_events=warmup, config_name=args.config)
-    att = system.hierarchy.attribution
+        result = run_point(workload, config, **kwargs)
+    att = AttributionLedger.from_extra(result.extra)
     print(
         f"{args.workload}/{args.config}: {result.events} event(s), "
         f"{result.l2.demand_misses} L2 demand miss(es), "
@@ -378,33 +390,17 @@ def cmd_why(args) -> int:
 def cmd_figure8(args) -> int:
     """Figure 8's four-run miss classification, per workload; with
     ``--attribution``, also the measured-vs-estimated delta."""
-    from dataclasses import replace
-
     from repro.core.missclass import classify_misses
 
-    workloads = args.workloads.split(",") if args.workloads else all_names()
-    warmup = args.warmup if args.warmup is not None else args.events
+    workloads = _workloads(args)
+    keys = ("base", "compr", "pref", "pref_compr")
     for workload in workloads:
-        runs = {}
-        trackers = {}
-        for key in ("base", "compr", "pref", "pref_compr"):
-            cfg = make_config(
-                key,
-                n_cores=args.cores,
-                scale=args.scale,
-                bandwidth_gbs=args.bandwidth or None,
-                infinite_bandwidth=args.bandwidth == 0,
-            )
-            if args.attribution:
-                cfg = replace(cfg, attribution=True)
-            with settings.suspended(
-                *(("REPRO_ATTRIBUTION",) if args.attribution else ())
-            ):
-                system = CMPSystem(cfg, workload, seed=args.seed)
-            runs[key] = system.run(
-                args.events, warmup_events=warmup, config_name=key
-            )
-            trackers[key] = system.hierarchy.attribution
+        with settings.suspended(
+            *(("REPRO_ATTRIBUTION",) if args.attribution else ())
+        ):
+            runs = dict(zip(keys, _run_points(
+                [_point(workload, key, args, args.attribution) for key in keys]
+            )))
         cls = classify_misses(
             runs["base"], runs["compr"], runs["pref"], runs["pref_compr"]
         )
@@ -414,10 +410,10 @@ def cmd_figure8(args) -> int:
             # per-event ledgers of the single-policy runs): prefetching's
             # avoided misses against useful prefetches, compression's
             # against demand hits beyond the uncompressed stack depth.
-            measured_p = trackers["pref"].pf_useful / cls.base_misses
-            measured_c = (
-                trackers["compr"].comp_avoided_hits / cls.base_misses
-            )
+            pref = AttributionLedger.from_extra(runs["pref"].extra)
+            compr = AttributionLedger.from_extra(runs["compr"].extra)
+            measured_p = pref.pf_useful / cls.base_misses
+            measured_c = compr.comp_avoided_hits / cls.base_misses
             est_p = cls.avoided_by_prefetching
             est_c = cls.avoided_by_compression
             print(
@@ -477,18 +473,10 @@ def cmd_replay(args) -> int:
 
 def cmd_audit(args) -> int:
     """Run one point with invariant auditing forced on and report."""
-    from dataclasses import replace
-
     from repro.obs.audit import AuditViolation
     from repro.report.export import result_fingerprint
 
-    cfg = make_config(
-        args.config,
-        n_cores=args.cores,
-        scale=args.scale,
-        bandwidth_gbs=args.bandwidth or None,
-        infinite_bandwidth=args.bandwidth == 0,
-    )
+    cfg = make_config(args.config, **_machine(args))
     cfg = replace(cfg, audit=True, audit_interval=args.interval)
     # The command's whole point is auditing; an ambient REPRO_AUDIT=0
     # must not silently turn it into a plain run.
@@ -567,17 +555,9 @@ def cmd_telemetry(args) -> int:
 
 def cmd_trace(args) -> int:
     """Run one point with event tracing on; export Perfetto/Chrome JSON."""
-    from dataclasses import replace
-
     from repro.obs.trace import validate_trace
 
-    cfg = make_config(
-        args.config,
-        n_cores=args.cores,
-        scale=args.scale,
-        bandwidth_gbs=args.bandwidth or None,
-        infinite_bandwidth=args.bandwidth == 0,
-    )
+    cfg = make_config(args.config, **_machine(args))
     cfg = replace(cfg, trace=True)
     # The command's whole point is tracing; an ambient REPRO_TRACE=0 must
     # not turn it off, and a path value must not double-write.
@@ -602,17 +582,9 @@ def cmd_trace(args) -> int:
 
 def cmd_metrics(args) -> int:
     """Run one point with interval metrics on; export and chart the series."""
-    from dataclasses import replace
-
     from repro.report.charts import timeseries_chart
 
-    cfg = make_config(
-        args.config,
-        n_cores=args.cores,
-        scale=args.scale,
-        bandwidth_gbs=args.bandwidth or None,
-        infinite_bandwidth=args.bandwidth == 0,
-    )
+    cfg = make_config(args.config, **_machine(args))
     cfg = replace(cfg, metrics=True, metrics_interval=args.interval)
     with settings.suspended("REPRO_METRICS", "REPRO_METRICS_INTERVAL"):
         system = CMPSystem(cfg, args.workload, seed=args.seed)
@@ -658,9 +630,8 @@ def cmd_profile(args) -> int:
         engine=args.engine,
     )
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as out:
-            _json.dump(report.to_dict(), out, indent=2, sort_keys=True)
-            out.write("\n")
+        text = _json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        durable.atomic_write(args.output, text.encode("utf-8"))
         print(f"wrote profile report to {args.output}")
     unit = "calls" if args.engine == "cprofile" else "samples"
     table = Table(["component", "self s", "%", unit], float_format="{:.3f}")
@@ -681,13 +652,7 @@ def cmd_verify(args) -> int:
     from repro.verify.oracle import OracleMismatch, verify_system
     from repro.verify.properties import ALL_PROPERTIES, PropertyViolation
 
-    cfg = make_config(
-        args.config,
-        n_cores=args.cores,
-        scale=args.scale,
-        bandwidth_gbs=args.bandwidth or None,
-        infinite_bandwidth=args.bandwidth == 0,
-    )
+    cfg = make_config(args.config, **_machine(args))
     system = CMPSystem(cfg, args.workload, seed=args.seed)
     warmup = args.warmup if args.warmup is not None else args.events
     try:
@@ -821,9 +786,8 @@ def cmd_bench(args) -> int:
         "points": points,
     }
     if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+        text = json.dumps(payload, indent=1) + "\n"
+        durable.atomic_write(args.output, text.encode("utf-8"))
         print(f"wrote {args.output}")
     print(table.render())
     return 0

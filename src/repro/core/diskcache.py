@@ -59,14 +59,14 @@ def point_key(
     warmup: int,
     fmt: int = CACHE_FORMAT_VERSION,
 ) -> str:
-    """Stable content hash identifying one simulation point.
+    """Stable content hash identifying one simulation point; it keys the
+    in-process memo of :func:`repro.core.experiment.run_point` too.
 
     Observability knobs (auditing, tracing, metrics, attribution) are
     stripped from the hashed config: they never change simulation
-    results — the audit
-    and obs test suites prove bit-identical fingerprints — so toggling
-    them must not split the cache into parallel universes of identical
-    results.
+    results — the audit and obs test suites prove bit-identical
+    fingerprints.  ``run_point`` never caches a point with an observer
+    on, so no entry ever carries an observer's output.
     """
     cfg = asdict(config)
     for observability_field in (
@@ -150,16 +150,6 @@ class DiskCache:
             time.sleep(hit.arg if hit.arg is not None else 0.02)
         try:
             payload = result_to_full_dict(result)
-            extra = payload.get("extra", {})
-            if any(k.startswith("attr_") for k in extra):
-                # Attribution rows are observations about one run, and
-                # the key above deliberately ignores the attribution
-                # knob; strip them so a cached entry is the same bytes
-                # whether the producing run had attribution on or off.
-                payload["extra"] = {
-                    k: v for k, v in extra.items()
-                    if not k.startswith("attr_")
-                }
             blob = json.dumps(payload, separators=(",", ":")).encode("utf-8")
             durable.write_sealed(
                 path, ENTRY_MAGIC, CACHE_FORMAT_VERSION, {"key": key}, blob,

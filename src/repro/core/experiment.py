@@ -6,6 +6,9 @@ Runs are cached at two levels: a bounded in-process memo (most figures
 share configurations — Figure 9 and Table 5, for example, reuse the
 same four runs) backed by the persistent disk cache
 (:mod:`repro.core.diskcache`), which survives across processes.
+:func:`run_point` is the one way a point is computed, and
+:func:`run_points` the one fan-out above it (journal, workers, memo)
+that sweeps, matrices and the CLI's multi-point commands share.
 
 Default sizing (events, warmup, seeds, scale), the memo bound, the disk
 cache switch and every other ``REPRO_*`` knob are declared in
@@ -15,11 +18,21 @@ cache switch and every other ``REPRO_*`` knob are declared in
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import replace
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core import diskcache
 from repro.core.results import SimulationResult
-from repro.core.system import CMPSystem
+from repro.core.runner import (
+    OffsetProgress,
+    ParallelRunner,
+    PointError,
+    PointOutcome,
+    PointSpec,
+    _notify,
+    point_name,
+)
+from repro.core.system import CMPSystem, observer_settings
 from repro import settings
 from repro.obs import telemetry as _telemetry
 from repro.params import SystemConfig
@@ -57,8 +70,6 @@ def make_config(
     """
     if key not in CONFIG_FEATURES:
         raise KeyError(f"unknown config {key!r}; choose from {', '.join(CONFIG_FEATURES)}")
-    from dataclasses import replace
-
     cfg = SystemConfig(n_cores=n_cores)
     cfg = cfg.scaled(scale if scale is not None else settings.get("REPRO_SCALE"))
     bw = None if infinite_bandwidth else bandwidth_gbs
@@ -67,12 +78,13 @@ def make_config(
 
 
 # In-process memo: a bounded LRU (plain dict in recency order) so long
-# sweep sessions cannot grow it without limit.  The disk cache below it
-# has no bound; ``repro cache clear`` manages that one.
-_CACHE: Dict[Tuple, SimulationResult] = {}
+# sweep sessions cannot grow it without limit.  It is keyed like the
+# disk cache below it (``diskcache.point_key``); the disk cache has no
+# bound; ``repro cache clear`` manages that one.
+_CACHE: Dict[str, SimulationResult] = {}
 
 
-def _memo_get(key: Tuple) -> Optional[SimulationResult]:
+def _memo_get(key: str) -> Optional[SimulationResult]:
     result = _CACHE.get(key)
     if result is not None:
         del _CACHE[key]  # refresh recency
@@ -80,7 +92,7 @@ def _memo_get(key: Tuple) -> Optional[SimulationResult]:
     return result
 
 
-def _memo_put(key: Tuple, result: SimulationResult) -> None:
+def _memo_put(key: str, result: SimulationResult) -> None:
     if key in _CACHE:
         del _CACHE[key]
     else:
@@ -90,58 +102,65 @@ def _memo_put(key: Tuple, result: SimulationResult) -> None:
     _CACHE[key] = result
 
 
-def point_cache_key(
+def _bind(
     workload: str,
-    key: str,
+    config: Union[str, SystemConfig],
     *,
+    name: Optional[str] = None,
     seed: int = 0,
     events: Optional[int] = None,
     warmup: Optional[int] = None,
-    n_cores: int = 8,
-    scale: Optional[int] = None,
-    bandwidth_gbs: Optional[float] = 20.0,
-    infinite_bandwidth: bool = False,
-) -> Tuple:
-    """The in-process memo key for one run_point argument set."""
-    return (
-        workload,
-        key,
-        seed,
-        events if events is not None else settings.get("REPRO_EVENTS"),
-        warmup if warmup is not None else _default_warmup(),
-        n_cores,
-        scale if scale is not None else settings.get("REPRO_SCALE"),
-        bandwidth_gbs,
-        infinite_bandwidth,
-    )
-
-
-def remember_point(result: SimulationResult, **coords) -> None:
-    """Seed the in-process memo with an externally computed result
-    (e.g. one returned by a :class:`repro.core.runner.ParallelRunner`
-    worker), so later serial lookups reuse it."""
-    _memo_put(point_cache_key(**coords), result)
+    use_cache: bool = True,
+    **machine,
+) -> Tuple[str, SystemConfig, int, int, Optional[str]]:
+    """Resolve one point's arguments to (display name, config, events,
+    warmup, cache key).  The key is None when the point must not be
+    cached: ``use_cache=False``, or an observer is on (its output is a
+    side effect of simulating, which a cache hit would skip)."""
+    if isinstance(config, str):
+        name = name or config
+        config = make_config(config, **machine)
+    elif machine:
+        raise ValueError(
+            f"{', '.join(sorted(machine))} cannot be combined with a "
+            "SystemConfig; set them on the config"
+        )
+    events = events if events is not None else settings.get("REPRO_EVENTS")
+    warmup = warmup if warmup is not None else _default_warmup()
+    key = None
+    if use_cache and not any(observer_settings(config).values()):
+        key = diskcache.point_key(config, workload, seed, events, warmup)
+    return name or config.describe(), config, events, warmup, key
 
 
 def run_point(
     workload: str,
-    key: str,
+    config: Union[str, SystemConfig],
     *,
+    name: Optional[str] = None,
     seed: int = 0,
     events: Optional[int] = None,
     warmup: Optional[int] = None,
-    n_cores: int = 8,
-    scale: Optional[int] = None,
-    bandwidth_gbs: Optional[float] = 20.0,
-    infinite_bandwidth: bool = False,
     use_cache: bool = True,
     resume_snapshot: Optional[bool] = None,
+    **machine,
 ) -> SimulationResult:
-    """Run one (workload, config) data point.
+    """Run one (workload, config) data point: the one way a point is
+    computed.
+
+    ``config`` is one of the paper's named keys (:data:`CONFIG_FEATURES`;
+    ``machine`` then holds :func:`make_config`'s ``n_cores`` / ``scale``
+    / ``bandwidth_gbs`` / ``infinite_bandwidth``) or a full
+    :class:`SystemConfig`, which takes no ``machine`` arguments.
+    ``name`` is the display name on the result, in telemetry and in
+    :class:`~repro.core.runner.PointError`; it defaults to the key, or
+    to ``config.describe()``.
 
     Lookup order: in-process memo, then the persistent disk cache, then
     simulate (and populate both).  ``use_cache=False`` bypasses all
-    caching in both directions.
+    caching in both directions, and so does any observer the effective
+    config turns on (audit, trace, metrics or attribution, after the
+    ``REPRO_*`` overrides): an observed point is always simulated.
 
     ``resume_snapshot`` forwards to :meth:`CMPSystem.run`: ``True``
     resumes from a matching mid-run snapshot if one exists, ``False``
@@ -150,47 +169,36 @@ def run_point(
     (``result.extra["truncated"]``) is returned but never cached — a
     partial result must not shadow the eventual complete one.
     """
-    events = events if events is not None else settings.get("REPRO_EVENTS")
-    warmup = warmup if warmup is not None else _default_warmup()
     t0 = time.perf_counter()
-    cache_key = point_cache_key(
-        workload, key, seed=seed, events=events, warmup=warmup, n_cores=n_cores,
-        scale=scale, bandwidth_gbs=bandwidth_gbs, infinite_bandwidth=infinite_bandwidth,
+    name, config, events, warmup, key = _bind(
+        workload, config, name=name, seed=seed, events=events, warmup=warmup,
+        use_cache=use_cache, **machine,
     )
-    if use_cache:
-        result = _memo_get(cache_key)
+    disk = key is not None and settings.get("REPRO_CACHE")
+    if key is not None:
+        result, source = _memo_get(key), "memo"
+        if result is None and disk:
+            store = diskcache.DiskCache()
+            result, source = store.get(key), "disk"
+            if result is not None:
+                _memo_put(key, result)
         if result is not None:
-            _emit_point(workload, key, seed, "memo", None, t0)
-            return result
-    config = make_config(
-        key,
-        n_cores=n_cores,
-        scale=scale,
-        bandwidth_gbs=bandwidth_gbs,
-        infinite_bandwidth=infinite_bandwidth,
-    )
-    disk = use_cache and settings.get("REPRO_CACHE")
-    disk_key = None
-    if disk:
-        disk_key = diskcache.point_key(config, workload, seed, events, warmup)
-        store = diskcache.DiskCache()
-        result = store.get(disk_key)
-        if result is not None:
-            _memo_put(cache_key, result)
-            _emit_point(workload, key, seed, "disk", disk_key, t0)
+            if result.config_name != name:
+                # Equal configs share an entry whatever they are called.
+                result = replace(result, config_name=name)
+            _emit_point(workload, name, seed, source, key, t0)
             return result
     system = CMPSystem(config, workload, seed=seed)
     result = system.run(
-        events, warmup_events=warmup, config_name=key,
+        events, warmup_events=warmup, config_name=name,
         resume_snapshot=resume_snapshot,
     )
-    truncated = bool(result.extra.get("truncated"))
-    if use_cache and not truncated:
-        _memo_put(cache_key, result)
+    if key is not None and not result.extra.get("truncated"):
+        _memo_put(key, result)
         if disk:
-            store.put(disk_key, result)
+            store.put(key, result)
     source = "snapshot" if system.resumed_from_phase is not None else "sim"
-    _emit_point(workload, key, seed, source, disk_key, t0)
+    _emit_point(workload, name, seed, source, key, t0)
     return result
 
 
@@ -207,7 +215,7 @@ def last_point_source() -> str:
 
 
 def _emit_point(
-    workload: str, key: str, seed: int, source: str, disk_key: Optional[str], t0: float
+    workload: str, name: str, seed: int, source: str, key: Optional[str], t0: float
 ) -> None:
     """Record where the point came from; telemetry is free when off."""
     global _LAST_SOURCE
@@ -216,42 +224,104 @@ def _emit_point(
         _telemetry.emit(
             "point",
             workload=workload,
-            config_key=key,
+            config_key=name,
             seed=seed,
             source=source,
-            point_key=disk_key,
+            point_key=key,
             wall_s=time.perf_counter() - t0,
         )
 
 
-def _run_parallel(
-    points: List[Tuple[Tuple[str, str], Dict]],
-    jobs: Optional[int],
-    on_outcome=None,
-) -> List[SimulationResult]:
-    """Fan points out to worker processes; raise on any failed point.
+def run_points(
+    points: Sequence[PointSpec],
+    *,
+    jobs: Optional[int] = None,
+    journal=None,
+    progress: Optional[Callable[[int, int], None]] = None,
+) -> List[PointOutcome]:
+    """Compute many points: the one fan-out above :func:`run_point`.
 
-    ``on_outcome(index, outcome)`` fires per final outcome (used by the
-    checkpoint journal) *before* any failure aborts the batch, so
-    completed points survive a partial run.
+    Outcome ``i`` belongs to ``points[i]``; a point that fails is a
+    :class:`~repro.core.runner.PointError` in its slot.  ``jobs`` > 1
+    runs the points across worker processes (``None`` runs them
+    serially); the outcomes are identical either way, and every result
+    also lands in this process's memo.
+
+    ``journal`` (a :class:`repro.core.checkpoint.SweepJournal`) restores
+    the points it already holds bit-identically instead of re-simulating
+    them (their progress source reads ``journal``) and records every new
+    outcome the moment it is final, so a run killed at any point resumes
+    where it stopped.
     """
-    from repro.core.runner import ParallelRunner, PointError
+    total = len(points)
+    outcomes: List[Optional[PointOutcome]] = [None] * len(points)
+    jkeys: List[str] = []
+    remaining = list(range(len(points)))
+    if journal is not None:
+        from repro.core import checkpoint
 
-    outcomes = ParallelRunner(jobs).run_points(points, on_outcome=on_outcome)
+        jkeys = [
+            checkpoint.point_journal_key({"workload": w, "key": k}, kwargs)
+            for (w, k), kwargs in points
+        ]
+        remaining = []
+        for i, jkey in enumerate(jkeys):
+            restored = journal.result_for(jkey)
+            if restored is None:
+                remaining.append(i)
+                continue
+            outcomes[i] = restored
+            _remember(points[i], restored)
+            _notify(progress, i + 1 - len(remaining), total, "journal")
+
+    def record(pos: int, outcome: PointOutcome) -> None:
+        if journal is None:
+            return
+        i = remaining[pos]
+        (workload, key), kwargs = points[i]
+        coords = {"workload": workload, "key": point_name(key, kwargs)}
+        if isinstance(outcome, PointError):
+            journal.record_error(jkeys[i], coords, outcome)
+        else:
+            journal.record_result(jkeys[i], coords, outcome)
+
+    if remaining:
+        if progress is not None and len(remaining) < total:
+            progress = OffsetProgress(progress, total - len(remaining), total)
+        ran = ParallelRunner(jobs or 1).run_points(
+            [points[i] for i in remaining], progress=progress, on_outcome=record
+        )
+        for i, outcome in zip(remaining, ran):
+            outcomes[i] = outcome
+            if not isinstance(outcome, PointError):
+                _remember(points[i], outcome)
+    return outcomes  # type: ignore[return-value]
+
+
+def _remember(point: PointSpec, result: SimulationResult) -> None:
+    """Seed this process's memo with a result computed elsewhere (a
+    worker process or the journal), so later lookups reuse it."""
+    (workload, config), kwargs = point
+    kwargs = {k: v for k, v in kwargs.items() if k != "resume_snapshot"}
+    key = _bind(workload, config, **kwargs)[4]
+    if key is not None and not result.extra.get("truncated"):
+        _memo_put(key, result)
+
+
+def completed(outcomes: Sequence[PointOutcome]) -> List[SimulationResult]:
+    """The results of :func:`run_points`; raise on the first failure."""
     for outcome in outcomes:
         if isinstance(outcome, PointError):
             raise RuntimeError(
                 f"simulation of {outcome.workload}/{outcome.key} failed: "
                 f"{outcome.error}\n{outcome.traceback}"
             )
-    for ((workload, key), kwargs), result in zip(points, outcomes):
-        remember_point(result, workload=workload, key=key, **kwargs)
-    return outcomes
+    return list(outcomes)  # type: ignore[arg-type]
 
 
 def run_seeds(
     workload: str,
-    key: str,
+    key: Union[str, SystemConfig],
     seeds: Optional[int] = None,
     jobs: Optional[int] = None,
     **kwargs,
@@ -261,10 +331,8 @@ def run_seeds(
     ``jobs`` > 1 runs the seeds across worker processes.
     """
     n = seeds if seeds is not None else settings.get("REPRO_SEEDS")
-    if jobs is not None and jobs > 1 and n > 1:
-        points = [((workload, key), dict(kwargs, seed=s)) for s in range(n)]
-        return _run_parallel(points, jobs)
-    return [run_point(workload, key, seed=s, **kwargs) for s in range(n)]
+    points = [((workload, key), dict(kwargs, seed=s)) for s in range(n)]
+    return completed(run_points(points, jobs=jobs))
 
 
 def run_matrix(
@@ -283,54 +351,8 @@ def run_matrix(
     instead of re-simulating them.
     """
     coords = [(w, k) for w in workloads for k in keys]
-    if journal is None:
-        if jobs is not None and jobs > 1 and len(coords) > 1:
-            points = [((w, k), dict(kwargs)) for w, k in coords]
-            results = _run_parallel(points, jobs)
-            return dict(zip(coords, results))
-        return {(w, k): run_point(w, k, **kwargs) for w, k in coords}
-
-    from repro.core import checkpoint
-
-    jkeys = {
-        (w, k): checkpoint.point_journal_key(
-            {"workload": w, "key": k}, dict(kwargs)
-        )
-        for w, k in coords
-    }
-    out: Dict[Tuple[str, str], SimulationResult] = {}
-    remaining = []
-    for w, k in coords:
-        restored = journal.result_for(jkeys[(w, k)])
-        if restored is not None:
-            out[(w, k)] = restored
-            remember_point(restored, workload=w, key=k, **kwargs)
-        else:
-            remaining.append((w, k))
-    if remaining:
-        if jobs is not None and jobs > 1 and len(remaining) > 1:
-            points = [((w, k), dict(kwargs)) for w, k in remaining]
-
-            def record(pos, outcome):
-                from repro.core.runner import PointError
-
-                w, k = remaining[pos]
-                coord = {"workload": w, "key": k}
-                if isinstance(outcome, PointError):
-                    journal.record_error(jkeys[(w, k)], coord, outcome)
-                else:
-                    journal.record_result(jkeys[(w, k)], coord, outcome)
-
-            results = _run_parallel(points, jobs, on_outcome=record)
-            out.update(zip(remaining, results))
-        else:
-            for w, k in remaining:
-                result = run_point(w, k, **kwargs)
-                journal.record_result(
-                    jkeys[(w, k)], {"workload": w, "key": k}, result
-                )
-                out[(w, k)] = result
-    return {(w, k): out[(w, k)] for w, k in coords}
+    points = [(coord, dict(kwargs)) for coord in coords]
+    return dict(zip(coords, completed(run_points(points, jobs=jobs, journal=journal))))
 
 
 def clear_cache(disk: bool = False) -> None:

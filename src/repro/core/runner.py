@@ -53,8 +53,17 @@ from repro.core import durable
 from repro.core.results import SimulationResult
 from repro.obs import telemetry as _telemetry
 
-#: One work item: ((workload, key), run_point keyword arguments).
-PointSpec = Tuple[Tuple[str, str], Dict[str, Any]]
+#: One work item: ((workload, key), run_point keyword arguments), where
+#: the key is a named config or a ``SystemConfig``.
+PointSpec = Tuple[Tuple[str, Any], Dict[str, Any]]
+
+
+def point_name(key: Any, kwargs: Dict[str, Any]) -> str:
+    """A point's display name: its ``name`` argument, else the named
+    key, else the config's one-line description."""
+    if kwargs.get("name"):
+        return kwargs["name"]
+    return key if isinstance(key, str) else key.describe()
 
 
 @dataclass
@@ -218,6 +227,22 @@ def _event(progress: Optional[Callable], kind: str) -> None:
         pass
 
 
+class OffsetProgress:
+    """Re-bases one batch's progress onto a larger run (the points a
+    journal restored, or a matrix's earlier workloads)."""
+
+    def __init__(self, inner, offset: int, total: int) -> None:
+        self.inner = inner
+        self.offset = offset
+        self.total = total
+
+    def point_done(self, done: int, _total: int, source=None) -> None:
+        _notify(self.inner, done + self.offset, self.total, source)
+
+    def event(self, kind: str) -> None:
+        _event(self.inner, kind)
+
+
 class ParallelRunner:
     """Run independent simulation points across worker processes."""
 
@@ -310,21 +335,26 @@ class ParallelRunner:
             _event(progress, "restart")
             if _telemetry.enabled():
                 _telemetry.emit("pool-restart", workers=workers)
-            procs = list(getattr(old, "_processes", None) or {})
+            # shutdown() drops the pool's references to its worker
+            # processes and manager thread, so take them first.  A
+            # worker left running (a hung point) would keep the manager
+            # thread, and so interpreter exit, waiting until it returns.
+            procs = list((getattr(old, "_processes", None) or {}).values())
+            thread = getattr(old, "_executor_manager_thread", None)
             try:
                 old.shutdown(wait=False, cancel_futures=True)
             except Exception:  # noqa: BLE001 - a broken pool may refuse politely
                 pass
-            for proc in (getattr(old, "_processes", None) or {}).values():
+            for proc in procs:
                 try:
                     proc.terminate()
                 except Exception:  # noqa: BLE001 - already dead is fine
                     pass
-            del procs
+            for proc in procs:
+                proc.join(timeout=1.0)
             # Let the dead pool's manager thread finish closing its
             # wakeup pipe; otherwise interpreter exit races it and logs
             # a spurious "Exception ignored ... Bad file descriptor".
-            thread = getattr(old, "_executor_manager_thread", None)
             if thread is not None:
                 thread.join(timeout=1.0)
             return ProcessPoolExecutor(max_workers=workers, initializer=_worker_init)
@@ -546,7 +576,7 @@ class ParallelRunner:
             (workload, key), kwargs = points[index]
             results[index] = PointError(
                 workload=workload,
-                key=key,
+                key=point_name(key, kwargs),
                 kwargs=dict(kwargs),
                 error=error[0],
                 traceback=error[1],

@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import checkpoint
-from repro.core.experiment import last_point_source, run_point
+from repro.core.experiment import run_points
 from repro.core.results import SimulationResult
+from repro.core.runner import PointError
 from repro.report.tables import Table
 
 #: Metrics extractable from a result by name.
@@ -44,9 +45,9 @@ METRICS: Dict[str, Callable[[SimulationResult], float]] = {
 class SweepResults:
     """The full grid of results plus slicing helpers.
 
-    ``errors`` holds the grid points that raised during a parallel run
-    (coordinates -> :class:`repro.core.runner.PointError`); those keys
-    are absent from ``points``.
+    ``errors`` holds the grid points that failed (coordinates ->
+    :class:`repro.core.runner.PointError`); those keys are absent from
+    ``points``.
     """
 
     dimensions: List[str]
@@ -100,31 +101,6 @@ class SweepResults:
         return table
 
 
-class _OffsetProgress:
-    """Adapter that re-bases a runner's subset progress onto the full
-    grid when a resumed sweep skips journal-completed points."""
-
-    def __init__(self, inner, offset: int, total: int) -> None:
-        self.inner = inner
-        self.offset = offset
-        self.total = total
-
-    def point_done(self, done: int, _total: int, source=None) -> None:
-        hook = getattr(self.inner, "point_done", None)
-        if hook is not None:
-            hook(done + self.offset, self.total, source=source)
-        else:
-            self.inner(done + self.offset, self.total)
-
-    def event(self, kind: str) -> None:
-        hook = getattr(self.inner, "event", None)
-        if hook is not None:
-            hook(kind)
-
-    def __call__(self, done: int, total: int) -> None:
-        self.point_done(done, total)
-
-
 class Sweep:
     """Factorial sweep builder over run_point's parameter space."""
 
@@ -163,7 +139,7 @@ class Sweep:
         disk cache).
 
         ``jobs`` > 1 fans the grid out across worker processes (see
-        :class:`repro.core.runner.ParallelRunner`); the merged results
+        :func:`repro.core.experiment.run_points`); the merged results
         are identical to a serial run, and a grid point that raises is
         recorded in :attr:`SweepResults.errors` instead of aborting the
         sweep.
@@ -180,10 +156,8 @@ class Sweep:
         if "key" not in self._dims:
             self._dims["key"] = ["base"]
         names = list(self._dims)
-        results = SweepResults(dimensions=names)
-        total = self.size
         combos = list(itertools.product(*self._dims.values()))
-        run_kwargs = []
+        points = []
         for combo in combos:
             coords = dict(zip(names, combo))
             kwargs = {k: v for k, v in coords.items() if k not in self.SPECIAL}
@@ -192,76 +166,12 @@ class Sweep:
             # call-level arguments only fill the gaps.
             kwargs.setdefault("events", events)
             kwargs.setdefault("warmup", warmup)
-            run_kwargs.append((coords, kwargs))
-
-        from repro.core.runner import ParallelRunner, PointError, _notify
-
-        # Seed already-completed points from the checkpoint journal.
-        jkeys: Optional[List[str]] = None
-        skipped: List[int] = []
-        if journal is not None:
-            jkeys = [
-                checkpoint.point_journal_key(coords, kwargs)
-                for coords, kwargs in run_kwargs
-            ]
-            for i, combo in enumerate(combos):
-                restored = journal.result_for(jkeys[i])
-                if restored is not None:
-                    results.points[tuple(combo)] = restored
-                    skipped.append(i)
-            for n, _i in enumerate(skipped):
-                _notify(progress, n + 1, total, "journal")
-        remaining = [i for i in range(total) if i not in set(skipped)]
-        if not remaining:
-            return results
-        prog = progress
-        if progress is not None and skipped:
-            prog = _OffsetProgress(progress, len(skipped), total)
-
-        def journal_outcome(pos: int, outcome) -> None:
-            if journal is None:
-                return
-            i = remaining[pos]
-            coords = run_kwargs[i][0]
+            points.append(((coords["workload"], coords["key"]), kwargs))
+        results = SweepResults(dimensions=names)
+        outcomes = run_points(points, jobs=jobs, journal=journal, progress=progress)
+        for combo, outcome in zip(combos, outcomes):
             if isinstance(outcome, PointError):
-                journal.record_error(jkeys[i], coords, outcome)
+                results.errors[combo] = outcome
             else:
-                journal.record_result(jkeys[i], coords, outcome)
-
-        if jobs is not None and jobs > 1 and len(remaining) > 1:
-            from repro.core.experiment import remember_point
-
-            points = [
-                (
-                    (run_kwargs[i][0]["workload"], run_kwargs[i][0]["key"]),
-                    run_kwargs[i][1],
-                )
-                for i in remaining
-            ]
-            outcomes = ParallelRunner(jobs).run_points(
-                points, progress=prog, on_outcome=journal_outcome
-            )
-            for i, ((workload, key), kwargs), outcome in zip(
-                remaining, points, outcomes
-            ):
-                combo = combos[i]
-                if isinstance(outcome, PointError):
-                    results.errors[tuple(combo)] = outcome
-                else:
-                    results.points[tuple(combo)] = outcome
-                    if kwargs.get("use_cache", True):
-                        memo_kwargs = {
-                            k: v for k, v in kwargs.items() if k != "use_cache"
-                        }
-                        remember_point(
-                            outcome, workload=workload, key=key, **memo_kwargs
-                        )
-            return results
-
-        for n, i in enumerate(remaining):
-            coords, kwargs = run_kwargs[i]
-            result = run_point(coords["workload"], coords["key"], **kwargs)
-            results.points[tuple(combos[i])] = result
-            journal_outcome(n, result)
-            _notify(prog, n + 1, len(remaining), last_point_source())
+                results.points[combo] = outcome
         return results

@@ -31,6 +31,16 @@ from repro.workloads.registry import get_spec
 from repro.workloads.values import ValueModel
 
 
+def observer_settings(config: SystemConfig) -> dict:
+    """Each observer's effective setting for ``config``: its ``REPRO_*``
+    knob overrides the config field (audit, trace, metrics, attribution,
+    in that order)."""
+    return {
+        name: settings.override("REPRO_" + name.upper(), getattr(config, name))
+        for name in ("audit", "trace", "metrics", "attribution")
+    }
+
+
 class CMPSystem:
     def __init__(
         self,
@@ -95,13 +105,10 @@ class CMPSystem:
         #: Phase number this run was restored from (None = clean start);
         #: set by the snapshot-resume path, read by run_point telemetry.
         self.resumed_from_phase: Optional[int] = None
-        # Each observer's REPRO_* knob overrides its config field; a path
-        # value also names the file the run writes when it completes.
-        audit = settings.override("REPRO_AUDIT", config.audit)
-        trace = settings.override("REPRO_TRACE", config.trace)
-        metrics = settings.override("REPRO_METRICS", config.metrics)
-        attribution = settings.override("REPRO_ATTRIBUTION", config.attribution)
-        observers = {"trace": trace, "metrics": metrics, "attribution": attribution}
+        # A path value also names the file the run writes when it completes.
+        observers = observer_settings(config)
+        audit = observers.pop("audit")
+        trace, metrics, attribution = observers.values()
         self._outputs = {k: v for k, v in observers.items() if isinstance(v, str)}
         # Opt-in invariant auditing (repro.obs.audit).  When off, the hot
         # loop's only extra cost is one falsy-int test per event.

@@ -56,8 +56,9 @@ Two structural notes:
 from __future__ import annotations
 
 import json
-from typing import Dict, List
+from typing import Dict, List, Optional
 
+from repro.core import durable
 from repro.params import SEGMENT_BYTES, SEGMENTS_PER_LINE
 
 #: L2 demand-miss classes (exhaustive and exclusive).
@@ -73,33 +74,15 @@ L1_EVICT_CAUSES = ("demand_fill", "prefetch_fill", "inclusion", "upgrade")
 INSERTERS = ("demand", "l1_prefetch", "l2_prefetch")
 
 
-class AttributionTracker:
-    """Per-event provenance for one :class:`~repro.core.system.CMPSystem`.
+class AttributionLedger:
+    """The measurement ledgers of one attributed run: the counters, the
+    quantities derived from them, reconciliation and export.
 
-    Hooks receive only scalars (addresses, cause strings, booleans).
-
-    Counter state (the ledgers) zeroes on :meth:`reset_counters` at the
-    warmup boundary; provenance state — the first-touch set, resident
-    line tags, and per-set shadow victim filters — is state of the
-    *machine*, not of the measurement, and persists across the reset
-    (otherwise every post-warmup miss would look compulsory).
+    :class:`AttributionTracker` fills them live; :meth:`from_extra`
+    reads a finished run's back from its result.
     """
 
-    def __init__(self, config) -> None:
-        self.n_sets = config.l2.n_sets
-        self.filter_depth = config.l2.tags_per_set
-        self.uncompressed_assoc = config.l2.uncompressed_assoc
-        self.cache_compressed = config.l2.compressed
-        # -- persistent provenance state (survives reset_counters) -----
-        self._seen: set = set()  # addrs ever resident in the L2
-        self._l2_lines: Dict[int, list] = {}  # addr -> [inserter, touched]
-        self._l1_lines: Dict[tuple, str] = {}  # (level, core, addr) -> inserter
-        # Shadow victim-tag filter: per set, the last filter_depth
-        # evicted addrs -> eviction cause (insertion-ordered dict; the
-        # oldest entry ages out first).
-        self._shadow: List[Dict[int, str]] = [{} for _ in range(self.n_sets)]
-        # Instant-event hook installed by the tracer.
-        self.trace_hook = None
+    def __init__(self) -> None:
         self.reset_counters()
 
     def reset_counters(self) -> None:
@@ -115,78 +98,27 @@ class AttributionTracker:
         self.comp_segments_saved = 0  # segments freed vs uncompressed storage
         self.comp_avoided_hits = 0  # demand hits beyond uncompressed depth
 
-    # -- hooks (scalars only) ------------------------------------------------
-
-    def on_l2_demand_miss(self, addr: int) -> str:
-        """Classify one L2 demand miss; returns the class name."""
-        if addr not in self._seen:
-            cls = "compulsory"
-        else:
-            cause = self._shadow[addr % self.n_sets].get(addr)
-            if cause == "prefetch_fill":
-                cls = "pollution"
-            elif cause == "expansion":
-                cls = "expansion"
-            else:
-                # Evicted by a demand fill, or aged out of the filter.
-                cls = "capacity"
-        self.miss_class[cls] += 1
-        hook = self.trace_hook
-        if hook is not None:
-            hook("miss." + cls, addr)
-        return cls
-
-    def on_l2_fill(self, addr: int, inserter: str, segments: int) -> None:
-        """Tag a freshly filled L2 line.  ``segments`` is the pre-clamp
-        compressed size (as passed to ``note_line_compression``); storage
-        is only actually compressed when the cache is."""
-        self._seen.add(addr)
-        self._l2_lines[addr] = [inserter, False]
-        self.l2_fills[inserter] += 1
-        if self.cache_compressed and segments < SEGMENTS_PER_LINE:
-            self.comp_fills += 1
-            self.comp_segments_saved += SEGMENTS_PER_LINE - segments
-
-    def on_l2_evict(self, addr: int, cause: str) -> None:
-        """Record one L2 eviction's cause; feeds the shadow filter."""
-        info = self._l2_lines.pop(addr, None)
-        self.l2_evict_cause[cause] += 1
-        if info is not None and not info[1] and info[0] != "demand":
-            self.pf_useless += 1
-        shadow = self._shadow[addr % self.n_sets]
-        if addr in shadow:
-            del shadow[addr]
-        shadow[addr] = cause
-        if len(shadow) > self.filter_depth:
-            del shadow[next(iter(shadow))]
-
-    def on_l2_demand_hit(self, addr: int, beyond_uncompressed: bool,
-                         late: bool) -> None:
-        """Ledger bookkeeping for one L2 demand hit.
-
-        ``beyond_uncompressed``: the hit's LRU stack depth was at or past
-        ``uncompressed_assoc`` (an avoided miss under compression).
-        ``late``: the line's fill was still in flight (a prefetched line
-        that arrived too late to fully hide the latency).
-        """
-        info = self._l2_lines.get(addr)
-        if info is not None and not info[1]:
-            if info[0] != "demand":
-                self.pf_useful += 1
-                if late:
-                    self.pf_late += 1
-            info[1] = True
-        if beyond_uncompressed:
-            self.comp_avoided_hits += 1
-
-    def on_l1_fill(self, level: str, core: int, addr: int,
-                   inserter: str) -> None:
-        self._l1_lines[(level, core, addr)] = inserter
-
-    def on_l1_evict(self, level: str, core: int, addr: int,
-                    cause: str) -> None:
-        self._l1_lines.pop((level, core, addr), None)
-        self.l1_evict_cause[cause] += 1
+    @staticmethod
+    def from_extra(extra: Dict[str, float]) -> Optional["AttributionLedger"]:
+        """The ledgers of a finished run, read back from the ``attr_*``
+        rows :meth:`to_extra` put in its ``SimulationResult.extra``;
+        None when the run had attribution off."""
+        if "attr_pf_useful" not in extra:
+            return None
+        ledger = AttributionLedger()
+        for counts, prefix in (
+            (ledger.miss_class, "attr_miss_"),
+            (ledger.l2_evict_cause, "attr_l2_evict_"),
+            (ledger.l1_evict_cause, "attr_l1_evict_"),
+            (ledger.l2_fills, "attr_fill_"),
+        ):
+            for name in counts:
+                counts[name] = int(extra[prefix + name])
+        for name in ("pf_useful", "pf_late", "pf_useless", "comp_fills",
+                     "comp_avoided_hits"):
+            setattr(ledger, name, int(extra["attr_" + name]))
+        ledger.comp_segments_saved = int(extra["attr_comp_bytes_saved"]) // SEGMENT_BYTES
+        return ledger
 
     # -- derived quantities -------------------------------------------------
 
@@ -362,6 +294,108 @@ class AttributionTracker:
         return "\n".join(lines)
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as out:
-            json.dump(self.to_dict(), out, indent=2, sort_keys=True)
-            out.write("\n")
+        text = json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        durable.atomic_write(path, text.encode("utf-8"))
+
+
+class AttributionTracker(AttributionLedger):
+    """Per-event provenance for one :class:`~repro.core.system.CMPSystem`.
+
+    Hooks receive only scalars (addresses, cause strings, booleans).
+
+    Counter state (the ledgers) zeroes on :meth:`reset_counters` at the
+    warmup boundary; provenance state — the first-touch set, resident
+    line tags, and per-set shadow victim filters — is state of the
+    *machine*, not of the measurement, and persists across the reset
+    (otherwise every post-warmup miss would look compulsory).
+    """
+
+    def __init__(self, config) -> None:
+        self.n_sets = config.l2.n_sets
+        self.filter_depth = config.l2.tags_per_set
+        self.uncompressed_assoc = config.l2.uncompressed_assoc
+        self.cache_compressed = config.l2.compressed
+        # -- persistent provenance state (survives reset_counters) -----
+        self._seen: set = set()  # addrs ever resident in the L2
+        self._l2_lines: Dict[int, list] = {}  # addr -> [inserter, touched]
+        self._l1_lines: Dict[tuple, str] = {}  # (level, core, addr) -> inserter
+        # Shadow victim-tag filter: per set, the last filter_depth
+        # evicted addrs -> eviction cause (insertion-ordered dict; the
+        # oldest entry ages out first).
+        self._shadow: List[Dict[int, str]] = [{} for _ in range(self.n_sets)]
+        # Instant-event hook installed by the tracer.
+        self.trace_hook = None
+        super().__init__()
+
+    # -- hooks (scalars only) ------------------------------------------------
+
+    def on_l2_demand_miss(self, addr: int) -> str:
+        """Classify one L2 demand miss; returns the class name."""
+        if addr not in self._seen:
+            cls = "compulsory"
+        else:
+            cause = self._shadow[addr % self.n_sets].get(addr)
+            if cause == "prefetch_fill":
+                cls = "pollution"
+            elif cause == "expansion":
+                cls = "expansion"
+            else:
+                # Evicted by a demand fill, or aged out of the filter.
+                cls = "capacity"
+        self.miss_class[cls] += 1
+        hook = self.trace_hook
+        if hook is not None:
+            hook("miss." + cls, addr)
+        return cls
+
+    def on_l2_fill(self, addr: int, inserter: str, segments: int) -> None:
+        """Tag a freshly filled L2 line.  ``segments`` is the pre-clamp
+        compressed size (as passed to ``note_line_compression``); storage
+        is only actually compressed when the cache is."""
+        self._seen.add(addr)
+        self._l2_lines[addr] = [inserter, False]
+        self.l2_fills[inserter] += 1
+        if self.cache_compressed and segments < SEGMENTS_PER_LINE:
+            self.comp_fills += 1
+            self.comp_segments_saved += SEGMENTS_PER_LINE - segments
+
+    def on_l2_evict(self, addr: int, cause: str) -> None:
+        """Record one L2 eviction's cause; feeds the shadow filter."""
+        info = self._l2_lines.pop(addr, None)
+        self.l2_evict_cause[cause] += 1
+        if info is not None and not info[1] and info[0] != "demand":
+            self.pf_useless += 1
+        shadow = self._shadow[addr % self.n_sets]
+        if addr in shadow:
+            del shadow[addr]
+        shadow[addr] = cause
+        if len(shadow) > self.filter_depth:
+            del shadow[next(iter(shadow))]
+
+    def on_l2_demand_hit(self, addr: int, beyond_uncompressed: bool,
+                         late: bool) -> None:
+        """Ledger bookkeeping for one L2 demand hit.
+
+        ``beyond_uncompressed``: the hit's LRU stack depth was at or past
+        ``uncompressed_assoc`` (an avoided miss under compression).
+        ``late``: the line's fill was still in flight (a prefetched line
+        that arrived too late to fully hide the latency).
+        """
+        info = self._l2_lines.get(addr)
+        if info is not None and not info[1]:
+            if info[0] != "demand":
+                self.pf_useful += 1
+                if late:
+                    self.pf_late += 1
+            info[1] = True
+        if beyond_uncompressed:
+            self.comp_avoided_hits += 1
+
+    def on_l1_fill(self, level: str, core: int, addr: int,
+                   inserter: str) -> None:
+        self._l1_lines[(level, core, addr)] = inserter
+
+    def on_l1_evict(self, level: str, core: int, addr: int,
+                    cause: str) -> None:
+        self._l1_lines.pop((level, core, addr), None)
+        self.l1_evict_cause[cause] += 1

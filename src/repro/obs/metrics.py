@@ -39,6 +39,7 @@ import json
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import settings
+from repro.core import durable
 
 #: A metric reads the live system; it must never mutate it.
 MetricFn = Callable[["object"], float]
@@ -281,5 +282,4 @@ class IntervalSampler:
 
     def write(self, path: str) -> None:
         text = self.to_csv() if path.endswith(".csv") else self.to_jsonl()
-        with open(path, "w", encoding="utf-8") as out:
-            out.write(text)
+        durable.atomic_write(path, text.encode("utf-8"))

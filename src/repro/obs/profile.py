@@ -12,10 +12,9 @@ Two engines behind one report shape:
   component, costing a few percent instead of 2x (counts are samples,
   not calls).
 
-Both report per-phase wall-clock (warmup vs measure) and events/sec in
-the same shape as ``BENCH_throughput.json`` entries, so ``repro
-profile -o`` output can be dropped straight into the benchmark file's
-``workloads`` table.
+Both report per-phase wall-clock (warmup vs measure), events/sec and
+the per-component table; ``repro profile -o`` writes that report as
+JSON (:meth:`ProfileReport.to_dict`).
 """
 
 from __future__ import annotations
@@ -79,14 +78,6 @@ class ProfileReport:
                 {"name": c.name, "self_time_s": c.self_time_s, "calls": c.calls}
                 for c in self.components
             ],
-        }
-
-    def bench_entry(self) -> Dict[str, object]:
-        """A ``BENCH_throughput.json`` ``workloads``-table entry."""
-        return {
-            "events_per_sec": round(self.events_per_sec, 1),
-            "wall_seconds": round(self.warmup_wall_s + self.measure_wall_s, 4),
-            "events": self.events,
         }
 
 

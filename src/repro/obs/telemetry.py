@@ -23,8 +23,9 @@ Kinds emitted by the simulator stack:
   description, per-phase wall seconds, events/sec, audit check count,
   ``settings`` (each environment-set ``REPRO_*`` knob, parsed);
 * ``point`` — one per :func:`repro.core.experiment.run_point`: workload,
-  config key, where the result came from (``memo`` / ``disk`` / ``sim``),
-  the point's cache key, wall seconds;
+  config name, where the result came from (``memo`` / ``disk`` / ``sim``
+  / ``snapshot``), the point's cache key (null for a point that is
+  never cached), wall seconds;
 * ``diskcache`` — one per disk-cache probe/store: hit / miss / store,
   plus the resilience outcomes ``corrupt`` (entry quarantined) and
   ``store-failed`` (serialization or I/O failure on write);
@@ -47,9 +48,10 @@ Kinds emitted by the simulator stack:
 * ``journal`` — one per checkpointed sweep: journal path, points loaded
   on resume, points recorded; plus one ``action="corrupt"`` record per
   journaled result that failed to load or to match its fingerprint;
-* ``matrix-point`` — one per simulated interaction-matrix point
-  (:func:`repro.report.matrix.run_matrix`): workload, prefetcher,
-  scheme, runtime, done/total progress;
+* ``matrix-point`` — one per distinct interaction-matrix run
+  (:func:`repro.report.matrix.run_matrix`), whether it was simulated or
+  served by the memo or disk cache (its ``point`` record tells which):
+  workload, prefetcher, scheme, runtime, done/total progress;
 * ``matrix`` — one per matrix sweep: axis lists, cell and simulation
   counts, whether attribution annotation was on, wall seconds.
 

@@ -47,6 +47,7 @@ import json
 from typing import Any, Dict, List, Optional
 
 from repro import settings
+from repro.core import durable
 
 #: The single simulator process id used for every event.
 PID = 1
@@ -252,9 +253,8 @@ class Tracer:
         }
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as out:
-            json.dump(self.to_dict(), out, separators=(",", ":"))
-            out.write("\n")
+        text = json.dumps(self.to_dict(), separators=(",", ":")) + "\n"
+        durable.atomic_write(path, text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

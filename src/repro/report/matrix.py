@@ -23,11 +23,14 @@ from __future__ import annotations
 import io
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.compression.schemes import build_scheme
+from repro.core.experiment import completed, run_points
 from repro.core.interaction import interaction_coefficient, speedup
-from repro.core.system import CMPSystem
+from repro.core.runner import OffsetProgress
 from repro.obs import telemetry as _telemetry
+from repro.obs.attribution import AttributionLedger
 from repro.params import SystemConfig
 
 #: Prefetcher family variants the matrix sweeps ("none" = row baseline).
@@ -119,20 +122,18 @@ def pair_config(base: SystemConfig, prefetcher: str, scheme: str) -> SystemConfi
     return cfg
 
 
-def _expected_simulations(
-    workloads: Sequence[str],
-    prefetchers: Sequence[str],
-    schemes: Sequence[str],
-) -> int:
-    """Distinct (prefetcher, scheme) runs the sweep will memoise, per
-    workload, times the workload count — the progress denominator."""
-    keys = {("none", "none")}
+def matrix_pairs(
+    prefetchers: Sequence[str], schemes: Sequence[str]
+) -> List[Tuple[str, str]]:
+    """The distinct (prefetcher, scheme) runs one workload's cells need,
+    baseline first: the matrix's batch per workload."""
+    pairs = {("none", "none"): None}
     for prefetcher in prefetchers:
         for scheme in schemes:
-            keys.add((prefetcher, "none"))
-            keys.add(("none", scheme))
-            keys.add((prefetcher, scheme))
-    return len(workloads) * len(keys)
+            pairs[(prefetcher, "none")] = None
+            pairs[("none", scheme)] = None
+            pairs[(prefetcher, scheme)] = None
+    return list(pairs)
 
 
 def run_matrix(
@@ -146,18 +147,22 @@ def run_matrix(
     warmup: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
     attribution: bool = False,
+    jobs: Optional[int] = None,
 ) -> MatrixReport:
     """Sweep every prefetcher x scheme pair over each workload.
 
     ``base_config`` must have prefetching and compression off; the
     matrix derives every variant from it with :func:`pair_config` so all
-    cells share one baseline.
+    cells share one baseline.  Each workload's distinct runs go through
+    :func:`repro.core.experiment.run_points` as one batch, so they are
+    memoised, disk-cached and spread over ``jobs`` workers like any
+    sweep's points.
 
     ``progress`` accepts either a live renderer with a ``point_done``
     method (:class:`repro.obs.progress.SweepProgress`) or a bare
-    ``callable(message)``.  Each simulated point also emits a
-    ``matrix-point`` telemetry record, and the sweep a final ``matrix``
-    record (:mod:`repro.obs.telemetry`).
+    ``callable(message)``, called once per run as each workload's batch
+    completes.  Each run also emits a ``matrix-point`` telemetry record,
+    and the sweep a final ``matrix`` record (:mod:`repro.obs.telemetry`).
 
     ``attribution=True`` runs every point with the causal-attribution
     tracker attached (read-only, so speedups and interactions are
@@ -166,68 +171,74 @@ def run_matrix(
     """
     if base_config.prefetch.enabled or base_config.l2.compressed:
         raise ValueError("matrix base config must have prefetching and compression off")
+    for prefetcher in prefetchers:
+        if prefetcher not in PREFETCHERS:
+            raise ValueError(
+                f"unknown prefetcher {prefetcher!r}; choose from {', '.join(PREFETCHERS)}"
+            )
+    for scheme in schemes:
+        if scheme != "none":
+            build_scheme(scheme)  # an unknown name raises ValueError
     if warmup is None:
         warmup = events
     cells: List[MatrixCell] = []
+    pairs = matrix_pairs(prefetchers, schemes)
+    total = len(workloads) * len(pairs)
     simulations = 0
-    total = _expected_simulations(workloads, prefetchers, schemes)
-    point_done = getattr(progress, "point_done", None)
+    renderer = progress if hasattr(progress, "point_done") else None
     t0 = time.perf_counter()
 
     for workload in workloads:
-        runtimes: Dict[Tuple[str, str], float] = {}
-        shares: Dict[Tuple[str, str], Tuple[float, float]] = {}
+        points = []
+        for prefetcher, scheme in pairs:
+            cfg = pair_config(base_config, prefetcher, scheme)
+            if attribution:
+                cfg = replace(cfg, attribution=True)
+            points.append((
+                (workload, cfg),
+                dict(name=f"{prefetcher}+{scheme}", seed=seed, events=events,
+                     warmup=warmup),
+            ))
+        results = completed(run_points(
+            points,
+            jobs=jobs,
+            progress=(
+                OffsetProgress(renderer, simulations, total)
+                if renderer is not None else None
+            ),
+        ))
+        for (prefetcher, scheme), result in zip(pairs, results):
+            simulations += 1
+            _telemetry.emit(
+                "matrix-point",
+                workload=workload,
+                prefetcher=prefetcher,
+                scheme=scheme,
+                runtime=result.runtime,
+                done=simulations,
+                total=total,
+            )
+            if progress is not None and renderer is None:
+                progress(f"{workload}: {prefetcher}+{scheme} done")
 
-        def runtime(prefetcher: str, scheme: str) -> float:
-            nonlocal simulations
-            key = (prefetcher, scheme)
-            if key not in runtimes:
-                cfg = pair_config(base_config, prefetcher, scheme)
-                if attribution:
-                    cfg = replace(cfg, attribution=True)
-                system = CMPSystem(cfg, workload, seed=seed)
-                result = system.run(events, warmup_events=warmup)
-                runtimes[key] = result.runtime
-                att = system.hierarchy.attribution
-                if att is not None:
-                    shares[key] = (att.pollution_share(), att.expansion_share())
-                simulations += 1
-                _telemetry.emit(
-                    "matrix-point",
-                    workload=workload,
-                    prefetcher=prefetcher,
-                    scheme=scheme,
-                    runtime=result.runtime,
-                    done=simulations,
-                    total=total,
-                )
-                if point_done is not None:
-                    point_done(simulations, total, "sim")
-                elif progress is not None:
-                    progress(f"{workload}: {prefetcher}+{scheme} done")
-            return runtimes[key]
-
-        base_rt = runtime("none", "none")
+        runs = dict(zip(pairs, results))
+        base_rt = runs[("none", "none")].runtime
         for prefetcher in prefetchers:
             for scheme in schemes:
-                s_pref = speedup(base_rt, runtime(prefetcher, "none"))
-                s_compr = speedup(base_rt, runtime("none", scheme))
-                s_both = speedup(base_rt, runtime(prefetcher, scheme))
-                pair_shares = shares.get((prefetcher, scheme))
+                both = runs[(prefetcher, scheme)]
+                ledger = AttributionLedger.from_extra(both.extra)
                 cells.append(
                     MatrixCell(
                         workload=workload,
                         prefetcher=prefetcher,
                         scheme=scheme,
-                        speedup_pref=s_pref,
-                        speedup_compr=s_compr,
-                        speedup_both=s_both,
-                        pollution_share=(
-                            pair_shares[0] if pair_shares is not None else None
+                        speedup_pref=speedup(
+                            base_rt, runs[(prefetcher, "none")].runtime
                         ),
-                        expansion_share=(
-                            pair_shares[1] if pair_shares is not None else None
-                        ),
+                        speedup_compr=speedup(base_rt, runs[("none", scheme)].runtime),
+                        speedup_both=speedup(base_rt, both.runtime),
+                        pollution_share=ledger and ledger.pollution_share(),
+                        expansion_share=ledger and ledger.expansion_share(),
                     )
                 )
 

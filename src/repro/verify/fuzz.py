@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import settings
+from repro.core import durable
 from repro.core.system import CMPSystem
 from repro.obs.audit import AuditViolation
 from repro.params import LINE_BYTES, SystemConfig, asdict, config_from_dict
@@ -452,7 +453,7 @@ def save_failure(failure: FuzzFailure, corpus: Optional[Path] = None) -> Path:
     root = Path(corpus if corpus is not None else settings.get("REPRO_FUZZ_DIR"))
     root.mkdir(parents=True, exist_ok=True)
     path = root / f"crash-seed{failure.seed}-{failure.stage.lower()}.json"
-    path.write_text(failure.to_json())
+    durable.atomic_write(str(path), failure.to_json().encode("utf-8"))
     failure.path = str(path)
     return path
 

@@ -20,6 +20,7 @@ import json
 from pathlib import Path
 from typing import Dict, Union
 
+from repro.core import durable
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.registry import WORKLOADS, get_spec
 from repro.workloads.values import VALUE_CLASSES
@@ -46,7 +47,8 @@ def spec_from_dict(data: Dict) -> WorkloadSpec:
 
 
 def save_spec(spec: WorkloadSpec, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(spec_to_dict(spec), indent=2))
+    text = json.dumps(spec_to_dict(spec), indent=2)
+    durable.atomic_write(str(path), text.encode("utf-8"))
 
 
 def load_spec(path: Union[str, Path]) -> WorkloadSpec:

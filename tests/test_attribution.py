@@ -25,7 +25,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import settings
-from repro.core.experiment import CONFIG_FEATURES, make_config
+from repro.core.experiment import CONFIG_FEATURES, clear_cache, make_config, run_point
 from repro.core.missclass import classify_misses
 from repro.core.system import CMPSystem
 from repro.obs.attribution import AttributionTracker
@@ -334,3 +334,33 @@ def test_matrix_emits_telemetry_and_progress(tmp_path, monkeypatch):
     assert all(total == 2 for _, total, _ in seen)
     # Attribution annotated the cells without touching the speedups.
     assert all(c.pollution_share is not None for c in report.cells)
+
+
+def test_ledger_from_extra_matches_the_live_tracker():
+    """The ledgers read back from a result's ``attr_*`` rows render the
+    same table and JSON as the tracker that filled them."""
+    system, result = _tracked_run("pref_compr", "zeus")
+    live = system.hierarchy.attribution
+    back = AttributionTracker.from_extra(result.extra)
+    assert back.table() == live.table()
+    assert back.to_dict() == live.to_dict()
+    assert back.reconcile_result(result) == []
+    assert AttributionTracker.from_extra({"memory_stall_cycles": 1.0}) is None
+
+
+def test_attribution_on_a_warm_point_is_simulated(tmp_path, monkeypatch):
+    """An observed point never reads the caches, so a warm disk cache
+    cannot hand back a result without its ledgers."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setenv("REPRO_ATTRIBUTION", "1")
+    point = dict(events=400, warmup=400, scale=16, n_cores=2)
+
+    def rows(result):
+        return {k: v for k, v in result.extra.items() if k.startswith("attr_")}
+
+    clear_cache()
+    cold = run_point("zeus", "pref_compr", **point)
+    clear_cache()  # memo gone; only the disk cache could answer
+    warm = run_point("zeus", "pref_compr", **point)
+    assert rows(cold)
+    assert rows(warm) == rows(cold)

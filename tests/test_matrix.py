@@ -3,12 +3,17 @@ and its ``repro matrix`` CLI front end."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.core.experiment import make_config
+from repro.core.experiment import clear_cache, make_config
+from repro.obs.telemetry import read_records
 from repro.report.matrix import (
     PREFETCHERS,
     SCHEMES,
@@ -121,3 +126,54 @@ class TestMatrixCLI:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestMatrixPipeline:
+    """The matrix's points go through the shared point pipeline: cached
+    across processes and spread over ``REPRO_JOBS`` workers without
+    changing a byte of the output."""
+
+    CI = ("--events", "1500", "--warmup", "1500", "--scale", "8", "--cores", "4")
+
+    def test_warm_rerun_in_a_fresh_process_simulates_nothing(self, tmp_path):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
+        for var in ("REPRO_CACHE", "REPRO_JOBS", "REPRO_TELEMETRY",
+                    "REPRO_ATTRIBUTION", "REPRO_AUDIT", "REPRO_TRACE",
+                    "REPRO_METRICS"):
+            env.pop(var, None)
+
+        def matrix(csv, **extra):
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "matrix", "--workloads", "chase",
+                 "-o", str(tmp_path / csv), *self.CI],
+                env=dict(env, **extra), cwd=str(tmp_path), capture_output=True,
+                text=True, timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        cold = matrix("cold.csv")
+        tele = tmp_path / "warm.jsonl"
+        warm = matrix("warm.csv", REPRO_TELEMETRY=str(tele))
+        assert warm == cold
+        assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+        records = read_records(str(tele))
+        assert not [r for r in records if r["kind"] == "simulate"]
+        points = [r for r in records if r["kind"] == "point"]
+        assert len(points) == 12 and {r["source"] for r in points} == {"disk"}
+
+    def test_csv_identical_serial_and_with_repro_jobs(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        argv = ["matrix", "--workloads", "chase,zeus", "--prefetchers",
+                "none,stride", "--schemes", "none,fpc", "--quiet",
+                *TestMatrixCLI.SMALL]
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        clear_cache()
+        assert main(argv + ["-o", str(tmp_path / "serial.csv")]) == 0
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        clear_cache()
+        assert main(argv + ["-o", str(tmp_path / "jobs.csv")]) == 0
+        assert (tmp_path / "jobs.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()

@@ -11,8 +11,12 @@ rather than vanishing.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,6 +32,7 @@ from repro.core.sweep import Sweep
 from repro.obs.telemetry import close_sinks, read_records
 from repro.report.export import result_fingerprint
 
+ROOT = Path(__file__).resolve().parents[1]
 FAST = dict(events=200, warmup=100, scale=16, n_cores=2)
 EIGHT = [(w, k) for w in ("zeus", "jbb")
          for k in ("base", "pref", "compr", "pref_compr")]
@@ -432,3 +437,108 @@ class TestCLIResilience:
         simulated = ([r for r in read_records(tele) if r["kind"] == "point"]
                      if os.path.exists(tele) else [])
         assert simulated == []
+
+
+class TestHungPointExit:
+    def test_process_exits_soon_after_the_timeout(self, tmp_path):
+        """The hung worker is terminated with its pool, so the sweep exits
+        right after reporting the timeout, not when the hang ends."""
+        env = dict(os.environ)
+        env.update(
+            PYTHONPATH=str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", ""),
+            REPRO_FAULTS="hang(60)@0",
+            REPRO_POINT_TIMEOUT="2",
+            REPRO_CACHE="0",
+        )
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "--workloads", "zeus",
+             "--configs", "base,pref", "--events", "200", "--warmup", "100",
+             "--scale", "16", "--cores", "2", "--jobs", "2", "--no-journal",
+             "--quiet"],
+            env=env, cwd=str(tmp_path), capture_output=True, text=True,
+            timeout=120,
+        )
+        elapsed = time.monotonic() - start
+        assert proc.returncode == 1, proc.stderr
+        assert "[timeout]" in proc.stderr
+        assert elapsed < 30, f"exited {elapsed:.1f}s after start"
+
+
+def _raise(*_args, **_kwargs):
+    raise RuntimeError("serializer bug")
+
+
+def _unserializable(*_args, **_kwargs):
+    return {"ok": 1, "bad": object()}
+
+
+def _write_trace(path, monkeypatch):
+    from repro.obs.trace import Tracer
+
+    tracer = Tracer(1, 1)
+    monkeypatch.setattr(tracer, "to_dict", _unserializable)
+    tracer.write(path)
+
+
+def _write_metrics(path, monkeypatch):
+    from repro.obs.metrics import IntervalSampler
+
+    sampler = IntervalSampler(100)
+    monkeypatch.setattr(sampler, "to_jsonl", _raise)
+    sampler.write(path)
+
+
+def _write_attribution(path, monkeypatch):
+    from repro.obs.attribution import AttributionTracker
+    from repro.params import SystemConfig
+
+    tracker = AttributionTracker(SystemConfig())
+    monkeypatch.setattr(tracker, "to_dict", _unserializable)
+    tracker.write(path)
+
+
+def _write_workload(path, monkeypatch):
+    from repro.workloads import custom
+    from repro.workloads.registry import get_spec
+
+    monkeypatch.setattr(custom, "spec_to_dict", _unserializable)
+    custom.save_spec(get_spec("zeus"), path)
+
+
+def _write_fuzz_corpus(path, monkeypatch):
+    from repro.verify.fuzz import save_failure
+
+    failure = SimpleNamespace(seed=7, stage="oracle", to_json=_raise, path=None)
+    save_failure(failure, Path(path).parent)
+
+
+def _write_matrix_csv(path, monkeypatch):
+    from repro.report.matrix import MatrixReport
+
+    monkeypatch.setattr(MatrixReport, "to_csv", _raise)
+    main(["matrix", "--workloads", "chase", "--prefetchers", "none",
+          "--schemes", "none", "--quiet", "-o", path, "--events", "100",
+          "--warmup", "100", "--scale", "16", "--cores", "2"])
+
+
+@pytest.mark.parametrize("write, name", [
+    (_write_trace, "trace.json"),
+    (_write_metrics, "metrics.jsonl"),
+    (_write_attribution, "why.json"),
+    (_write_workload, "spec.json"),
+    (_write_fuzz_corpus, "crash-seed7-oracle.json"),
+    (_write_matrix_csv, "matrix.csv"),
+])
+def test_failed_artifact_write_keeps_the_previous_file(
+    write, name, tmp_path, monkeypatch
+):
+    """An ``-o`` artifact is replaced whole or not at all: a serializer
+    that raises mid-write leaves the previous file byte-identical and
+    no temp file behind."""
+    path = tmp_path / name
+    path.write_bytes(b"previous artifact\n")
+    with pytest.raises((RuntimeError, TypeError)):
+        write(str(path), monkeypatch)
+    assert path.read_bytes() == b"previous artifact\n"
+    assert not list(tmp_path.glob("*.tmp.*"))

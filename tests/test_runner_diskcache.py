@@ -19,7 +19,7 @@ from repro.core import diskcache
 from repro.core.diskcache import DiskCache
 from repro.core.experiment import (
     clear_cache,
-    point_cache_key,
+    make_config,
     run_matrix,
     run_point,
     run_seeds,
@@ -140,8 +140,15 @@ class TestMemoBound:
         assert len(experiment._CACHE) == 2
         # The oldest point ("base") was evicted; the newer two remain.
         keys = list(experiment._CACHE)
-        assert point_cache_key("zeus", "base", **FAST) not in keys
-        assert point_cache_key("zeus", "compr", **FAST) in keys
+
+        def key(name):
+            cfg = make_config(name, n_cores=FAST["n_cores"], scale=FAST["scale"])
+            return diskcache.point_key(
+                cfg, "zeus", 0, FAST["events"], FAST["warmup"]
+            )
+
+        assert key("base") not in keys
+        assert key("compr") in keys
 
 
 class TestParallelRunner:
