@@ -106,16 +106,6 @@ class CompressedSetCache:
             si = line_addr % self.n_sets
             self._plru[si] = plru_touch(self._plru[si], entry.way, self.tags_per_set)
 
-    def touch_entry(self, entry: TagEntry) -> None:
-        """Promote an already-probed entry to MRU without re-probing."""
-        stack = self._sets[entry.addr % self.n_sets].valid_stack
-        if stack[0] is not entry:
-            stack.remove(entry)
-            stack.insert(0, entry)
-        if self._plru is not None:
-            si = entry.addr % self.n_sets
-            self._plru[si] = plru_touch(self._plru[si], entry.way, self.tags_per_set)
-
     def stack_depth(self, line_addr: int) -> int:
         """0-based LRU stack position of a resident line (0 = MRU)."""
         cset = self._sets[self.set_index(line_addr)]
@@ -241,9 +231,6 @@ class CompressedSetCache:
     @property
     def uncompressed_capacity_lines(self) -> int:
         return self.n_sets * self.config.uncompressed_assoc
-
-    def used_segments_total(self) -> int:
-        return sum(s.used_segments for s in self._sets)
 
     def check_invariants(self) -> List[tuple]:
         """Verify the decoupled-cache structural invariants.

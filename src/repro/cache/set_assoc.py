@@ -88,17 +88,6 @@ class SetAssocCache:
             si = line_addr % self.n_sets
             self._plru[si] = plru_touch(self._plru[si], entry.way, self.assoc)
 
-    def touch_entry(self, entry: TagEntry) -> None:
-        """Promote an already-probed entry to MRU (hot-path variant that
-        skips the redundant map lookup)."""
-        stack = self._sets[entry.addr % self.n_sets]
-        if stack[0] is not entry:
-            stack.remove(entry)
-            stack.insert(0, entry)
-        if self._plru is not None:
-            si = entry.addr % self.n_sets
-            self._plru[si] = plru_touch(self._plru[si], entry.way, self.assoc)
-
     def insert(
         self,
         line_addr: int,

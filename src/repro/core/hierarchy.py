@@ -20,6 +20,7 @@ Timing conventions:
 
 from __future__ import annotations
 
+from heapq import heappop
 from typing import Dict, List, Tuple
 
 from repro.cache.compressed import CompressedSetCache
@@ -194,29 +195,29 @@ class MemoryHierarchy:
     def _rebuild_routes(self) -> None:
         """Precompute per-(core, kind) routing tuples for the access path.
 
-        Each tuple is ``(l1, pf, stats, hist, fill_latency, level)``.  The
-        stats and histogram objects are replaced by :meth:`reset_stats`,
-        so it rebuilds these as well.
+        Each tuple is ``(l1, pf, stats, hist, fill_latency, level, tax)``
+        (``tax``: the level's ``TaxonomyCounts``).  :meth:`reset_stats`
+        and a snapshot restore rebuild them.
         """
         hist_i = self.latency_hist["l1i"]
         hist_d = self.latency_hist["l1d"]
+        tax = self.taxonomy
         self._route_i = [
-            (l1, pf, self.l1i_stats, hist_i, self._l1i_lat, "l1i")
+            (l1, pf, self.l1i_stats, hist_i, self._l1i_lat, "l1i", tax.level("l1i"))
             for l1, pf in zip(self.l1i, self.pf_l1i)
         ]
         self._route_d = [
-            (l1, pf, self.l1d_stats, hist_d, self._l1d_lat, "l1d")
+            (l1, pf, self.l1d_stats, hist_d, self._l1d_lat, "l1d", tax.level("l1d"))
             for l1, pf in zip(self.l1d, self.pf_l1d)
         ]
         self._pf2_stats = self.pf_stats["l2"]
+        self._tax_l2 = tax.level("l2")
         self._l2_miss_hist = self.latency_hist["l2_miss"]
 
     def access(self, core: int, kind: int, addr: int, now: float) -> Tuple[float, bool]:
-        """Perform one demand access; returns (latency, l1_hit).
-
-        The hit path (the most common event) is inlined here from
-        :meth:`_l1_hit`'s logic; the two must stay in sync.
-        """
+        """Perform one demand access; returns (latency, l1_hit).  The L1
+        hit (the most common event) runs inline; a miss takes
+        :meth:`_demand_miss`."""
         route = self._route_i[core] if kind == IFETCH else self._route_d[core]
         tracer = self.tracer
         if tracer is not None:
@@ -237,16 +238,16 @@ class MemoryHierarchy:
                     stats.partial_hits += 1
                     pf.stats.useful += 1
                     pf.adaptive.on_useful()
-                    self.taxonomy.on_used(route[5])
+                    route[6].useful += 1
                     entry.prefetch_bit = False
             elif entry.prefetch_bit:
                 stats.prefetch_hits += 1
                 pf.stats.useful += 1
                 pf.adaptive.on_useful()
-                self.taxonomy.on_used(route[5])
+                route[6].useful += 1
                 entry.prefetch_bit = False
             stats.demand_hits += 1
-            # SetAssocCache.touch_entry, inlined.
+            # SetAssocCache.touch, inlined.
             stack = l1._sets[addr % l1.n_sets]
             if stack[0] is not entry:
                 stack.remove(entry)
@@ -313,14 +314,10 @@ class MemoryHierarchy:
         self.l1i_stats = CacheStats()
         self.l1d_stats = CacheStats()
         self.l2_stats = CacheStats()
-        for key in self.pf_stats:
-            fresh = PrefetchStats()
-            self.pf_stats[key] = fresh
-        for group in (self.pf_l1i, self.pf_l1d):
+        for key, group in (("l1i", self.pf_l1i), ("l1d", self.pf_l1d), ("l2", self.pf_l2)):
+            self.pf_stats[key] = fresh = PrefetchStats()
             for p in group:
-                p.stats = self.pf_stats["l1i" if group is self.pf_l1i else "l1d"]
-        for p in self.pf_l2:
-            p.stats = self.pf_stats["l2"]
+                p.stats = fresh
         self.link.reset_stats()
         self.noc.reset_stats()
         self.taxonomy = PrefetchTaxonomy()
@@ -366,7 +363,7 @@ class MemoryHierarchy:
         (``_send_writeback``), tree-PLRU, stream buffers, adaptive
         compression, the NoC, the tracer and attribution.
         """
-        l1, pf, stats, _hist, fill_lat, level = route
+        l1, pf, stats, _hist, fill_lat, level, tax = route
         stats.demand_misses += 1
         if self._adaptive and l1.victim_match(addr) and l1.set_has_prefetched_line(addr):
             pf.stats.harmful += 1
@@ -376,17 +373,15 @@ class MemoryHierarchy:
         att = self.attribution
 
         # ---- shared L2: bank occupancy (busy-until), then hit or miss ----
-        count = self._l2_access_count + 1
-        self._l2_access_count = count
+        self._l2_access_count += 1
         l2 = self.l2
-        if not count % _SAMPLE_EVERY:
+        if not self._l2_access_count % _SAMPLE_EVERY:
             self.compression_stats.record_sample(l2.resident_lines())
-        bank_free = self._bank_free
-        bank = addr % self._n_banks
-        start = bank_free[bank]
+        bank = addr % self._n_banks  # CompressedSetCache.bank_of, inlined
+        start = self._bank_free[bank]
         if start < now:
             start = now
-        bank_free[bank] = start + _BANK_OCCUPANCY
+        self._bank_free[bank] = start + _BANK_OCCUPANCY
         bank_delay = start - now
         tracer = self.tracer
         if tracer is not None:
@@ -414,19 +409,20 @@ class MemoryHierarchy:
                     entry.fill_time > now,
                 )
             wait = entry.fill_time - now
-            if wait > 0:
-                if wait > latency:
-                    latency = wait
-                if entry.prefetch_bit:
-                    l2s.partial_hits += 1
-                    self._l2_prefetch_used()
-                    entry.prefetch_bit = False
-            l2s.demand_hits += 1
+            if wait > latency:
+                latency = wait
             if entry.prefetch_bit:
-                l2s.prefetch_hits += 1
-                self._l2_prefetch_used()
+                # First use of a line an L2 prefetch brought in.
+                if wait > 0:
+                    l2s.partial_hits += 1
+                else:
+                    l2s.prefetch_hits += 1
+                self._pf2_stats.useful += 1
+                self.l2_adaptive.on_useful()
+                self._tax_l2.useful += 1
                 entry.prefetch_bit = False
-            # CompressedSetCache.touch_entry, inlined.
+            l2s.demand_hits += 1
+            # CompressedSetCache.touch, inlined.
             stack = l2._sets[addr % l2.n_sets].valid_stack
             if stack[0] is not entry:
                 stack.remove(entry)
@@ -448,10 +444,10 @@ class MemoryHierarchy:
                 for p in self.pf_l2[core].observe_hit(addr):
                     self._issue_l2_prefetch(core, p, now)
         else:
-            latency = None
+            sb_hit = None
             if self.stream_buffers is not None:
-                latency = self._stream_buffer_hit(core, addr, now, bank_delay, store, True)
-            if latency is None:
+                sb_hit = self._stream_buffer_hit(core, addr, now, bank_delay, True)
+            if sb_hit is None:
                 l2s.demand_misses += 1
                 if att is not None:
                     att.on_l2_demand_miss(addr)
@@ -483,28 +479,32 @@ class MemoryHierarchy:
                 hist._buckets[bucket] += 1
                 hist.count += 1
                 hist.total += latency
-                # _fill_l2 for a demand fill, inlined.
-                cstats = self.compression_stats
-                if segments < SEGMENTS_PER_LINE:
-                    cstats.compressed_lines += 1
-                else:
-                    cstats.uncompressed_lines += 1
-                cstats.segment_sum += segments
-                if att is not None:
-                    att.on_l2_fill(addr, "demand", segments)
-                for ev in l2.insert(
-                    addr,
-                    segments,
-                    dirty=store,
-                    fill_time=data_done,
-                    sharers=1 << core,
-                    owner=core if store else -1,
-                    state=MSIState.MODIFIED if store else MSIState.SHARED,
-                ):
-                    self._handle_l2_eviction(ev, now)
-                if self._pf_on:
-                    for p in self.pf_l2[core].observe_miss(addr):
-                        self._issue_l2_prefetch(core, p, now)
+            else:
+                latency, segments = sb_hit
+                data_done = now + latency
+            # The L2 fill: compression accounting, insert, evictions.
+            cstats = self.compression_stats
+            if segments < SEGMENTS_PER_LINE:
+                cstats.compressed_lines += 1
+            else:
+                cstats.uncompressed_lines += 1
+            cstats.segment_sum += segments
+            if att is not None:
+                att.on_l2_fill(addr, "demand", segments)
+            for ev in l2.insert(
+                addr,
+                segments,
+                dirty=store,
+                fill_time=data_done,
+                sharers=1 << core,
+                owner=core if store else -1,
+                state=MSIState.MODIFIED if store else MSIState.SHARED,
+            ):
+                self._handle_l2_eviction(ev, now)
+            if self._pf_on:
+                pf2 = self.pf_l2[core]
+                for p in pf2.observe_miss(addr) if sb_hit is None else pf2.observe_hit(addr):
+                    self._issue_l2_prefetch(core, p, now)
 
         # ---- back at the L1: the refill ----
         # The refill pays its own L1's fill latency: L1I for instruction
@@ -526,7 +526,7 @@ class MemoryHierarchy:
             if l1._plru is not None:
                 ev = l1.insert(addr, state, store, False, now + total)
                 if ev is not None:
-                    self._handle_l1_eviction(core, ev, pf, stats, level, now)
+                    self._handle_l1_eviction(core, ev, route, now)
             else:
                 # SetAssocCache.insert (LRU) and _handle_l1_eviction,
                 # inlined.  Invalid frames sit at the stack tail, so the
@@ -550,7 +550,7 @@ class MemoryHierarchy:
                     if frame.prefetch_bit:
                         pf.stats.useless += 1
                         pf.adaptive.on_useless()
-                        self.taxonomy.on_evicted_unused(level)
+                        tax.useless += 1
                     l2e = l2map.get(old)
                     if l2e is not None and l2e.valid:
                         # Directory.remove_sharer, inlined.
@@ -580,9 +580,9 @@ class MemoryHierarchy:
         return total
 
     def _handle_l1_eviction(
-        self, core, ev: Eviction, pf, stats, level: str, now: float,
-        cause: str = "demand_fill",
+        self, core, ev: Eviction, route, now: float, cause: str = "demand_fill"
     ) -> None:
+        _l1, pf, stats, _hist, _lat, level, tax = route
         stats.evictions += 1
         att = self.attribution
         if att is not None:
@@ -590,11 +590,9 @@ class MemoryHierarchy:
         if ev.prefetch_untouched:
             pf.stats.useless += 1
             pf.adaptive.on_useless()
-            self.taxonomy.on_evicted_unused(level)
+            tax.useless += 1
         l2e = self.l2._map.get(ev.addr)  # CompressedSetCache.probe, inlined
-        if l2e is not None and not l2e.valid:
-            l2e = None
-        if l2e is not None:
+        if l2e is not None and l2e.valid:
             # Directory.remove_sharer, inlined.
             l2e.sharers &= ~(1 << core)
             if l2e.owner == core:
@@ -622,184 +620,60 @@ class MemoryHierarchy:
     # L2 path
     # ------------------------------------------------------------------
 
-    def _bank_delay(self, addr: int, now: float) -> float:
-        bank = self.l2.bank_of(addr)
-        start = max(now, self._bank_free[bank])
-        self._bank_free[bank] = start + _BANK_OCCUPANCY
-        return start - now
-
-    def _l2_prefetch_used(self) -> None:
-        """First use of a line an L2 prefetch brought in."""
-        self._pf2_stats.useful += 1
-        self.l2_adaptive.on_useful()
-        self.taxonomy.on_used("l2")
-
-    def _l2_access(self, core: int, addr: int, now: float, from_l1_prefetch: bool) -> float:
-        """A prefetch's access to the shared L2; returns latency from ``now``.
-
-        Demand accesses take :meth:`_demand_miss`.  Fills get prefetch
-        bits, and an L1 prefetch that misses trains the L2 prefetcher too
-        (the paper "allows L1 prefetches to trigger L2 prefetches").
-        """
-        count = self._l2_access_count + 1
-        self._l2_access_count = count
-        if not count % _SAMPLE_EVERY:
-            self.compression_stats.record_sample(self.l2.resident_lines())
-        bank_free = self._bank_free
-        bank = addr % self._n_banks
-        start = bank_free[bank]
-        if start < now:
-            start = now
-        bank_free[bank] = start + _BANK_OCCUPANCY
-        bank_delay = start - now
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.span(tracer.bank_tid(bank), "busy", start, _BANK_OCCUPANCY)
-        l2 = self.l2
-        entry = l2._map.get(addr)  # CompressedSetCache.probe, inlined
-        if entry is not None and entry.valid:
-            latency = bank_delay + self._l2_hit_lat
-            line_compressed = l2.compressed and entry.segments < SEGMENTS_PER_LINE
-            if line_compressed:
-                latency += self._decompression_cycles
-                self.l2_stats.compressed_hits += 1
-            cp = self.compression_policy
-            if cp.enabled:
-                cp.on_hit(
-                    l2.stack_depth(addr), self.config.l2.uncompressed_assoc, line_compressed
-                )
-            latency = max(latency, entry.fill_time - now)
-            # The prefetch bit resets on the *first access* to the line —
-            # including an L1 prefetch consuming an L2-prefetched line
-            # (the L2 prefetch did provide the data the core later used).
-            if from_l1_prefetch:
-                if entry.prefetch_bit:
-                    if entry.fill_time > now:
-                        self.l2_stats.partial_hits += 1
-                    else:
-                        self.l2_stats.prefetch_hits += 1
-                    self._l2_prefetch_used()
-                    entry.prefetch_bit = False
-                entry.sharers |= 1 << core  # Directory.add_sharer, inlined
-            l2.touch_entry(entry)
-            if entry.owner not in (-1, core):
-                # Dirty intervention: the owning L1 supplies the data.
-                self._downgrade_owner(entry)
-                latency += _INTERVENTION_COST
-            return latency
-
-        # ---- L2 miss ----
-        if self.stream_buffers is not None and from_l1_prefetch:
-            hit = self._stream_buffer_hit(core, addr, now, bank_delay, False, False)
-            if hit is not None:
-                return hit
-        data_done, segments = self._fetch_line(
-            core, addr, now + bank_delay + self._l2_hit_lat, False
-        )
-        self._fill_l2(
-            core, addr, segments, now, data_done, False,
-            "l1_prefetch" if from_l1_prefetch else "l2_prefetch",
-        )
-        if from_l1_prefetch and self._pf_on:
-            for p in self.pf_l2[core].observe_miss(addr):
-                self._issue_l2_prefetch(core, p, now)
-        return data_done - now
-
     def _fetch_line(self, core: int, addr: int, request_ready: float, demand: bool):
-        """Fetch a line from memory: request pins -> DRAM -> data pins.
+        """Fetch a line through the MSHR file: request pins -> DRAM ->
+        data pins.  Returns ``(data_arrival_time, segments_as_stored)``.
 
-        Returns ``(data_arrival_time, segments_as_stored)``.
-
-        With an MSHR file configured it owns the outstanding-miss limit:
-        a miss to a line whose fetch is still in flight coalesces onto
-        the existing entry (no request message, no DRAM access, no data
-        message — it rides the in-flight fill), a full file makes demand
-        misses wait for the oldest entry, and entries are held until the
-        data lands on-chip.  The oracle tap (:mod:`repro.verify.tap`)
-        records coalesced fetches so the differential oracle can mirror
-        the merge without re-deriving MSHR timing.
+        The access paths inline the default (MSHR-less) model and call
+        this only when an MSHR file is configured.  The file owns the
+        outstanding-miss limit: a miss to a line whose fetch is still in
+        flight coalesces onto the existing entry (no request message, no
+        DRAM access, no data message — it rides the in-flight fill), a
+        full file makes demand misses wait for the oldest entry, and
+        entries are held until the data lands on-chip.  The oracle tap
+        (:mod:`repro.verify.tap`) records coalesced fetches so the
+        differential oracle can mirror the merge without re-deriving
+        MSHR timing.
         """
         mshr = self.mshr
-        if mshr is not None:
-            rec = mshr.lookup(addr, request_ready)
-            if rec is not None:
-                mshr.coalesced += 1
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        self.tracer.mshr_tid, "coalesce", request_ready,
-                        ("addr", addr, "core", core),
-                    )
-                return rec[0], rec[1]
+        tracer = self.tracer
+        rec = mshr.lookup(addr, request_ready)
+        if rec is not None:
+            mshr.coalesced += 1
+            if tracer is not None:
+                tracer.instant(
+                    tracer.mshr_tid, "coalesce", request_ready, ("addr", addr, "core", core)
+                )
+            return rec[0], rec[1]
         segments = self.values.segments_for(addr)
         if self.compression_policy.enabled and not self.compression_policy.should_compress():
             segments = SEGMENTS_PER_LINE  # store uncompressed this phase
-        if mshr is not None:
-            start = mshr.allocate(core, request_ready, demand)
-            request_done = self.link.send_request(start)
-            mem_done = self.dram.service(core, request_done, addr, demand)
-            data_done = self.link.send_data(mem_done, segments)
-            mshr.commit(core, addr, data_done, segments)
-            if self.tracer is not None:
-                self.tracer.span(
-                    self.tracer.mshr_tid, "demand" if demand else "prefetch",
-                    start, data_done - start, ("addr", addr, "core", core),
-                )
-            return data_done, segments
-        request_done = self.link.send_request(request_ready)
-        if demand:
-            mem_done = self.dram.issue_demand(core, request_done, addr)
-        else:
-            mem_done = self.dram.issue_prefetch(core, request_done, addr)
-        return self.link.send_data(mem_done, segments), segments
+        start = mshr.allocate(core, request_ready, demand)
+        request_done = self.link.send_request(start)
+        mem_done = self.dram.service(core, request_done, addr, demand)
+        data_done = self.link.send_data(mem_done, segments)
+        mshr.commit(core, addr, data_done, segments)
+        if tracer is not None:
+            tracer.span(
+                tracer.mshr_tid, "demand" if demand else "prefetch",
+                start, data_done - start, ("addr", addr, "core", core),
+            )
+        return data_done, segments
 
-    def _stream_buffer_hit(self, core, addr, now, bank_delay, store, demand):
+    def _stream_buffer_hit(self, core, addr, now, bank_delay, demand):
         """Demand (or L1-prefetch) miss satisfied by the core's stream
-        buffers: promote the line into the L2 and count a prefetch hit.
-        Returns the latency, or None when the buffers miss too."""
+        buffers.  Returns ``(latency, segments)`` for the caller's L2
+        fill, or None when the buffers miss too."""
         entry = self.stream_buffers[core].take(addr)
         if entry is None:
             return None
-        latency = bank_delay + self.config.l2.hit_latency
-        latency = max(latency, entry.fill_time - now)
+        latency = max(bank_delay + self._l2_hit_lat, entry.fill_time - now)
         if demand:
             self.l2_stats.prefetch_hits += 1
-            self._l2_prefetch_used()
-        self._fill_l2(
-            core, addr, entry.segments, now, now + latency, store,
-            "demand" if demand else "l1_prefetch",
-        )
-        if demand:
-            for p in self.pf_l2[core].observe_hit(addr):
-                self._issue_l2_prefetch(core, p, now)
-        return latency
-
-    def _fill_l2(self, core, addr, segments, now, fill_time, store, source) -> None:
-        """Install a fetched line in the L2 and handle its evictions.
-
-        ``source`` is ``"demand"``, ``"l1_prefetch"`` or ``"l2_prefetch"``.
-        """
-        self.note_line_compression(segments)
-        att = self.attribution
-        if att is not None:
-            # Same pre-clamp segments note_line_compression sees; the
-            # tracker gates its compression ledger on l2.compressed.
-            att.on_l2_fill(addr, source, segments)
-        l2_prefetch = source == "l2_prefetch"
-        evictions = self.l2.insert(
-            addr,
-            segments,
-            dirty=store,
-            # Only L2-prefetcher fills carry the L2 prefetch bit; lines
-            # pulled in by an L1 prefetch are tracked by the L1 copy's bit.
-            prefetch=l2_prefetch,
-            fill_time=fill_time,
-            sharers=0 if l2_prefetch else 1 << core,
-            owner=core if store else -1,
-            state=MSIState.MODIFIED if store else MSIState.SHARED,
-        )
-        cause = "demand_fill" if source == "demand" else "prefetch_fill"
-        for ev in evictions:
-            self._handle_l2_eviction(ev, now, cause)
+            self._pf2_stats.useful += 1
+            self.l2_adaptive.on_useful()
+            self._tax_l2.useful += 1
+        return latency, entry.segments
 
     def _handle_l2_eviction(
         self, ev: Eviction, now: float, cause: str = "demand_fill"
@@ -809,17 +683,16 @@ class MemoryHierarchy:
         if att is not None:
             att.on_l2_evict(ev.addr, cause)
         if ev.prefetch_untouched:
-            self.pf_stats["l2"].useless += 1
+            self._pf2_stats.useless += 1
             self.l2_adaptive.on_useless()
-            self.taxonomy.on_evicted_unused("l2")
+            self._tax_l2.useless += 1
         dirty = ev.dirty
         sharers = ev.sharers
         core = 0
         while sharers:
             if sharers & 1:
-                for l1, pf, stats, level in (
-                    (self.l1i[core], self.pf_l1i[core], self.l1i_stats, "l1i"),
-                    (self.l1d[core], self.pf_l1d[core], self.l1d_stats, "l1d"),
+                for l1, pf, stats, _hist, _lat, level, tax in (
+                    self._route_i[core], self._route_d[core]
                 ):
                     l1ev = l1.invalidate(ev.addr)
                     if l1ev is not None:
@@ -830,7 +703,7 @@ class MemoryHierarchy:
                         if l1ev.prefetch_untouched:
                             pf.stats.useless += 1
                             pf.adaptive.on_useless()
-                            self.taxonomy.on_evicted_unused(level)
+                            tax.useless += 1
             sharers >>= 1
             core += 1
         if dirty:
@@ -858,9 +731,8 @@ class MemoryHierarchy:
         cost = 0.0
         att = self.attribution
         for sharer in list(self.directory.other_sharers(entry, core)):
-            for l1, stats, level in (
-                (self.l1i[sharer], self.l1i_stats, "l1i"),
-                (self.l1d[sharer], self.l1d_stats, "l1d"),
+            for l1, _pf, stats, _hist, _lat, level, _tax in (
+                self._route_i[sharer], self._route_d[sharer]
             ):
                 l1ev = l1.invalidate(entry.addr)
                 if l1ev is not None:
@@ -888,93 +760,220 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
 
     def _pf_fetch_gate(self, core: int, addr: int, now: float) -> bool:
-        """May a prefetch start a line fetch right now?  (It is dropped,
-        never stalled, when the answer is no.)  With an MSHR file the
+        """May a prefetch start a line fetch through the MSHR file right
+        now?  (It is dropped, never stalled, when the answer is no.)  The
         gate is per-core file occupancy — except a prefetch to a line
-        already in flight, which will coalesce and needs no new entry."""
+        already in flight, which will coalesce and needs no new entry.
+        Without a file the issue paths gate on ``DRAM.can_issue`` inline."""
         mshr = self.mshr
-        if mshr is None:
-            return self.dram.can_issue(core, now)
         return mshr.lookup(addr, now) is not None or mshr.can_allocate(core, now)
 
     def _issue_l1_prefetch(self, core: int, kind: int, addr: int, now: float) -> None:
+        """One L1 prefetch and its shared-L2 leg, in one frame, with the
+        same guards as :meth:`_demand_miss`.  An L1 prefetch that misses
+        the L2 trains the L2 prefetcher too (the paper "allows L1
+        prefetches to trigger L2 prefetches")."""
         if addr < 0:
             return
         route = self._route_i[core] if kind == IFETCH else self._route_d[core]
-        l1, pf = route[0], route[1]
+        l1, pf, _stats, _hist, fill_lat, level, tax = route
         l1e = l1._map.get(addr)  # SetAssocCache.probe, inlined
         if l1e is not None and l1e.valid:
             return
-        l2e = self.l2._map.get(addr)  # CompressedSetCache.probe, inlined
-        if (l2e is None or not l2e.valid) and not self._pf_fetch_gate(core, addr, now):
-            pf.stats.dropped += 1
-            return
+        l2 = self.l2
+        entry = l2._map.get(addr)  # CompressedSetCache.probe, inlined
+        l2_hit = entry is not None and entry.valid
+        mshr = self.mshr
+        dram = self.dram
+        if not l2_hit:
+            if mshr is None:
+                heap = dram._prefetch[core]  # DRAM.can_issue, inlined
+                while heap and heap[0] <= now:
+                    heappop(heap)
+                gated = len(heap) >= dram.max_outstanding
+            else:
+                gated = not self._pf_fetch_gate(core, addr, now)
+            if gated:
+                pf.stats.dropped += 1
+                return
         pf.stats.issued += 1
-        self.taxonomy.on_issued(route[5])
-        latency = self._l2_access(core, addr, now, True)
+        tax.issued += 1
+        # ---- shared L2: bank occupancy (busy-until), then hit or miss ----
+        self._l2_access_count += 1
+        if not self._l2_access_count % _SAMPLE_EVERY:
+            self.compression_stats.record_sample(l2.resident_lines())
+        bank = addr % self._n_banks
+        start = self._bank_free[bank]
+        if start < now:
+            start = now
+        self._bank_free[bank] = start + _BANK_OCCUPANCY
+        bank_delay = start - now
         tracer = self.tracer
+        if tracer is not None:
+            tracer.span(tracer.bank_tid(bank), "busy", start, _BANK_OCCUPANCY)
+        if l2_hit:
+            latency = bank_delay + self._l2_hit_lat
+            line_compressed = l2.compressed and entry.segments < SEGMENTS_PER_LINE
+            if line_compressed:
+                latency += self._decompression_cycles
+                self.l2_stats.compressed_hits += 1
+            cp = self.compression_policy
+            if cp.enabled:
+                cp.on_hit(
+                    l2.stack_depth(addr), self.config.l2.uncompressed_assoc, line_compressed
+                )
+            wait = entry.fill_time - now
+            if wait > latency:
+                latency = wait
+            # The prefetch bit resets on the *first access* to the line —
+            # including an L1 prefetch consuming an L2-prefetched line
+            # (the L2 prefetch did provide the data the core later used).
+            if entry.prefetch_bit:
+                if wait > 0:
+                    self.l2_stats.partial_hits += 1
+                else:
+                    self.l2_stats.prefetch_hits += 1
+                self._pf2_stats.useful += 1
+                self.l2_adaptive.on_useful()
+                self._tax_l2.useful += 1
+                entry.prefetch_bit = False
+            entry.sharers |= 1 << core  # Directory.add_sharer, inlined
+            # CompressedSetCache.touch, inlined.
+            stack = l2._sets[addr % l2.n_sets].valid_stack
+            if stack[0] is not entry:
+                stack.remove(entry)
+                stack.insert(0, entry)
+            plru = l2._plru
+            if plru is not None:
+                si = addr % l2.n_sets
+                plru[si] = plru_touch(plru[si], entry.way, l2.tags_per_set)
+            if entry.owner not in (-1, core):
+                # Dirty intervention: the owning L1 supplies the data.
+                self._downgrade_owner(entry)
+                latency += _INTERVENTION_COST
+        else:
+            sb_hit = None
+            if self.stream_buffers is not None:
+                sb_hit = self._stream_buffer_hit(core, addr, now, bank_delay, False)
+            if sb_hit is None:
+                request_ready = now + bank_delay + self._l2_hit_lat
+                if mshr is not None:
+                    data_done, segments = self._fetch_line(core, addr, request_ready, False)
+                else:
+                    # _fetch_line's default model: request pins -> DRAM -> data pins.
+                    segments = self.values.segments_for(addr)
+                    cp = self.compression_policy
+                    if cp.enabled and not cp.should_compress():
+                        segments = SEGMENTS_PER_LINE  # store uncompressed this phase
+                    link = self.link
+                    data_done = link.send_data(
+                        dram.issue_prefetch(core, link.send_request(request_ready), addr),
+                        segments,
+                    )
+                latency = data_done - now
+            else:
+                latency, segments = sb_hit
+                data_done = now + latency
+            # The L2 fill: compression accounting, insert, evictions.
+            cstats = self.compression_stats
+            if segments < SEGMENTS_PER_LINE:
+                cstats.compressed_lines += 1
+            else:
+                cstats.uncompressed_lines += 1
+            cstats.segment_sum += segments
+            if self.attribution is not None:
+                self.attribution.on_l2_fill(addr, "l1_prefetch", segments)
+            # No L2 prefetch bit: the L1 copy's bit tracks this prefetch.
+            for ev in l2.insert(addr, segments, fill_time=data_done, sharers=1 << core):
+                self._handle_l2_eviction(ev, now, "prefetch_fill")
+            if sb_hit is None and self._pf_on:
+                for p in self.pf_l2[core].observe_miss(addr):
+                    self._issue_l2_prefetch(core, p, now)
+
         if tracer is not None:
             # Prefetch issue→fill window on the issuing core's track.
             tracer.span(
-                tracer.core_tid(core), "pf." + route[5], now,
-                route[4] + latency, ("addr", addr),
+                tracer.core_tid(core), "pf." + level, now, fill_lat + latency,
+                ("addr", addr),
             )
         # The prefetched fill pays its own L1's fill latency (L1I for
         # instruction-side prefetches, L1D for data-side ones).  Skip the
         # fill if a nested L2 prefetch evicted this line from the L2
         # again before the L1 could take it (see _demand_miss).
-        l2e = self.l2._map.get(addr)  # CompressedSetCache.probe, inlined
+        l2e = l2._map.get(addr)
         if l2e is not None and l2e.valid:
             att = self.attribution
             if att is not None:
-                att.on_l1_fill(route[5], core, addr, "prefetch")
-            ev = l1.insert(addr, MSIState.SHARED, False, True, now + route[4] + latency)
+                att.on_l1_fill(level, core, addr, "prefetch")
+            ev = l1.insert(addr, MSIState.SHARED, False, True, now + fill_lat + latency)
             if ev is not None:
-                self._handle_l1_eviction(
-                    core, ev, pf, route[2], route[5], now, "prefetch_fill"
-                )
+                self._handle_l1_eviction(core, ev, route, now, "prefetch_fill")
 
     def _issue_l2_prefetch(self, core: int, addr: int, now: float) -> None:
+        """One L2 prefetch, in one frame: the fetch, then an L2 fill with
+        the prefetch bit set, or a stream-buffer insert."""
         if addr < 0:
             return
-        pf_stats = self._pf2_stats
         l2e = self.l2._map.get(addr)  # CompressedSetCache.probe, inlined
         if l2e is not None and l2e.valid:
             return
-        if self.stream_buffers is not None and self.stream_buffers[core].contains(addr):
+        sbufs = self.stream_buffers
+        if sbufs is not None and sbufs[core].contains(addr):
             return
-        if not self._pf_fetch_gate(core, addr, now):
-            pf_stats.dropped += 1
-            return
-        pf_stats.issued += 1
-        self.taxonomy.on_issued("l2")
-        tracer = self.tracer
-        if self.stream_buffers is not None:
-            # Pollution-free placement: the line waits beside the cache.
-            bank_delay = self._bank_delay(addr, now)
-            data_done, segments = self._fetch_line(
-                core, addr, now + bank_delay + self.config.l2.hit_latency, False
-            )
-            self.stream_buffers[core].insert(addr, data_done, segments)
-            if tracer is not None:
-                tracer.span(
-                    tracer.core_tid(core), "pf.l2", now, data_done - now,
-                    ("addr", addr, "placement", "stream_buffer"),
-                )
-            return
-        latency = self._l2_access(core, addr, now, False)
-        if tracer is not None:
-            tracer.span(
-                tracer.core_tid(core), "pf.l2", now, latency, ("addr", addr)
-            )
-
-    # ------------------------------------------------------------------
-    # compression accounting
-    # ------------------------------------------------------------------
-
-    def note_line_compression(self, segments: int) -> None:
-        if segments < SEGMENTS_PER_LINE:
-            self.compression_stats.compressed_lines += 1
+        mshr = self.mshr
+        dram = self.dram
+        if mshr is None:
+            heap = dram._prefetch[core]  # DRAM.can_issue, inlined
+            while heap and heap[0] <= now:
+                heappop(heap)
+            gated = len(heap) >= dram.max_outstanding
         else:
-            self.compression_stats.uncompressed_lines += 1
-        self.compression_stats.segment_sum += segments
+            gated = not self._pf_fetch_gate(core, addr, now)
+        if gated:
+            self._pf2_stats.dropped += 1
+            return
+        self._pf2_stats.issued += 1
+        self._tax_l2.issued += 1
+        if sbufs is None:  # only a fill into the cache is an L2 access
+            self._l2_access_count += 1
+            if not self._l2_access_count % _SAMPLE_EVERY:
+                self.compression_stats.record_sample(self.l2.resident_lines())
+        # Bank occupancy (busy-until), for either placement.
+        bank = addr % self._n_banks
+        start = self._bank_free[bank]
+        if start < now:
+            start = now
+        self._bank_free[bank] = start + _BANK_OCCUPANCY
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.span(tracer.bank_tid(bank), "busy", start, _BANK_OCCUPANCY)
+        request_ready = now + (start - now) + self._l2_hit_lat  # the other legs' rounding
+        if mshr is not None:
+            data_done, segments = self._fetch_line(core, addr, request_ready, False)
+        else:
+            # _fetch_line's default model: request pins -> DRAM -> data pins.
+            segments = self.values.segments_for(addr)
+            cp = self.compression_policy
+            if cp.enabled and not cp.should_compress():
+                segments = SEGMENTS_PER_LINE  # store uncompressed this phase
+            link = self.link
+            data_done = link.send_data(
+                dram.issue_prefetch(core, link.send_request(request_ready), addr), segments
+            )
+        if sbufs is None:
+            cstats = self.compression_stats
+            if segments < SEGMENTS_PER_LINE:
+                cstats.compressed_lines += 1
+            else:
+                cstats.uncompressed_lines += 1
+            cstats.segment_sum += segments
+            if self.attribution is not None:
+                self.attribution.on_l2_fill(addr, "l2_prefetch", segments)
+            for ev in self.l2.insert(addr, segments, prefetch=True, fill_time=data_done):
+                self._handle_l2_eviction(ev, now, "prefetch_fill")
+        else:
+            # Pollution-free placement: the line waits beside the cache.
+            sbufs[core].insert(addr, data_done, segments)
+        if tracer is not None:
+            args = ("addr", addr) if sbufs is None else ("addr", addr, "placement", "stream_buffer")
+            tracer.span(tracer.core_tid(core), "pf.l2", now, data_done - now, args)

@@ -288,7 +288,11 @@ class CMPSystem:
                     "-", "snapshot does not match this system's core count"
                 )
             self._generators = cursors
-        # The auditor is bound to the (replaced) hierarchy; rebuild it.
+        # Derived state is rebuilt, not unpickled: route tuples, bound
+        # taxonomy counters, link message sizes and the auditor (bound to
+        # the replaced hierarchy).  Older snapshots may lack the first three.
+        self.hierarchy._rebuild_routes()
+        self.hierarchy.link.size_messages()
         if self.auditor is not None:
             self.auditor = _audit.Auditor(self.hierarchy, self.auditor.interval)
 

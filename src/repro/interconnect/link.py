@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.compression.link import MessageSizer
-from repro.params import LinkConfig
+from repro.params import SEGMENTS_PER_LINE, LinkConfig
 from repro.stats.counters import LinkStats
 
 
@@ -33,6 +33,20 @@ class PinLink:
         # Optional read-only event tracer (repro.obs.trace); one branch
         # per data message when disabled.
         self.tracer = None
+        self.size_messages()
+
+    def size_messages(self) -> None:
+        """Precompute message sizes; ``_data_sizes`` maps 1-8 segments to
+        ``(bytes, flits, payload bytes)``.  Derived state: a restored
+        snapshot rebuilds it."""
+        self._header = self.config.header_bytes
+        self._request_bytes = self.sizer.request_bytes()
+        self._equiv_bytes = self.sizer.uncompressed_equiv_bytes()
+        self._data_sizes = {s: self._data_size(s) for s in range(1, SEGMENTS_PER_LINE + 1)}
+
+    def _data_size(self, segments: int) -> Tuple[int, int, int]:
+        nbytes = self.sizer.data_bytes(segments)  # checks the segment range
+        return nbytes, nbytes // self._header, nbytes - self._header
 
     def reset_stats(self) -> None:
         self.stats = LinkStats()
@@ -49,30 +63,34 @@ class PinLink:
         requests never queue behind data responses still hundreds of
         cycles away in DRAM.
         """
-        nbytes = self.sizer.request_bytes()
-        self.stats.messages += 1
-        self.stats.flits += nbytes // self.config.header_bytes
-        self.stats.bytes_total += nbytes
-        self.stats.bytes_header += nbytes
+        nbytes = self._request_bytes
+        stats = self.stats
+        stats.messages += 1
+        stats.flits += nbytes // self._header
+        stats.bytes_total += nbytes
+        stats.bytes_header += nbytes
         return ready_time + self.REQUEST_TRANSIT
 
     def send_data(self, ready_time: float, segments: int) -> float:
         """Line-carrying message (fill response or writeback): occupies the
         data pins for its serialization time, queuing when busy."""
-        nbytes = self.sizer.data_bytes(segments)
-        self.stats.messages += 1
-        self.stats.data_messages += 1
-        self.stats.flits += nbytes // self.config.header_bytes
-        self.stats.bytes_total += nbytes
-        self.stats.bytes_data += nbytes - self.config.header_bytes
-        self.stats.bytes_header += self.config.header_bytes
-        self.stats.uncompressed_equiv_bytes += self.sizer.uncompressed_equiv_bytes()
+        nbytes, flits, payload = self._data_sizes.get(segments) or self._data_size(segments)
+        stats = self.stats
+        stats.messages += 1
+        stats.data_messages += 1
+        stats.flits += flits
+        stats.bytes_total += nbytes
+        stats.bytes_data += payload
+        stats.bytes_header += self._header
+        stats.uncompressed_equiv_bytes += self._equiv_bytes
         if self.bytes_per_cycle is None:
             return ready_time
-        start = max(ready_time, self.free_time)
+        start = self.free_time
+        if start < ready_time:
+            start = ready_time
         duration = nbytes / self.bytes_per_cycle
         self.free_time = start + duration
-        self.stats.queue_cycles += start - ready_time
+        stats.queue_cycles += start - ready_time
         if self.tracer is not None:
             # Busy-until serialization means spans never overlap, so the
             # link track can use paired B/E duration events.

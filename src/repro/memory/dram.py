@@ -67,13 +67,15 @@ class DRAM:
 
         Returns the completion time (data available at the pins).
         """
-        heap = self._prune(self._demand[core], ready_time)
+        heap = self._demand[core]
+        while heap and heap[0] <= ready_time:  # _prune, inlined
+            heapq.heappop(heap)
         start = ready_time
         if len(heap) >= self.max_outstanding:
             start = heap[0]  # wait for the oldest outstanding request
             self.stalled_issues += 1
             self._prune(heap, start)
-        completion = start + self._access_latency(addr)
+        completion = start + (self._access_latency(addr) if self.row_buffer else self.latency)
         heapq.heappush(heap, completion)
         self.demand_requests += 1
         if self.tracer is not None:
@@ -85,7 +87,7 @@ class DRAM:
 
     def issue_prefetch(self, core: int, ready_time: float, addr: int = 0) -> float:
         """Issue a prefetch fetch; caller must have checked :meth:`can_issue`."""
-        completion = ready_time + self._access_latency(addr)
+        completion = ready_time + (self._access_latency(addr) if self.row_buffer else self.latency)
         heapq.heappush(self._prefetch[core], completion)
         self.prefetch_requests += 1
         if self.tracer is not None:

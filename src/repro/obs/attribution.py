@@ -350,7 +350,7 @@ class AttributionTracker(AttributionLedger):
 
     def on_l2_fill(self, addr: int, inserter: str, segments: int) -> None:
         """Tag a freshly filled L2 line.  ``segments`` is the pre-clamp
-        compressed size (as passed to ``note_line_compression``); storage
+        compressed size (as counted in ``CompressionStats``); storage
         is only actually compressed when the cache is."""
         self._seen.add(addr)
         self._l2_lines[addr] = [inserter, False]

@@ -231,7 +231,7 @@ class ValueModel:
                 segments = self._segments_fn(heap.line_words(line_addr))
                 self._heap_segments[line_addr] = segments
             return segments
-        return self._segments[self._index(line_addr)]
+        return self._segments[(line_addr * 2654435761 >> 7) % self.pool_size]  # _index, inlined
 
     def line_words(self, line_addr: int) -> List[int]:
         heap = self.heap

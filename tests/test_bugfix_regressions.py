@@ -35,7 +35,7 @@ class TestInclusionFallbackWritebackTiming:
         addr = 0x9999  # never inserted into the L2
         assert h.l2.probe(addr) is None
         ev = Eviction(addr=addr, dirty=True, prefetch_untouched=False)
-        h._handle_l1_eviction(0, ev, h.pf_l1d[0], h.l1d_stats, "l1d", now)
+        h._handle_l1_eviction(0, ev, h._route_d[0], now)
         assert h.l1d_stats.writebacks == 1
         # The data message starts serializing at `now`, so the link is
         # busy *after* it; with the bug it was busy in the distant past.
@@ -45,7 +45,7 @@ class TestInclusionFallbackWritebackTiming:
         h = make_hierarchy()
         h.link.free_time = 70_000.0
         ev = Eviction(addr=0x9999, dirty=True, prefetch_untouched=False)
-        h._handle_l1_eviction(0, ev, h.pf_l1d[0], h.l1d_stats, "l1d", 50_000.0)
+        h._handle_l1_eviction(0, ev, h._route_d[0], 50_000.0)
         assert h.link.free_time > 70_000.0
 
 
@@ -57,8 +57,8 @@ class TestPartialHitCountsUseful:
     def test_l1_partial_hit_increments_useful(self):
         h = make_hierarchy(prefetch=True)
         addr = 0x140
-        l2_lat = h._l2_access(0, addr, 0.0, True)
-        h.l1d[0].insert(addr, MSIState.SHARED, False, True, fill_time=l2_lat + 50.0)
+        h.l2.insert(addr, 8, sharers=1)  # resident in the L2, core 0 sharing
+        h.l1d[0].insert(addr, MSIState.SHARED, False, True, fill_time=50.0)
         before_useful = h.pf_stats["l1d"].useful
         latency, pure_hit = h.access(0, 1, addr, now=0.0)  # LOAD
         # A partial hit: the line is found but the core waits out the

@@ -119,6 +119,43 @@ class TestPhasedIdentity:
         resumed = run_replay()
         assert result_fingerprint(resumed) == result_fingerprint(expected)
 
+    def test_restore_rebuilds_derived_state(self, snap_env, monkeypatch):
+        """Route tuples, bound taxonomy counters and precomputed link
+        sizes are derived state: a snapshot that lacks them (one written
+        by an older layout) must still resume to the uninterrupted
+        result."""
+        from repro.params import LinkConfig, PrefetchConfig
+
+        cfg = make_tiny_system(
+            prefetch=PrefetchConfig(enabled=True), link=LinkConfig(compressed=True)
+        )
+        monkeypatch.setenv(snap.ENV_INTERVAL, str(INTERVAL))
+        _, expected = _run(cfg)
+        monkeypatch.setenv(snap.ENV_DEADLINE, "0")
+        _run(cfg)
+        monkeypatch.delenv(snap.ENV_DEADLINE)
+
+        hierarchy_fields = ("_route_i", "_route_d", "_pf2_stats", "_tax_l2", "_l2_miss_hist")
+        link_fields = ("_header", "_request_bytes", "_equiv_bytes", "_data_sizes")
+        load_latest = snap.SnapshotManager.load_latest
+        stripped = []
+
+        def load_stripped(manager):
+            loaded = load_latest(manager)
+            if loaded is not None:
+                h = loaded[1]["hierarchy"]
+                for obj, fields in ((h, hierarchy_fields), (h.link, link_fields)):
+                    for name in fields:
+                        delattr(obj, name)
+                        stripped.append(name)
+            return loaded
+
+        monkeypatch.setattr(snap.SnapshotManager, "load_latest", load_stripped)
+        system, resumed = _run(cfg)
+        assert system.resumed_from_phase == 1
+        assert len(stripped) == 9
+        assert result_fingerprint(resumed) == result_fingerprint(expected)
+
     def test_property_registered(self):
         from repro.verify.properties import ALL_PROPERTIES
 
