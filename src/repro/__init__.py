@@ -21,43 +21,40 @@ Quickstart::
     print(result.summary())
 """
 
-from repro.params import (
-    CacheConfig,
-    L2Config,
-    LinkConfig,
-    MemoryConfig,
-    PrefetchConfig,
-    SystemConfig,
-)
-from repro.core import (
-    CMPSystem,
-    CONFIG_FEATURES,
-    DiskCache,
-    InteractionBreakdown,
-    MissClassification,
-    ParallelRunner,
-    PointError,
-    PrefetcherReport,
-    SimulationResult,
-    classify_misses,
-    clear_cache,
-    interaction_coefficient,
-    make_config,
-    run_matrix,
-    run_point,
-    run_seeds,
-    simulate,
-    speedup,
-)
-from repro.workloads import WORKLOADS, WorkloadSpec, get_spec
-from repro.stats import ConfidenceInterval, mean_ci
-from repro.trace import TracePack, record_trace
-from repro.report import Table, bar_chart, results_to_csv, results_to_json
-from repro.obs import AuditViolation, Auditor, Violation, audit_hierarchy
-from repro.core.bottleneck import CycleBreakdown, analyze
-from repro.core.sweep import Sweep, SweepResults
-from repro.core.validate import validate_hierarchy
-from repro.workloads.custom import WorkloadBuilder, derive, register
+from repro._lazy import lazy_exports
+
+lazy_exports(globals(), {
+    "repro.params": (
+        "CacheConfig", "L2Config", "LinkConfig", "MemoryConfig",
+        "PrefetchConfig", "SystemConfig", "CONFIG_FEATURES", "make_config",
+    ),
+    "repro.core.system": ("CMPSystem",),
+    "repro.core.experiment": (
+        "clear_cache", "run_matrix", "run_point", "run_seeds",
+    ),
+    "repro.core.diskcache": ("DiskCache",),
+    "repro.core.interaction": (
+        "InteractionBreakdown", "interaction_coefficient", "speedup",
+    ),
+    "repro.core.missclass": ("MissClassification", "classify_misses"),
+    "repro.core.runner": ("ParallelRunner", "PointError"),
+    "repro.core.results": ("PrefetcherReport", "SimulationResult"),
+    "repro.core.simulator": ("simulate",),
+    "repro.workloads.registry": ("WORKLOADS", "get_spec"),
+    "repro.workloads.base": ("WorkloadSpec",),
+    "repro.stats.confidence": ("ConfidenceInterval", "mean_ci"),
+    "repro.trace.io": ("TracePack", "record_trace"),
+    "repro.report.tables": ("Table",),
+    "repro.report.charts": ("bar_chart",),
+    "repro.report.export": ("results_to_csv", "results_to_json"),
+    "repro.obs.audit": (
+        "AuditViolation", "Auditor", "Violation", "audit_hierarchy",
+    ),
+    "repro.core.bottleneck": ("CycleBreakdown", "analyze"),
+    "repro.core.sweep": ("Sweep", "SweepResults"),
+    "repro.core.validate": ("validate_hierarchy",),
+    "repro.workloads.custom": ("WorkloadBuilder", "derive", "register"),
+})
 
 __version__ = "1.0.0"
 

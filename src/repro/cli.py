@@ -37,21 +37,13 @@ from typing import List, Optional
 
 from repro import settings
 from repro.core import durable
-from repro.core.experiment import (
-    CONFIG_FEATURES,
-    completed,
-    make_config,
-    run_point,
-    run_points,
-)
+from repro.core.experiment import completed, run_point, run_points
 from repro.core.interaction import InteractionBreakdown
 from repro.core.results import SimulationResult
 from repro.core.runner import PointSpec
-from repro.core.system import CMPSystem
-from repro.obs.attribution import AttributionLedger
-from repro.report.export import result_to_dict, results_to_csv, results_to_json
+from repro.params import CONFIG_FEATURES, config_features, make_config
+from repro.report.export import results_to_csv, results_to_json
 from repro.report.tables import Table
-from repro.trace.io import TracePack, record_trace
 from repro.workloads.registry import all_names, get_spec
 
 
@@ -159,6 +151,15 @@ def _workloads(args) -> List[str]:
     return workloads
 
 
+def _configs(args) -> List[str]:
+    """The ``--configs`` list; an unknown key is an operator error
+    before any point runs or any journal is written."""
+    keys = args.configs.split(",")
+    for key in keys:
+        config_features(key)
+    return keys
+
+
 def _run_points(points: List[PointSpec]) -> List[SimulationResult]:
     """Run a command's points, on ``REPRO_JOBS`` workers when it is set."""
     return completed(run_points(points, jobs=settings.get("REPRO_JOBS")))
@@ -183,7 +184,7 @@ def cmd_sweep(args) -> int:
     from repro.core.sweep import Sweep
 
     workloads = _workloads(args)
-    keys = args.configs.split(",")
+    keys = _configs(args)
     coords = [(w, k) for w in workloads for k in keys]
     # Live progress on stderr when it is a terminal; --quiet suppresses.
     progress = None
@@ -360,6 +361,8 @@ def cmd_matrix(args) -> int:
 
 def cmd_why(args) -> int:
     """Run one point with causal attribution on; print the why table."""
+    from repro.obs.attribution import AttributionLedger
+
     (workload, config), kwargs = _point(
         args.workload, args.config, args, attribution=True
     )
@@ -410,6 +413,8 @@ def cmd_figure8(args) -> int:
             # per-event ledgers of the single-policy runs): prefetching's
             # avoided misses against useful prefetches, compression's
             # against demand hits beyond the uncompressed stack depth.
+            from repro.obs.attribution import AttributionLedger
+
             pref = AttributionLedger.from_extra(runs["pref"].extra)
             compr = AttributionLedger.from_extra(runs["compr"].extra)
             measured_p = pref.pf_useful / cls.base_misses
@@ -430,6 +435,8 @@ def cmd_figure8(args) -> int:
 
 
 def cmd_record(args) -> int:
+    from repro.trace.io import record_trace
+
     cfg = make_config("base", n_cores=args.cores, scale=args.scale)
     pack = record_trace(
         args.workload,
@@ -446,6 +453,9 @@ def cmd_record(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    from repro.core.system import CMPSystem
+    from repro.trace.io import TracePack
+
     _apply_snapshot_args(args)
     pack = TracePack.load(args.path, skip_bad_records=args.skip_bad_records)
     if pack.skipped_records:
@@ -473,6 +483,7 @@ def cmd_replay(args) -> int:
 
 def cmd_audit(args) -> int:
     """Run one point with invariant auditing forced on and report."""
+    from repro.core.system import CMPSystem
     from repro.obs.audit import AuditViolation
     from repro.report.export import result_fingerprint
 
@@ -555,6 +566,7 @@ def cmd_telemetry(args) -> int:
 
 def cmd_trace(args) -> int:
     """Run one point with event tracing on; export Perfetto/Chrome JSON."""
+    from repro.core.system import CMPSystem
     from repro.obs.trace import validate_trace
 
     cfg = make_config(args.config, **_machine(args))
@@ -582,6 +594,7 @@ def cmd_trace(args) -> int:
 
 def cmd_metrics(args) -> int:
     """Run one point with interval metrics on; export and chart the series."""
+    from repro.core.system import CMPSystem
     from repro.report.charts import timeseries_chart
 
     cfg = make_config(args.config, **_machine(args))
@@ -649,6 +662,7 @@ def cmd_profile(args) -> int:
 
 def cmd_verify(args) -> int:
     """Differentially verify one point against the functional oracle."""
+    from repro.core.system import CMPSystem
     from repro.verify.oracle import OracleMismatch, verify_system
     from repro.verify.properties import ALL_PROPERTIES, PropertyViolation
 
@@ -746,6 +760,8 @@ def cmd_bench(args) -> int:
     """
     import json
     import time
+
+    from repro.core.system import CMPSystem
 
     if args.quick:
         events, warmup, reps = 1_500, 1_500, 1
@@ -1049,8 +1065,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         # Predictable operator errors (bad names, malformed overrides,
         # unreadable/unwritable paths) get one readable line, not a
-        # traceback; genuine bugs still surface loudly.
-        print(f"error: {exc}", file=sys.stderr)
+        # traceback; genuine bugs still surface loudly.  str(KeyError)
+        # is the repr of its message, so print the message itself.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

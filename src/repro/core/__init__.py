@@ -1,28 +1,26 @@
 """The paper's primary contribution: system assembly, experiments, analysis."""
 
-from repro.core.system import CMPSystem
-from repro.core.simulator import simulate
-from repro.core.results import SimulationResult, PrefetcherReport
-from repro.core.interaction import (
-    InteractionBreakdown,
-    interaction_coefficient,
-    speedup,
-)
-from repro.core.missclass import MissClassification, classify_misses
-from repro.core.experiment import (
-    CONFIG_FEATURES,
-    clear_cache,
-    make_config,
-    run_matrix,
-    run_point,
-    run_seeds,
-)
-from repro.core.checkpoint import SweepJournal
-from repro.core.diskcache import DiskCache
-from repro.core.runner import ParallelRunner, PointError
-from repro.core.sweep import Sweep, SweepResults
-from repro.core.bottleneck import CycleBreakdown, analyze
-from repro.core.validate import validate_hierarchy
+from repro._lazy import lazy_exports
+
+lazy_exports(globals(), {
+    "repro.core.system": ("CMPSystem",),
+    "repro.core.simulator": ("simulate",),
+    "repro.core.results": ("SimulationResult", "PrefetcherReport"),
+    "repro.core.interaction": (
+        "InteractionBreakdown", "interaction_coefficient", "speedup",
+    ),
+    "repro.core.missclass": ("MissClassification", "classify_misses"),
+    "repro.core.experiment": (
+        "clear_cache", "run_matrix", "run_point", "run_seeds",
+    ),
+    "repro.params": ("CONFIG_FEATURES", "make_config"),
+    "repro.core.checkpoint": ("SweepJournal",),
+    "repro.core.diskcache": ("DiskCache",),
+    "repro.core.runner": ("ParallelRunner", "PointError"),
+    "repro.core.sweep": ("Sweep", "SweepResults"),
+    "repro.core.bottleneck": ("CycleBreakdown", "analyze"),
+    "repro.core.validate": ("validate_hierarchy",),
+})
 
 __all__ = [
     "CMPSystem",

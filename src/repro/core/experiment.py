@@ -1,7 +1,9 @@
-"""Experiment harness: the paper's feature matrix, env knobs, run caching.
+"""Experiment harness: run caching and the multi-point fan-out.
 
 The paper's evaluation sweeps eight workloads across feature
-combinations; every bench in ``benchmarks/`` builds on the helpers here.
+combinations (:data:`~repro.params.CONFIG_FEATURES`, built by
+:func:`~repro.params.make_config`; both are re-exported here); every
+bench in ``benchmarks/`` builds on the helpers here.
 Runs are cached at two levels: a bounded in-process memo (most figures
 share configurations — Figure 9 and Table 5, for example, reuse the
 same four runs) backed by the persistent disk cache
@@ -32,49 +34,14 @@ from repro.core.runner import (
     _notify,
     point_name,
 )
-from repro.core.system import CMPSystem, observer_settings
 from repro import settings
 from repro.obs import telemetry as _telemetry
-from repro.params import SystemConfig
-
-#: The paper's feature combinations, by short name.
-CONFIG_FEATURES: Dict[str, Dict[str, bool]] = {
-    "base": dict(cache_compression=False, link_compression=False, prefetching=False, adaptive=False),
-    "pref": dict(cache_compression=False, link_compression=False, prefetching=True, adaptive=False),
-    "adaptive": dict(cache_compression=False, link_compression=False, prefetching=True, adaptive=True),
-    "cache_compr": dict(cache_compression=True, link_compression=False, prefetching=False, adaptive=False),
-    "link_compr": dict(cache_compression=False, link_compression=True, prefetching=False, adaptive=False),
-    "compr": dict(cache_compression=True, link_compression=True, prefetching=False, adaptive=False),
-    "pref_compr": dict(cache_compression=True, link_compression=True, prefetching=True, adaptive=False),
-    "adaptive_compr": dict(cache_compression=True, link_compression=True, prefetching=True, adaptive=True),
-}
+from repro.params import CONFIG_FEATURES, SystemConfig, make_config  # noqa: F401
 
 
 def _default_warmup() -> int:
     """``REPRO_WARMUP``, falling back to ``REPRO_EVENTS``."""
     return settings.get("REPRO_WARMUP", settings.get("REPRO_EVENTS"))
-
-
-def make_config(
-    key: str,
-    *,
-    n_cores: int = 8,
-    scale: Optional[int] = None,
-    bandwidth_gbs: Optional[float] = 20.0,
-    infinite_bandwidth: bool = False,
-) -> SystemConfig:
-    """Build the Table 1 system with one of the paper's feature combos.
-
-    ``infinite_bandwidth`` selects the paper's bandwidth-*demand*
-    measurement configuration (Figures 4 and 7).
-    """
-    if key not in CONFIG_FEATURES:
-        raise KeyError(f"unknown config {key!r}; choose from {', '.join(CONFIG_FEATURES)}")
-    cfg = SystemConfig(n_cores=n_cores)
-    cfg = cfg.scaled(scale if scale is not None else settings.get("REPRO_SCALE"))
-    bw = None if infinite_bandwidth else bandwidth_gbs
-    cfg = replace(cfg, link=replace(cfg.link, bandwidth_gbs=bw))
-    return cfg.with_features(**CONFIG_FEATURES[key])
 
 
 # In-process memo: a bounded LRU (plain dict in recency order) so long
@@ -128,7 +95,7 @@ def _bind(
     events = events if events is not None else settings.get("REPRO_EVENTS")
     warmup = warmup if warmup is not None else _default_warmup()
     key = None
-    if use_cache and not any(observer_settings(config).values()):
+    if use_cache and not any(settings.observers(config).values()):
         key = diskcache.point_key(config, workload, seed, events, warmup)
     return name or config.describe(), config, events, warmup, key
 
@@ -188,6 +155,10 @@ def run_point(
                 result = replace(result, config_name=name)
             _emit_point(workload, name, seed, source, key, t0)
             return result
+    # Imported here, so a process served from the caches never loads
+    # the simulator.
+    from repro.core.system import CMPSystem
+
     system = CMPSystem(config, workload, seed=seed)
     result = system.run(
         events, warmup_events=warmup, config_name=name,

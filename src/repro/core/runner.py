@@ -43,8 +43,6 @@ import traceback
 import warnings
 import zlib
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -321,6 +319,10 @@ class ParallelRunner:
         so each in-flight future's submission time approximates its run
         start — which is what makes per-point timeouts enforceable on a
         plain ``ProcessPoolExecutor``."""
+        # Imported here: a serial run never loads multiprocessing.
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         total = len(points)
         workers = min(self.jobs, total)
         timeout = settings.get("REPRO_POINT_TIMEOUT")

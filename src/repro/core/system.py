@@ -12,33 +12,23 @@ import heapq
 import os
 import sys
 import time
-from typing import List, Optional, Union
+from typing import TYPE_CHECKING, List, Optional, Union
 
 from repro import settings
-from repro.core import snapshot as _snapshot
 from repro.core.hierarchy import MemoryHierarchy
 from repro.core.results import SimulationResult
 from repro.cpu.core import CoreTimingModel
-from repro.obs import attribution as _attribution
-from repro.obs import audit as _audit
-from repro.obs import metrics as _metrics
 from repro.obs import telemetry as _telemetry
-from repro.obs import trace as _trace
 from repro.params import SystemConfig
 from repro.workloads.base import TraceGenerator, WorkloadSpec
 from repro.workloads.linked import HeapModel
 from repro.workloads.registry import get_spec
 from repro.workloads.values import ValueModel
 
-
-def observer_settings(config: SystemConfig) -> dict:
-    """Each observer's effective setting for ``config``: its ``REPRO_*``
-    knob overrides the config field (audit, trace, metrics, attribution,
-    in that order)."""
-    return {
-        name: settings.override("REPRO_" + name.upper(), getattr(config, name))
-        for name in ("audit", "trace", "metrics", "attribution")
-    }
+if TYPE_CHECKING:
+    from repro.obs.audit import Auditor
+    from repro.obs.metrics import IntervalSampler
+    from repro.obs.trace import Tracer
 
 
 class CMPSystem:
@@ -106,43 +96,46 @@ class CMPSystem:
         #: set by the snapshot-resume path, read by run_point telemetry.
         self.resumed_from_phase: Optional[int] = None
         # A path value also names the file the run writes when it completes.
-        observers = observer_settings(config)
+        # Each observer's module is imported only when it is on.
+        observers = settings.observers(config)
         audit = observers.pop("audit")
         trace, metrics, attribution = observers.values()
         self._outputs = {k: v for k, v in observers.items() if isinstance(v, str)}
         # Opt-in invariant auditing (repro.obs.audit).  When off, the hot
         # loop's only extra cost is one falsy-int test per event.
-        self.auditor: Optional[_audit.Auditor] = (
-            _audit.Auditor(
+        self.auditor: Optional[Auditor] = None
+        if audit:
+            from repro.obs.audit import Auditor
+
+            self.auditor = Auditor(
                 self.hierarchy,
                 settings.override("REPRO_AUDIT_INTERVAL", config.audit_interval),
             )
-            if audit
-            else None
-        )
         # Opt-in observability (repro.obs.trace / repro.obs.metrics).
         # Both layers are strictly read-only — results are bit-identical
         # with them on or off — and when off each instrumentation site
         # costs one ``is not None`` branch.
-        self.tracer: Optional[_trace.Tracer] = None
+        self.tracer: Optional[Tracer] = None
         if trace:
-            self.tracer = _trace.Tracer(config.n_cores, config.l2.n_banks)
+            from repro.obs.trace import Tracer
+
+            self.tracer = Tracer(config.n_cores, config.l2.n_banks)
             self.hierarchy.attach_tracer(self.tracer)
             for core in self.cores:
                 core.tracer = self.tracer
-        self.sampler: Optional[_metrics.IntervalSampler] = (
-            _metrics.IntervalSampler(
+        self.sampler: Optional[IntervalSampler] = None
+        if metrics:
+            from repro.obs.metrics import IntervalSampler
+
+            self.sampler = IntervalSampler(
                 settings.override("REPRO_METRICS_INTERVAL", config.metrics_interval)
             )
-            if metrics
-            else None
-        )
         # Opt-in causal attribution (repro.obs.attribution).  Read-only
         # like trace/metrics.
         if attribution:
-            self.hierarchy.attach_attribution(
-                _attribution.AttributionTracker(config)
-            )
+            from repro.obs.attribution import AttributionTracker
+
+            self.hierarchy.attach_attribution(AttributionTracker(config))
 
     # ------------------------------------------------------------------
 
@@ -173,8 +166,8 @@ class CMPSystem:
             raise ValueError("events_per_core must be positive")
         if warmup_events is None:
             warmup_events = events_per_core // 2
-        interval = settings.get(_snapshot.ENV_INTERVAL)
-        resume_requested = bool(settings.get(_snapshot.ENV_RESUME))
+        interval = settings.get("REPRO_SNAPSHOT_INTERVAL")
+        resume_requested = bool(settings.get("REPRO_RESUME_SNAPSHOT"))
         want_resume = resume_snapshot is True or (
             resume_snapshot is None and (interval > 0 or resume_requested)
         )
@@ -269,6 +262,8 @@ class CMPSystem:
     def _restore_state(self, state: dict) -> None:
         """Swap in a snapshot's simulator state (inverse of
         :func:`repro.core.snapshot.capture_state`)."""
+        from repro.core import snapshot as _snapshot
+
         self.hierarchy = state["hierarchy"]
         self.cores = state["cores"]
         self.values = state["values"]
@@ -294,7 +289,9 @@ class CMPSystem:
         self.hierarchy._rebuild_routes()
         self.hierarchy.link.size_messages()
         if self.auditor is not None:
-            self.auditor = _audit.Auditor(self.hierarchy, self.auditor.interval)
+            from repro.obs.audit import Auditor
+
+            self.auditor = Auditor(self.hierarchy, self.auditor.interval)
 
     def _run_phased(
         self,
@@ -305,6 +302,9 @@ class CMPSystem:
         want_resume: bool,
         explicit: bool,
     ) -> SimulationResult:
+        # Imported here: a run without snapshots never loads pickle.
+        from repro.core import snapshot as _snapshot
+
         if self.tracer is not None or self.sampler is not None:
             raise ValueError(
                 "snapshots do not support event tracing or interval metrics; "
@@ -448,7 +448,7 @@ class CMPSystem:
             else:
                 cmd = "<your original command>"
             print(
-                f"resume with:\n  {_snapshot.ENV_RESUME}=1 {cmd}",
+                f"resume with:\n  REPRO_RESUME_SNAPSHOT=1 {cmd}",
                 file=sys.stderr,
             )
         else:

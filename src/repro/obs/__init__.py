@@ -14,20 +14,19 @@ goes, and ``repro.obs.progress`` renders live sweep progress.  All are
 opt-in and, when off, cost (nearly) nothing on the hot path.
 """
 
-from repro.obs.audit import (
-    AuditViolation,
-    Auditor,
-    Violation,
-    audit_hierarchy,
-)
-from repro.obs import telemetry
-from repro.obs.metrics import (
-    IntervalSampler,
-    MetricsRegistry,
-    default_registry,
-)
-from repro.obs.progress import SweepProgress, default_progress
-from repro.obs.trace import Tracer, validate_trace
+from repro._lazy import lazy_exports
+
+lazy_exports(globals(), {
+    "repro.obs.audit": (
+        "AuditViolation", "Auditor", "Violation", "audit_hierarchy",
+    ),
+    "repro.obs.telemetry": ("telemetry",),
+    "repro.obs.metrics": (
+        "IntervalSampler", "MetricsRegistry", "default_registry",
+    ),
+    "repro.obs.progress": ("SweepProgress", "default_progress"),
+    "repro.obs.trace": ("Tracer", "validate_trace"),
+})
 
 __all__ = [
     "AuditViolation",

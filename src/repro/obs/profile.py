@@ -165,8 +165,8 @@ def profile_point(
     (statistical, cheap).  The returned events/sec includes the
     profiler's own overhead — compare like with like.
     """
-    from repro.core.experiment import make_config
     from repro.core.system import CMPSystem
+    from repro.params import make_config
 
     if engine not in ("cprofile", "sampler"):
         raise ValueError(f"unknown profile engine {engine!r}")

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field, replace
-from typing import ClassVar, Optional
+from typing import ClassVar, Dict, Optional
+
+from repro import settings
 
 LINE_BYTES = 64
 SEGMENT_BYTES = 8
@@ -350,3 +352,45 @@ def config_from_dict(data: dict) -> SystemConfig:
         metrics_interval=data.get("metrics_interval", 5000),
         attribution=data.get("attribution", False),
     )
+
+
+#: The paper's feature combinations, by short name.
+CONFIG_FEATURES: Dict[str, Dict[str, bool]] = {
+    "base": dict(cache_compression=False, link_compression=False, prefetching=False, adaptive=False),
+    "pref": dict(cache_compression=False, link_compression=False, prefetching=True, adaptive=False),
+    "adaptive": dict(cache_compression=False, link_compression=False, prefetching=True, adaptive=True),
+    "cache_compr": dict(cache_compression=True, link_compression=False, prefetching=False, adaptive=False),
+    "link_compr": dict(cache_compression=False, link_compression=True, prefetching=False, adaptive=False),
+    "compr": dict(cache_compression=True, link_compression=True, prefetching=False, adaptive=False),
+    "pref_compr": dict(cache_compression=True, link_compression=True, prefetching=True, adaptive=False),
+    "adaptive_compr": dict(cache_compression=True, link_compression=True, prefetching=True, adaptive=True),
+}
+
+
+def config_features(key: str) -> Dict[str, bool]:
+    """The feature switches of the combination named ``key``; an unknown
+    key raises ``KeyError``."""
+    if key not in CONFIG_FEATURES:
+        raise KeyError(f"unknown config {key!r}; choose from {', '.join(CONFIG_FEATURES)}")
+    return CONFIG_FEATURES[key]
+
+
+def make_config(
+    key: str,
+    *,
+    n_cores: int = 8,
+    scale: Optional[int] = None,
+    bandwidth_gbs: Optional[float] = 20.0,
+    infinite_bandwidth: bool = False,
+) -> SystemConfig:
+    """Build the Table 1 system with one of the paper's feature combos.
+
+    ``infinite_bandwidth`` selects the paper's bandwidth-*demand*
+    measurement configuration (Figures 4 and 7).
+    """
+    features = config_features(key)
+    cfg = SystemConfig(n_cores=n_cores)
+    cfg = cfg.scaled(scale if scale is not None else settings.get("REPRO_SCALE"))
+    bw = None if infinite_bandwidth else bandwidth_gbs
+    cfg = replace(cfg, link=replace(cfg.link, bandwidth_gbs=bw))
+    return cfg.with_features(**features)

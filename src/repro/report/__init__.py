@@ -1,8 +1,12 @@
 """Result presentation: aligned tables, ASCII bar charts, CSV/JSON export."""
 
-from repro.report.tables import Table
-from repro.report.charts import bar_chart, grouped_bar_chart
-from repro.report.export import result_to_dict, results_to_csv, results_to_json
+from repro._lazy import lazy_exports
+
+lazy_exports(globals(), {
+    "repro.report.tables": ("Table",),
+    "repro.report.charts": ("bar_chart", "grouped_bar_chart"),
+    "repro.report.export": ("result_to_dict", "results_to_csv", "results_to_json"),
+})
 
 __all__ = [
     "Table",

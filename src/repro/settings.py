@@ -196,6 +196,16 @@ def override(name: str, config_value: Any) -> Any:
     return config_value if value is None else value
 
 
+def observers(config: Any) -> Dict[str, Any]:
+    """Each observer's effective setting for a ``SystemConfig``: its
+    ``REPRO_*`` knob overrides the config field (audit, trace, metrics,
+    attribution, in that order)."""
+    return {
+        name: override("REPRO_" + name.upper(), getattr(config, name))
+        for name in ("audit", "trace", "metrics", "attribution")
+    }
+
+
 def check() -> None:
     """Validate every knob; raise on the first malformed one."""
     for name in TABLE:

@@ -17,9 +17,19 @@ from ``repro.core.validate``:
   shrinks failures and persists a crash corpus (``repro fuzz``).
 """
 
-from repro.verify.invariants import (  # noqa: F401
-    ALL_CHECKS,
-    InvariantViolation,
-    validate_hierarchy,
-)
-from repro.verify.oracle import OracleMismatch, verify_system  # noqa: F401
+from repro._lazy import lazy_exports
+
+lazy_exports(globals(), {
+    "repro.verify.invariants": (
+        "ALL_CHECKS", "InvariantViolation", "validate_hierarchy",
+    ),
+    "repro.verify.oracle": ("OracleMismatch", "verify_system"),
+})
+
+__all__ = [
+    "ALL_CHECKS",
+    "InvariantViolation",
+    "validate_hierarchy",
+    "OracleMismatch",
+    "verify_system",
+]

@@ -85,3 +85,36 @@ class TestArgparseRejections:
             main(list(argv))
         assert excinfo.value.code == 2
         assert "usage" in capsys.readouterr().err.lower()
+
+
+class TestUnknownSweepNames:
+    """``repro sweep`` rejects an unknown ``--configs`` key the way it
+    rejects an unknown ``--workloads`` name: exit 2, one stderr line,
+    before any journal is written."""
+
+    SIZING = ("--events", "50", "--warmup", "50", "--scale", "32", "--cores", "1",
+              "--quiet")
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--configs", "base,nosuch", "error: unknown config 'nosuch'; choose from base,"),
+            ("--workloads", "nosuch", "error: unknown workload 'nosuch'; choose from "),
+        ],
+    )
+    def test_exit_2_one_line_no_journal(self, capsys, monkeypatch, tmp_path,
+                                        flag, value, message):
+        journals = tmp_path / "sweeps"
+        monkeypatch.setenv("REPRO_SWEEP_DIR", str(journals))
+        code, out, err = run_cli(capsys, "sweep", flag, value, *self.SIZING)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(message), err
+        assert not journals.exists()
+
+    def test_explicit_journal_path_is_not_created(self, capsys, tmp_path):
+        journal = tmp_path / "sweep.jsonl"
+        code, _, _ = run_cli(capsys, "sweep", "--configs", "nosuch",
+                             "--journal", str(journal), *self.SIZING)
+        assert code == 2
+        assert not journal.exists()

@@ -1,0 +1,74 @@
+"""What a process imports: a plain point and a disk-cache hit load only
+the modules they use (package exports resolve on first access).
+
+Each case runs in a fresh interpreter with every ``REPRO_*`` knob
+cleared, so neither this test session's imports nor its environment
+can leak in.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+#: Never loaded by an observers-off point.
+PLAIN_POINT_NEVER_LOADS = (
+    "multiprocessing",
+    "concurrent.futures",
+    "repro.verify.oracle",
+    "repro.verify.tap",
+    "repro.obs.audit",
+    "repro.obs.trace",
+    "repro.obs.metrics",
+    "repro.obs.attribution",
+    "repro.report.charts",
+    "repro.trace.io",
+)
+
+POINT = dict(n_cores=2, scale=32, events=200, warmup=100)
+
+
+def run_fresh(code: str, **env_extra: str) -> dict:
+    """Run ``code`` in a fresh interpreter; it prints one JSON line."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.update(env_extra)
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_plain_point_loads_no_pool_oracle_observer_or_writer():
+    loaded = run_fresh(f"""
+        import json, sys
+        from repro import CMPSystem, make_config
+        config = make_config("pref_compr", n_cores={POINT['n_cores']},
+                             scale={POINT['scale']})
+        CMPSystem(config, "zeus", seed=0).run({POINT['events']},
+                                              warmup_events={POINT['warmup']})
+        names = {PLAIN_POINT_NEVER_LOADS!r}
+        print(json.dumps([name for name in names if name in sys.modules]))
+    """)
+    assert loaded == []
+
+
+def test_disk_cache_hit_loads_no_simulator(tmp_path):
+    code = f"""
+        import json, sys
+        from repro import run_point
+        from repro.core.experiment import last_point_source
+        run_point("zeus", "base", **{POINT!r})
+        print(json.dumps([last_point_source(), "repro.core.hierarchy" in sys.modules]))
+    """
+    cache = dict(REPRO_CACHE_DIR=str(tmp_path / "cache"))
+    assert run_fresh(code, **cache) == ["sim", True]
+    assert run_fresh(code, **cache) == ["disk", False]

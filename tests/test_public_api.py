@@ -7,6 +7,7 @@ and DESIGN.md's experiment index points at bench files that exist.
 
 from __future__ import annotations
 
+import importlib
 import re
 from pathlib import Path
 
@@ -16,11 +17,28 @@ import repro
 
 REPO = Path(repro.__file__).resolve().parents[2]
 
+#: Packages whose public names resolve lazily, on first access.
+LAZY_PACKAGES = ("repro", "repro.core", "repro.obs", "repro.verify", "repro.report")
+
 
 class TestPublicAPI:
-    def test_all_names_resolve(self):
-        for name in repro.__all__:
-            assert getattr(repro, name, None) is not None, name
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_all_names_resolve(self, package):
+        pkg = importlib.import_module(package)
+        for name in pkg.__all__:
+            assert getattr(pkg, name, None) is not None, name
+        assert not hasattr(pkg, "no_such_export")
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_export_table_matches_all(self, package):
+        pkg = importlib.import_module(package)
+        # __version__ is the one public name a package binds itself.
+        assert set(pkg._EXPORTS) == set(pkg.__all__) - {"__version__"}
+        assert len(set(pkg.__all__)) == len(pkg.__all__)
+        assert set(pkg.__all__) <= set(dir(pkg))
+        namespace: dict = {}
+        exec(f"from {package} import *", namespace)
+        assert set(pkg.__all__) <= set(namespace)
 
     def test_version_is_semver(self):
         assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
