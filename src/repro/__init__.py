@@ -52,7 +52,6 @@ lazy_exports(globals(), {
     ),
     "repro.core.bottleneck": ("CycleBreakdown", "analyze"),
     "repro.core.sweep": ("Sweep", "SweepResults"),
-    "repro.core.validate": ("validate_hierarchy",),
     "repro.workloads.custom": ("WorkloadBuilder", "derive", "register"),
 })
 
@@ -102,7 +101,6 @@ __all__ = [
     "analyze",
     "Sweep",
     "SweepResults",
-    "validate_hierarchy",
     "WorkloadBuilder",
     "derive",
     "register",

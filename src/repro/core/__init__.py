@@ -19,7 +19,6 @@ lazy_exports(globals(), {
     "repro.core.runner": ("ParallelRunner", "PointError"),
     "repro.core.sweep": ("Sweep", "SweepResults"),
     "repro.core.bottleneck": ("CycleBreakdown", "analyze"),
-    "repro.core.validate": ("validate_hierarchy",),
 })
 
 __all__ = [
@@ -46,5 +45,4 @@ __all__ = [
     "SweepResults",
     "CycleBreakdown",
     "analyze",
-    "validate_hierarchy",
 ]

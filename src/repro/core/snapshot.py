@@ -9,7 +9,7 @@ bit-identically (kill-and-resume equals run-to-completion on
 ``result_fingerprint``).
 
 A snapshot is a sealed file of :mod:`repro.core.durable` (magic
-``RPSN``, format version 2): the meta block holds the run identity and
+``RPSN``, format version 3): the meta block holds the run identity and
 progress counters, the payload the pickled state dict, which is
 unpickled only after its checksum verifies.  A bad snapshot is
 quarantined and restore falls back to the previous phase snapshot (or
@@ -42,7 +42,9 @@ from repro.obs import telemetry as _telemetry
 SNAPSHOT_MAGIC = b"RPSN"
 #: Version 2: workload cursors moved to ``repro.workloads.base`` and
 #: carry one chunk of event tuples; version-1 payloads cannot unpickle.
-SNAPSHOT_VERSION = 2
+#: Version 3: cores lost their ``tracer`` slot; version-2 payloads
+#: cannot unpickle.
+SNAPSHOT_VERSION = 3
 
 ENV_INTERVAL = "REPRO_SNAPSHOT_INTERVAL"
 ENV_DIR = "REPRO_SNAPSHOT_DIR"

@@ -95,6 +95,8 @@ class CMPSystem:
         #: Phase number this run was restored from (None = clean start);
         #: set by the snapshot-resume path, read by run_point telemetry.
         self.resumed_from_phase: Optional[int] = None
+        #: Wall seconds of the last completed run's two segments.
+        self.warmup_wall_s = self.measure_wall_s = 0.0
         # A path value also names the file the run writes when it completes.
         # Each observer's module is imported only when it is on.
         observers = settings.observers(config)
@@ -121,8 +123,6 @@ class CMPSystem:
 
             self.tracer = Tracer(config.n_cores, config.l2.n_banks)
             self.hierarchy.attach_tracer(self.tracer)
-            for core in self.cores:
-                core.tracer = self.tracer
         self.sampler: Optional[IntervalSampler] = None
         if metrics:
             from repro.obs.metrics import IntervalSampler
@@ -152,9 +152,10 @@ class CMPSystem:
         resources see causally-ordered contention, mirroring how GEMS
         interleaves processors at cycle granularity.
 
-        When ``REPRO_SNAPSHOT_INTERVAL`` is set the run proceeds in
-        phases of that many events per core, snapshotting the complete
-        simulator state at every phase boundary
+        Warmup and measurement are each walked in phases.  By default a
+        segment is one phase.  When ``REPRO_SNAPSHOT_INTERVAL`` is set
+        a phase is that many events per core, and the complete simulator
+        state is snapshotted at every phase boundary
         (:mod:`repro.core.snapshot`); a matching snapshot left behind by
         an interrupted run is resumed automatically (``resume_snapshot``
         forces or forbids the attempt).  Phase boundaries also check the
@@ -166,26 +167,62 @@ class CMPSystem:
             raise ValueError("events_per_core must be positive")
         if warmup_events is None:
             warmup_events = events_per_core // 2
+        name = config_name or self.config.describe()
         interval = settings.get("REPRO_SNAPSHOT_INTERVAL")
         resume_requested = bool(settings.get("REPRO_RESUME_SNAPSHOT"))
         want_resume = resume_snapshot is True or (
             resume_snapshot is None and (interval > 0 or resume_requested)
         )
+        warmup_done = measure_done = phase = 0
+        manager = guard = None
         if interval > 0 or want_resume:
-            return self._run_phased(
-                events_per_core, warmup_events, config_name, interval,
-                want_resume,
-                explicit=resume_snapshot is True or resume_requested,
-            )
-        return self._run_plain(events_per_core, warmup_events, config_name)
+            # A resumed trace or series would silently lack its pre-kill half.
+            if self.tracer is not None or self.sampler is not None:
+                raise ValueError(
+                    "snapshots do not support event tracing or interval metrics; "
+                    "unset REPRO_SNAPSHOT_INTERVAL for traced runs"
+                )
+            # Imported here: a run without snapshots never loads pickle.
+            from repro.core import snapshot as _snapshot
 
-    def _run_plain(
-        self,
-        events_per_core: int,
-        warmup_events: int,
-        config_name: Optional[str],
-    ) -> SimulationResult:
-        t0 = time.perf_counter()
+            manager = _snapshot.SnapshotManager(_snapshot.run_key(
+                self.config, self.spec.name, self.seed, events_per_core, warmup_events
+            ))
+            restored = manager.load_latest() if want_resume else None
+            if restored is not None:
+                meta, state = restored
+                self._restore_state(state)
+                warmup_done = int(meta["warmup_done"])
+                measure_done = int(meta["measure_done"])
+                phase = int(meta["phase"])
+                # The phase length is part of the run's identity: the
+                # resumed half must hit the same boundaries as the
+                # uninterrupted run, or the results would diverge.
+                interval = int(meta["interval"])
+                self.resumed_from_phase = phase
+            elif want_resume and (resume_snapshot is True or resume_requested):
+                print("no matching snapshot found; starting clean", file=sys.stderr)
+            guard = _snapshot.ResourceGuard()
+
+        def boundary() -> Optional[SimulationResult]:
+            """Checkpoint, then check the guard: a partial result on a breach."""
+            path = manager.save(self, {
+                "phase": phase,
+                "warmup_done": warmup_done,
+                "measure_done": measure_done,
+                "interval": interval,
+                "workload": self.spec.name,
+                "seed": self.seed,
+                "config_name": name,
+                "events_per_core": events_per_core,
+                "warmup_events": warmup_events,
+                "trace": self._trace is not None,
+            })
+            breach = guard.breach()
+            if breach is None:
+                return None
+            return self._truncated_result(name, warmup_done, measure_done, breach, path)
+
         tracer = self.tracer
         gc_threshold = None
         if tracer is not None:
@@ -197,31 +234,63 @@ class CMPSystem:
             # so deferring collection is safe; restored below.
             gc_threshold = gc.get_threshold()
             gc.set_threshold(100_000, gc_threshold[1], gc_threshold[2])
-            tracer.instant(
-                tracer.control_tid, "phase.warmup",
-                max(core.time for core in self.cores),
-            )
+        t0 = time.perf_counter()
         try:
-            if warmup_events:
-                self._run_events(warmup_events)
+            self._mark("phase.warmup")
+            if warmup_events == 0 and phase == 0:
+                self.reset_stats()
+            while warmup_done < warmup_events:
+                step = min(warmup_events - warmup_done, interval or warmup_events)
+                self._run_events(step)
+                warmup_done += step
+                phase += 1
+                if warmup_done == warmup_events:
+                    # Reset *before* the boundary snapshot, so any snapshot
+                    # with warmup complete is post-reset and the resume
+                    # path never needs to re-reset.
+                    self.reset_stats()
+                if manager is not None and (partial := boundary()) is not None:
+                    return partial
             t1 = time.perf_counter()
-            self.reset_stats()
-            if tracer is not None:
-                tracer.instant(
-                    tracer.control_tid, "phase.measure",
-                    max(core.time for core in self.cores),
-                )
-            self._run_events(events_per_core)
+            self._mark("phase.measure")
+            while measure_done < events_per_core:
+                step = min(events_per_core - measure_done, interval or events_per_core)
+                self._run_events(step)
+                measure_done += step
+                phase += 1
+                # The last boundary needs no snapshot: the run is complete.
+                if (measure_done < events_per_core and manager is not None
+                        and (partial := boundary()) is not None):
+                    return partial
         finally:
             if gc_threshold is not None:
                 gc.set_threshold(*gc_threshold)
         t2 = time.perf_counter()
-        result = self.collect(config_name or self.config.describe(), events_per_core)
-        self._emit_simulate(
-            t0, t1, t2, events_per_core, warmup_events,
-            trace_events=len(tracer.events) if tracer is not None else 0,
-            metrics_samples=self.sampler.samples if self.sampler is not None else 0,
-        )
+        self.warmup_wall_s, self.measure_wall_s = t1 - t0, t2 - t1
+        result = self.collect(name, events_per_core)
+        if manager is not None:
+            manager.discard()
+        if _telemetry.enabled():
+            measured = events_per_core * self.config.n_cores
+            _telemetry.emit(
+                "simulate",
+                workload=self.spec.name,
+                config=self.config.describe(),
+                seed=self.seed,
+                events=measured,
+                warmup_events=warmup_events * self.config.n_cores,
+                warmup_wall_s=t1 - t0,
+                measure_wall_s=t2 - t1,
+                wall_s=t2 - t0,
+                events_per_sec=measured / (t2 - t1) if t2 > t1 else 0.0,
+                audit_checks=self.auditor.checks_run if self.auditor is not None else 0,
+                attribution=self.hierarchy.attribution is not None,
+                settings=settings.from_env(),
+                trace_events=len(tracer.events) if tracer is not None else 0,
+                metrics_samples=self.sampler.samples if self.sampler is not None else 0,
+                phases=phase,
+                resumed_phase=self.resumed_from_phase,
+            )
         if "trace" in self._outputs:
             tracer.write(self._outputs["trace"])
         if "metrics" in self._outputs:
@@ -230,32 +299,13 @@ class CMPSystem:
             self.hierarchy.attribution.write(self._outputs["attribution"])
         return result
 
-    def _emit_simulate(
-        self, t0: float, t1: float, t2: float, events_per_core: int,
-        warmup_events: int, **extra,
-    ) -> None:
-        """The ``simulate`` telemetry record of a finished run: warmup
-        from ``t0`` to ``t1``, measurement from ``t1`` to ``t2``."""
-        if not _telemetry.enabled():
-            return
-        measured = events_per_core * self.config.n_cores
-        measure_wall = t2 - t1
-        _telemetry.emit(
-            "simulate",
-            workload=self.spec.name,
-            config=self.config.describe(),
-            seed=self.seed,
-            events=measured,
-            warmup_events=warmup_events * self.config.n_cores,
-            warmup_wall_s=t1 - t0,
-            measure_wall_s=measure_wall,
-            wall_s=t2 - t0,
-            events_per_sec=(measured / measure_wall) if measure_wall > 0 else 0.0,
-            audit_checks=self.auditor.checks_run if self.auditor is not None else 0,
-            attribution=self.hierarchy.attribution is not None,
-            settings=settings.from_env(),
-            **extra,
-        )
+    def _mark(self, name: str) -> None:
+        """A ``phase.*`` instant on the trace's control track."""
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.instant(
+                tracer.control_tid, name, max(core.time for core in self.cores)
+            )
 
     # -- crash-safe phased execution (repro.core.snapshot) -----------------
 
@@ -292,117 +342,6 @@ class CMPSystem:
             from repro.obs.audit import Auditor
 
             self.auditor = Auditor(self.hierarchy, self.auditor.interval)
-
-    def _run_phased(
-        self,
-        events_per_core: int,
-        warmup_events: int,
-        config_name: Optional[str],
-        interval: int,
-        want_resume: bool,
-        explicit: bool,
-    ) -> SimulationResult:
-        # Imported here: a run without snapshots never loads pickle.
-        from repro.core import snapshot as _snapshot
-
-        if self.tracer is not None or self.sampler is not None:
-            raise ValueError(
-                "snapshots do not support event tracing or interval metrics; "
-                "unset REPRO_SNAPSHOT_INTERVAL for traced runs"
-            )
-        name = config_name or self.config.describe()
-        key = _snapshot.run_key(
-            self.config, self.spec.name, self.seed, events_per_core, warmup_events
-        )
-        manager = _snapshot.SnapshotManager(key)
-        warmup_done = 0
-        measure_done = 0
-        phase = 0
-        restored = None
-        if want_resume:
-            restored = manager.load_latest()
-            if restored is not None:
-                meta, state = restored
-                self._restore_state(state)
-                warmup_done = int(meta["warmup_done"])
-                measure_done = int(meta["measure_done"])
-                phase = int(meta["phase"])
-                # The phase length is part of the run's identity: the
-                # resumed half must hit the same boundaries as the
-                # uninterrupted run, or the results would diverge.
-                interval = int(meta["interval"])
-                self.resumed_from_phase = phase
-            elif explicit:
-                print(
-                    "no matching snapshot found; starting clean",
-                    file=sys.stderr,
-                )
-        guard = _snapshot.ResourceGuard()
-        t0 = time.perf_counter()
-
-        def checkpoint() -> Optional[str]:
-            return manager.save(self, {
-                "phase": phase,
-                "warmup_done": warmup_done,
-                "measure_done": measure_done,
-                "interval": interval,
-                "workload": self.spec.name,
-                "seed": self.seed,
-                "config_name": name,
-                "events_per_core": events_per_core,
-                "warmup_events": warmup_events,
-                "trace": self._trace is not None,
-            })
-
-        if warmup_events == 0 and measure_done == 0 and phase == 0:
-            # The plain path resets stats unconditionally before the
-            # measurement segment; mirror that for zero-warmup runs.
-            self.reset_stats()
-        while warmup_done < warmup_events:
-            step = warmup_events - warmup_done
-            if interval > 0:
-                step = min(step, interval)
-            self._run_events(step)
-            warmup_done += step
-            if warmup_done >= warmup_events:
-                # Reset *before* the boundary snapshot, so any snapshot
-                # with warmup_done == warmup_events is post-reset and the
-                # resume path never needs to re-reset.
-                self.reset_stats()
-            phase += 1
-            path = checkpoint()
-            breach = guard.breach()
-            if breach is not None:
-                return self._truncated_result(
-                    name, warmup_done, measure_done, breach, path
-                )
-        t1 = time.perf_counter()
-        while measure_done < events_per_core:
-            step = events_per_core - measure_done
-            if interval > 0:
-                step = min(step, interval)
-            self._run_events(step)
-            measure_done += step
-            phase += 1
-            if measure_done >= events_per_core:
-                break  # complete: collect below, then drop the snapshots
-            path = checkpoint()
-            breach = guard.breach()
-            if breach is not None:
-                return self._truncated_result(
-                    name, warmup_done, measure_done, breach, path
-                )
-        t2 = time.perf_counter()
-        result = self.collect(name, events_per_core)
-        manager.discard()
-        self._emit_simulate(
-            t0, t1, t2, events_per_core, warmup_events,
-            trace_events=0, metrics_samples=0,
-            phases=phase, resumed_phase=self.resumed_from_phase,
-        )
-        if "attribution" in self._outputs:
-            self.hierarchy.attribution.write(self._outputs["attribution"])
-        return result
 
     def _truncated_result(
         self,

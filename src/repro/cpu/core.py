@@ -25,7 +25,6 @@ class CoreTimingModel:
         "time",
         "start_time",
         "stats",
-        "tracer",
     )
 
     def __init__(
@@ -52,10 +51,6 @@ class CoreTimingModel:
         self.time = 0.0
         self.start_time = 0.0  # measurement epoch (set after warmup)
         self.stats = CoreStats()
-        # Optional read-only event tracer (repro.obs.trace).  The inlined
-        # event loop charges stalls itself, so this only fires on the
-        # non-inlined path (validation / direct use of the model).
-        self.tracer = None
 
     def advance_compute(self, instructions: int) -> None:
         self.time += instructions * self.cpi_base
@@ -67,10 +62,6 @@ class CoreTimingModel:
         if l1_hit or latency <= 0:
             return
         stall = max(0.0, latency - self.hide_cycles) * (1.0 - self.tolerance)
-        if self.tracer is not None and stall > 0.0:
-            self.tracer.span(
-                self.tracer.core_tid(self.core_id), "stall", self.time, stall
-            )
         self.time += stall
         self.stats.memory_stall_cycles += stall
         self.stats.cycles = self.time - self.start_time

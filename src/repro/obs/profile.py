@@ -23,7 +23,6 @@ import cProfile
 import pstats
 import sys
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -161,9 +160,12 @@ def profile_point(
 ) -> ProfileReport:
     """Run one (workload, config) point under a profiler.
 
-    ``engine`` is ``"cprofile"`` (exact, ~2x slower) or ``"sampler"``
-    (statistical, cheap).  The returned events/sec includes the
-    profiler's own overhead — compare like with like.
+    The point runs through :meth:`CMPSystem.run`, so ambient observer
+    outputs (``REPRO_TRACE`` and friends), telemetry and snapshot
+    settings apply as they do to ``repro run``.  ``engine`` is
+    ``"cprofile"`` (exact, ~2x slower) or ``"sampler"`` (statistical,
+    cheap).  The returned events/sec includes the profiler's own
+    overhead — compare like with like.
     """
     from repro.core.system import CMPSystem
     from repro.params import make_config
@@ -175,35 +177,23 @@ def profile_point(
     system = CMPSystem(config, workload, seed=seed)
     total_events = (events + warmup) * n_cores
 
-    t0 = time.perf_counter()
     if engine == "cprofile":
         profiler = cProfile.Profile()
-        profiler.enable()
-        if warmup:
-            system._run_events(warmup)
-        t1 = time.perf_counter()
-        system.reset_stats()
-        system._run_events(events)
-        profiler.disable()
-        t2 = time.perf_counter()
+        profiler.runcall(system.run, events, warmup_events=warmup, config_name=key)
         components = _components_from_pstats(pstats.Stats(profiler))
     else:
         with StackSampler() as sampler:
-            if warmup:
-                system._run_events(warmup)
-            t1 = time.perf_counter()
-            system.reset_stats()
-            system._run_events(events)
-        t2 = time.perf_counter()
-        components = sampler.components(t2 - t0)
-    wall = t2 - t0
+            system.run(events, warmup_events=warmup, config_name=key)
+    wall = system.warmup_wall_s + system.measure_wall_s
+    if engine == "sampler":
+        components = sampler.components(wall)
     return ProfileReport(
         workload=workload,
         config=key,
         engine=engine,
         events=total_events,
-        warmup_wall_s=t1 - t0,
-        measure_wall_s=t2 - t1,
+        warmup_wall_s=system.warmup_wall_s,
+        measure_wall_s=system.measure_wall_s,
         events_per_sec=total_events / wall if wall > 0 else 0.0,
         components=components,
     )

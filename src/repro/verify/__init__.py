@@ -1,7 +1,8 @@
 """Differential verification subsystem.
 
-Three pillars, layered on top of the invariant checks that moved here
-from ``repro.core.validate``:
+Four pillars on top of the invariant auditor
+(:func:`repro.obs.audit.audit_hierarchy`), which checks one live
+hierarchy:
 
 * :mod:`repro.verify.oracle` — an independent, timing-free functional
   reference hierarchy replayed against a recorded op stream
@@ -20,16 +21,10 @@ from ``repro.core.validate``:
 from repro._lazy import lazy_exports
 
 lazy_exports(globals(), {
-    "repro.verify.invariants": (
-        "ALL_CHECKS", "InvariantViolation", "validate_hierarchy",
-    ),
     "repro.verify.oracle": ("OracleMismatch", "verify_system"),
 })
 
 __all__ = [
-    "ALL_CHECKS",
-    "InvariantViolation",
-    "validate_hierarchy",
     "OracleMismatch",
     "verify_system",
 ]

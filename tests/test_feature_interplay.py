@@ -104,12 +104,12 @@ class TestPrefetcherCombos:
         )
         r = run(c, "zeus")
         assert r.elapsed_cycles > 0
-        from repro.core.validate import validate_hierarchy
+        from repro.obs.audit import audit_hierarchy
 
         # The kitchen sink still satisfies every structural invariant.
         system = CMPSystem(c, "zeus", seed=1)
         system.run(800, warmup_events=200)
-        assert validate_hierarchy(system.hierarchy) == []
+        assert audit_hierarchy(system.hierarchy) == []
 
 
 class TestSeedVariability:

@@ -29,6 +29,8 @@ PLAIN_POINT_NEVER_LOADS = (
     "repro.obs.attribution",
     "repro.report.charts",
     "repro.trace.io",
+    "repro.core.snapshot",
+    "pickle",
 )
 
 POINT = dict(n_cores=2, scale=32, events=200, warmup=100)

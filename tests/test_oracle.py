@@ -9,8 +9,8 @@ import pytest
 
 from repro.core.experiment import make_config
 from repro.core.system import CMPSystem
+from repro.obs.audit import audit_hierarchy
 from repro.prefetch.adaptive import AdaptiveController
-from repro.verify.invariants import validate_hierarchy
 from repro.verify.oracle import OracleMismatch, ReferenceHierarchy, verify_system
 from repro.verify.tap import OpTap
 from repro.workloads.base import LOAD, STORE
@@ -204,7 +204,7 @@ class TestInclusionGuardRegression:
         l1e = h.l1d[0].probe(addr)
         assert l1e is None or not l1e.valid  # fill skipped, not stale
         assert h.l2.probe(addr) is None or not h.l2.probe(addr).valid
-        assert validate_hierarchy(h) == []
+        assert audit_hierarchy(h) == []
 
     def test_store_miss_variant(self):
         system = self._tiny_system()
@@ -212,7 +212,7 @@ class TestInclusionGuardRegression:
         addr = 0x2000
         h.pf_l2[0] = _BurstPrefetcher(h.pf_l2[0], [addr + 2, addr + 4, addr + 6], "miss")
         h.access(0, STORE, addr, 0.0)
-        assert validate_hierarchy(h) == []
+        assert audit_hierarchy(h) == []
 
 
 class TestStoreHitAliasRegression:
@@ -250,4 +250,4 @@ class TestStoreHitAliasRegression:
         for frame in h.l1d[0]._map.values():
             if frame.valid and frame.addr != addr:
                 assert not (frame.dirty and frame.addr in (addr + 2, addr + 4, addr + 6))
-        assert validate_hierarchy(h) == []
+        assert audit_hierarchy(h) == []

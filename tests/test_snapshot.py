@@ -349,6 +349,32 @@ class TestRobustnessFallbacks:
         assert [p.name for p in quarantined] == [old.name]
 
 
+
+class TestObserversRefused:
+    """A resumed trace or metrics series would silently lack its
+    pre-kill half, so a snapshotted run refuses both observers."""
+
+    @pytest.mark.parametrize("observer", ["trace", "metrics"])
+    def test_snapshot_run_refuses_observer(self, snap_env, monkeypatch, observer):
+        monkeypatch.setenv(snap.ENV_INTERVAL, str(INTERVAL))
+        system = CMPSystem(make_tiny_system(**{observer: True}), "oltp", seed=3)
+        with pytest.raises(ValueError, match="snapshots do not support"):
+            system.run(EVENTS, warmup_events=WARMUP)
+        assert not list(snap_env.glob("*.rpsn"))
+
+    def test_cli_trace_exits_2(self, snap_env, monkeypatch, tmp_path, capsys):
+        from repro.cli import main
+
+        monkeypatch.setenv(snap.ENV_INTERVAL, str(INTERVAL))
+        out = tmp_path / "t.json"
+        rc = main(["trace", "zeus", "-o", str(out), "--events", "300",
+                   "--scale", "16", "--cores", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: snapshots do not support")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 class TestKillAndResumeCLI:
     """kill -9 mid-phase (the snapkill fault fires os._exit right after
     a snapshot is durable) and resume via ``repro run --resume-snapshot``:

@@ -405,6 +405,28 @@ def test_cli_profile_command(tmp_path, capsys, monkeypatch):
     assert "events/s" in capsys.readouterr().out
 
 
+
+@pytest.mark.parametrize("engine", ["cprofile", "sampler"])
+def test_cli_profile_honours_ambient_observers(tmp_path, capsys, monkeypatch, engine):
+    """`repro profile` runs the point through CMPSystem.run: an ambient
+    REPRO_TRACE path is written and one simulate record is logged."""
+    from repro.cli import main
+    from repro.obs import telemetry
+
+    monkeypatch.chdir(tmp_path)
+    trace = tmp_path / "t.json"
+    sink = tmp_path / "runs.jsonl"
+    monkeypatch.setenv("REPRO_TRACE", str(trace))
+    monkeypatch.setenv("REPRO_TELEMETRY", str(sink))
+    rc = main(["profile", "zeus", "base", "--engine", engine,
+               "--events", "400", "--scale", "16", "--cores", "2"])
+    assert rc == 0
+    assert f"events/s under {engine}" in capsys.readouterr().out
+    assert validate_trace(json.loads(trace.read_text())) == []
+    telemetry.close_sinks()
+    sims = [r for r in telemetry.read_records(str(sink)) if r["kind"] == "simulate"]
+    assert len(sims) == 1
+
 def test_cli_sweep_quiet_flag(tmp_path, monkeypatch, capsys):
     from repro.cli import main
 

@@ -1,4 +1,5 @@
-"""Tests for the hierarchy invariant validator."""
+"""The hierarchy invariant checker (:func:`repro.obs.audit.audit_hierarchy`)
+after stress runs and against deliberately corrupted state."""
 
 from __future__ import annotations
 
@@ -7,15 +8,8 @@ import random
 import pytest
 
 from repro.core.system import CMPSystem
-from repro.core.validate import (
-    InvariantViolation,
-    check_directory,
-    check_inclusion,
-    check_segments,
-    check_single_writer,
-    validate_hierarchy,
-)
-from repro.params import CacheConfig, L2Config, PrefetchConfig, SystemConfig
+from repro.obs.audit import AuditViolation, audit_hierarchy
+from repro.params import CacheConfig, L2Config, SystemConfig
 
 
 def make_system(**features) -> CMPSystem:
@@ -28,6 +22,11 @@ def make_system(**features) -> CMPSystem:
     if features:
         cfg = cfg.with_features(**features)
     return CMPSystem(cfg, "oltp", seed=0)
+
+
+def invariants(h) -> set:
+    """Names of every broken invariant, without raising."""
+    return {v.invariant for v in audit_hierarchy(h, raise_on_violation=False)}
 
 
 class TestCleanRuns:
@@ -44,7 +43,7 @@ class TestCleanRuns:
     def test_invariants_hold_after_stress(self, features):
         system = make_system(**features)
         system.run(2500, warmup_events=500)
-        assert validate_hierarchy(system.hierarchy) == []
+        assert audit_hierarchy(system.hierarchy) == []
 
     def test_invariants_hold_under_random_workload_mix(self):
         rng = random.Random(0)
@@ -61,7 +60,7 @@ class TestCleanRuns:
                 seed=seed,
             )
             system.run(1200, warmup_events=300)
-            assert validate_hierarchy(system.hierarchy) == []
+            assert audit_hierarchy(system.hierarchy) == []
 
 
 class TestDetection:
@@ -77,10 +76,9 @@ class TestDetection:
         entry = h.l2._map[addr]
         cset.valid_stack.remove(entry)
         h.l2._retire(cset, entry)
-        problems = check_inclusion(h)
-        assert any("inclusion" in p for p in problems)
-        with pytest.raises(InvariantViolation):
-            validate_hierarchy(h)
+        assert "inclusion.l1_line_not_in_l2" in invariants(h)
+        with pytest.raises(AuditViolation):
+            audit_hierarchy(h)
 
     def test_directory_bit_without_copy_detected(self):
         system = make_system()
@@ -88,8 +86,7 @@ class TestDetection:
         h = system.hierarchy
         addr = next(a for a, e in h.l2._map.items() if e.valid and e.sharers == 0)
         h.l2._map[addr].sharers = 0b11  # phantom sharers
-        problems = check_directory(h)
-        assert any("without a copy" in p for p in problems)
+        assert "directory.stale_sharer_bit" in invariants(h)
 
     def test_double_writer_detected(self):
         system = make_system()
@@ -98,8 +95,8 @@ class TestDetection:
 
         h.access(0, 2, 0x100, 0.0)  # STORE -> Modified in core 0
         h.l1d[1].insert(0x100, state=MSIState.MODIFIED)  # illegal twin
-        problems = check_single_writer(h)
-        assert any("single-writer" in p for p in problems)
+        found = invariants(h)
+        assert {"directory.owner_mismatch", "directory.missing_sharer_bit"} <= found
 
     def test_segment_corruption_detected(self):
         system = make_system(cache_compression=True)
@@ -107,8 +104,7 @@ class TestDetection:
         h = system.hierarchy
         cset = next(s for s in h.l2._sets if s.valid_stack)
         cset.used_segments += 1
-        problems = check_segments(h)
-        assert any("segments" in p for p in problems)
+        assert "l2.used_segments" in invariants(h)
 
     def test_raise_on_failure_flag(self):
         system = make_system()
@@ -116,4 +112,4 @@ class TestDetection:
         h = system.hierarchy
         addr = next(a for a, e in h.l2._map.items() if e.valid)
         h.l2._map[addr].sharers = 0b11
-        assert validate_hierarchy(h, raise_on_failure=False)
+        assert audit_hierarchy(h, raise_on_violation=False)
