@@ -24,7 +24,7 @@ tags serve purely as victim tags (Section 5.4).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cache.line import MSIState, TagEntry
 from repro.cache.lru import touch
@@ -34,15 +34,34 @@ from repro.params import L2Config, SEGMENTS_PER_LINE
 
 
 class _Set:
-    __slots__ = ("valid_stack", "victim_stack", "used_segments")
+    """One set's tags: the valid stack, the victim stack and ``fresh``.
+
+    ``fresh`` counts the ways never claimed yet; they stand for the
+    address-less tail ``TagEntry(0) .. TagEntry(fresh - 1)`` of the
+    victim stack, built only when :meth:`CompressedSetCache.insert`
+    claims one.  Retired tags go to the front of the victim stack and
+    claims take its tail, so fresh ways are always claimed first, way
+    ``fresh - 1`` down to 0, exactly as if they were built tags at the
+    stack's tail.
+    """
+
+    __slots__ = ("valid_stack", "victim_stack", "used_segments", "fresh")
 
     def __init__(self, tags: int) -> None:
         self.valid_stack: List[TagEntry] = []  # MRU first
         # Most-recently-evicted first; entries here are invalid tags whose
         # ``addr`` is the victim address.  Each tag keeps the fixed way it
         # was built in (tree-PLRU victim selection needs it).
-        self.victim_stack: List[TagEntry] = [TagEntry(way) for way in range(tags)]
+        self.victim_stack: List[TagEntry] = []
         self.used_segments = 0
+        self.fresh = tags
+
+    def victim_tags(self) -> List[Tuple[int, int]]:
+        """``(addr, way)`` of every invalid tag in victim-stack order,
+        fresh ways last with address -1."""
+        return [(e.addr, e.way) for e in self.victim_stack] + [
+            (-1, way) for way in range(self.fresh)
+        ]
 
 
 class CompressedSetCache:
@@ -129,7 +148,8 @@ class CompressedSetCache:
 
     def free_victim_tags(self, line_addr: int) -> int:
         """How many victim tags the set currently has (8 - live lines)."""
-        return len(self._sets[self.set_index(line_addr)].victim_stack)
+        cset = self._sets[self.set_index(line_addr)]
+        return len(cset.victim_stack) + cset.fresh
 
     # -- modification ------------------------------------------------------
 
@@ -159,14 +179,21 @@ class CompressedSetCache:
         cset = self._sets[line_addr % self.n_sets]
         plru = self._plru
         evictions: List[Eviction] = []
-        while cset.used_segments + segments > self.total_segments or not cset.victim_stack:
+        while (cset.used_segments + segments > self.total_segments
+               or not (cset.victim_stack or cset.fresh)):
             if plru is None:
                 evictions.append(self._evict_lru(cset))
             else:
                 evictions.append(self._evict_plru(cset, line_addr % self.n_sets))
 
-        # Claim the *oldest* victim tag so fresher victim addresses survive.
-        entry = cset.victim_stack.pop()
+        if cset.fresh:
+            # Never-claimed ways sit at the victim stack's tail: build one.
+            cset.fresh -= 1
+            entry = object.__new__(TagEntry)
+            entry.way = cset.fresh
+        else:
+            # Claim the *oldest* victim tag so fresher victim addresses survive.
+            entry = cset.victim_stack.pop()
         entry.addr = line_addr
         entry.valid = True
         entry.state = state
@@ -239,8 +266,8 @@ class CompressedSetCache:
         healthy).  Checked: the per-set segment budget (never more than
         ``data_segments_per_set`` segments packed), ``used_segments``
         bookkeeping vs. the resident lines, tag conservation (valid +
-        victim tags == ``tags_per_set``), segment-count ranges (exactly 8
-        when uncompressed), set-index placement, ``_map`` and
+        victim + fresh tags == ``tags_per_set``), segment-count ranges
+        (exactly 8 when uncompressed), set-index placement, ``_map`` and
         ``_valid_count`` agreement, and duplicate tags.  Used by
         :mod:`repro.obs.audit`.
         """
@@ -248,12 +275,13 @@ class CompressedSetCache:
         total_valid = 0
         valid_addrs = set()
         for index, cset in enumerate(self._sets):
-            if len(cset.valid_stack) + len(cset.victim_stack) != self.tags_per_set:
+            victims = len(cset.victim_stack) + cset.fresh
+            if len(cset.valid_stack) + victims != self.tags_per_set:
                 problems.append((
                     "l2.tag_conservation",
                     "valid + victim tags != tags_per_set",
                     {"set": index, "valid": len(cset.valid_stack),
-                     "victims": len(cset.victim_stack), "tags": self.tags_per_set},
+                     "victims": victims, "tags": self.tags_per_set},
                 ))
             segments = 0
             for entry in cset.valid_stack:
@@ -329,7 +357,8 @@ class CompressedSetCache:
             ))
         for index, cset in enumerate(self._sets):
             ways = sorted(
-                e.way for e in cset.valid_stack + cset.victim_stack
+                [e.way for e in cset.valid_stack]
+                + [way for _, way in cset.victim_tags()]
             )
             if ways != list(range(self.tags_per_set)):
                 problems.append((

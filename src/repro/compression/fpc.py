@@ -50,6 +50,7 @@ FPC_PATTERNS: Tuple[Tuple[str, int], ...] = (
 )
 
 _MASK32 = 0xFFFFFFFF
+_PAYLOAD_BITS: Tuple[int, ...] = tuple(bits for _, bits in FPC_PATTERNS)
 
 
 def _sign_extends(value: int, bits: int) -> bool:
@@ -60,6 +61,31 @@ def _sign_extends(value: int, bits: int) -> bool:
     return value == low
 
 
+def _prefix(word: int) -> int:
+    """The FPC prefix of a 32-bit word: the one classification rule.
+
+    Each range test is an offset compare: ``word`` is the sign extension
+    of its low ``n`` bits exactly when adding ``2**(n-1)`` (mod 2**32)
+    lands it below ``2**n``.
+    """
+    if word == 0:
+        return 0
+    if (word + 0x8) & _MASK32 < 0x10:
+        return 1
+    if (word + 0x80) & _MASK32 < 0x100:
+        return 2
+    if (word + 0x8000) & _MASK32 < 0x10000:
+        return 3
+    if word & 0xFFFF == 0:
+        return 4
+    if (((word >> 16) + 0x80) & 0xFFFF < 0x100
+            and ((word & 0xFFFF) + 0x80) & 0xFFFF < 0x100):
+        return 5
+    if word == (word & 0xFF) * 0x01010101:
+        return 6
+    return 7
+
+
 def classify_word(word: int) -> Tuple[int, int]:
     """Classify one 32-bit word; return ``(prefix, payload_bits)``.
 
@@ -68,23 +94,8 @@ def classify_word(word: int) -> Tuple[int, int]:
     """
     if not 0 <= word <= _MASK32:
         raise ValueError(f"word out of 32-bit range: {word:#x}")
-    if word == 0:
-        return 0, 3
-    if _sign_extends(word, 4):
-        return 1, 4
-    if _sign_extends(word, 8):
-        return 2, 8
-    if _sign_extends(word, 16):
-        return 3, 16
-    if word & 0xFFFF == 0:
-        return 4, 16
-    high, low = word >> 16, word & 0xFFFF
-    if _sign_extends_half(high) and _sign_extends_half(low):
-        return 5, 16
-    b = word & 0xFF
-    if word == b * 0x01010101:
-        return 6, 8
-    return 7, 32
+    prefix = _prefix(word)
+    return prefix, _PAYLOAD_BITS[prefix]
 
 
 def _sign_extends_half(half: int) -> bool:
@@ -135,7 +146,8 @@ def sizes_for(lines: Sequence[Sequence[int]]) -> List[int]:
 
     Bit-identical to mapping ``compressed_size_bytes`` over ``lines``
     (the property suite asserts this), but classifies each distinct
-    non-zero word value once across the whole batch.  Value pools repeat
+    non-zero word value once across the whole batch, with the same
+    :func:`_prefix` rule as :func:`classify_word`.  Value pools repeat
     words heavily (zero runs, sign-extended constants, repeated bytes),
     so sizing a whole :class:`~repro.workloads.values.ValueModel` pool in
     one call replaces most classifications with one dict lookup.
@@ -159,7 +171,7 @@ def sizes_for(lines: Sequence[Sequence[int]]) -> List[int]:
             else:
                 payload = cache_get(word)
                 if payload is None:
-                    payload = classify_word(word)[1]
+                    payload = _PAYLOAD_BITS[_prefix(word)]
                     payload_cache[word] = payload
                 bits += PREFIX_BITS + payload
                 i += 1

@@ -61,12 +61,14 @@ Read the stream back with ``repro telemetry <file>`` (see
 
 from __future__ import annotations
 
+import atexit
 import json
 import os
 import time
 from typing import Any, Dict, Iterable, List
 
 from repro import settings
+
 
 def enabled() -> bool:
     """Is telemetry directed anywhere?"""
@@ -117,6 +119,9 @@ def close_sinks() -> None:
             except OSError:
                 pass
     _SINKS.clear()
+
+
+atexit.register(close_sinks)
 
 
 def emit(kind: str, **fields: Any) -> None:

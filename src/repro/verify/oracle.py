@@ -1119,7 +1119,7 @@ class ReferenceHierarchy:
             diff(f"state.l2.set[{idx}]", sim_lines, ref_lines)
             diff(
                 f"state.l2.victims[{idx}]",
-                [(e.addr, e.way) for e in cset.victim_stack],
+                cset.victim_tags(),
                 self.l2.victims[idx],
             )
             diff(f"state.l2.used_segments[{idx}]", cset.used_segments, self.l2.used[idx])

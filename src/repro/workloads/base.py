@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Tuple
 
 IFETCH, LOAD, STORE = 0, 1, 2
@@ -176,7 +177,8 @@ class TraceGenerator:
         self._pc_line = 0  # line offset within the instruction footprint
         self._instr_into_line = 0
         self._stride_choices = [s for s, _ in spec.stream_strides]
-        self._stride_weights = [w for _, w in spec.stream_strides]
+        # Cumulative, as random.choices would build them on every draw.
+        self._stride_cum_weights = list(accumulate(w for _, w in spec.stream_strides))
         self._streams = [self._seed_stream(_StreamState()) for _ in range(spec.streams_per_core)]
         # Events drawn but not yet emitted by fill_chunk (a chunk boundary
         # can land mid-way through a step's pending instruction fetches).
@@ -289,7 +291,9 @@ class TraceGenerator:
 
     def _seed_stream(self, stream: _StreamState) -> _StreamState:
         stream.pos = self.rng.randrange(self.private_lines)
-        stream.stride = self.rng.choices(self._stride_choices, self._stride_weights)[0]
+        stream.stride = self.rng.choices(
+            self._stride_choices, cum_weights=self._stride_cum_weights
+        )[0]
         stream.remaining = self.spec.stream_length
         return stream
 

@@ -21,6 +21,7 @@ compressor both see the same concrete bytes.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.compression.fpc import WORDS_PER_LINE, sizes_for
@@ -150,9 +151,10 @@ class ValueModel:
         self.scheme_name = scheme
         self._lines: List[List[int]] = []
         classes = [name for name, _ in mix]
-        weights = [w / total for _, w in mix]
+        # Cumulative, as random.choices would build them on every draw.
+        cum_weights = list(accumulate(w / total for _, w in mix))
         for _ in range(pool_size):
-            name = rng.choices(classes, weights=weights)[0]
+            name = rng.choices(classes, cum_weights=cum_weights)[0]
             self._lines.append(VALUE_CLASSES[name](rng))
         if scheme == "fpc":
             # Batched FPC sizing: one pass over the pool with per-word

@@ -197,5 +197,5 @@ def test_property_segment_invariants(ops):
         assert used == cset.used_segments
         assert used <= l2.total_segments
         assert len(cset.valid_stack) <= l2.tags_per_set
-        assert len(cset.valid_stack) + len(cset.victim_stack) == l2.tags_per_set
+        assert len(cset.valid_stack) + len(cset.victim_stack) + cset.fresh == l2.tags_per_set
     assert l2.resident_lines() == sum(len(s.valid_stack) for s in l2._sets)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.compression import fpc
 from repro.compression.fpc import (
+    FPC_PATTERNS,
     PREFIX_BITS,
     WORDS_PER_LINE,
     classify_word,
@@ -14,6 +18,7 @@ from repro.compression.fpc import (
     compressed_size_bytes,
     decompress_check,
     line_from_bytes,
+    sizes_for,
 )
 
 
@@ -65,6 +70,71 @@ class TestClassifyWord:
             classify_word(1 << 32)
         with pytest.raises(ValueError):
             classify_word(-1)
+
+
+def _signed(value: int, bits: int) -> int:
+    return value - (1 << bits) if value >> (bits - 1) & 1 else value
+
+
+#: The module docstring's patterns, each written as a plain predicate on
+#: the word's value, in matching priority order.
+_PATTERN_HOLDS = (
+    lambda w: w == 0,
+    lambda w: -8 <= _signed(w, 32) <= 7,
+    lambda w: -128 <= _signed(w, 32) <= 127,
+    lambda w: -32768 <= _signed(w, 32) <= 32767,
+    lambda w: w % 0x10000 == 0,
+    lambda w: all(-128 <= _signed(h, 16) <= 127 for h in (w >> 16, w & 0xFFFF)),
+    lambda w: len(set(w.to_bytes(4, "big"))) == 1,
+    lambda w: True,
+)
+
+_BOUNDARIES = (0x7, 0x8, 0x7F, 0x80, 0x7FFF, 0x8000, 0xFFFF0000, 0xFF80FF80,
+               0x01010101, 0xFFFFFFFF)
+#: Every word within 3 of a pattern boundary or of its negation.
+EDGE_WORDS = sorted({
+    (sign * b + d) & 0xFFFFFFFF
+    for b in _BOUNDARIES for sign in (1, -1) for d in range(-3, 4)
+})
+
+
+def _docstring_payload_bits():
+    """``prefix -> payload bits`` read from the module docstring's table."""
+    rows = re.findall(r"^([01]{3}) .* (\d+)$", fpc.__doc__, re.MULTILINE)
+    return {int(prefix, 2): int(bits) for prefix, bits in rows}
+
+
+class TestEdgeWords:
+    """Every word near a pattern boundary classifies as the docstring's
+    table says, and batched sizing agrees with per-line sizing."""
+
+    def test_table_matches_patterns(self):
+        table = _docstring_payload_bits()
+        assert table == {p: bits for p, (_, bits) in enumerate(FPC_PATTERNS)}
+
+    def test_classify_matches_table(self):
+        table = _docstring_payload_bits()
+        wrong = []
+        for word in EDGE_WORDS:
+            prefix = next(p for p, holds in enumerate(_PATTERN_HOLDS) if holds(word))
+            if classify_word(word) != (prefix, table[prefix]):
+                wrong.append((hex(word), classify_word(word), prefix))
+        assert wrong == []
+
+    def test_sizes_for_matches_per_line_size(self):
+        words = EDGE_WORDS
+        lines = [
+            [words[(start + i * step) % len(words)] for i in range(WORDS_PER_LINE)]
+            for start in range(len(words)) for step in (1, 5)
+        ]
+        # Zero runs of every length cut across the edge words.
+        lines += [
+            [0 if (i + shift) % period < run else words[(i * 7 + shift) % len(words)]
+             for i in range(WORDS_PER_LINE)]
+            for period in (3, 8, 16) for run in range(1, period)
+            for shift in range(0, len(words), 11)
+        ]
+        assert sizes_for(lines) == [compressed_size_bytes(line) for line in lines]
 
 
 class TestCompressLine:

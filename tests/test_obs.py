@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,8 @@ from repro.report.export import result_fingerprint
 
 from tests.conftest import make_tiny_system
 from tests.test_hierarchy import make_hierarchy
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestEnableResolution:
@@ -227,6 +232,21 @@ class TestTelemetry:
     def test_unwritable_sink_is_swallowed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY", str(tmp_path / "no" / "such" / "dir" / "t.jsonl"))
         telemetry.emit("simulate", events=1)  # must not raise
+
+    def test_sink_closed_at_exit(self, tmp_path):
+        """A process that emitted telemetry closes its cached sink on the
+        way out: no ``ResourceWarning: unclosed file`` at shutdown."""
+        sink = tmp_path / "t.jsonl"
+        env = dict(os.environ, REPRO_TELEMETRY=str(sink))
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", "-c",
+             "from repro.obs import telemetry; telemetry.emit('simulate', events=1)"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert [r["kind"] for r in telemetry.read_records(str(sink))] == ["simulate"]
 
     def test_simulation_emits_record(self, tmp_path, monkeypatch):
         sink = tmp_path / "runs.jsonl"

@@ -119,6 +119,25 @@ class TestPhasedIdentity:
         resumed = run_replay()
         assert result_fingerprint(resumed) == result_fingerprint(expected)
 
+    def test_partly_touched_l2_resumes(self, snap_env, monkeypatch):
+        """A snapshot taken while some L2 ways were never claimed keeps
+        their ``fresh`` counts, and the resumed run claims them in the
+        same order as the uninterrupted one."""
+        cfg = _config()
+        monkeypatch.setenv(snap.ENV_INTERVAL, str(INTERVAL))
+        _, expected = _run(cfg)
+        monkeypatch.setenv(snap.ENV_DEADLINE, "0")
+        _run(cfg)
+        (path,) = snap_env.glob("*.rpsn")
+        _meta, state = snap.read_snapshot(str(path))
+        l2 = state["hierarchy"].l2
+        assert any(s.fresh < l2.tags_per_set for s in l2._sets)
+        assert any(s.fresh for s in l2._sets)
+        monkeypatch.delenv(snap.ENV_DEADLINE)
+        system, resumed = _run(cfg)
+        assert system.resumed_from_phase == 1
+        assert result_fingerprint(resumed) == result_fingerprint(expected)
+
     def test_restore_rebuilds_derived_state(self, snap_env, monkeypatch):
         """Route tuples, bound taxonomy counters and precomputed link
         sizes are derived state: a snapshot that lacks them (one written
@@ -326,20 +345,20 @@ class TestRobustnessFallbacks:
         with pytest.raises(ValueError, match="REPRO_DEADLINE"):
             snap.ResourceGuard()
 
-    def test_old_version_snapshot_is_quarantined(self, snap_env, monkeypatch):
-        """A well-formed snapshot of an older format version (whose
-        payload may reference classes that no longer exist) is refused
+    def _refused_version(self, snap_env, monkeypatch, version):
+        """A well-formed snapshot written as format ``version`` is refused
         by version before unpickling, quarantined, and the run starts
         clean."""
         cfg = _config()
         monkeypatch.setenv(snap.ENV_INTERVAL, str(INTERVAL))
         _, expected = _run(cfg)
         with monkeypatch.context() as m:
-            m.setattr(snap, "SNAPSHOT_VERSION", 1)
+            m.setattr(snap, "SNAPSHOT_VERSION", version)
             m.setenv(snap.ENV_DEADLINE, "0")
             _run(cfg)
         (old,) = snap_env.glob("*.rpsn")
-        with pytest.raises(snap.SnapshotError, match="unsupported snapshot version 1"):
+        with pytest.raises(snap.SnapshotError,
+                           match=f"unsupported snapshot version {version}"):
             snap.read_snapshot(str(old))
 
         system, resumed = _run(cfg)
@@ -348,6 +367,15 @@ class TestRobustnessFallbacks:
         quarantined = list((snap_env / snap.QUARANTINE_DIR).glob("*.rpsn"))
         assert [p.name for p in quarantined] == [old.name]
 
+    def test_old_version_snapshot_is_quarantined(self, snap_env, monkeypatch):
+        """An older format's payload may reference classes that no longer
+        exist."""
+        self._refused_version(snap_env, monkeypatch, 1)
+
+    def test_version_3_snapshot_is_quarantined(self, snap_env, monkeypatch):
+        """Version-3 L2 sets pre-built every tag and have no ``fresh``
+        count of never-claimed ways."""
+        self._refused_version(snap_env, monkeypatch, 3)
 
 
 class TestObserversRefused:
