@@ -1,6 +1,4 @@
-"""Command-line interface.
-
-::
+"""Command-line interface, for example::
 
     python -m repro run zeus --config pref_compr --events 10000
     python -m repro sweep --workloads zeus,jbb --configs base,pref,compr
@@ -848,7 +846,10 @@ def cmd_config(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="repro", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="repro", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="simulate one (workload, config) point")

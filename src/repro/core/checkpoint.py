@@ -29,8 +29,6 @@ command with ``--resume`` finds the right file without bookkeeping.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import signal
 import sys
@@ -40,6 +38,7 @@ from typing import Any, Dict, Iterator, Optional
 from repro import settings
 from repro.core import durable
 from repro.core.results import SimulationResult
+from repro.digest import stable_hash
 from repro.obs import telemetry as _telemetry
 from repro.report.export import (
     result_fingerprint,
@@ -49,23 +48,16 @@ from repro.report.export import (
 
 JOURNAL_VERSION = 1
 
-def _stable_hash(payload: Any) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=repr)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 def sweep_spec_key(**spec: Any) -> str:
     """A short stable identity for one sweep specification (workloads,
     configs, events, ... — everything that changes the results, nothing
     that only changes the execution, like ``jobs``)."""
-    return _stable_hash({"v": JOURNAL_VERSION, "spec": spec})[:16]
+    return stable_hash({"v": JOURNAL_VERSION, "spec": spec}, default=repr)[:16]
 
 
 def point_journal_key(coords: Dict[str, Any], kwargs: Dict[str, Any]) -> str:
     """The journal key for one grid point: coordinates + run arguments."""
-    return _stable_hash(
-        {"v": JOURNAL_VERSION, "coords": coords, "kwargs": kwargs}
-    )
+    return stable_hash({"v": JOURNAL_VERSION, "coords": coords, "kwargs": kwargs}, default=repr)
 
 
 def default_journal_path(spec_key: str) -> str:

@@ -23,7 +23,6 @@ reported as a distinct ``corrupt`` telemetry outcome — never a silent
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -34,6 +33,7 @@ from repro import faults, settings
 from repro.core import durable
 from repro.core.durable import QUARANTINE_DIR, CorruptFile
 from repro.core.results import SimulationResult
+from repro.digest import stable_hash
 from repro.obs import telemetry as _telemetry
 from repro.params import SystemConfig
 from repro.report.export import (
@@ -83,8 +83,7 @@ def point_key(
         "warmup": warmup,
         "config": cfg,
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=repr)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return stable_hash(payload, default=repr)
 
 
 def read_entry(path: str) -> SimulationResult:

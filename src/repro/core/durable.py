@@ -15,13 +15,13 @@ table.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import struct
 import time
 from typing import Any, Dict, List, Tuple
 
+from repro.digest import sha256
 from repro.faults import inject as _faults
 from repro.obs import telemetry as _telemetry
 
@@ -72,7 +72,7 @@ def write_sealed(
     a payload byte is flipped *after* hashing, so the injected damage is
     caught exactly like real bit rot."""
     meta = dict(meta)
-    meta["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+    meta["payload_sha256"] = sha256(payload).hexdigest()
     meta["payload_bytes"] = len(payload)
     if _faults.should(fault, token=path) is not None and payload:
         payload = payload[:-1] + bytes([payload[-1] ^ 0xFF])
@@ -108,7 +108,7 @@ def read_sealed(
     if not isinstance(meta, dict) or "payload_sha256" not in meta:
         raise CorruptFile(path, "meta is not a checksum envelope")
     payload = data[end:]
-    if hashlib.sha256(payload).hexdigest() != meta["payload_sha256"]:
+    if sha256(payload).hexdigest() != meta["payload_sha256"]:
         raise CorruptFile(path, "payload checksum mismatch")
     return meta, payload
 

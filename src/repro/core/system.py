@@ -492,6 +492,9 @@ class CMPSystem:
         h = self.hierarchy
         elapsed = max(core.stats.cycles for core in self.cores)
         instructions = sum(core.stats.instructions for core in self.cores)
+        stalls = 0.0
+        for core in self.cores:  # left to right: sum() compensates from 3.12
+            stalls += core.stats.memory_stall_cycles
         extra = {
             "link_occupancy": h.link.occupancy(elapsed),
             "dram_demand": float(h.dram.demand_requests),
@@ -499,9 +502,7 @@ class CMPSystem:
             "l2_adaptive_counter": float(h.l2_adaptive.counter),
             "n_cores": float(self.config.n_cores),
             # Mean per-core stall cycles, comparable to elapsed_cycles.
-            "memory_stall_cycles": sum(
-                c.stats.memory_stall_cycles for c in self.cores
-            ) / len(self.cores),
+            "memory_stall_cycles": stalls / len(self.cores),
         }
         # Feature-gated keys: added only when the feature is configured,
         # so default-config fingerprints are unchanged by their existence.

@@ -64,11 +64,11 @@ lookup — the machinery adds nothing to a clean run.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import settings
+from repro.digest import sha256
 
 ENV_VAR = "REPRO_FAULTS"
 
@@ -120,7 +120,7 @@ def _stable_unit(seed: int, kind: str, value: int) -> float:
     """A deterministic pseudo-random float in [0, 1) from (seed, kind,
     value) — stable across processes, platforms and Python versions
     (unlike ``hash()``)."""
-    digest = hashlib.sha256(f"{seed}:{kind}:{value}".encode("utf-8")).digest()
+    digest = sha256(f"{seed}:{kind}:{value}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
 
 

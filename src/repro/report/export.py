@@ -17,6 +17,7 @@ import json
 from typing import Dict, Iterable, List, Tuple
 
 from repro.core.results import SimulationResult
+from repro.digest import stable_hash
 from repro.prefetch.taxonomy import TaxonomyCounts
 from repro.stats.counters import CacheStats, CompressionStats, LinkStats, PrefetchStats
 
@@ -87,10 +88,6 @@ def _counters_to_dict(obj) -> Dict[str, object]:
     return {f: getattr(obj, f) for f in obj.__dataclass_fields__}
 
 
-def _counters_from_dict(cls, data: Dict[str, object]):
-    return cls(**data)
-
-
 def result_to_full_dict(result: SimulationResult) -> Dict[str, object]:
     """Serialise a result completely (floats survive JSON bit-exactly)."""
     return {
@@ -125,16 +122,16 @@ def result_from_dict(data: Dict[str, object]) -> SimulationResult:
         seed=data["seed"],
         elapsed_cycles=data["elapsed_cycles"],
         instructions=data["instructions"],
-        l1i=_counters_from_dict(CacheStats, data["l1i"]),
-        l1d=_counters_from_dict(CacheStats, data["l1d"]),
-        l2=_counters_from_dict(CacheStats, data["l2"]),
-        prefetch={k: _counters_from_dict(PrefetchStats, v) for k, v in data["prefetch"].items()},
-        link=_counters_from_dict(LinkStats, data["link"]),
-        compression=_counters_from_dict(CompressionStats, data["compression"]),
+        l1i=CacheStats(**data["l1i"]),
+        l1d=CacheStats(**data["l1d"]),
+        l2=CacheStats(**data["l2"]),
+        prefetch={k: PrefetchStats(**v) for k, v in data["prefetch"].items()},
+        link=LinkStats(**data["link"]),
+        compression=CompressionStats(**data["compression"]),
         clock_ghz=data["clock_ghz"],
         events=data["events"],
         extra=dict(data["extra"]),
-        taxonomy={k: _counters_from_dict(TaxonomyCounts, v) for k, v in data["taxonomy"].items()},
+        taxonomy={k: TaxonomyCounts(**v) for k, v in data["taxonomy"].items()},
         latency={k: dict(v) for k, v in data["latency"].items()},
     )
 
@@ -184,16 +181,9 @@ def result_fingerprint(result: SimulationResult) -> str:
     rows themselves are pinned by full-dict hashes in the frozen-case
     suite (``tests/test_engine_equivalence.py``).
     """
-    import hashlib
-
     full = result_to_full_dict(result)
-    extra = full["extra"]
-    if any(k.startswith("attr_") for k in extra):
-        full["extra"] = {
-            k: v for k, v in extra.items() if not k.startswith("attr_")
-        }
-    blob = json.dumps(full, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    full["extra"] = {k: v for k, v in full["extra"].items() if not k.startswith("attr_")}
+    return stable_hash(full)
 
 
 def results_to_csv(results: Iterable[SimulationResult]) -> str:

@@ -34,6 +34,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "zeus", "--config", "turbo"])
 
+    def test_help_keeps_each_example_on_its_own_line(self):
+        import repro.cli
+
+        examples = [
+            line.strip() for line in repro.cli.__doc__.splitlines()
+            if line.strip().startswith("python -m repro")
+        ]
+        help_lines = [line.strip() for line in build_parser().format_help().splitlines()]
+        assert len(examples) > 10
+        assert [line for line in examples if line not in help_lines] == []
+
 
 class TestRun:
     def test_table_output(self, capsys):

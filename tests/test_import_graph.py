@@ -1,5 +1,6 @@
 """What a process imports: a plain point and a disk-cache hit load only
-the modules they use (package exports resolve on first access).
+the modules they use (package exports resolve on first access), and no
+process loads OpenSSL: every hash goes through :mod:`repro.digest`.
 
 Each case runs in a fresh interpreter with every ``REPRO_*`` knob
 cleared, so neither this test session's imports nor its environment
@@ -17,6 +18,9 @@ from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
+#: OpenSSL's modules; ``hashlib`` imports ``_hashlib``, which loads libcrypto.
+OPENSSL = ("hashlib", "_hashlib", "_ssl")
+
 #: Never loaded by an observers-off point.
 PLAIN_POINT_NEVER_LOADS = (
     "multiprocessing",
@@ -31,6 +35,7 @@ PLAIN_POINT_NEVER_LOADS = (
     "repro.trace.io",
     "repro.core.snapshot",
     "pickle",
+    *OPENSSL,
 )
 
 POINT = dict(n_cores=2, scale=32, events=200, warmup=100)
@@ -53,10 +58,12 @@ def test_plain_point_loads_no_pool_oracle_observer_or_writer():
     loaded = run_fresh(f"""
         import json, sys
         from repro import CMPSystem, make_config
+        from repro.report.export import result_fingerprint
         config = make_config("pref_compr", n_cores={POINT['n_cores']},
                              scale={POINT['scale']})
-        CMPSystem(config, "zeus", seed=0).run({POINT['events']},
-                                              warmup_events={POINT['warmup']})
+        result = CMPSystem(config, "zeus", seed=0).run(
+            {POINT['events']}, warmup_events={POINT['warmup']})
+        result_fingerprint(result)
         names = {PLAIN_POINT_NEVER_LOADS!r}
         print(json.dumps([name for name in names if name in sys.modules]))
     """)
@@ -69,8 +76,12 @@ def test_disk_cache_hit_loads_no_simulator(tmp_path):
         from repro import run_point
         from repro.core.experiment import last_point_source
         run_point("zeus", "base", **{POINT!r})
-        print(json.dumps([last_point_source(), "repro.core.hierarchy" in sys.modules]))
+        print(json.dumps([
+            last_point_source(),
+            "repro.core.hierarchy" in sys.modules,
+            [name for name in {OPENSSL!r} if name in sys.modules],
+        ]))
     """
     cache = dict(REPRO_CACHE_DIR=str(tmp_path / "cache"))
-    assert run_fresh(code, **cache) == ["sim", True]
-    assert run_fresh(code, **cache) == ["disk", False]
+    assert run_fresh(code, **cache) == ["sim", True, []]
+    assert run_fresh(code, **cache) == ["disk", False, []]
