@@ -34,8 +34,10 @@ workload:
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from math import log
 from typing import List, Tuple
 
 IFETCH, LOAD, STORE = 0, 1, 2
@@ -50,6 +52,16 @@ _PRIVATE_BASE = 3 << 40
 _PRIVATE_STRIDE = (1 << 36) + 32452843  # per-core private region spacing
 
 _INSTR_PER_LINE = 16  # 64-byte line / 4-byte instructions
+
+
+def randbelow(getrandbits, n: int) -> int:
+    """``random.Random.randrange(n)`` from the same ``getrandbits(k)``
+    draws, ``k = n.bit_length()``; ``n = 1`` still draws until it gets 0."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 @dataclass(frozen=True)
@@ -109,6 +121,8 @@ class WorkloadSpec:
             raise ValueError("locality exponents must be >= 1")
         if self.stream_length < 1 or self.streams_per_core < 1:
             raise ValueError("streams must have positive length and count")
+        if not 0 < sum(w for _, w in self.stream_strides) < float("inf"):
+            raise ValueError("stream_strides weights must sum to a positive finite value")
         if self.instr_per_event <= 0:
             raise ValueError("instr_per_event must be positive")
         if not 0.0 <= self.hot_fraction <= 1.0:
@@ -200,11 +214,14 @@ class TraceGenerator:
         persisted back to the instance, and a chunk boundary mid-step
         parks the unemitted fetches in ``_chunk_pending``, so the stream
         does not depend on how it is cut into chunks.
+
+        Each ``random.Random`` helper is inlined as the C-level draws it
+        makes, in order (see :func:`randbelow`), so no bit changes.
         """
         rng = self.rng
         spec = self.spec
         random_ = rng.random
-        expovariate = rng.expovariate
+        getrandbits = rng.getrandbits
         jump_prob = spec.i_jump_prob
         i_locality = spec.i_locality
         store_fraction = spec.store_fraction
@@ -220,10 +237,14 @@ class TraceGenerator:
         private_lines = self.private_lines
         private_base = self.private_base
         hot_lines = self.hot_lines
+        hot_k = hot_lines.bit_length()
+        streams = self._streams
+        n_streams = len(streams)
+        stream_k = n_streams.bit_length()
         heap = self.heap
+        out_degree, node_lines = (heap.out_degree, heap.node_lines) if heap is not None else (1, 1)
+        out_k, node_k = out_degree.bit_length(), node_lines.bit_length()
         chase_node = self._chase_node
-        randrange = rng.randrange
-        stream_address = self._stream_address
         pc_line = self._pc_line
         instr_into_line = self._instr_into_line
         pending = self._chunk_pending
@@ -237,7 +258,7 @@ class TraceGenerator:
             count += 1
         while count < n:
             # Geometric-ish gap with the configured mean, at least 1.
-            gap = 1 + int(expovariate(rate)) if rate else 1
+            gap = 1 + int(-log(1.0 - random_()) / rate) if rate else 1
             # Instruction-side: advance the PC, jump occasionally, queue an
             # IFETCH for every new code line entered.
             if random_() < jump_prob:
@@ -253,17 +274,33 @@ class TraceGenerator:
                 for i in range(min(crossed, 2)):
                     pc_line = (pc_line + 1) % i_lines
                     append((0, IFETCH, _I_BASE + pc_line))
-            # Data-side: one access per step (_data_address, inlined with
-            # the same RNG call sequence).
+            # Data-side: one access per step, randrange(n) as randbelow's loop.
             r = random_()
             if r < stride_fraction:
-                addr = stream_address()
+                x = getrandbits(stream_k)
+                while x >= n_streams:
+                    x = getrandbits(stream_k)
+                stream = streams[x]
+                if stream.remaining <= 0:
+                    self._seed_stream(stream)
+                addr = private_base + (stream.pos % private_lines)
+                stream.pos += stream.stride
+                stream.remaining -= 1
             elif r < stride_or_hot:
-                addr = private_base + randrange(hot_lines)
+                x = getrandbits(hot_k)
+                while x >= hot_lines:
+                    x = getrandbits(hot_k)
+                addr = private_base + x
             elif r < hot_or_pointer:
+                x = getrandbits(out_k)
+                while x >= out_degree:
+                    x = getrandbits(out_k)
                 node = chase_node
-                chase_node = heap.successor(node, randrange(heap.out_degree))
-                addr = heap.node_line(node) + randrange(heap.node_lines)
+                chase_node = heap.successor(node, x)
+                x = getrandbits(node_k)
+                while x >= node_lines:
+                    x = getrandbits(node_k)
+                addr = heap.node_line(node) + x
             elif random_() < shared_fraction:
                 addr = _SHARED_BASE + int(shared_lines * (random_() ** locality))
             else:
@@ -280,20 +317,11 @@ class TraceGenerator:
 
     # -- internals ------------------------------------------------------------
 
-    def _stream_address(self) -> int:
-        stream = self._streams[self.rng.randrange(len(self._streams))]
-        if stream.remaining <= 0:
-            self._seed_stream(stream)
-        addr = self.private_base + (stream.pos % self.private_lines)
-        stream.pos += stream.stride
-        stream.remaining -= 1
-        return addr
-
     def _seed_stream(self, stream: _StreamState) -> _StreamState:
-        stream.pos = self.rng.randrange(self.private_lines)
-        stream.stride = self.rng.choices(
-            self._stride_choices, cum_weights=self._stride_cum_weights
-        )[0]
+        stream.pos = randbelow(self.rng.getrandbits, self.private_lines)
+        cum = self._stride_cum_weights
+        x = self.rng.random() * (cum[-1] + 0.0)  # random.choices, inlined
+        stream.stride = self._stride_choices[bisect_right(cum, x, 0, len(cum) - 1)]
         stream.remaining = self.spec.stream_length
         return stream
 

@@ -21,6 +21,7 @@ compressor both see the same concrete bytes.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from itertools import accumulate
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -28,6 +29,7 @@ from repro.compression.fpc import WORDS_PER_LINE, sizes_for
 from repro.compression.fpc import compressed_size_bytes as fpc_size_bytes
 from repro.compression.segments import segments_for_size
 from repro.params import LINE_BYTES
+from repro.workloads.base import randbelow
 
 _WordGen = Callable[[random.Random], List[int]]
 _MASK32 = 0xFFFFFFFF
@@ -40,54 +42,69 @@ def _zero_line(rng: random.Random) -> List[int]:
 
 def _near_zero_line(rng: random.Random) -> List[int]:
     """Mostly zero with a couple of small values (sparse structs)."""
+    getrandbits = rng.getrandbits
     words = [0] * WORDS_PER_LINE
-    for _ in range(rng.randint(1, 3)):
-        words[rng.randrange(WORDS_PER_LINE)] = rng.randint(1, 100)
+    for _ in range(randbelow(getrandbits, 3) + 1):  # randint(1, 3)
+        # The right side runs first: the value is drawn before the index.
+        words[randbelow(getrandbits, WORDS_PER_LINE)] = randbelow(getrandbits, 100) + 1
     return words
 
 
-def _tiny_int_line(rng: random.Random) -> List[int]:
-    """Flags and enums: values fitting 4-bit sign extension."""
-    return [rng.randint(-8, 7) & _MASK32 for _ in range(WORDS_PER_LINE)]
+def _uniform_line(lo: int, hi: int) -> _WordGen:
+    """Words of ``randint(lo, hi) & _MASK32``: ``lo + randbelow(n)``,
+    inlined, with ``n`` and ``k = n.bit_length()`` fixed per class."""
+    n = hi - lo + 1
+    k = n.bit_length()
 
+    def line(rng: random.Random) -> List[int]:
+        getrandbits = rng.getrandbits
+        words = []
+        for _ in range(WORDS_PER_LINE):
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            words.append((lo + r) & _MASK32)
+        return words
 
-def _small_int_line(rng: random.Random) -> List[int]:
-    """Counters and small quantities: 8-bit sign-extendable words."""
-    return [rng.randint(-128, 127) & _MASK32 for _ in range(WORDS_PER_LINE)]
-
-
-def _half_int_line(rng: random.Random) -> List[int]:
-    """16-bit quantities (lengths, ids)."""
-    return [rng.randint(-32768, 32767) & _MASK32 for _ in range(WORDS_PER_LINE)]
+    return line
 
 
 def _byte_text_line(rng: random.Random) -> List[int]:
     """Text-ish buffers: repeated bytes and small byte values."""
+    random_ = rng.random
+    getrandbits = rng.getrandbits
     words = []
     for _ in range(WORDS_PER_LINE):
-        if rng.random() < 0.5:
-            b = rng.randrange(256)
-            words.append(b * 0x01010101)
-        else:
-            words.append(rng.randint(0, 127))
+        # Half repeated bytes, randrange(256); half randint(0, 127).
+        n, k, scale = (256, 9, 0x01010101) if random_() < 0.5 else (128, 8, 1)
+        b = getrandbits(k)
+        while b >= n:
+            b = getrandbits(k)
+        words.append(b * scale)
     return words
 
 
 def _int64_line(rng: random.Random) -> List[int]:
     """Small 64-bit integers: (zero high word, small low word) pairs."""
+    getrandbits = rng.getrandbits
     words = []
     for _ in range(WORDS_PER_LINE // 2):
-        words.append(0)
-        words.append(rng.randint(0, 4000))
+        low = getrandbits(12)  # randint(0, 4000)
+        while low >= 4001:
+            low = getrandbits(12)
+        words += (0, low)
     return words
 
 
 def _pointer_line(rng: random.Random) -> List[int]:
     """64-bit heap pointers: small high word, random-looking low word."""
+    getrandbits = rng.getrandbits
     words = []
     for _ in range(WORDS_PER_LINE // 2):
-        words.append(rng.randint(0, 255))  # high word: 8-bit sign-extendable
-        words.append(rng.getrandbits(32))  # low word: incompressible
+        high = getrandbits(9)  # randint(0, 255): 8-bit sign-extendable
+        while high >= 256:
+            high = getrandbits(9)
+        words += (high, getrandbits(32))  # low word: incompressible
     return words
 
 
@@ -114,9 +131,9 @@ def _float_sparse_line(rng: random.Random) -> List[int]:
 VALUE_CLASSES: Dict[str, _WordGen] = {
     "zero": _zero_line,
     "near_zero": _near_zero_line,
-    "tiny_int": _tiny_int_line,
-    "small_int": _small_int_line,
-    "half_int": _half_int_line,
+    "tiny_int": _uniform_line(-8, 7),  # flags and enums: 4-bit sign extension
+    "small_int": _uniform_line(-128, 127),  # counters: 8-bit sign-extendable
+    "half_int": _uniform_line(-32768, 32767),  # 16-bit lengths and ids
     "byte_text": _byte_text_line,
     "int64": _int64_line,
     "pointer": _pointer_line,
@@ -140,8 +157,8 @@ class ValueModel:
         if not mix:
             raise ValueError("value mix must not be empty")
         total = sum(w for _, w in mix)
-        if total <= 0:
-            raise ValueError("value mix weights must sum to a positive value")
+        if not 0 < total < float("inf"):
+            raise ValueError("value mix weights must sum to a positive finite value")
         for name, _ in mix:
             if name not in VALUE_CLASSES:
                 raise ValueError(f"unknown value class: {name!r}")
@@ -149,40 +166,34 @@ class ValueModel:
         self.mix = tuple(mix)
         self.pool_size = pool_size
         self.scheme_name = scheme
-        self._lines: List[List[int]] = []
-        classes = [name for name, _ in mix]
-        # Cumulative, as random.choices would build them on every draw.
-        cum_weights = list(accumulate(w / total for _, w in mix))
-        for _ in range(pool_size):
-            name = rng.choices(classes, cum_weights=cum_weights)[0]
-            self._lines.append(VALUE_CLASSES[name](rng))
+        gens = [VALUE_CLASSES[name] for name, _ in mix]
+        # random.choices(gens, cum_weights=cum)[0], inlined: the same one
+        # random() draw, scaled and bisected exactly as choices does.
+        cum = list(accumulate(w / total for _, w in mix))
+        cum_total = cum[-1] + 0.0
+        hi = len(cum) - 1
+        random_ = rng.random
+        self._lines: List[List[int]] = [
+            gens[bisect_right(cum, random_() * cum_total, 0, hi)](rng)
+            for _ in range(pool_size)
+        ]
+        self._segments_fn = self._build_segments_fn()
         if scheme == "fpc":
             # Batched FPC sizing: one pass over the pool with per-word
             # classification memoised (repro.compression.fpc.sizes_for).
             self._segments = [
                 segments_for_size(b) for b in sizes_for(self._lines)
             ]
-            self._segments_fn = lambda words: segments_for_size(
-                min(fpc_size_bytes(words), LINE_BYTES)
-            )
         elif scheme == "bdi":
             # Batched BDI sizing: distinct lines classified once
             # (repro.compression.bdi.sizes_for deduplicates whole lines).
             from repro.compression.bdi import sizes_for as bdi_sizes_for
-            from repro.compression.bdi import compressed_size_bytes as bdi_size_bytes
 
             self._segments = [
                 segments_for_size(b) for b in bdi_sizes_for(self._lines)
             ]
-            self._segments_fn = lambda words: segments_for_size(
-                min(bdi_size_bytes(words), LINE_BYTES)
-            )
         else:
-            from repro.compression.schemes import build_scheme
-
-            built = build_scheme(scheme, sample_lines=self._lines)
-            self._segments = [built.segments(w) for w in self._lines]
-            self._segments_fn = built.segments
+            self._segments = [self._segments_fn(w) for w in self._lines]
         self.heap = heap
         self._heap_segments: Dict[int, int] = {}
 

@@ -123,6 +123,10 @@ class TestSpecValidation:
             dataclasses.replace(good, locality=0.5)
         with pytest.raises(ValueError):
             dataclasses.replace(good, instr_per_event=0.0)
+        # Stride weights random.choices would refuse: zero, infinite, NaN.
+        for weight in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                dataclasses.replace(good, stream_strides=((1, weight),))
 
     def test_unknown_workload_raises(self):
         with pytest.raises(KeyError):

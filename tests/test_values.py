@@ -83,6 +83,10 @@ class TestValueModel:
             ValueModel([("no_such_class", 1.0)], seed=0)
         with pytest.raises(ValueError):
             ValueModel([("zero", 0.0)], seed=0)
+        # random.choices refused these; the inlined draw would not.
+        for weight in (float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                ValueModel([("zero", 1.0), ("random", weight)], seed=0)
 
 
 @settings(max_examples=20, deadline=None)
