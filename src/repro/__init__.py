@@ -39,7 +39,6 @@ lazy_exports(globals(), {
     "repro.core.missclass": ("MissClassification", "classify_misses"),
     "repro.core.runner": ("ParallelRunner", "PointError"),
     "repro.core.results": ("PrefetcherReport", "SimulationResult"),
-    "repro.core.simulator": ("simulate",),
     "repro.workloads.registry": ("WORKLOADS", "get_spec"),
     "repro.workloads.base": ("WorkloadSpec",),
     "repro.stats.confidence": ("ConfidenceInterval", "mean_ci"),
@@ -80,7 +79,6 @@ __all__ = [
     "run_matrix",
     "run_point",
     "run_seeds",
-    "simulate",
     "speedup",
     "WORKLOADS",
     "WorkloadSpec",

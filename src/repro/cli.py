@@ -29,13 +29,15 @@ format for piping into other tools.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from repro import settings
 from repro.core import durable
-from repro.core.experiment import completed, run_point, run_points
+from repro.core.experiment import completed, run_point, run_points, stored_points
 from repro.core.interaction import InteractionBreakdown
 from repro.core.results import SimulationResult
 from repro.core.runner import PointSpec
@@ -151,7 +153,7 @@ def _workloads(args) -> List[str]:
 
 def _configs(args) -> List[str]:
     """The ``--configs`` list; an unknown key is an operator error
-    before any point runs or any journal is written."""
+    before any point runs or any cache entry is written."""
     keys = args.configs.split(",")
     for key in keys:
         config_features(key)
@@ -171,14 +173,53 @@ def cmd_run(args) -> int:
     return _finish_run(result)
 
 
+@contextmanager
+def resume_guard(
+    points: Optional[List[PointSpec]], resume_command: str, stream=None
+) -> Iterator[None]:
+    """Install SIGINT/SIGTERM handlers for the duration of a sweep: on
+    either signal the resume command is printed and the usual
+    interrupt/terminate control flow proceeds (exit code 130/143).
+
+    ``points`` are the sweep's points when the result cache is on for
+    it (every completed point is already stored there); None says the
+    cache is off, so nothing was kept and no resume is promised.
+    Harmless outside the main thread or where signals are unavailable —
+    it degrades to a no-op context.
+    """
+    out = stream if stream is not None else sys.stderr
+
+    def _handler(signum, _frame):
+        if points is None:
+            print("\ninterrupted: the result cache is off (REPRO_CACHE=0), so no "
+                  "point was kept; --resume keeps it on:", file=out)
+            print(f"  {resume_command}", file=out)
+        else:
+            print(f"\ninterrupted: {stored_points(points)} completed point(s) "
+                  f"stored in {settings.get('REPRO_CACHE_DIR')}", file=out)
+            print(f"resume with:\n  {resume_command}", file=out)
+        if signum == getattr(signal, "SIGTERM", None):
+            raise SystemExit(143)
+        raise KeyboardInterrupt
+
+    previous = {}
+    try:
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            try:
+                previous[signum] = signal.signal(signum, _handler)
+            except (ValueError, OSError):  # not the main thread / unsupported
+                pass
+        yield
+    finally:
+        for signum, old in previous.items():
+            try:
+                signal.signal(signum, old)
+            except (ValueError, OSError):
+                pass
+
+
 def cmd_sweep(args) -> int:
     _apply_snapshot_args(args)
-    from repro.core.checkpoint import (
-        SweepJournal,
-        default_journal_path,
-        resume_guard,
-        sweep_spec_key,
-    )
     from repro.core.sweep import Sweep
 
     workloads = _workloads(args)
@@ -191,20 +232,6 @@ def cmd_sweep(args) -> int:
 
         progress = default_progress()
     run_kwargs = dict(_sizing(args), **_machine(args))
-    # Checkpoint journal: on by default for multi-point sweeps, so a
-    # killed sweep can always be resumed with --resume.
-    journal = None
-    if not args.no_journal and len(coords) > 1:
-        path = args.journal or default_journal_path(
-            sweep_spec_key(workloads=workloads, configs=keys, **run_kwargs)
-        )
-        journal = SweepJournal(path, resume=args.resume)
-        if args.resume and journal.completed_count():
-            print(
-                f"resuming: {journal.completed_count()} completed point(s) "
-                f"loaded from {path}",
-                file=sys.stderr,
-            )
     resume_command = "python -m repro " + " ".join(sys.argv[1:] if sys.argv else [])
     if "--resume" not in resume_command:
         resume_command += " --resume"
@@ -215,14 +242,21 @@ def cmd_sweep(args) -> int:
         jobs = default_jobs()
     else:
         jobs = args.jobs
-    try:
-        with resume_guard(journal, resume_command):
-            results = sweep.run(
-                jobs=jobs, progress=progress, journal=journal, **run_kwargs
+    # The result cache is the sweep's checkpoint: --resume keeps it on
+    # for this sweep and the workers it forks, even under REPRO_CACHE=0.
+    with settings.suspended("REPRO_CACHE") if args.resume else nullcontext():
+        points = None
+        if settings.get("REPRO_CACHE"):
+            points = [(coord, run_kwargs) for coord in coords]
+        loaded = stored_points(points) if args.resume else 0
+        if loaded:
+            print(
+                f"resuming: {loaded} completed point(s) loaded from "
+                f"{settings.get('REPRO_CACHE_DIR')}",
+                file=sys.stderr,
             )
-    finally:
-        if journal is not None:
-            journal.close()
+        with resume_guard(points, resume_command):
+            results = sweep.run(jobs=jobs, progress=progress, **run_kwargs)
     ordered = []
     failed = 0
     for w, k in coords:
@@ -550,8 +584,6 @@ def cmd_telemetry(args) -> int:
         if any(resilience.values()):
             print("resilience:     "
                   + ", ".join(f"{k}={v}" for k, v in resilience.items() if v))
-    if summary["journal_loaded"]:
-        print(f"journal loaded: {summary['journal_loaded']} point(s) resumed")
     if summary["snapshot_actions"]:
         actions = ", ".join(
             f"{k}={v}" for k, v in sorted(summary["snapshot_actions"].items())
@@ -867,13 +899,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true",
                    help="suppress the live progress line on stderr")
     p.add_argument("--resume", action="store_true",
-                   help="resume from this sweep's checkpoint journal, "
-                        "re-simulating only points it does not hold")
-    p.add_argument("--journal", default="",
-                   help="checkpoint journal path (default: derived from the "
-                        "sweep spec under REPRO_SWEEP_DIR/.repro_sweep/)")
-    p.add_argument("--no-journal", action="store_true",
-                   help="disable checkpointing for this sweep")
+                   help="keep the result cache on for this sweep, even under "
+                        "REPRO_CACHE=0: completed points load from it and "
+                        "each new one is stored as it completes (observed "
+                        "points always re-simulate)")
     _add_run_args(p)
     _add_snapshot_args(p)
     p.set_defaults(func=cmd_sweep)

@@ -4,7 +4,6 @@ from repro._lazy import lazy_exports
 
 lazy_exports(globals(), {
     "repro.core.system": ("CMPSystem",),
-    "repro.core.simulator": ("simulate",),
     "repro.core.results": ("SimulationResult", "PrefetcherReport"),
     "repro.core.interaction": (
         "InteractionBreakdown", "interaction_coefficient", "speedup",
@@ -14,7 +13,6 @@ lazy_exports(globals(), {
         "clear_cache", "run_matrix", "run_point", "run_seeds",
     ),
     "repro.params": ("CONFIG_FEATURES", "make_config"),
-    "repro.core.checkpoint": ("SweepJournal",),
     "repro.core.diskcache": ("DiskCache",),
     "repro.core.runner": ("ParallelRunner", "PointError"),
     "repro.core.sweep": ("Sweep", "SweepResults"),
@@ -23,7 +21,6 @@ lazy_exports(globals(), {
 
 __all__ = [
     "CMPSystem",
-    "simulate",
     "SimulationResult",
     "PrefetcherReport",
     "InteractionBreakdown",
@@ -41,7 +38,6 @@ __all__ = [
     "ParallelRunner",
     "PointError",
     "Sweep",
-    "SweepJournal",
     "SweepResults",
     "CycleBreakdown",
     "analyze",

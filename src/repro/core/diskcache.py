@@ -3,7 +3,10 @@
 Simulation points are pure functions of (system configuration, workload,
 seed, event counts), so their results can be stored content-addressed
 and reused across processes — a warm sweep in a fresh interpreter does
-no simulation at all.  Keys are a SHA-256 over the canonical JSON of the
+no simulation at all.  It is the only result store, so it is also the
+sweep checkpoint: every point is stored as it completes, and
+``repro sweep --resume`` (which keeps the cache on even under
+``REPRO_CACHE=0``) restores a killed sweep's finished points from it.  Keys are a SHA-256 over the canonical JSON of the
 full :class:`~repro.params.SystemConfig` plus the run parameters and a
 format version, so *any* config change (including future fields) yields
 a different key rather than a stale hit.

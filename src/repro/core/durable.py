@@ -1,11 +1,11 @@
 """Durable files: the one way this package writes a file that must
 survive a crash, and reads back one that may not have.
 
-The disk cache (:mod:`repro.core.diskcache`), the sweep journal
-(:mod:`repro.core.checkpoint`) and the mid-run snapshots
+The disk cache (:mod:`repro.core.diskcache`, which is also what
+``repro sweep --resume`` restores from) and the mid-run snapshots
 (:mod:`repro.core.snapshot`) keep their own policy (keys, rotation,
-what counts as a usable record) and share these mechanics; telemetry
-replay shares the JSON-lines reader.
+what counts as a usable file) and share these mechanics; telemetry
+replay uses the JSON-lines reader.
 
 A sealed file is a ``<4sHI`` header (magic, u16 version, u32 meta
 length), a canonical-JSON meta object carrying ``payload_sha256`` and
@@ -171,32 +171,6 @@ def sweep_stale_tmp(
             except OSError:
                 pass
     return swept
-
-
-def open_append(path: str, fresh: bool = False):
-    """Open a JSON-lines log for :func:`append_line`.
-
-    ``fresh`` truncates any existing file; otherwise a torn trailing
-    line (a killed writer's partial record) is cut first, so the next
-    record starts on a line of its own instead of being glued to the
-    fragment.
-    """
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    if not fresh and os.path.exists(path):
-        with open(path, "r+b") as raw:
-            keep = raw.read().rfind(b"\n") + 1
-            if keep != raw.tell():
-                raw.truncate(keep)
-                os.fsync(raw.fileno())
-    return open(path, "w" if fresh else "a", encoding="utf-8")
-
-
-def append_line(fh, record: Dict[str, Any]) -> None:
-    """Append one canonical-JSON record and make it durable before
-    returning: a kill at any moment loses at most this record."""
-    fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
-    fh.flush()
-    os.fsync(fh.fileno())
 
 
 def read_jsonl(path: str) -> List[Dict[str, Any]]:

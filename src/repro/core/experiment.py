@@ -9,8 +9,11 @@ share configurations — Figure 9 and Table 5, for example, reuse the
 same four runs) backed by the persistent disk cache
 (:mod:`repro.core.diskcache`), which survives across processes.
 :func:`run_point` is the one way a point is computed, and
-:func:`run_points` the one fan-out above it (journal, workers, memo)
-that sweeps, matrices and the CLI's multi-point commands share.
+:func:`run_points` the one fan-out above it (workers, memo) that
+sweeps, matrices and the CLI's multi-point commands share.  The disk
+cache is the only result store: it is also what ``repro sweep
+--resume`` restores a killed sweep from, since every point is stored
+the moment it completes.
 
 Default sizing (events, warmup, seeds, scale), the memo bound, the disk
 cache switch and every other ``REPRO_*`` knob are declared in
@@ -19,21 +22,14 @@ cache switch and every other ``REPRO_*`` knob are declared in
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core import diskcache
 from repro.core.results import SimulationResult
-from repro.core.runner import (
-    OffsetProgress,
-    ParallelRunner,
-    PointError,
-    PointOutcome,
-    PointSpec,
-    _notify,
-    point_name,
-)
+from repro.core.runner import ParallelRunner, PointError, PointOutcome, PointSpec
 from repro import settings
 from repro.obs import telemetry as _telemetry
 from repro.params import CONFIG_FEATURES, SystemConfig, make_config  # noqa: F401
@@ -207,7 +203,6 @@ def run_points(
     points: Sequence[PointSpec],
     *,
     jobs: Optional[int] = None,
-    journal=None,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> List[PointOutcome]:
     """Compute many points: the one fan-out above :func:`run_point`.
@@ -216,67 +211,42 @@ def run_points(
     :class:`~repro.core.runner.PointError` in its slot.  ``jobs`` > 1
     runs the points across worker processes (``None`` runs them
     serially); the outcomes are identical either way, and every result
-    also lands in this process's memo.
-
-    ``journal`` (a :class:`repro.core.checkpoint.SweepJournal`) restores
-    the points it already holds bit-identically instead of re-simulating
-    them (their progress source reads ``journal``) and records every new
-    outcome the moment it is final, so a run killed at any point resumes
-    where it stopped.
+    also lands in this process's memo.  With the disk cache on, the
+    process that computes a point stores it the moment it completes, so
+    a run killed partway keeps every finished point and a rerun
+    restores them from the cache.
     """
-    total = len(points)
-    outcomes: List[Optional[PointOutcome]] = [None] * len(points)
-    jkeys: List[str] = []
-    remaining = list(range(len(points)))
-    if journal is not None:
-        from repro.core import checkpoint
+    outcomes = ParallelRunner(jobs or 1).run_points(points, progress=progress)
+    for point, outcome in zip(points, outcomes):
+        if not isinstance(outcome, PointError):
+            _remember(point, outcome)
+    return outcomes
 
-        jkeys = [
-            checkpoint.point_journal_key({"workload": w, "key": k}, kwargs)
-            for (w, k), kwargs in points
-        ]
-        remaining = []
-        for i, jkey in enumerate(jkeys):
-            restored = journal.result_for(jkey)
-            if restored is None:
-                remaining.append(i)
-                continue
-            outcomes[i] = restored
-            _remember(points[i], restored)
-            _notify(progress, i + 1 - len(remaining), total, "journal")
 
-    def record(pos: int, outcome: PointOutcome) -> None:
-        if journal is None:
-            return
-        i = remaining[pos]
-        (workload, key), kwargs = points[i]
-        coords = {"workload": workload, "key": point_name(key, kwargs)}
-        if isinstance(outcome, PointError):
-            journal.record_error(jkeys[i], coords, outcome)
-        else:
-            journal.record_result(jkeys[i], coords, outcome)
-
-    if remaining:
-        if progress is not None and len(remaining) < total:
-            progress = OffsetProgress(progress, total - len(remaining), total)
-        ran = ParallelRunner(jobs or 1).run_points(
-            [points[i] for i in remaining], progress=progress, on_outcome=record
-        )
-        for i, outcome in zip(remaining, ran):
-            outcomes[i] = outcome
-            if not isinstance(outcome, PointError):
-                _remember(points[i], outcome)
-    return outcomes  # type: ignore[return-value]
+def _point_key(point: PointSpec) -> Optional[str]:
+    """A point's cache key (None when it is never cached)."""
+    (workload, config), kwargs = point
+    kwargs = {k: v for k, v in kwargs.items() if k != "resume_snapshot"}
+    return _bind(workload, config, **kwargs)[4]
 
 
 def _remember(point: PointSpec, result: SimulationResult) -> None:
-    """Seed this process's memo with a result computed elsewhere (a
-    worker process or the journal), so later lookups reuse it."""
-    (workload, config), kwargs = point
-    kwargs = {k: v for k, v in kwargs.items() if k != "resume_snapshot"}
-    key = _bind(workload, config, **kwargs)[4]
+    """Seed this process's memo with a result computed in a worker
+    process, so later lookups reuse it."""
+    key = _point_key(point)
     if key is not None and not result.extra.get("truncated"):
         _memo_put(key, result)
+
+
+def stored_points(points: Sequence[PointSpec]) -> int:
+    """How many of ``points`` already have an entry in the disk cache
+    (whether or not ``REPRO_CACHE`` is on)."""
+    store = diskcache.DiskCache()
+    keys = (_point_key(point) for point in points)
+    return sum(
+        1 for key in keys
+        if key is not None and os.path.exists(store.path_for(key))
+    )
 
 
 def completed(outcomes: Sequence[PointOutcome]) -> List[SimulationResult]:
@@ -310,20 +280,16 @@ def run_matrix(
     workloads: Iterable[str],
     keys: Iterable[str],
     jobs: Optional[int] = None,
-    journal=None,
     **kwargs,
 ) -> Dict[Tuple[str, str], SimulationResult]:
     """Cartesian sweep used by most figures.
 
     ``jobs`` > 1 runs the grid across worker processes; the returned
-    mapping is identical to a serial run.  ``journal`` (a
-    :class:`repro.core.checkpoint.SweepJournal`) checkpoints each
-    completed point and restores already-completed ones bit-identically
-    instead of re-simulating them.
+    mapping is identical to a serial run.
     """
     coords = [(w, k) for w in workloads for k in keys]
     points = [(coord, dict(kwargs)) for coord in coords]
-    return dict(zip(coords, completed(run_points(points, jobs=jobs, journal=journal))))
+    return dict(zip(coords, completed(run_points(points, jobs=jobs))))
 
 
 def clear_cache(disk: bool = False) -> None:

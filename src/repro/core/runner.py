@@ -128,7 +128,7 @@ def _worker_init() -> None:
     global _IN_WORKER
     _IN_WORKER = True
     # Workers are forked after the parent may have installed its
-    # checkpoint resume-guard signal handlers; left inherited, the
+    # sweep resume-guard signal handlers; left inherited, the
     # SIGTERM a pool respawn sends to a stuck worker would make the
     # *worker* print the parent's resume hint.  Restore sane defaults:
     # ignore SIGINT (the parent owns Ctrl-C) and die plainly on SIGTERM.
@@ -226,8 +226,8 @@ def _event(progress: Optional[Callable], kind: str) -> None:
 
 
 class OffsetProgress:
-    """Re-bases one batch's progress onto a larger run (the points a
-    journal restored, or a matrix's earlier workloads)."""
+    """Re-bases one batch's progress onto a larger run (a matrix's
+    earlier workloads)."""
 
     def __init__(self, inner, offset: int, total: int) -> None:
         self.inner = inner
@@ -251,15 +251,11 @@ class ParallelRunner:
         self,
         points: Sequence[PointSpec],
         progress: Optional[Callable[[int, int], None]] = None,
-        on_outcome: Optional[Callable[[int, PointOutcome], None]] = None,
     ) -> List[PointOutcome]:
         """Execute every point; result ``i`` corresponds to ``points[i]``.
 
         ``progress(done, total)`` fires as each point completes (in
         completion order; the returned list is in input order).
-        ``on_outcome(index, outcome)`` fires in the parent process the
-        moment a point's outcome is final — before the progress
-        notification — so callers can checkpoint crash-safely.
         """
         total = len(points)
         t0 = time.perf_counter()
@@ -267,9 +263,9 @@ class ParallelRunner:
         stats = {"retries": 0, "restarts": 0, "timeouts": 0, "quarantines": 0}
         max_retries = settings.get("REPRO_RETRIES")
         if self.jobs == 1 or total <= 1:
-            self._run_serial(points, results, progress, on_outcome, stats, max_retries)
+            self._run_serial(points, results, progress, stats, max_retries)
         else:
-            self._run_parallel(points, results, progress, on_outcome, stats, max_retries)
+            self._run_parallel(points, results, progress, stats, max_retries)
         self._emit_sweep(results, workers=min(self.jobs, total), t0=t0, stats=stats)
         return results  # type: ignore[return-value]
 
@@ -280,7 +276,6 @@ class ParallelRunner:
         points: Sequence[PointSpec],
         results: List[Optional[PointOutcome]],
         progress: Optional[Callable],
-        on_outcome: Optional[Callable],
         stats: Dict[str, int],
         max_retries: int,
     ) -> None:
@@ -301,7 +296,7 @@ class ParallelRunner:
                 break
             self._finalize(
                 results, points, outcome, attempt + 1, done + 1, total,
-                progress, on_outcome, stats,
+                progress, stats,
             )
 
     # -- parallel path ------------------------------------------------------
@@ -311,7 +306,6 @@ class ParallelRunner:
         points: Sequence[PointSpec],
         results: List[Optional[PointOutcome]],
         progress: Optional[Callable],
-        on_outcome: Optional[Callable],
         stats: Dict[str, int],
         max_retries: int,
     ) -> None:
@@ -431,7 +425,7 @@ class ParallelRunner:
                     done += 1
                     self._finalize(
                         results, points, outcome, att + 1, done, total,
-                        progress, on_outcome, stats,
+                        progress, stats,
                     )
                 if pool_broken:
                     # Remaining in-flight futures on the broken pool have
@@ -491,7 +485,7 @@ class ParallelRunner:
                                     ),
                                     "error", False, 0,
                                 ),
-                                att + 1, done, total, progress, on_outcome, stats,
+                                att + 1, done, total, progress, stats,
                             )
                         # The stuck worker cannot be preempted individually:
                         # burn the pool, terminate its processes, and give
@@ -531,18 +525,14 @@ class ParallelRunner:
         done: int,
         total: int,
         progress: Optional[Callable],
-        on_outcome: Optional[Callable],
         stats: Dict[str, int],
     ) -> None:
-        index = outcome[0]
         quarantines = outcome[5] if len(outcome) > 5 else 0
         if quarantines:
             stats["quarantines"] += quarantines
             for _ in range(quarantines):
                 _event(progress, "quarantine")
         self._store(results, points, outcome, attempts=attempts)
-        if on_outcome is not None:
-            on_outcome(index, results[index])
         _notify(progress, done, total, outcome[3])
 
     @staticmethod

@@ -23,7 +23,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core import checkpoint
 from repro.core.experiment import run_points
 from repro.core.results import SimulationResult
 from repro.core.runner import PointError
@@ -132,7 +131,6 @@ class Sweep:
         warmup: Optional[int] = None,
         jobs: Optional[int] = None,
         progress: Optional[Callable[[int, int], None]] = None,
-        journal: Optional["checkpoint.SweepJournal"] = None,
         **fixed_kwargs,
     ) -> SweepResults:
         """Simulate every grid point (cached via run_point's memo and the
@@ -142,14 +140,10 @@ class Sweep:
         :func:`repro.core.experiment.run_points`); the merged results
         are identical to a serial run, and a grid point that raises is
         recorded in :attr:`SweepResults.errors` instead of aborting the
-        sweep.
-
-        ``journal`` checkpoints every completed point crash-safely (see
-        :class:`repro.core.checkpoint.SweepJournal`): points the journal
-        already holds are loaded bit-identically instead of re-simulated
-        (their progress source reads ``journal``), and every new outcome
-        is journaled the moment it is final — so a sweep killed at any
-        point resumes where it stopped.
+        sweep.  Every completed point is stored in the disk cache the
+        moment it completes, so rerunning a killed sweep restores the
+        finished points (progress source ``disk``) and simulates only
+        the rest.
         """
         if "workload" not in self._dims:
             raise ValueError("a sweep needs a 'workload' dimension")
@@ -168,7 +162,7 @@ class Sweep:
             kwargs.setdefault("warmup", warmup)
             points.append(((coords["workload"], coords["key"]), kwargs))
         results = SweepResults(dimensions=names)
-        outcomes = run_points(points, jobs=jobs, journal=journal, progress=progress)
+        outcomes = run_points(points, jobs=jobs, progress=progress)
         for combo, outcome in zip(combos, outcomes):
             if isinstance(outcome, PointError):
                 results.errors[combo] = outcome

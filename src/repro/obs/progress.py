@@ -7,10 +7,11 @@ The renderer redraws one status line per completed point::
     sweep  12/64 [#####...............] 3.2 pt/s eta 16s sim=9 disk=2 memo=1
 
 Rate and ETA come from a wall-clock window over completed points; the
-``sim``/``disk``/``memo``/``journal`` counts show where each result
-came from (fresh simulation, the persistent disk cache, the in-process
-memo, or a resumed checkpoint journal), which is usually the difference
-between a 40-minute sweep and a 2-second one.  Failed points add an
+``sim``/``disk``/``memo`` counts show where each result came from
+(fresh simulation, the persistent disk cache — which is also what a
+resumed sweep restores from — or the in-process memo), which is usually
+the difference between a 40-minute sweep and a 2-second one.  Failed
+points add an
 ``err=N`` field, and the runner's resilience events append ``retry=N``
 (retried attempts), ``restart=N`` (worker-pool respawns), ``tmo=N``
 (points killed by ``REPRO_POINT_TIMEOUT``) and ``quar=N`` (corrupt
@@ -45,8 +46,7 @@ class SweepProgress:
         self.stream = stream if stream is not None else sys.stderr
         self._now = now if now is not None else time.monotonic
         self.started = self._now()
-        self.sources = {"sim": 0, "disk": 0, "memo": 0, "journal": 0,
-                        "snapshot": 0}
+        self.sources = {"sim": 0, "disk": 0, "memo": 0, "snapshot": 0}
         self.events = {"retry": 0, "restart": 0, "timeout": 0, "quarantine": 0}
         self.errors = 0
         self.done = 0

@@ -45,9 +45,6 @@ Kinds emitted by the simulator stack:
 * ``guard`` — one per resource-guard breach (``REPRO_DEADLINE`` /
   ``REPRO_MEM_LIMIT``): the reason, progress counters and the snapshot
   left behind to resume from;
-* ``journal`` — one per checkpointed sweep: journal path, points loaded
-  on resume, points recorded; plus one ``action="corrupt"`` record per
-  journaled result that failed to load or to match its fingerprint;
 * ``matrix-point`` — one per distinct interaction-matrix run
   (:func:`repro.report.matrix.run_matrix`), whether it was simulated or
   served by the memo or disk cache (its ``point`` record tells which):
@@ -176,7 +173,6 @@ def summarize(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     sweep_restarts = 0
     sweep_timeouts = 0
     sweep_quarantines = 0
-    journal_loaded = 0
     snapshot_actions: Dict[str, int] = {}
     guard_breaches = 0
     for record in records:
@@ -203,8 +199,6 @@ def summarize(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
             sweep_restarts += int(record.get("restarts", 0))
             sweep_timeouts += int(record.get("timeouts", 0))
             sweep_quarantines += int(record.get("quarantines", 0))
-        elif kind == "journal":
-            journal_loaded += int(record.get("loaded", 0))
         elif kind == "snapshot":
             action = str(record.get("action", "?"))
             snapshot_actions[action] = snapshot_actions.get(action, 0) + 1
@@ -228,7 +222,6 @@ def summarize(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
         "sweep_restarts": sweep_restarts,
         "sweep_timeouts": sweep_timeouts,
         "sweep_quarantines": sweep_quarantines,
-        "journal_loaded": journal_loaded,
         "snapshot_actions": snapshot_actions,
         "guard_breaches": guard_breaches,
     }

@@ -2,7 +2,7 @@
 
 A simulation result is fixed by its :class:`~repro.params.SystemConfig`
 and its run arguments; *how* a run executes — how many events by
-default, which observers are armed, where caches, journals and
+default, which observers are armed, where the result cache and the
 snapshots live, which faults are injected — is set by ``REPRO_*``
 environment variables.  :data:`TABLE` declares every one of them with
 its kind, default, bound and a one-line doc; :func:`get` is the only
@@ -102,7 +102,8 @@ _ROWS = (
     Setting("REPRO_SCALE", "int", 4, "capacity scale divisor (1 = full 4 MB L2)", 1),
     Setting("REPRO_MEMO_CAP", "int", 512, "max in-process memoised results", 0),
     # Result cache, parallel sweeps, retries (repro.core.diskcache/runner).
-    Setting("REPRO_CACHE", "switch", True, "0 disables the on-disk result cache"),
+    Setting("REPRO_CACHE", "switch", True,
+            "0 disables the on-disk result cache (sweep --resume keeps it on)"),
     Setting("REPRO_CACHE_DIR", "path", ".repro_cache", "on-disk result cache root"),
     Setting("REPRO_JOBS", "int", None, "default worker count for parallel sweeps", 1,
             unset="cpu count"),
@@ -111,8 +112,6 @@ _ROWS = (
             "per-point wall-clock budget in seconds for parallel sweeps"),
     Setting("REPRO_RETRY_BACKOFF", "number", 0.05,
             "base seconds before the first retry (doubled per attempt)", 0),
-    Setting("REPRO_SWEEP_DIR", "path", ".repro_sweep",
-            "checkpoint-journal directory for repro sweep --resume"),
     # Observers (repro.obs); each env value overrides its SystemConfig field.
     Setting("REPRO_AUDIT", "switch", None,
             "1/0 forces invariant auditing on/off (overrides SystemConfig.audit)"),

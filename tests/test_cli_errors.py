@@ -90,7 +90,7 @@ class TestArgparseRejections:
 class TestUnknownSweepNames:
     """``repro sweep`` rejects an unknown ``--configs`` key the way it
     rejects an unknown ``--workloads`` name: exit 2, one stderr line,
-    before any journal is written."""
+    before any result-cache entry is written."""
 
     SIZING = ("--events", "50", "--warmup", "50", "--scale", "32", "--cores", "1",
               "--quiet")
@@ -104,17 +104,11 @@ class TestUnknownSweepNames:
     )
     def test_exit_2_one_line_no_journal(self, capsys, monkeypatch, tmp_path,
                                         flag, value, message):
-        journals = tmp_path / "sweeps"
-        monkeypatch.setenv("REPRO_SWEEP_DIR", str(journals))
-        code, out, err = run_cli(capsys, "sweep", flag, value, *self.SIZING)
+        store = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(store))
+        code, out, err = run_cli(capsys, "sweep", flag, value, "--resume",
+                                 *self.SIZING)
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith(message), err
-        assert not journals.exists()
-
-    def test_explicit_journal_path_is_not_created(self, capsys, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        code, _, _ = run_cli(capsys, "sweep", "--configs", "nosuch",
-                             "--journal", str(journal), *self.SIZING)
-        assert code == 2
-        assert not journal.exists()
+        assert not store.exists()

@@ -2,9 +2,9 @@
 ``hashlib``'s, and the keys earlier versions wrote to disk still hit.
 
 The pinned hex values below were computed with ``hashlib`` before the
-package stopped importing it.  A cache entry, a sweep journal or a
-seeded fault plan is found by exactly these values, so a mismatch means
-old caches miss and fault plans fire on other points.
+package stopped importing it.  A cache entry or a seeded fault plan
+is found by exactly these values, so a mismatch means old caches miss
+and fault plans fire on other points.
 
 Runs under pytest, or as a plain script on an interpreter without it::
 
@@ -23,7 +23,6 @@ import sys
 from pathlib import Path
 
 from repro import digest, make_config
-from repro.core.checkpoint import point_journal_key, sweep_spec_key
 from repro.core.diskcache import point_key
 from repro.faults.inject import _stable_unit
 
@@ -84,16 +83,6 @@ def test_disk_cache_key_is_unchanged():
     assert point_key(config, "zeus", 0, 1500, 1500) == (
         "c03b6a84ea858887a53b7ec2e8ec3f02b7a1855989978ddbd255c551ea088caf"
     )
-
-
-def test_journal_keys_are_unchanged():
-    coords = {"workload": "zeus", "config": "pref_compr"}
-    kwargs = {"events": 1500, "warmup": 1500, "scale": 8, "n_cores": 4, "seed": 0}
-    assert point_journal_key(coords, kwargs) == (
-        "4a38db16c190806e40775a6ee89603cd33aa4dad4d1e005e01856ae0f3946b0f"
-    )
-    spec = dict(workloads=["zeus", "jbb"], configs=["base", "pref_compr"], events=1500)
-    assert sweep_spec_key(**spec) == "e9e985107a6806fa"
 
 
 def test_fault_selection_is_unchanged():

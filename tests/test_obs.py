@@ -188,11 +188,13 @@ class TestSystemIntegration:
 
     def test_simulate_facade_audit_flag(self, monkeypatch):
         monkeypatch.delenv("REPRO_AUDIT", raising=False)
-        from repro.core.simulator import simulate
+        from dataclasses import replace
 
-        result = simulate(
-            "zeus", make_tiny_system(), events_per_core=200, warmup_events=100,
-            audit=True,
+        from repro.core.experiment import run_point
+
+        result = run_point(
+            "zeus", replace(make_tiny_system(), audit=True), events=200,
+            warmup=100, use_cache=False,
         )
         assert result.events == 400  # ran to completion, zero violations
 

@@ -23,7 +23,6 @@ import pytest
 from repro import faults
 from repro.cli import main
 from repro.core import runner as runner_mod
-from repro.core.checkpoint import SweepJournal
 from repro.core.diskcache import DiskCache
 from repro.core import diskcache as diskcache_mod
 from repro.core.experiment import clear_cache, run_point
@@ -123,11 +122,13 @@ class TestLostWorkers:
         monkeypatch.setenv("REPRO_FAULTS", "kill@2")
         finalized = []
         outcomes = ParallelRunner(jobs=2).run_points(
-            _points(EIGHT), on_outcome=lambda i, o: finalized.append(i)
+            _points(EIGHT), progress=lambda done, total: finalized.append(done)
         )
         assert len(outcomes) == len(EIGHT)
         assert not any(isinstance(o, PointError) for o in outcomes)
-        assert sorted(finalized) == list(range(len(EIGHT)))  # once each, no dupes
+        # Finalized once each, no dupes (a point finalized twice would
+        # leave another's slot empty, which the fingerprints below catch).
+        assert finalized == list(range(1, len(EIGHT) + 1))
         assert [result_fingerprint(o) for o in outcomes] == _expected(EIGHT)
         records = read_records(tele)
         sweep_record = [r for r in records if r["kind"] == "sweep"][-1]
@@ -293,17 +294,19 @@ class TestProgressIsolation:
 
 
 class TestKillAndResume:
+    """The result cache is the sweep checkpoint: every completed point is
+    stored the moment it completes, so a rerun restores it."""
+
     def test_interrupt_then_resume_is_bit_identical(self, monkeypatch, tmp_path):
-        """The acceptance centerpiece: kill a journaled sweep partway,
-        resume it, and get clean-run fingerprints while re-simulating
-        only the missing points."""
-        monkeypatch.setenv("REPRO_CACHE", "0")
+        """The acceptance centerpiece: kill a sweep partway, resume it,
+        and get clean-run fingerprints while re-simulating only the
+        missing points."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         clear_cache()
         clean = _sweep().run(jobs=1, **FAST, use_cache=False)
         expected = {k: result_fingerprint(v) for k, v in clean.points.items()}
         assert len(expected) == 4
 
-        path = str(tmp_path / "journal.jsonl")
         seen = {"n": 0}
 
         def interrupt_after_two(done, total):
@@ -312,72 +315,61 @@ class TestKillAndResume:
                 raise KeyboardInterrupt
 
         clear_cache()
-        journal = SweepJournal(path, resume=False)
         with pytest.raises(KeyboardInterrupt):
-            _sweep().run(jobs=1, progress=interrupt_after_two, journal=journal,
-                         **FAST, use_cache=False)
-        journal.close()
+            _sweep().run(jobs=1, progress=interrupt_after_two, **FAST)
+        assert DiskCache().stats()["entries"] == 2
 
-        resumed = SweepJournal(path, resume=True)
-        assert resumed.completed_count() == 2
         tele = str(tmp_path / "resume.jsonl")
         monkeypatch.setenv("REPRO_TELEMETRY", tele)
         clear_cache()
-        final = _sweep().run(jobs=1, journal=resumed, **FAST, use_cache=False)
-        resumed.close()
+        final = _sweep().run(jobs=1, **FAST)
         assert {k: result_fingerprint(v) for k, v in final.points.items()} == expected
-        simulated = [r for r in read_records(tele) if r["kind"] == "point"]
-        assert len(simulated) == 2  # exactly the points the journal lacked
+        sources = [r["source"] for r in read_records(tele) if r["kind"] == "point"]
+        # Exactly the points the store lacked were simulated.
+        assert sorted(sources) == ["disk", "disk", "sim", "sim"]
 
     def test_parallel_journal_resume_resimulates_nothing(
         self, monkeypatch, tmp_path
     ):
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        path = str(tmp_path / "journal.jsonl")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         clear_cache()
-        journal = SweepJournal(path, resume=False)
-        first = _sweep().run(jobs=2, journal=journal, **FAST, use_cache=False)
-        journal.close()
+        first = _sweep().run(jobs=2, **FAST)
         assert len(first.points) == 4 and not first.errors
+        assert DiskCache().stats()["entries"] == 4  # stored by the workers
         expected = {k: result_fingerprint(v) for k, v in first.points.items()}
 
-        resumed = SweepJournal(path, resume=True)
-        assert resumed.completed_count() == 4
         tele = str(tmp_path / "resume.jsonl")
         monkeypatch.setenv("REPRO_TELEMETRY", tele)
         clear_cache()
-        second = _sweep().run(jobs=2, journal=resumed, **FAST, use_cache=False)
-        resumed.close()
+        second = _sweep().run(jobs=2, **FAST)
         assert {k: result_fingerprint(v) for k, v in second.points.items()} == expected
-        simulated = ([r for r in read_records(tele) if r["kind"] == "point"]
-                     if os.path.exists(tele) else [])
-        assert simulated == []  # full resume: zero re-simulation
+        sources = [r["source"] for r in read_records(tele) if r["kind"] == "point"]
+        assert sources == ["disk"] * 4  # full resume: zero re-simulation
 
     def test_journaled_error_point_is_retried_on_resume(
         self, monkeypatch, tmp_path
     ):
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        path = str(tmp_path / "journal.jsonl")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.setenv("REPRO_FAULTS", "transient@0x99")
         monkeypatch.setenv("REPRO_RETRIES", "0")
         clear_cache()
-        journal = SweepJournal(path, resume=False)
         sweep = (Sweep().dimension("workload", ["zeus", "jbb"])
                  .dimension("key", ["base"]))
-        partial = sweep.run(jobs=2, journal=journal, **FAST, use_cache=False)
-        journal.close()
+        partial = sweep.run(jobs=2, **FAST)
         assert len(partial.errors) == 1 and len(partial.points) == 1
+        assert DiskCache().stats()["entries"] == 1  # an error is never stored
 
         monkeypatch.delenv("REPRO_FAULTS")
         faults.reset()
-        resumed = SweepJournal(path, resume=True)
-        assert resumed.completed_count() == 1  # the error record is not "done"
+        tele = str(tmp_path / "resume.jsonl")
+        monkeypatch.setenv("REPRO_TELEMETRY", tele)
         clear_cache()
         sweep2 = (Sweep().dimension("workload", ["zeus", "jbb"])
                   .dimension("key", ["base"]))
-        final = sweep2.run(jobs=2, journal=resumed, **FAST, use_cache=False)
-        resumed.close()
+        final = sweep2.run(jobs=2, **FAST)
         assert len(final.points) == 2 and not final.errors
+        sources = [r["source"] for r in read_records(tele) if r["kind"] == "point"]
+        assert sorted(sources) == ["disk", "sim"]  # only the failed point reruns
 
 
 class TestCLIResilience:
@@ -389,7 +381,7 @@ class TestCLIResilience:
             default_jobs()
         assert "REPRO_JOBS" in str(exc.value) and "'max'" in str(exc.value)
         rc = main(["sweep", "--workloads", "zeus", "--configs", "base,pref",
-                   "--jobs", "0", "--quiet", "--no-journal"])
+                   "--jobs", "0", "--quiet"])
         captured = capsys.readouterr()
         assert rc == 2
         assert "error: REPRO_JOBS must be an integer >= 1, got 'max'" in captured.err
@@ -416,27 +408,55 @@ class TestCLIResilience:
         assert main(["cache", "stats"]) == 0
         assert "quarantined:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("env, first, cut, stored, simulated", [
+        # --resume keeps the store on (and written) under REPRO_CACHE=0.
+        ({"REPRO_CACHE": "0"}, ["--resume"], False, 2, 0),
+        # With the cache on, a plain sweep is already checkpointed.
+        ({}, [], False, 2, 0),
+        # A damaged entry is quarantined and recomputed.
+        ({"REPRO_CACHE": "0"}, ["--resume"], True, 2, 1),
+        # Observed points stay out of the store: all re-simulate.
+        ({"REPRO_CACHE": "0", "REPRO_AUDIT": "1"}, ["--resume"], False, 0, 2),
+    ], ids=["cache-off", "cache-on", "cut-entry", "audited"])
     def test_sweep_resume_round_trip_identical_stdout(
-        self, monkeypatch, capsys, tmp_path
+        self, monkeypatch, capsys, tmp_path, env, first, cut, stored, simulated,
     ):
-        monkeypatch.setenv("REPRO_SWEEP_DIR", str(tmp_path / "sweeps"))
-        monkeypatch.setenv("REPRO_CACHE", "0")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
         argv = ["sweep", "--workloads", "zeus", "--configs", "base,pref",
                 "--events", "200", "--warmup", "100", "--scale", "16",
                 "--cores", "2", "--jobs", "1", "--quiet"]
         clear_cache()
-        assert main(argv) == 0
-        first = capsys.readouterr()
+        assert main(argv + first) == 0
+        first_run = capsys.readouterr()
+        store = DiskCache()
+        assert store.stats()["entries"] == stored
+        if cut:
+            entry = Path(store.path_for(_entry_keys(store)[0]))
+            entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
         tele = str(tmp_path / "resume.jsonl")
         monkeypatch.setenv("REPRO_TELEMETRY", tele)
         clear_cache()
         assert main(argv + ["--resume"]) == 0
         second = capsys.readouterr()
-        assert second.out == first.out
-        assert "resuming: 2 completed point(s) loaded" in second.err
-        simulated = ([r for r in read_records(tele) if r["kind"] == "point"]
-                     if os.path.exists(tele) else [])
-        assert simulated == []
+        assert second.out == first_run.out
+        resuming = f"resuming: {stored} completed point(s) loaded"
+        assert (resuming in second.err) == bool(stored)
+        sources = [r["source"] for r in read_records(tele) if r["kind"] == "point"]
+        assert sources.count("sim") == simulated
+        assert sources.count("disk") == stored - int(cut)
+        assert DiskCache().stats()["quarantined"] == int(cut)
+
+
+def _entry_keys(store):
+    return sorted(
+        name[: -len(diskcache_mod.ENTRY_SUFFIX)]
+        for _dir, _subdirs, files in os.walk(store.root)
+        for name in files
+        if name.endswith(diskcache_mod.ENTRY_SUFFIX)
+    )
 
 
 class TestHungPointExit:
@@ -454,8 +474,7 @@ class TestHungPointExit:
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "sweep", "--workloads", "zeus",
              "--configs", "base,pref", "--events", "200", "--warmup", "100",
-             "--scale", "16", "--cores", "2", "--jobs", "2", "--no-journal",
-             "--quiet"],
+             "--scale", "16", "--cores", "2", "--jobs", "2", "--quiet"],
             env=env, cwd=str(tmp_path), capture_output=True, text=True,
             timeout=120,
         )

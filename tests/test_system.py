@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.simulator import simulate
+from repro.core.experiment import run_point
 from repro.core.system import CMPSystem
 from repro.params import CacheConfig, L2Config, SystemConfig
 
@@ -110,11 +110,16 @@ class TestFeatureEffects:
 
 
 class TestSimulateFacade:
+    """``run_point`` with a full config and no caching: one call, one
+    simulation."""
+
     def test_simulate_with_explicit_config(self):
-        r = simulate("zeus", small_config(), events_per_core=200, warmup_events=50, seed=1)
+        r = run_point("zeus", small_config(), events=200, warmup=50, seed=1,
+                      use_cache=False)
         assert r.workload == "zeus"
         assert r.seed == 1
 
     def test_config_name_override(self):
-        r = simulate("zeus", small_config(), events_per_core=100, warmup_events=10, config_name="mylabel")
+        r = run_point("zeus", small_config(), events=100, warmup=10,
+                      name="mylabel", use_cache=False)
         assert r.config_name == "mylabel"
