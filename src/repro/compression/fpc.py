@@ -31,7 +31,11 @@ is what the paper measures.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+import re
+import sys
+from array import array
+from functools import lru_cache
+from typing import List, NoReturn, Sequence, Tuple
 
 PREFIX_BITS = 3
 WORD_BITS = 32
@@ -141,42 +145,95 @@ def compressed_size_bytes(words: Sequence[int]) -> int:
     return (compressed_size_bits(words) + 7) // 8
 
 
+#: Lines per :func:`sizes_for` block: 1024 words, so each lane integer
+#: stays ~8 KB however large the batch.
+_BLOCK_LINES = 64
+#: Replacing each match with ``b"\x06"`` turns every greedy left-to-right
+#: run of 1-7 zero words (cost byte 0) into one 6-bit zero-run record,
+#: as :func:`compress_line` groups them.
+_ZERO_RUNS = re.compile(b"\x00{1,7}")
+
+
+@lru_cache(maxsize=4)
+def _lanes(n: int) -> Tuple[int, ...]:
+    """The lane constants for ``n`` words: each value repeated in every
+    64-bit lane (a small constant times the lane-ones integer)."""
+    ones = int.from_bytes((b"\x01" + bytes(7)) * n, "little")
+    return tuple(c * ones for c in (
+        0xFFFFFFFF00000000, _MASK32, 1 << 32, 0x8, (1 << 32) - 0x10,
+        0x80, (1 << 32) - 0x100, 0x8000, (1 << 32) - 0x10000,
+        0xFFFF, 0xFFFF0000, 0xFF00, 0x800000, 0xFF000000, 0xFF,
+    ))
+
+
 def sizes_for(lines: Sequence[Sequence[int]]) -> List[int]:
     """Batched :func:`compressed_size_bytes` over many lines.
 
     Bit-identical to mapping ``compressed_size_bytes`` over ``lines``
-    (the property suite asserts this), but classifies each distinct
-    non-zero word value once across the whole batch, with the same
-    :func:`_prefix` rule as :func:`classify_word`.  Value pools repeat
-    words heavily (zero runs, sign-extended constants, repeated bytes),
-    so sizing a whole :class:`~repro.workloads.values.ValueModel` pool in
-    one call replaces most classifications with one dict lookup.
+    (the property suite asserts this), but word-parallel, as the
+    hardware classifies a line: each block of up to 64 lines is packed
+    into one integer with one 64-bit lane per word, and :func:`_prefix`'s
+    offset compares run on every lane at once.  The 32 guard bits above
+    each word keep every carry inside its lane, so ``(v + 0xFFFFFFFF) &
+    1 << 32`` flags the lanes where ``v`` (below ``2**32``) is non-zero.
     """
-    payload_cache: dict = {}
-    cache_get = payload_cache.get
+    bad = set(map(len, lines)) - {WORDS_PER_LINE}
+    if bad:
+        raise ValueError(f"expected {WORDS_PER_LINE} words, got {min(bad)}")
     sizes: List[int] = []
-    for words in lines:
-        if len(words) != WORDS_PER_LINE:
-            raise ValueError(f"expected {WORDS_PER_LINE} words, got {len(words)}")
-        bits = 0
-        i = 0
-        while i < WORDS_PER_LINE:
-            word = words[i]
-            if word == 0:
-                run = 1
-                while run < 7 and i + run < WORDS_PER_LINE and words[i + run] == 0:
-                    run += 1
-                bits += PREFIX_BITS + 3  # one zero-run record
-                i += run
-            else:
-                payload = cache_get(word)
-                if payload is None:
-                    payload = _PAYLOAD_BITS[_prefix(word)]
-                    payload_cache[word] = payload
-                bits += PREFIX_BITS + payload
-                i += 1
-        sizes.append((bits + 7) // 8)
+    for first in range(0, len(lines), _BLOCK_LINES):
+        sizes += _block_sizes(lines[first:first + _BLOCK_LINES])
     return sizes
+
+
+def _block_sizes(block: Sequence[Sequence[int]]) -> List[int]:
+    """:func:`sizes_for` over at most :data:`_BLOCK_LINES` lines."""
+    flat = [word for words in block for word in words]
+    n = len(flat)
+    (high, m32, b32, c4, k4, c8, k8, c16, k16,
+     lo16, hi16, ff00, c_hi8, ff_hi, low_byte) = _lanes(n)
+    try:
+        packed = array("Q", flat)
+    except OverflowError:  # negative, or wider than 64 bits
+        _reject(flat)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    x = int.from_bytes(packed.tobytes(), "little")
+    if x & high:  # wider than 32 bits
+        _reject(flat)
+    # Per-lane flags at bit 32, set where the word is non-zero or where
+    # it fails a pattern, in _prefix's priority order.
+    nonzero = (x + m32) & b32
+    not_se4 = (((x + c4) & m32) + k4) & b32
+    not_se8 = (((x + c8) & m32) + k8) & b32
+    not_se16 = (((x + c16) & m32) + k16) & b32
+    low = x & lo16
+    low_half_set = (low + m32) & b32
+    halves = (((low + c8) & ff00) | (((x & hi16) + c_hi8) & ff_hi))
+    not_halves = (halves + m32) & b32
+    not_repeated = ((((x & low_byte) * 0x01010101) ^ x) + m32) & b32
+    # The sets nest (zero < 4-bit < 8-bit < 16-bit sign extension, and
+    # 8-bit sign extension is also two sign-extended halfwords), and a
+    # repeated-byte word matches an earlier pattern only as 0 or
+    # 0xFFFFFFFF (both 4-bit), so the first match's prefix + payload
+    # bits are a sum: 7 for any non-zero word, +4 past 4 bits, +8 past
+    # 8 bits unless repeated, +16 past all three 19-bit patterns unless
+    # repeated.  Zero words cost 0 here; their runs are priced below.
+    past_19 = not_se16 & low_half_set & not_halves & not_repeated
+    costs = (
+        nonzero * 7 + (not_se4 << 2) + ((not_se8 & not_repeated) << 3) + (past_19 << 4)
+    ).to_bytes(8 * n, "little")[4::8]
+    # 0xFF between lines keeps every zero run inside its line.
+    line_costs = _ZERO_RUNS.sub(b"\x06", b"\xff".join(
+        [costs[i:i + WORDS_PER_LINE] for i in range(0, n, WORDS_PER_LINE)]
+    )).split(b"\xff")
+    return [(bits + 7) // 8 for bits in map(sum, line_costs)]
+
+
+def _reject(words: Sequence[int]) -> NoReturn:
+    """Raise :func:`classify_word`'s error for the first non-32-bit word."""
+    bad = next(word for word in words if not 0 <= word <= _MASK32)
+    raise ValueError(f"word out of 32-bit range: {bad:#x}") from None
 
 
 def decompress_check(words: Sequence[int]) -> bool:

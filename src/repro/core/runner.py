@@ -174,6 +174,33 @@ def _run_one(item: Tuple[int, PointSpec, int]) -> _Outcome:
         return index, None, (repr(exc), traceback.format_exc(), "error"), "error", False, 0
 
 
+def _stop_pool(pool) -> None:
+    """Shut ``pool`` down and terminate and join its worker processes,
+    including any still running a point."""
+    # shutdown() drops the pool's references to its worker processes
+    # and manager thread, so take them first.  A worker left running (a
+    # hung point) would keep the manager thread, and so interpreter
+    # exit, waiting until it returns.
+    procs = list((getattr(pool, "_processes", None) or {}).values())
+    thread = getattr(pool, "_executor_manager_thread", None)
+    try:
+        pool.shutdown(wait=False, cancel_futures=True)
+    except Exception:  # noqa: BLE001 - a broken pool may refuse politely
+        pass
+    for proc in procs:
+        try:
+            proc.terminate()
+        except Exception:  # noqa: BLE001 - already dead is fine
+            pass
+    for proc in procs:
+        proc.join(timeout=1.0)
+    # Let the dead pool's manager thread finish closing its wakeup pipe;
+    # otherwise interpreter exit races it and logs a spurious "Exception
+    # ignored ... Bad file descriptor".
+    if thread is not None:
+        thread.join(timeout=1.0)
+
+
 _WARNED_PROGRESS = False
 
 
@@ -331,28 +358,7 @@ class ParallelRunner:
             _event(progress, "restart")
             if _telemetry.enabled():
                 _telemetry.emit("pool-restart", workers=workers)
-            # shutdown() drops the pool's references to its worker
-            # processes and manager thread, so take them first.  A
-            # worker left running (a hung point) would keep the manager
-            # thread, and so interpreter exit, waiting until it returns.
-            procs = list((getattr(old, "_processes", None) or {}).values())
-            thread = getattr(old, "_executor_manager_thread", None)
-            try:
-                old.shutdown(wait=False, cancel_futures=True)
-            except Exception:  # noqa: BLE001 - a broken pool may refuse politely
-                pass
-            for proc in procs:
-                try:
-                    proc.terminate()
-                except Exception:  # noqa: BLE001 - already dead is fine
-                    pass
-            for proc in procs:
-                proc.join(timeout=1.0)
-            # Let the dead pool's manager thread finish closing its
-            # wakeup pipe; otherwise interpreter exit races it and logs
-            # a spurious "Exception ignored ... Bad file descriptor".
-            if thread is not None:
-                thread.join(timeout=1.0)
+            _stop_pool(old)
             return ProcessPoolExecutor(max_workers=workers, initializer=_worker_init)
 
         try:
@@ -496,10 +502,10 @@ class ParallelRunner:
                         inflight.clear()
                         pool = respawn(pool)
         finally:
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:  # noqa: BLE001 - teardown must not mask results
-                pass
+            # Also on Ctrl-C or a raising progress hook: workers ignore
+            # SIGINT, and one left running would finish its in-flight
+            # point after the sweep has returned.
+            _stop_pool(pool)
 
     # -- shared bookkeeping -------------------------------------------------
 

@@ -25,7 +25,6 @@ stream bit-identically without re-materializing anything.
 from __future__ import annotations
 
 import gzip
-import itertools
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -387,6 +386,8 @@ def record_trace(
     ``l2_lines``/``l1i_lines`` size the footprints exactly as a live
     :class:`CMPSystem` would (they default to the scale-4 system).
     """
+    if events_per_core < 1:
+        raise ValueError(f"events_per_core must be positive, got {events_per_core}")
     spec = get_spec(workload)
     cores: List[List[Event]] = []
     for core in range(n_cores):
@@ -398,7 +399,7 @@ def record_trace(
             l1i_lines=l1i_lines,
             seed=seed,
         )
-        cores.append(list(itertools.islice(gen.events(), events_per_core)))
+        cores.append(gen.fill_chunk(events_per_core))
     header = TraceHeader(
         workload=workload, n_cores=n_cores, events_per_core=events_per_core, seed=seed
     )

@@ -327,7 +327,7 @@ class TraceGenerator:
 
 
 #: Events per :class:`ChunkCursor` refill.
-CHUNK = 1024
+CHUNK = 256
 
 
 class ChunkCursor:

@@ -26,13 +26,19 @@ from itertools import accumulate
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.compression.fpc import WORDS_PER_LINE, sizes_for
-from repro.compression.fpc import compressed_size_bytes as fpc_size_bytes
 from repro.compression.segments import segments_for_size
 from repro.params import LINE_BYTES
 from repro.workloads.base import randbelow
 
 _WordGen = Callable[[random.Random], List[int]]
 _MASK32 = 0xFFFFFFFF
+
+
+def fpc_size_bytes(words: Sequence[int]) -> int:
+    """FPC size of one on-demand (heap) line: the pool's batched sizer
+    over a batch of one, so FPC has one sizing path.  A module function,
+    not a lambda, so a span tracer can wrap it by name."""
+    return sizes_for((words,))[0]
 
 
 def _zero_line(rng: random.Random) -> List[int]:
@@ -179,8 +185,8 @@ class ValueModel:
         ]
         self._segments_fn = self._build_segments_fn()
         if scheme == "fpc":
-            # Batched FPC sizing: one pass over the pool with per-word
-            # classification memoised (repro.compression.fpc.sizes_for).
+            # Batched FPC sizing: word-parallel over blocks of 64 lines
+            # (repro.compression.fpc.sizes_for).
             self._segments = [
                 segments_for_size(b) for b in sizes_for(self._lines)
             ]

@@ -20,6 +20,8 @@ from repro.compression.fpc import (
     line_from_bytes,
     sizes_for,
 )
+from repro.workloads import WORKLOADS, get_spec
+from repro.workloads.values import ValueModel
 
 
 class TestClassifyWord:
@@ -137,6 +139,79 @@ class TestEdgeWords:
         assert sizes_for(lines) == [compressed_size_bytes(line) for line in lines]
 
 
+def _reference_sizes(lines):
+    return [compressed_size_bytes(line) for line in lines]
+
+
+#: Each pattern's boundary words, the last word in and the first word out.
+PATTERN_BOUNDARIES = (
+    0x7, 0x8, 0xFFFFFFF8, 0xFFFFFFF7,  # 4-bit sign extension
+    0x7F, 0x80, 0xFFFFFF80, 0xFFFFFF7F,  # 8-bit
+    0x7FFF, 0x8000, 0xFFFF8000, 0xFFFF7FFF,  # 16-bit
+    0x00010000, 0xFFFF0000, 0x80000000, 0x00010001,  # zero low half
+    0x007F007F, 0xFF80FF80, 0x007FFF80, 0xFF80007F,  # byte-sign-extended halves
+    0x00800000, 0x0000FF80, 0x00FF007F,
+    0x80808080, 0x01010101, 0xFEFEFEFE, 0x80808081,  # repeated bytes
+    0xFFFFFFFF, 0x12345678,
+)
+
+
+class TestSizesFor:
+    """The word-parallel batch sizer equals per-line
+    :func:`compressed_size_bytes` on every line."""
+
+    @pytest.mark.parametrize("n_lines", [0, 1, 63, 64, 65, 127, 128, 129, 1030])
+    def test_batches_across_block_edges(self, n_lines):
+        words = EDGE_WORDS + list(PATTERN_BOUNDARIES) + [0] * 40
+        lines = [
+            [words[(line * 37 + i * (line % 5 + 1)) % len(words)]
+             for i in range(WORDS_PER_LINE)]
+            for line in range(n_lines)
+        ]
+        assert sizes_for(lines) == _reference_sizes(lines)
+
+    @pytest.mark.parametrize("word", PATTERN_BOUNDARIES, ids=hex)
+    def test_pattern_boundary_words(self, word):
+        lines = [
+            [word] * WORDS_PER_LINE,
+            [word, 0] * (WORDS_PER_LINE // 2),
+            [word] + [0x12345678] * (WORDS_PER_LINE - 1),
+        ]
+        assert sizes_for(lines) == _reference_sizes(lines)
+
+    def test_zero_runs_at_every_offset(self):
+        lines = [
+            [0 if start <= i < start + run else fill for i in range(WORDS_PER_LINE)]
+            for fill in (0x12345678, 1, 0xFFFFFFFF)
+            for run in range(1, WORDS_PER_LINE + 1)
+            for start in range(WORDS_PER_LINE - run + 1)
+        ]
+        # Two runs per line as well, split by one word at every offset.
+        lines += [
+            [fill if i == cut else 0 for i in range(WORDS_PER_LINE)]
+            for fill in (0x80, 0xABCD0000) for cut in range(WORDS_PER_LINE)
+        ]
+        assert sizes_for(lines) == _reference_sizes(lines)
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_registry_pools(self, workload):
+        for seed in range(4):
+            lines = ValueModel(get_spec(workload).value_mix, seed=seed)._lines
+            assert sizes_for(lines) == _reference_sizes(lines)
+
+    @pytest.mark.parametrize("bad", [-1, 1 << 32, (1 << 32) + 5, 1 << 64, -(1 << 70)])
+    def test_out_of_range_word_raises(self, bad):
+        line = [0] * WORDS_PER_LINE
+        line[5] = bad
+        for lines in ([line], [[1] * WORDS_PER_LINE] * 70 + [line]):
+            with pytest.raises(ValueError, match="out of 32-bit range"):
+                sizes_for(lines)
+
+    def test_wrong_length_raises(self):
+        with pytest.raises(ValueError, match="expected 16 words, got 15"):
+            sizes_for([[0] * WORDS_PER_LINE, [0] * 15])
+
+
 class TestCompressLine:
     def test_wrong_length_raises(self):
         with pytest.raises(ValueError):
@@ -215,3 +290,18 @@ class TestFPCProperties:
     def test_never_worse_than_verbatim_plus_prefixes(self, words):
         # FPC's worst case is bounded: prefix overhead on every word.
         assert compressed_size_bits(words) <= WORDS_PER_LINE * 35
+
+
+#: Words that exercise every pattern and its boundaries, often zero.
+mixed_word_st = st.one_of(
+    st.just(0), st.sampled_from(EDGE_WORDS), st.sampled_from(PATTERN_BOUNDARIES), word_st
+)
+mixed_line_st = st.lists(mixed_word_st, min_size=WORDS_PER_LINE, max_size=WORDS_PER_LINE)
+
+
+class TestSizesForProperty:
+    @given(st.lists(mixed_line_st, max_size=4), st.integers(0, 70))
+    def test_batch_equals_per_line_size(self, lines, pad):
+        # Padding lines in front move the drawn lines across block edges.
+        lines = [[0x12345678, 0] * (WORDS_PER_LINE // 2)] * pad + lines
+        assert sizes_for(lines) == _reference_sizes(lines)

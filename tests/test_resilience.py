@@ -346,6 +346,32 @@ class TestKillAndResume:
         sources = [r["source"] for r in read_records(tele) if r["kind"] == "point"]
         assert sources == ["disk"] * 4  # full resume: zero re-simulation
 
+    def test_parallel_interrupt_stops_the_workers(self, monkeypatch, tmp_path):
+        """Ctrl-C under two workers terminates and joins them: none is
+        left to finish its in-flight point after the sweep has raised,
+        and the points stored before the interrupt still load."""
+        import multiprocessing
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        clear_cache()
+
+        def interrupt_after_first(done, total):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            _sweep().run(jobs=2, progress=interrupt_after_first, **FAST)
+        assert multiprocessing.active_children() == []
+        stored = DiskCache().stats()["entries"]
+        assert 1 <= stored < 4
+
+        tele = str(tmp_path / "resume.jsonl")
+        monkeypatch.setenv("REPRO_TELEMETRY", tele)
+        clear_cache()
+        final = _sweep().run(jobs=2, **FAST)
+        assert len(final.points) == 4 and not final.errors
+        sources = [r["source"] for r in read_records(tele) if r["kind"] == "point"]
+        assert sorted(sources) == ["disk"] * stored + ["sim"] * (4 - stored)
+
     def test_journaled_error_point_is_retried_on_resume(
         self, monkeypatch, tmp_path
     ):
