@@ -133,6 +133,23 @@ def _sizing(args) -> dict:
     return dict(seed=args.seed, events=args.events, warmup=warmup)
 
 
+def _single_point(args, *suspend: str, **observers):
+    """A single-point command's system, with the ``observers`` config
+    fields forced and armed while the ``suspend`` knobs are unset (an
+    ambient ``REPRO_AUDIT=0`` must not turn off ``repro audit``), and a
+    call running it at the command's sizing through ``runner``."""
+    from repro.core.system import CMPSystem
+
+    cfg = replace(make_config(args.config, **_machine(args)), **observers)
+    with settings.suspended(*suspend):
+        system = CMPSystem(cfg, args.workload, seed=args.seed)
+
+    def run(runner=CMPSystem.run):
+        return runner(system, args.events, warmup_events=_sizing(args)["warmup"],
+                      config_name=args.config)
+    return system, run
+
+
 def _point(workload: str, key: str, args, attribution: bool = False) -> PointSpec:
     """One named config at the command's sizing, as a pipeline point;
     ``attribution`` turns causal attribution on in its config."""
@@ -515,19 +532,12 @@ def cmd_replay(args) -> int:
 
 def cmd_audit(args) -> int:
     """Run one point with invariant auditing forced on and report."""
-    from repro.core.system import CMPSystem
     from repro.obs.audit import AuditViolation
     from repro.report.export import result_fingerprint
 
-    cfg = make_config(args.config, **_machine(args))
-    cfg = replace(cfg, audit=True, audit_interval=args.interval)
-    # The command's whole point is auditing; an ambient REPRO_AUDIT=0
-    # must not silently turn it into a plain run.
-    with settings.suspended("REPRO_AUDIT"):
-        system = CMPSystem(cfg, args.workload, seed=args.seed)
-    warmup = args.warmup if args.warmup is not None else args.events
+    system, run = _single_point(args, "REPRO_AUDIT", audit=True, audit_interval=args.interval)
     try:
-        result = system.run(args.events, warmup_events=warmup, config_name=args.config)
+        result = run()
     except AuditViolation as exc:
         print(f"AUDIT FAILED after {system.auditor.checks_run} check(s):", file=sys.stderr)
         print(str(exc), file=sys.stderr)
@@ -596,19 +606,13 @@ def cmd_telemetry(args) -> int:
 
 def cmd_trace(args) -> int:
     """Run one point with event tracing on; export Perfetto/Chrome JSON."""
-    from repro.core.system import CMPSystem
     from repro.obs.trace import validate_trace
 
-    cfg = make_config(args.config, **_machine(args))
-    cfg = replace(cfg, trace=True)
-    # The command's whole point is tracing; an ambient REPRO_TRACE=0 must
-    # not turn it off, and a path value must not double-write.
-    with settings.suspended("REPRO_TRACE"):
-        system = CMPSystem(cfg, args.workload, seed=args.seed)
+    # A path value of REPRO_TRACE must not double-write either.
+    system, run = _single_point(args, "REPRO_TRACE", trace=True)
     if args.limit is not None:
         system.tracer.limit = max(args.limit, 1)
-    warmup = args.warmup if args.warmup is not None else args.events
-    system.run(args.events, warmup_events=warmup, config_name=args.config)
+    run()
     tracer = system.tracer
     problems = validate_trace(tracer.to_dict())
     tracer.write(args.output)
@@ -624,15 +628,11 @@ def cmd_trace(args) -> int:
 
 def cmd_metrics(args) -> int:
     """Run one point with interval metrics on; export and chart the series."""
-    from repro.core.system import CMPSystem
     from repro.report.charts import timeseries_chart
 
-    cfg = make_config(args.config, **_machine(args))
-    cfg = replace(cfg, metrics=True, metrics_interval=args.interval)
-    with settings.suspended("REPRO_METRICS", "REPRO_METRICS_INTERVAL"):
-        system = CMPSystem(cfg, args.workload, seed=args.seed)
-    warmup = args.warmup if args.warmup is not None else args.events
-    system.run(args.events, warmup_events=warmup, config_name=args.config)
+    system, run = _single_point(args, "REPRO_METRICS", "REPRO_METRICS_INTERVAL",
+                                metrics=True, metrics_interval=args.interval)
+    run()
     sampler = system.sampler
     if args.output:
         sampler.write(args.output)
@@ -692,15 +692,12 @@ def cmd_profile(args) -> int:
 
 def cmd_verify(args) -> int:
     """Differentially verify one point against the functional oracle."""
-    from repro.core.system import CMPSystem
     from repro.verify.oracle import OracleMismatch, verify_system
     from repro.verify.properties import ALL_PROPERTIES, PropertyViolation
 
-    cfg = make_config(args.config, **_machine(args))
-    system = CMPSystem(cfg, args.workload, seed=args.seed)
-    warmup = args.warmup if args.warmup is not None else args.events
+    system, run = _single_point(args)
     try:
-        verify_system(system, args.events, warmup_events=warmup, config_name=args.config)
+        run(verify_system)
     except OracleMismatch as exc:
         print("ORACLE MISMATCH:", file=sys.stderr)
         print(str(exc), file=sys.stderr)
@@ -710,11 +707,11 @@ def cmd_verify(args) -> int:
         return 0
     failed = 0
     for name, check in ALL_PROPERTIES.items():
-        if name == "bandwidth_monotonicity" and cfg.link.bandwidth_gbs is None:
+        if name == "bandwidth_monotonicity" and system.config.link.bandwidth_gbs is None:
             print(f"property {name}: skipped (bandwidth already infinite)")
             continue
         try:
-            check(cfg, args.workload, seed=args.seed, events=args.events)
+            check(system.config, args.workload, seed=args.seed, events=args.events)
         except PropertyViolation as exc:
             failed += 1
             print(f"property {name}: FAILED", file=sys.stderr)

@@ -43,10 +43,10 @@ class AdaptiveCompressionPolicy:
         self.counter = 0.0
         self.avoided_miss_events = 0
         self.penalized_hit_events = 0
-        # Optional tracing callback ``hook(compressing, counter)`` fired
-        # when the policy's compress/don't-compress phase flips; installed
-        # by repro.obs.trace and forbidden from touching the counter.
-        self.trace_hook = None
+        # The one observer reference (repro.obs.observers), told when the
+        # policy's compress/don't-compress phase flips; observers never
+        # touch the counter.
+        self.observer = None
 
     def reset_stats(self) -> None:
         """Zero the *event* tallies; the benefit/cost ``counter`` is the
@@ -72,5 +72,5 @@ class AdaptiveCompressionPolicy:
     def _bump(self, delta: float) -> None:
         was_compressing = self.counter >= 0.0
         self.counter = max(-self.saturation, min(self.saturation, self.counter + delta))
-        if self.trace_hook is not None and (self.counter >= 0.0) != was_compressing:
-            self.trace_hook(self.counter >= 0.0, self.counter)
+        if self.observer is not None and (self.counter >= 0.0) != was_compressing:
+            self.observer.compression_phase(self.counter >= 0.0, self.counter)

@@ -136,14 +136,11 @@ class MemoryHierarchy:
         self._bank_free = [0.0] * config.l2.n_banks
         self._l2_access_count = 0
         self._adaptive = pf_cfg.adaptive and pf_cfg.enabled
-        # Opt-in event tracing (repro.obs.trace).  None keeps every
-        # instrumentation site down to one ``is not None`` branch; the
-        # tracer is strictly read-only, so results are bit-identical
-        # with tracing on or off.
-        self.tracer = None
-        # Opt-in causal attribution (repro.obs.attribution): same
-        # contract as the tracer — read-only, one branch per site off.
-        self.attribution = None
+        # The one observer reference (repro.obs.observers): None keeps
+        # every event site down to one ``is not None`` branch.  Observers
+        # are strictly read-only, so results are bit-identical with any
+        # of them on or off.
+        self.observer = None
         # Hot-path scalars: the access path runs once per trace event, so
         # repeated ``self.config.*`` attribute chains are hoisted here.
         self._l1i_lat = float(config.l1i.hit_latency)
@@ -166,31 +163,16 @@ class MemoryHierarchy:
     # public entry point
     # ------------------------------------------------------------------
 
-    def attach_tracer(self, tracer) -> None:
-        """Install an event tracer (:class:`repro.obs.trace.Tracer`)
-        across the hierarchy: shared-resource components get a ``tracer``
-        attribute, the adaptive throttles and the compression policy get
-        instant-event hooks.  Tracing is read-only by contract."""
-        self.tracer = tracer
-        self.link.tracer = tracer
-        self.noc.tracer = tracer
-        self.dram.tracer = tracer
+    def observe(self, observer) -> None:
+        """Give every emitting component the one observer reference
+        (:class:`repro.obs.observers.Observers`) and name the adaptive
+        throttles whose feedback events it receives."""
+        for part in (self, self.link, self.noc, self.dram, self.compression_policy):
+            part.observer = observer
+        self.l2_adaptive.observer, self.l2_adaptive.name = observer, "l2"
         for core, (pfi, pfd) in enumerate(zip(self.pf_l1i, self.pf_l1d)):
-            pfi.adaptive.trace_hook = tracer.adaptive_hook(f"l1i.core{core}")
-            pfd.adaptive.trace_hook = tracer.adaptive_hook(f"l1d.core{core}")
-        self.l2_adaptive.trace_hook = tracer.adaptive_hook("l2")
-        self.compression_policy.trace_hook = tracer.compression_hook()
-        if self.attribution is not None:
-            self.attribution.trace_hook = tracer.attribution_hook()
-
-    def attach_attribution(self, tracker) -> None:
-        """Install a causal-attribution tracker
-        (:class:`repro.obs.attribution.AttributionTracker`).  Read-only
-        by contract; when a tracer is also attached (in either order)
-        miss classifications additionally fire control-track instants."""
-        self.attribution = tracker
-        if self.tracer is not None:
-            tracker.trace_hook = self.tracer.attribution_hook()
+            pfi.adaptive.observer, pfi.adaptive.name = observer, f"l1i.core{core}"
+            pfd.adaptive.observer, pfd.adaptive.name = observer, f"l1d.core{core}"
 
     def _rebuild_routes(self) -> None:
         """Precompute per-(core, kind) routing tuples for the access path.
@@ -219,12 +201,12 @@ class MemoryHierarchy:
         hit (the most common event) runs inline; a miss takes
         :meth:`_demand_miss`."""
         route = self._route_i[core] if kind == IFETCH else self._route_d[core]
-        tracer = self.tracer
-        if tracer is not None:
-            # Stamp the current issue time so clock-less policy hooks
-            # (adaptive throttles, compression policy) can timestamp
-            # instants fired anywhere in this access's dynamic extent.
-            tracer.now = now
+        observer = self.observer
+        if observer is not None:
+            # Stamp the issue time for the clock-less events (throttle
+            # feedback, compression phase flips, miss classes) fired
+            # anywhere in this access's dynamic extent.
+            observer.now = now
         l1 = route[0]
         entry = l1._map.get(addr)  # SetAssocCache.probe, inlined
         if entry is not None and entry.valid:
@@ -274,12 +256,8 @@ class MemoryHierarchy:
         else:
             latency = self._demand_miss(core, kind, addr, now, route)
             result = (latency, False)
-            if tracer is not None:
-                # Demand-miss lifetime on the issuing core's track.
-                tracer.span(
-                    tracer.core_tid(core), route[5] + "_miss", now, latency,
-                    ("addr", addr),
-                )
+            if observer is not None:
+                observer.demand_miss_done(core, route[5], now, latency, addr)
         # LatencyHistogram.record, inlined (one call per trace event).
         hist = route[3]
         bucket = int(latency).bit_length()  # latencies are non-negative
@@ -343,8 +321,8 @@ class MemoryHierarchy:
             self.wb.reset_stats()
         self._l2_access_count = 0
         self.compression_policy.reset_stats()
-        if self.attribution is not None:
-            self.attribution.reset_counters()
+        if self.observer is not None:
+            self.observer.reset()
         self._rebuild_routes()
 
     # ------------------------------------------------------------------
@@ -361,7 +339,7 @@ class MemoryHierarchy:
         optional mechanism keeps one guard and its own helper: the MSHR
         file (``_fetch_line``), the write-back buffer
         (``_send_writeback``), tree-PLRU, stream buffers, adaptive
-        compression, the NoC, the tracer and attribution.
+        compression, the NoC and the observer.
         """
         l1, pf, stats, _hist, fill_lat, level, tax = route
         stats.demand_misses += 1
@@ -370,7 +348,7 @@ class MemoryHierarchy:
             pf.adaptive.on_harmful()
             self.taxonomy.on_victim_live(level)
         store = kind == STORE
-        att = self.attribution
+        observer = self.observer
 
         # ---- shared L2: bank occupancy (busy-until), then hit or miss ----
         self._l2_access_count += 1
@@ -383,10 +361,8 @@ class MemoryHierarchy:
             start = now
         self._bank_free[bank] = start + _BANK_OCCUPANCY
         bank_delay = start - now
-        tracer = self.tracer
-        if tracer is not None:
-            # Bank occupancy window (busy-until, so spans never overlap).
-            tracer.span(tracer.bank_tid(bank), "busy", start, _BANK_OCCUPANCY)
+        if observer is not None:
+            observer.bank_busy(bank, start, _BANK_OCCUPANCY)
         l2s = self.l2_stats
         l2map = l2._map
         entry = l2map.get(addr)  # CompressedSetCache.probe, inlined
@@ -401,9 +377,9 @@ class MemoryHierarchy:
                 cp.on_hit(
                     l2.stack_depth(addr), self.config.l2.uncompressed_assoc, line_compressed
                 )
-            if att is not None:
+            if observer is not None:
                 # Stack depth must be read before the LRU touch below.
-                att.on_l2_demand_hit(
+                observer.l2_demand_hit(
                     addr,
                     l2.stack_depth(addr) >= self.config.l2.uncompressed_assoc,
                     entry.fill_time > now,
@@ -449,8 +425,8 @@ class MemoryHierarchy:
                 sb_hit = self._stream_buffer_hit(core, addr, now, bank_delay, True)
             if sb_hit is None:
                 l2s.demand_misses += 1
-                if att is not None:
-                    att.on_l2_demand_miss(addr)
+                if observer is not None:
+                    observer.l2_demand_miss(addr)
                 if self._pf_on and l2.victim_match(addr) and l2.set_has_prefetched_line(addr):
                     self.taxonomy.on_victim_live("l2")
                     if self._adaptive:
@@ -489,8 +465,8 @@ class MemoryHierarchy:
             else:
                 cstats.uncompressed_lines += 1
             cstats.segment_sum += segments
-            if att is not None:
-                att.on_l2_fill(addr, "demand", segments)
+            if observer is not None:
+                observer.l2_fill(addr, "demand", segments)
             for ev in l2.insert(
                 addr,
                 segments,
@@ -520,8 +496,8 @@ class MemoryHierarchy:
         # back-invalidate ran before the L1 had the line.
         l2e = l2map.get(addr)
         if l2e is not None and l2e.valid:
-            if att is not None:
-                att.on_l1_fill(level, core, addr, "demand")
+            if observer is not None:
+                observer.l1_fill(level, core, addr, "demand")
             state = MSIState.MODIFIED if store else MSIState.SHARED
             if l1._plru is not None:
                 ev = l1.insert(addr, state, store, False, now + total)
@@ -545,8 +521,8 @@ class MemoryHierarchy:
                         victims.insert(0, old)
                         del victims[depth:]
                     stats.evictions += 1
-                    if att is not None:
-                        att.on_l1_evict(level, core, old, "demand_fill")
+                    if observer is not None:
+                        observer.l1_evict(level, core, old, "demand_fill")
                     if frame.prefetch_bit:
                         pf.stats.useless += 1
                         pf.adaptive.on_useless()
@@ -584,9 +560,8 @@ class MemoryHierarchy:
     ) -> None:
         _l1, pf, stats, _hist, _lat, level, tax = route
         stats.evictions += 1
-        att = self.attribution
-        if att is not None:
-            att.on_l1_evict(level, core, ev.addr, cause)
+        if self.observer is not None:
+            self.observer.l1_evict(level, core, ev.addr, cause)
         if ev.prefetch_untouched:
             pf.stats.useless += 1
             pf.adaptive.on_useless()
@@ -636,14 +611,12 @@ class MemoryHierarchy:
         MSHR timing.
         """
         mshr = self.mshr
-        tracer = self.tracer
+        observer = self.observer
         rec = mshr.lookup(addr, request_ready)
         if rec is not None:
             mshr.coalesced += 1
-            if tracer is not None:
-                tracer.instant(
-                    tracer.mshr_tid, "coalesce", request_ready, ("addr", addr, "core", core)
-                )
+            if observer is not None:
+                observer.mshr_coalesce(core, addr, request_ready)
             return rec[0], rec[1]
         segments = self.values.segments_for(addr)
         if self.compression_policy.enabled and not self.compression_policy.should_compress():
@@ -653,11 +626,8 @@ class MemoryHierarchy:
         mem_done = self.dram.service(core, request_done, addr, demand)
         data_done = self.link.send_data(mem_done, segments)
         mshr.commit(core, addr, data_done, segments)
-        if tracer is not None:
-            tracer.span(
-                tracer.mshr_tid, "demand" if demand else "prefetch",
-                start, data_done - start, ("addr", addr, "core", core),
-            )
+        if observer is not None:
+            observer.mshr_fetch(core, addr, demand, start, data_done)
         return data_done, segments
 
     def _stream_buffer_hit(self, core, addr, now, bank_delay, demand):
@@ -679,9 +649,9 @@ class MemoryHierarchy:
         self, ev: Eviction, now: float, cause: str = "demand_fill"
     ) -> None:
         self.l2_stats.evictions += 1
-        att = self.attribution
-        if att is not None:
-            att.on_l2_evict(ev.addr, cause)
+        observer = self.observer
+        if observer is not None:
+            observer.l2_evict(ev.addr, cause)
         if ev.prefetch_untouched:
             self._pf2_stats.useless += 1
             self.l2_adaptive.on_useless()
@@ -697,8 +667,8 @@ class MemoryHierarchy:
                     l1ev = l1.invalidate(ev.addr)
                     if l1ev is not None:
                         stats.coherence_invalidations += 1
-                        if att is not None:
-                            att.on_l1_evict(level, core, ev.addr, "inclusion")
+                        if observer is not None:
+                            observer.l1_evict(level, core, ev.addr, "inclusion")
                         dirty = dirty or l1ev.dirty
                         if l1ev.prefetch_untouched:
                             pf.stats.useless += 1
@@ -729,7 +699,7 @@ class MemoryHierarchy:
 
     def _invalidate_other_sharers(self, entry, core: int) -> float:
         cost = 0.0
-        att = self.attribution
+        observer = self.observer
         for sharer in list(self.directory.other_sharers(entry, core)):
             for l1, _pf, stats, _hist, _lat, level, _tax in (
                 self._route_i[sharer], self._route_d[sharer]
@@ -737,8 +707,8 @@ class MemoryHierarchy:
                 l1ev = l1.invalidate(entry.addr)
                 if l1ev is not None:
                     stats.coherence_invalidations += 1
-                    if att is not None:
-                        att.on_l1_evict(level, sharer, entry.addr, "upgrade")
+                    if observer is not None:
+                        observer.l1_evict(level, sharer, entry.addr, "upgrade")
                     if l1ev.dirty:
                         entry.dirty = True
             self.directory.remove_sharer(entry, sharer)
@@ -785,6 +755,7 @@ class MemoryHierarchy:
         l2_hit = entry is not None and entry.valid
         mshr = self.mshr
         dram = self.dram
+        observer = self.observer
         if not l2_hit:
             if mshr is None:
                 heap = dram._prefetch[core]  # DRAM.can_issue, inlined
@@ -808,9 +779,8 @@ class MemoryHierarchy:
             start = now
         self._bank_free[bank] = start + _BANK_OCCUPANCY
         bank_delay = start - now
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.span(tracer.bank_tid(bank), "busy", start, _BANK_OCCUPANCY)
+        if observer is not None:
+            observer.bank_busy(bank, start, _BANK_OCCUPANCY)
         if l2_hit:
             latency = bank_delay + self._l2_hit_lat
             line_compressed = l2.compressed and entry.segments < SEGMENTS_PER_LINE
@@ -881,8 +851,8 @@ class MemoryHierarchy:
             else:
                 cstats.uncompressed_lines += 1
             cstats.segment_sum += segments
-            if self.attribution is not None:
-                self.attribution.on_l2_fill(addr, "l1_prefetch", segments)
+            if observer is not None:
+                observer.l2_fill(addr, "l1_prefetch", segments)
             # No L2 prefetch bit: the L1 copy's bit tracks this prefetch.
             for ev in l2.insert(addr, segments, fill_time=data_done, sharers=1 << core):
                 self._handle_l2_eviction(ev, now, "prefetch_fill")
@@ -890,21 +860,16 @@ class MemoryHierarchy:
                 for p in self.pf_l2[core].observe_miss(addr):
                     self._issue_l2_prefetch(core, p, now)
 
-        if tracer is not None:
-            # Prefetch issue→fill window on the issuing core's track.
-            tracer.span(
-                tracer.core_tid(core), "pf." + level, now, fill_lat + latency,
-                ("addr", addr),
-            )
+        if observer is not None:
+            observer.prefetch_done(core, level, addr, now, fill_lat + latency, False)
         # The prefetched fill pays its own L1's fill latency (L1I for
         # instruction-side prefetches, L1D for data-side ones).  Skip the
         # fill if a nested L2 prefetch evicted this line from the L2
         # again before the L1 could take it (see _demand_miss).
         l2e = l2._map.get(addr)
         if l2e is not None and l2e.valid:
-            att = self.attribution
-            if att is not None:
-                att.on_l1_fill(level, core, addr, "prefetch")
+            if observer is not None:
+                observer.l1_fill(level, core, addr, "prefetch")
             ev = l1.insert(addr, MSIState.SHARED, False, True, now + fill_lat + latency)
             if ev is not None:
                 self._handle_l1_eviction(core, ev, route, now, "prefetch_fill")
@@ -944,9 +909,9 @@ class MemoryHierarchy:
         if start < now:
             start = now
         self._bank_free[bank] = start + _BANK_OCCUPANCY
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.span(tracer.bank_tid(bank), "busy", start, _BANK_OCCUPANCY)
+        observer = self.observer
+        if observer is not None:
+            observer.bank_busy(bank, start, _BANK_OCCUPANCY)
         request_ready = now + (start - now) + self._l2_hit_lat  # the other legs' rounding
         if mshr is not None:
             data_done, segments = self._fetch_line(core, addr, request_ready, False)
@@ -967,13 +932,12 @@ class MemoryHierarchy:
             else:
                 cstats.uncompressed_lines += 1
             cstats.segment_sum += segments
-            if self.attribution is not None:
-                self.attribution.on_l2_fill(addr, "l2_prefetch", segments)
+            if observer is not None:
+                observer.l2_fill(addr, "l2_prefetch", segments)
             for ev in self.l2.insert(addr, segments, prefetch=True, fill_time=data_done):
                 self._handle_l2_eviction(ev, now, "prefetch_fill")
         else:
             # Pollution-free placement: the line waits beside the cache.
             sbufs[core].insert(addr, data_done, segments)
-        if tracer is not None:
-            args = ("addr", addr) if sbufs is None else ("addr", addr, "placement", "stream_buffer")
-            tracer.span(tracer.core_tid(core), "pf.l2", now, data_done - now, args)
+        if observer is not None:
+            observer.prefetch_done(core, "l2", addr, now, data_done - now, sbufs is not None)

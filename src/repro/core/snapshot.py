@@ -9,7 +9,7 @@ bit-identically (kill-and-resume equals run-to-completion on
 ``result_fingerprint``).
 
 A snapshot is a sealed file of :mod:`repro.core.durable` (magic
-``RPSN``, format version 4): the meta block holds the run identity and
+``RPSN``, format version 5): the meta block holds the run identity and
 progress counters, the payload the pickled state dict, which is
 unpickled only after its checksum verifies.  A bad snapshot is
 quarantined and restore falls back to the previous phase snapshot (or
@@ -47,7 +47,10 @@ SNAPSHOT_MAGIC = b"RPSN"
 #: Version 4: L2 sets build their tags on first claim and count the
 #: never-claimed ways in ``fresh``, and trace generators keep cumulative
 #: stride weights; version-3 payloads lack both.
-SNAPSHOT_VERSION = 4
+#: Version 5: the hierarchy and its components hold one ``observer``
+#: reference in place of per-observer attributes and hooks; version-4
+#: payloads lack it.
+SNAPSHOT_VERSION = 5
 
 ENV_INTERVAL = "REPRO_SNAPSHOT_INTERVAL"
 ENV_DIR = "REPRO_SNAPSHOT_DIR"

@@ -7,12 +7,11 @@ This is the library's main entry object: construct one from a
 
 from __future__ import annotations
 
-import gc
 import heapq
 import os
 import sys
 import time
-from typing import TYPE_CHECKING, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro import settings
 from repro.core.hierarchy import MemoryHierarchy
@@ -24,11 +23,6 @@ from repro.workloads.base import TraceGenerator, WorkloadSpec
 from repro.workloads.linked import HeapModel
 from repro.workloads.registry import get_spec
 from repro.workloads.values import ValueModel
-
-if TYPE_CHECKING:
-    from repro.obs.audit import Auditor
-    from repro.obs.metrics import IntervalSampler
-    from repro.obs.trace import Tracer
 
 
 class CMPSystem:
@@ -97,45 +91,25 @@ class CMPSystem:
         self.resumed_from_phase: Optional[int] = None
         #: Wall seconds of the last completed run's two segments.
         self.warmup_wall_s = self.measure_wall_s = 0.0
-        # A path value also names the file the run writes when it completes.
-        # Each observer's module is imported only when it is on.
-        observers = settings.observers(config)
-        audit = observers.pop("audit")
-        trace, metrics, attribution = observers.values()
-        self._outputs = {k: v for k, v in observers.items() if isinstance(v, str)}
-        # Opt-in invariant auditing (repro.obs.audit).  When off, the hot
-        # loop's only extra cost is one falsy-int test per event.
-        self.auditor: Optional[Auditor] = None
-        if audit:
-            from repro.obs.audit import Auditor
+        # Opt-in observers (audit, trace, metrics, attribution), strictly
+        # read-only: results are bit-identical with any of them on or off.
+        # All off, the one observer reference is None everywhere and no
+        # observer module is imported; otherwise repro.obs.observers arms
+        # the requested sensors on one hub.
+        wanted = settings.observers(config)
+        if any(wanted.values()):
+            from repro.obs.observers import arm
 
-            self.auditor = Auditor(
-                self.hierarchy,
-                settings.override("REPRO_AUDIT_INTERVAL", config.audit_interval),
-            )
-        # Opt-in observability (repro.obs.trace / repro.obs.metrics).
-        # Both layers are strictly read-only — results are bit-identical
-        # with them on or off — and when off each instrumentation site
-        # costs one ``is not None`` branch.
-        self.tracer: Optional[Tracer] = None
-        if trace:
-            from repro.obs.trace import Tracer
+            self.hierarchy.observe(arm(config, self.hierarchy, wanted))
 
-            self.tracer = Tracer(config.n_cores, config.l2.n_banks)
-            self.hierarchy.attach_tracer(self.tracer)
-        self.sampler: Optional[IntervalSampler] = None
-        if metrics:
-            from repro.obs.metrics import IntervalSampler
-
-            self.sampler = IntervalSampler(
-                settings.override("REPRO_METRICS_INTERVAL", config.metrics_interval)
-            )
-        # Opt-in causal attribution (repro.obs.attribution).  Read-only
-        # like trace/metrics.
-        if attribution:
-            from repro.obs.attribution import AttributionTracker
-
-            self.hierarchy.attach_attribution(AttributionTracker(config))
+    # The system's observer reference is its hierarchy's, so a restored
+    # snapshot's hierarchy brings its own (pickled with it, sensor state
+    # and all: the auditor is bound to the restored hierarchy).
+    observer = property(lambda self: self.hierarchy.observer)
+    # Plain handles on the armed sensors, for the CLI and tests (None when off).
+    auditor = property(lambda self: getattr(self.observer, "auditor", None))
+    tracer = property(lambda self: getattr(self.observer, "tracer", None))
+    sampler = property(lambda self: getattr(self.observer, "sampler", None))
 
     # ------------------------------------------------------------------
 
@@ -176,12 +150,8 @@ class CMPSystem:
         warmup_done = measure_done = phase = 0
         manager = guard = None
         if interval > 0 or want_resume:
-            # A resumed trace or series would silently lack its pre-kill half.
-            if self.tracer is not None or self.sampler is not None:
-                raise ValueError(
-                    "snapshots do not support event tracing or interval metrics; "
-                    "unset REPRO_SNAPSHOT_INTERVAL for traced runs"
-                )
+            if self.observer is not None:
+                self.observer.check_snapshots()
             # Imported here: a run without snapshots never loads pickle.
             from repro.core import snapshot as _snapshot
 
@@ -223,20 +193,11 @@ class CMPSystem:
                 return None
             return self._truncated_result(name, warmup_done, measure_done, breach, path)
 
-        tracer = self.tracer
-        gc_threshold = None
-        if tracer is not None:
-            # Tracing allocates one buffered record per event; at the
-            # default collection cadence those allocations trigger
-            # frequent full GC passes over the (large, mostly-static)
-            # cache heap, which measured as a double-digit share of the
-            # traced run's wall clock.  The trace buffer is cycle-free,
-            # so deferring collection is safe; restored below.
-            gc_threshold = gc.get_threshold()
-            gc.set_threshold(100_000, gc_threshold[1], gc_threshold[2])
+        observer = self.observer  # read after a snapshot restore
         t0 = time.perf_counter()
         try:
-            self._mark("phase.warmup")
+            if observer is not None:
+                observer.run_phase("warmup", max(core.time for core in self.cores))
             if warmup_events == 0 and phase == 0:
                 self.reset_stats()
             while warmup_done < warmup_events:
@@ -252,7 +213,8 @@ class CMPSystem:
                 if manager is not None and (partial := boundary()) is not None:
                     return partial
             t1 = time.perf_counter()
-            self._mark("phase.measure")
+            if observer is not None:
+                observer.run_phase("measure", max(core.time for core in self.cores))
             while measure_done < events_per_core:
                 step = min(events_per_core - measure_done, interval or events_per_core)
                 self._run_events(step)
@@ -263,8 +225,8 @@ class CMPSystem:
                         and (partial := boundary()) is not None):
                     return partial
         finally:
-            if gc_threshold is not None:
-                gc.set_threshold(*gc_threshold)
+            if observer is not None:
+                observer.run_end()
         t2 = time.perf_counter()
         self.warmup_wall_s, self.measure_wall_s = t1 - t0, t2 - t1
         result = self.collect(name, events_per_core)
@@ -283,29 +245,14 @@ class CMPSystem:
                 measure_wall_s=t2 - t1,
                 wall_s=t2 - t0,
                 events_per_sec=measured / (t2 - t1) if t2 > t1 else 0.0,
-                audit_checks=self.auditor.checks_run if self.auditor is not None else 0,
-                attribution=self.hierarchy.attribution is not None,
                 settings=settings.from_env(),
-                trace_events=len(tracer.events) if tracer is not None else 0,
-                metrics_samples=self.sampler.samples if self.sampler is not None else 0,
                 phases=phase,
                 resumed_phase=self.resumed_from_phase,
+                **(observer.telemetry() if observer is not None else {}),
             )
-        if "trace" in self._outputs:
-            tracer.write(self._outputs["trace"])
-        if "metrics" in self._outputs:
-            self.sampler.write(self._outputs["metrics"])
-        if "attribution" in self._outputs:
-            self.hierarchy.attribution.write(self._outputs["attribution"])
+        if observer is not None:
+            observer.write_outputs()
         return result
-
-    def _mark(self, name: str) -> None:
-        """A ``phase.*`` instant on the trace's control track."""
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.instant(
-                tracer.control_tid, name, max(core.time for core in self.cores)
-            )
 
     # -- crash-safe phased execution (repro.core.snapshot) -----------------
 
@@ -334,14 +281,9 @@ class CMPSystem:
                 )
             self._generators = cursors
         # Derived state is rebuilt, not unpickled: route tuples, bound
-        # taxonomy counters, link message sizes and the auditor (bound to
-        # the replaced hierarchy).  Older snapshots may lack the first three.
+        # taxonomy counters and link message sizes.
         self.hierarchy._rebuild_routes()
         self.hierarchy.link.size_messages()
-        if self.auditor is not None:
-            from repro.obs.audit import Auditor
-
-            self.auditor = Auditor(self.hierarchy, self.auditor.interval)
 
     def _truncated_result(
         self,
@@ -422,7 +364,6 @@ class CMPSystem:
         processed = 0
         auditor = self.auditor
         audit_every = auditor.interval if auditor is not None else 0
-        tracer = self.tracer
         if audit_every:
             h = self.hierarchy
             base_accesses = h.l1i_stats.demand_accesses + h.l1d_stats.demand_accesses
@@ -463,8 +404,7 @@ class CMPSystem:
                 pop(heap)
             if audit_every and not processed % audit_every:
                 auditor.check(expected_l1_accesses=base_accesses + processed)
-                if tracer is not None:
-                    tracer.instant(tracer.control_tid, "audit.check", t)
+                self.observer.audit_check(t)  # the auditor implies an observer
             if next_sample is not None and t >= next_sample:
                 next_sample = sampler.sample(self, t, float(inst_base + sum(instr)))
         if audit_every:
@@ -483,10 +423,6 @@ class CMPSystem:
         self.hierarchy.reset_stats()
         for core in self.cores:
             core.reset_stats()
-        if self.sampler is not None:
-            # Counters restart from zero; re-base the sampler's deltas so
-            # the first post-reset interval never reads negative rates.
-            self.sampler.on_reset()
 
     def collect(self, config_name: str, events_per_core: int) -> SimulationResult:
         h = self.hierarchy
@@ -518,11 +454,8 @@ class CMPSystem:
             extra["wb_inserted"] = float(h.wb.inserted)
             extra["wb_full_stalls"] = float(h.wb.full_stalls)
             extra["wb_peak_occupancy"] = float(h.wb.peak_occupancy)
-        if h.attribution is not None:
-            # attr_* rows are observations about the run, not simulation
-            # state: result_fingerprint strips them so attribution stays
-            # bit-identical off/on.
-            extra.update(h.attribution.to_extra())
+        if self.observer is not None:
+            extra.update(self.observer.extra())
         return SimulationResult(
             workload=self.spec.name,
             config_name=config_name,

@@ -30,9 +30,9 @@ class PinLink:
             raise ValueError("pin bandwidth must be positive")
         self.free_time = 0.0
         self.stats = LinkStats()
-        # Optional read-only event tracer (repro.obs.trace); one branch
-        # per data message when disabled.
-        self.tracer = None
+        # The one observer reference (repro.obs.observers); None when
+        # every observer is off.
+        self.observer = None
         self.size_messages()
 
     def size_messages(self) -> None:
@@ -91,13 +91,8 @@ class PinLink:
         duration = nbytes / self.bytes_per_cycle
         self.free_time = start + duration
         stats.queue_cycles += start - ready_time
-        if self.tracer is not None:
-            # Busy-until serialization means spans never overlap, so the
-            # link track can use paired B/E duration events.
-            t = self.tracer
-            t.begin(t.link_tid, "data", start,
-                    ("bytes", nbytes, "queue", start - ready_time))
-            t.end(t.link_tid, start + duration)
+        if self.observer is not None:
+            self.observer.link_data(start, start + duration, nbytes, start - ready_time)
         return start + duration
 
     # -- introspection ------------------------------------------------------

@@ -44,8 +44,8 @@ class OnChipNetwork:
         self.transfers = 0
         self.bytes_total = 0
         self.queue_cycles = 0.0
-        # Optional read-only event tracer (repro.obs.trace).
-        self.tracer = None
+        # The one observer reference (repro.obs.observers).
+        self.observer = None
 
     #: Wire/router latency to the first (critical) word.
     WIRE_CYCLES = 2.0
@@ -78,11 +78,8 @@ class OnChipNetwork:
         duration = LINE_BYTES / self.bytes_per_cycle
         delay = min(duration * utilization / (1.0 - utilization), self.MAX_QUEUE)
         self.queue_cycles += delay
-        if self.tracer is not None:
-            self.tracer.span(
-                self.tracer.noc_tid, "line", ready_time,
-                self.WIRE_CYCLES + delay, ("core", core),
-            )
+        if self.observer is not None:
+            self.observer.noc_transfer(core, ready_time, self.WIRE_CYCLES + delay)
         return ready_time + self.WIRE_CYCLES + delay
 
     def reset_stats(self) -> None:

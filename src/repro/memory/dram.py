@@ -36,8 +36,8 @@ class DRAM:
         self._open_rows: List[int] = [-1] * config.dram_banks
         self.row_hits = 0
         self.row_misses = 0
-        # Optional read-only event tracer (repro.obs.trace).
-        self.tracer = None
+        # The one observer reference (repro.obs.observers).
+        self.observer = None
 
     def _access_latency(self, addr: int) -> float:
         """Latency of one DRAM access, honouring the open-row model."""
@@ -78,11 +78,8 @@ class DRAM:
         completion = start + (self._access_latency(addr) if self.row_buffer else self.latency)
         heapq.heappush(heap, completion)
         self.demand_requests += 1
-        if self.tracer is not None:
-            self.tracer.span(
-                self.tracer.dram_tid, "demand", start, completion - start,
-                ("core", core),
-            )
+        if self.observer is not None:
+            self.observer.dram_service(core, True, start, completion)
         return completion
 
     def issue_prefetch(self, core: int, ready_time: float, addr: int = 0) -> float:
@@ -90,11 +87,8 @@ class DRAM:
         completion = ready_time + (self._access_latency(addr) if self.row_buffer else self.latency)
         heapq.heappush(self._prefetch[core], completion)
         self.prefetch_requests += 1
-        if self.tracer is not None:
-            self.tracer.span(
-                self.tracer.dram_tid, "prefetch", ready_time,
-                completion - ready_time, ("core", core),
-            )
+        if self.observer is not None:
+            self.observer.dram_service(core, False, ready_time, completion)
         return completion
 
     def service(self, core: int, ready_time: float, addr: int, demand: bool) -> float:
@@ -103,21 +97,16 @@ class DRAM:
         When a first-class MSHR file (:class:`repro.memory.mshr.MSHRFile`)
         owns the outstanding-miss limit, the DRAM's own per-core slot
         pools are bypassed: the MSHR already decided whether/when the
-        request may issue.  Counters, the open-row model and the trace
-        span match :meth:`issue_demand`/:meth:`issue_prefetch` exactly.
+        request may issue.  Counters, the open-row model and the observer
+        event match :meth:`issue_demand`/:meth:`issue_prefetch` exactly.
         """
         completion = ready_time + self._access_latency(addr)
         if demand:
             self.demand_requests += 1
-            name = "demand"
         else:
             self.prefetch_requests += 1
-            name = "prefetch"
-        if self.tracer is not None:
-            self.tracer.span(
-                self.tracer.dram_tid, name, ready_time,
-                completion - ready_time, ("core", core),
-            )
+        if self.observer is not None:
+            self.observer.dram_service(core, demand, ready_time, completion)
         return completion
 
     def outstanding(self, core: int, now: float) -> int:

@@ -1,17 +1,15 @@
 """Observability for the simulator: invariant auditing, run telemetry,
-event tracing, time-series metrics and profiling.
+event tracing, time-series metrics, causal attribution and profiling.
 
-``repro.obs.audit`` re-derives the model's structural and accounting
-invariants (inclusion, directory consistency, segment budgets, stats
-conservation) and raises :class:`~repro.obs.audit.AuditViolation` when
-the live state disagrees; ``repro.obs.telemetry`` appends JSONL records
-describing how runs performed (phase wall-clock, events/sec, disk-cache
-traffic).  ``repro.obs.trace`` records simulated-time spans and instants
-for Perfetto/Chrome trace viewing, ``repro.obs.metrics`` samples a
-columnar time series of IPC/miss-rate/compression/link/prefetch metrics,
+Auditing (``repro.obs.audit``), tracing (``repro.obs.trace``, the only
+code that knows the trace format), interval metrics
+(``repro.obs.metrics``) and attribution (``repro.obs.attribution``)
+reach the simulator through one hook path, ``repro.obs.observers``:
+each emitting component holds one observer reference, None when all are
+off, else a hub forwarding each scalar event to the sensors taking it.
+``repro.obs.telemetry`` appends JSONL records of how runs performed,
 ``repro.obs.profile`` measures where the simulator's own wall-clock
-goes, and ``repro.obs.progress`` renders live sweep progress.  All are
-opt-in and, when off, cost (nearly) nothing on the hot path.
+goes, and ``repro.obs.progress`` renders live sweep progress.
 """
 
 from repro._lazy import lazy_exports

@@ -31,9 +31,10 @@ checks all four).
 
 Like tracing and metrics, attribution is strictly read-only: results
 with it enabled are bit-identical (same ``result_fingerprint``) to a
-plain run, and when disabled each hook site costs one ``is not None``
-branch.  The ``attr_*`` rows it adds to ``SimulationResult.extra`` are
-observations *about* the run, so :func:`repro.report.export.
+plain run.  The tracker's ``on_*`` handlers take the hierarchy's events
+from the one observer hook path (:mod:`repro.obs.observers`).  The
+``attr_*`` rows it adds to ``SimulationResult.extra`` are observations
+*about* the run, so :func:`repro.report.export.
 result_fingerprint` strips them before hashing.  Enable via
 ``SystemConfig.attribution=True`` or ``REPRO_ATTRIBUTION``
 (``0`` force-disables; a path value additionally makes
@@ -323,11 +324,12 @@ class AttributionTracker(AttributionLedger):
         # evicted addrs -> eviction cause (insertion-ordered dict; the
         # oldest entry ages out first).
         self._shadow: List[Dict[int, str]] = [{} for _ in range(self.n_sets)]
-        # Instant-event hook installed by the tracer.
-        self.trace_hook = None
         super().__init__()
 
-    # -- hooks (scalars only) ------------------------------------------------
+    # -- event handlers (repro.obs.observers; scalars only) -------------------
+
+    #: The warmup stats reset zeroes the ledgers and keeps provenance.
+    on_reset = AttributionLedger.reset_counters
 
     def on_l2_demand_miss(self, addr: int) -> str:
         """Classify one L2 demand miss; returns the class name."""
@@ -343,9 +345,6 @@ class AttributionTracker(AttributionLedger):
                 # Evicted by a demand fill, or aged out of the filter.
                 cls = "capacity"
         self.miss_class[cls] += 1
-        hook = self.trace_hook
-        if hook is not None:
-            hook("miss." + cls, addr)
         return cls
 
     def on_l2_fill(self, addr: int, inserter: str, segments: int) -> None:

@@ -40,6 +40,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import settings
 from repro.core import durable
+from repro.obs.attribution import AttributionLedger
 
 #: A metric reads the live system; it must never mutate it.
 MetricFn = Callable[["object"], float]
@@ -109,8 +110,12 @@ def _compr(s):
     return s.hierarchy.compression_stats
 
 
+#: What the attribution columns read when the tracker is off: zeros.
+_NO_ATTRIBUTION = AttributionLedger()
+
+
 def _attr(s):
-    return s.hierarchy.attribution
+    return getattr(s.observer, "attribution", None) or _NO_ATTRIBUTION
 
 
 def default_registry() -> MetricsRegistry:
@@ -172,27 +177,20 @@ def default_registry() -> MetricsRegistry:
                 getattr(s, "_sampler_cycle", 0.0)))
             if s.hierarchy.mshr is not None else 0.0)
     # Causal-attribution interval rates (repro.obs.attribution); the
-    # columns read 0.0 when the tracker is not attached.  As rates over
+    # columns read 0.0 when the tracker is off.  As rates over
     # cumulative counters they sample the *interval's* pollution share
     # and prefetch usefulness, not the running total.
     r.rate("attr_pollution_rate",
-           lambda s: float(_attr(s).miss_class["pollution"])
-           if _attr(s) is not None else 0.0,
-           lambda s: float(_attr(s).classified_misses())
-           if _attr(s) is not None else 0.0)
+           lambda s: float(_attr(s).miss_class["pollution"]),
+           lambda s: float(_attr(s).classified_misses()))
     r.rate("attr_compulsory_rate",
-           lambda s: float(_attr(s).miss_class["compulsory"])
-           if _attr(s) is not None else 0.0,
-           lambda s: float(_attr(s).classified_misses())
-           if _attr(s) is not None else 0.0)
+           lambda s: float(_attr(s).miss_class["compulsory"]),
+           lambda s: float(_attr(s).classified_misses()))
     r.rate("attr_pf_useful_rate",
-           lambda s: float(_attr(s).pf_useful)
-           if _attr(s) is not None else 0.0,
-           lambda s: float(_attr(s).pf_useful + _attr(s).pf_useless)
-           if _attr(s) is not None else 0.0)
+           lambda s: float(_attr(s).pf_useful),
+           lambda s: float(_attr(s).pf_useful + _attr(s).pf_useless))
     r.gauge("attr_comp_avoided_hits",
-            lambda s: float(_attr(s).comp_avoided_hits)
-            if _attr(s) is not None else 0.0)
+            lambda s: float(_attr(s).comp_avoided_hits))
     return r
 
 

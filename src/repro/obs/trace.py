@@ -29,11 +29,12 @@ Track layout (one process, one thread per hardware resource):
 Timestamps are simulated cycles reported in the JSON's microsecond
 fields (1 cycle == 1 "us" on the viewer's axis).
 
-Like the auditor, tracing is strictly read-only: results with tracing
-enabled are bit-identical (same ``result_fingerprint``) to a plain run,
-and when disabled each instrumentation site costs one ``is not None``
-branch.  Enable via ``SystemConfig.trace=True`` or ``REPRO_TRACE``
-(``REPRO_TRACE=0`` force-disables; any other non-empty value enables,
+The tracer's ``on_*`` handlers take the simulator's scalar events from
+its one observer hook path (:mod:`repro.obs.observers`) and are the only
+code that knows the tracks, span names and arguments below.  Tracing is
+strictly read-only: results are bit-identical to a plain run.  Enable
+via ``SystemConfig.trace=True`` or ``REPRO_TRACE`` (``REPRO_TRACE=0``
+force-disables; any other non-empty value enables,
 and a value that is a path — anything but ``0``/``1`` — makes
 :meth:`CMPSystem.run` write the trace there when the run completes).
 ``REPRO_TRACE_LIMIT`` caps the in-memory event count (default 1e6);
@@ -43,6 +44,7 @@ of silently vanishing.
 
 from __future__ import annotations
 
+import gc
 import json
 from typing import Any, Dict, List, Optional
 
@@ -53,17 +55,16 @@ from repro.core import durable
 PID = 1
 
 
-
 class Tracer:
     """Collects trace events for one :class:`~repro.core.system.CMPSystem`.
 
-    Instrumentation sites call the ``span``/``begin``/``end``/
-    ``instant``/``counter`` methods with a *track id* obtained from the
+    The ``on_*`` event handlers record through the ``span``/``instant``/
+    ``counter`` methods with a *track id* obtained from the
     ``core_tid``/``bank_tid`` helpers or the named attributes
-    (``link_tid``, ``dram_tid``, ``noc_tid``, ``control_tid``).  Track
-    ids are assigned deterministically from the machine shape at
-    construction, so the pid/tid mapping is stable across runs of the
-    same configuration.
+    (``link_tid``, ``dram_tid``, ``noc_tid``, ``control_tid``,
+    ``mshr_tid``).  Track ids are assigned deterministically from the
+    machine shape at construction, so the pid/tid mapping is stable
+    across runs of the same configuration.
     """
 
     def __init__(self, n_cores: int, n_banks: int, limit: Optional[int] = None) -> None:
@@ -79,10 +80,11 @@ class Tracer:
         # overhead on traced runs.
         self.events: List[tuple] = []
         self.dropped = 0
-        # The issue time of the trace event currently being processed;
-        # written by the hierarchy at the top of ``access`` so policy
-        # hooks (which are not passed a clock) can timestamp instants.
-        self.now = 0.0
+        # The hub this tracer is armed on (repro.obs.observers); its
+        # ``now`` times the events that carry no clock.
+        self.clock = None
+        self._throttle: Dict[str, int] = {}  # last counter drawn per throttle
+        self._gc_threshold: Optional[tuple] = None
         # tid map: cores first, then banks, then the shared resources.
         self.link_tid = n_cores + n_banks + 1
         self.dram_tid = n_cores + n_banks + 2
@@ -136,23 +138,6 @@ class Tracer:
         else:
             self.dropped += 1
 
-    def begin(self, tid: int, name: str, ts: float,
-              args: Any = None) -> None:
-        """Open a duration (``B``) event; pair with :meth:`end`."""
-        if len(self.events) < self.limit:
-            self.events.append(("B", tid, name, ts, None, args))
-        else:
-            self.dropped += 1
-
-    def end(self, tid: int, ts: float) -> None:
-        # A dropped B must not leave its E dangling: only emit the E when
-        # the B made it in (the limit check is shared, so once the buffer
-        # fills both halves are dropped together).
-        if len(self.events) < self.limit:
-            self.events.append(("E", tid, None, ts, None, None))
-        else:
-            self.dropped += 1
-
     def instant(self, tid: int, name: str, ts: float,
                 args: Any = None) -> None:
         if len(self.events) < self.limit:
@@ -166,54 +151,93 @@ class Tracer:
         else:
             self.dropped += 1
 
-    # -- policy hooks -------------------------------------------------------
+    # -- events (repro.obs.observers) ---------------------------------------
+    #
+    # One handler per event of the hook path.  This is the only code that
+    # turns simulator events into tracks, spans, instants and counters.
 
-    def adaptive_hook(self, name: str):
-        """A feedback hook for one adaptive prefetch throttle
-        (:class:`repro.prefetch.adaptive.AdaptiveController`).
+    def on_bank_busy(self, bank: int, start: float, duration: float) -> None:
+        # Busy-until occupancy, so a bank's spans never overlap.
+        self.span(self.bank_tid(bank), "busy", start, duration)
 
-        The controller calls ``hook(event, counter)`` with ``event`` in
-        ``useful``/``useless``/``harmful``; the hook emits an instant on
-        the control track and — whenever the counter actually moved — a
-        counter (``C``) sample named ``adaptive.<name>``.  Timestamps
-        come from :attr:`now` (stamped by the hierarchy), since the
-        controllers are not passed a clock.
-        """
-        last: List[Optional[int]] = [None]
+    def on_demand_miss_done(self, core: int, level: str, now: float,
+                            latency: float, addr: int) -> None:
+        self.span(self.core_tid(core), level + "_miss", now, latency, ("addr", addr))
 
-        def hook(event: str, counter: int) -> None:
-            ts = self.now
-            self.instant(self.control_tid, f"pf.{event}", ts, {"ctrl": name})
-            if counter != last[0]:
-                last[0] = counter
-                self.counter(f"adaptive.{name}", ts, {"value": float(counter)})
-        return hook
+    def on_prefetch_done(self, core: int, level: str, addr: int, now: float,
+                         latency: float, stream_buffer: bool) -> None:
+        """A prefetch's issue-to-fill window on the issuing core's track."""
+        args = ("addr", addr, "placement", "stream_buffer") if stream_buffer else ("addr", addr)
+        self.span(self.core_tid(core), "pf." + level, now, latency, args)
 
-    def compression_hook(self):
-        """A phase-flip hook for the ISCA'04 adaptive compression policy:
-        called with ``(compressing, counter)`` whenever the global
-        cost/benefit counter crosses zero."""
+    def on_mshr_coalesce(self, core: int, addr: int, t: float) -> None:
+        self.instant(self.mshr_tid, "coalesce", t, ("addr", addr, "core", core))
 
-        def hook(compressing: bool, counter: int) -> None:
-            self.instant(
-                self.control_tid, "compression.phase", self.now,
-                {"compress": bool(compressing), "counter": counter},
-            )
-        return hook
+    def on_mshr_fetch(self, core: int, addr: int, demand: bool, start: float,
+                      done: float) -> None:
+        self.span(self.mshr_tid, "demand" if demand else "prefetch",
+                  start, done - start, ("addr", addr, "core", core))
 
-    def attribution_hook(self):
-        """A classification hook for the causal-attribution tracker
-        (:class:`repro.obs.attribution.AttributionTracker`): called with
-        ``(kind, addr)`` as each demand miss is classified, emitting an
-        ``attr.miss.<class>`` instant on the control track.  Only miss
-        classifications are surfaced — per-eviction instants would flood
-        the bounded trace buffer with the least interesting events.
-        Timestamps come from :attr:`now` (the tracker has no clock)."""
-        tid = self.control_tid
+    def on_link_data(self, start: float, done: float, nbytes: int, queue: float) -> None:
+        # The link is busy-until serialized, so its spans never overlap
+        # and the track can use a paired B/E duration event.  Both halves
+        # go in or neither does: a B kept without its E would leave an
+        # unmatched pair in a trace cut at the limit.
+        if len(self.events) + 2 <= self.limit:
+            self.events.append(("B", self.link_tid, "data", start, None,
+                                ("bytes", nbytes, "queue", queue)))
+            self.events.append(("E", self.link_tid, None, done, None, None))
+        else:
+            self.dropped += 2
 
-        def hook(kind: str, addr: int) -> None:
-            self.instant(tid, "attr." + kind, self.now, ("addr", addr))
-        return hook
+    def on_noc_transfer(self, core: int, start: float, duration: float) -> None:
+        self.span(self.noc_tid, "line", start, duration, ("core", core))
+
+    def on_dram_service(self, core: int, demand: bool, start: float, done: float) -> None:
+        self.span(self.dram_tid, "demand" if demand else "prefetch",
+                  start, done - start, ("core", core))
+
+    def on_throttle_feedback(self, ctrl: str, event: str, counter: int) -> None:
+        """An adaptive throttle's useful/useless/harmful feedback: an
+        instant, plus an ``adaptive.<ctrl>`` sample when the counter moved."""
+        ts = self.clock.now
+        self.instant(self.control_tid, "pf." + event, ts, {"ctrl": ctrl})
+        if self._throttle.get(ctrl) != counter:
+            self._throttle[ctrl] = counter
+            self.counter("adaptive." + ctrl, ts, {"value": float(counter)})
+
+    def on_compression_phase(self, compressing: bool, counter: float) -> None:
+        """The adaptive compression counter crossed zero."""
+        self.instant(
+            self.control_tid, "compression.phase", self.clock.now,
+            {"compress": bool(compressing), "counter": counter},
+        )
+
+    def on_miss_class(self, cls: str, addr: int) -> None:
+        """An L2 demand miss as the attribution tracker classified it.
+        Only misses are drawn: per-eviction instants would flood the
+        bounded buffer with the least interesting events."""
+        self.instant(self.control_tid, "attr.miss." + cls, self.clock.now, ("addr", addr))
+
+    def on_run_phase(self, name: str, t: float) -> None:
+        if self._gc_threshold is None:
+            # Tracing allocates one buffered record per event; at the
+            # default collection cadence those allocations trigger
+            # frequent full GC passes over the (large, mostly-static)
+            # cache heap, which measured as a double-digit share of the
+            # traced run's wall clock.  The trace buffer is cycle-free,
+            # so deferring collection is safe; on_run_end restores it.
+            self._gc_threshold = gc.get_threshold()
+            gc.set_threshold(100_000, *self._gc_threshold[1:])
+        self.instant(self.control_tid, "phase." + name, t)
+
+    def on_audit_check(self, t: float) -> None:
+        self.instant(self.control_tid, "audit.check", t)
+
+    def on_run_end(self) -> None:
+        if self._gc_threshold is not None:
+            gc.set_threshold(*self._gc_threshold)
+            self._gc_threshold = None
 
     # -- export -------------------------------------------------------------
 

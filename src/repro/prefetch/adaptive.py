@@ -38,9 +38,11 @@ class AdaptiveController:
         self.useless_events = 0
         self.harmful_events = 0
         self._probe_clock = 0
-        # Optional tracing callback ``hook(event, counter)`` installed by
-        # repro.obs.trace; must never influence the counter itself.
-        self.trace_hook = None
+        # The one observer reference (repro.obs.observers) and the name
+        # its feedback events carry, both set by MemoryHierarchy.observe.
+        # Observers read the counter; they never influence it.
+        self.observer = None
+        self.name = ""
 
     @property
     def prefetching_enabled(self) -> bool:
@@ -72,22 +74,22 @@ class AdaptiveController:
         self.useful_events += 1
         if self.enabled and self.counter < self.counter_max:
             self.counter += 1
-        if self.trace_hook is not None:
-            self.trace_hook("useful", self.counter)
+        if self.observer is not None:
+            self.observer.throttle_feedback(self.name, "useful", self.counter)
 
     def on_useless(self) -> None:
         self.useless_events += 1
         if self.enabled and self.counter > 0:
             self.counter -= 1
-        if self.trace_hook is not None:
-            self.trace_hook("useless", self.counter)
+        if self.observer is not None:
+            self.observer.throttle_feedback(self.name, "useless", self.counter)
 
     def on_harmful(self) -> None:
         self.harmful_events += 1
         if self.enabled and self.counter > 0:
             self.counter -= 1
-        if self.trace_hook is not None:
-            self.trace_hook("harmful", self.counter)
+        if self.observer is not None:
+            self.observer.throttle_feedback(self.name, "harmful", self.counter)
 
     def record(self, stats: PrefetchStats) -> None:
         """Copy event totals into a stats bundle at end of run."""

@@ -447,7 +447,7 @@ def check_attribution_noop(
             "attribution_noop: enabling attribution changed the result "
             f"({len(problems)} counter(s)):\n" + _render(problems, "off", "on")
         )
-    tracker = system.hierarchy.attribution
+    tracker = getattr(system.observer, "attribution", None)
     if tracker is None:
         raise PropertyViolation(
             "attribution_noop: attribution=True did not attach a tracker"

@@ -56,7 +56,7 @@ def test_attribution_never_changes_results(workload, key, monkeypatch):
     plain = CMPSystem(plain_cfg, workload, seed=5).run(400, warmup_events=200)
     system, tracked = _tracked_run(key, workload)
     assert result_fingerprint(plain) == result_fingerprint(tracked)
-    tracker = system.hierarchy.attribution
+    tracker = system.observer.attribution
     assert tracker is not None
     assert tracker.reconcile_result(tracked) == []
     # The tracked run actually observed something.
@@ -103,7 +103,7 @@ def test_figure8_estimate_tracks_measured_attribution(monkeypatch):
                           attribution=True)
             system = CMPSystem(cfg, workload, seed=5)
             runs[key] = system.run(2000, warmup_events=1000)
-            trackers[key] = system.hierarchy.attribution
+            trackers[key] = system.observer.attribution
         cls = classify_misses(
             runs["base"], runs["compr"], runs["pref"], runs["pref_compr"]
         )
@@ -340,7 +340,7 @@ def test_ledger_from_extra_matches_the_live_tracker():
     """The ledgers read back from a result's ``attr_*`` rows render the
     same table and JSON as the tracker that filled them."""
     system, result = _tracked_run("pref_compr", "zeus")
-    live = system.hierarchy.attribution
+    live = system.observer.attribution
     back = AttributionTracker.from_extra(result.extra)
     assert back.table() == live.table()
     assert back.to_dict() == live.to_dict()

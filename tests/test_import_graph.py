@@ -31,6 +31,7 @@ PLAIN_POINT_NEVER_LOADS = (
     "repro.obs.trace",
     "repro.obs.metrics",
     "repro.obs.attribution",
+    "repro.obs.observers",
     "repro.report.charts",
     "repro.trace.io",
     "repro.core.snapshot",
@@ -55,19 +56,28 @@ def run_fresh(code: str, **env_extra: str) -> dict:
 
 
 def test_plain_point_loads_no_pool_oracle_observer_or_writer():
-    loaded = run_fresh(f"""
+    """...and leaves every emitting component's one observer reference
+    None, so each event site costs one ``is not None`` test."""
+    loaded, observed = run_fresh(f"""
         import json, sys
         from repro import CMPSystem, make_config
         from repro.report.export import result_fingerprint
         config = make_config("pref_compr", n_cores={POINT['n_cores']},
                              scale={POINT['scale']})
-        result = CMPSystem(config, "zeus", seed=0).run(
-            {POINT['events']}, warmup_events={POINT['warmup']})
+        system = CMPSystem(config, "zeus", seed=0)
+        result = system.run({POINT['events']}, warmup_events={POINT['warmup']})
         result_fingerprint(result)
+        h = system.hierarchy
+        parts = [system, h, h.link, h.noc, h.dram, h.compression_policy, h.l2_adaptive]
+        parts += [pf.adaptive for pf in h.pf_l1i + h.pf_l1d + h.pf_l2]
         names = {PLAIN_POINT_NEVER_LOADS!r}
-        print(json.dumps([name for name in names if name in sys.modules]))
+        print(json.dumps([
+            [name for name in names if name in sys.modules],
+            [type(p).__name__ for p in parts if p.observer is not None],
+        ]))
     """)
     assert loaded == []
+    assert observed == []
 
 
 def test_disk_cache_hit_loads_no_simulator(tmp_path):

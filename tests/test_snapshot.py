@@ -98,6 +98,29 @@ class TestPhasedIdentity:
         final = _run_to_completion(cfg, monkeypatch)
         assert result_fingerprint(final) == result_fingerprint(expected)
 
+    def test_observers_resume_with_their_state(self, snap_env, monkeypatch):
+        """The observer hub is pickled with the hierarchy: an attributed,
+        audited run resumed at every boundary ends with the ledgers of
+        the uninterrupted run, and its auditor sweeps the restored
+        hierarchy."""
+        from dataclasses import replace
+
+        for var in ("REPRO_AUDIT", "REPRO_ATTRIBUTION"):
+            monkeypatch.delenv(var, raising=False)
+        cfg = replace(_config(), attribution=True, audit=True, audit_interval=100)
+        monkeypatch.setenv(snap.ENV_INTERVAL, str(INTERVAL))
+        _, expected = _run(cfg)
+        monkeypatch.setenv(snap.ENV_DEADLINE, "0")
+        _, partial = _run(cfg)
+        assert partial.extra.get("truncated") == 1.0
+        monkeypatch.delenv(snap.ENV_DEADLINE)
+        system, resumed = _run(cfg)
+        assert system.resumed_from_phase == 1
+        assert system.auditor.hierarchy is system.hierarchy
+        assert system.hierarchy.link.observer is system.observer
+        assert resumed.extra == expected.extra
+        assert result_fingerprint(resumed) == result_fingerprint(expected)
+
     def test_trace_replay_resumes(self, snap_env, monkeypatch):
         from repro.trace.io import record_trace
 

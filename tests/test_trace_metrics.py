@@ -133,14 +133,32 @@ def test_tracer_limit_counts_drops():
     assert tracer.to_dict()["otherData"]["dropped_events"] == 2
 
 
+def test_link_pair_is_kept_or_dropped_whole_at_the_limit():
+    """A buffer with room for one more event drops the link's B/E pair
+    whole; keeping the B alone left an unmatched pair behind."""
+    tracer = Tracer(1, 1, limit=2)
+    tracer.span(tracer.core_tid(0), "x", 0.0, 1.0)
+    tracer.on_link_data(1.0, 3.0, 72, 0.0)
+    assert len(tracer.events) == 1 and tracer.dropped == 2
+    assert validate_trace(tracer.to_dict()) == []
+    tracer.limit = 3
+    tracer.on_link_data(4.0, 6.0, 72, 0.0)
+    assert [e[0] for e in tracer.events] == ["X", "B", "E"]
+    assert validate_trace(tracer.to_dict()) == []
+
+
 def test_adaptive_hook_emits_instants_and_counter_samples():
+    """The throttle-feedback event, through the hub: instants always, a
+    counter sample only when the counter moved."""
+    from repro.obs.observers import Observers
+
     tracer = Tracer(1, 1)
-    hook = tracer.adaptive_hook("l2")
-    tracer.now = 10.0
-    hook("useful", 16)
-    hook("useful", 16)  # counter unchanged: instant only, no C event
-    tracer.now = 20.0
-    hook("useless", 15)
+    observer = Observers(tracer=tracer)
+    observer.now = 10.0
+    observer.throttle_feedback("l2", "useful", 16)
+    observer.throttle_feedback("l2", "useful", 16)  # counter unchanged: instant only, no C event
+    observer.now = 20.0
+    observer.throttle_feedback("l2", "useless", 15)
     phases = [e["ph"] for e in tracer.to_dict()["traceEvents"] if e["ph"] != "M"]
     assert phases.count("i") == 3
     assert phases.count("C") == 2  # first value, then the change
