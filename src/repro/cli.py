@@ -58,40 +58,6 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--csv", action="store_true")
 
 
-def _add_snapshot_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--snapshot-interval", type=int, default=None, metavar="N",
-                   help="snapshot simulator state every N events per core "
-                        "(sets REPRO_SNAPSHOT_INTERVAL); a killed run can "
-                        "then resume bit-identically")
-    p.add_argument("--resume-snapshot", action="store_true",
-                   help="resume from the latest matching mid-run snapshot "
-                        "(left by a killed or guard-truncated run)")
-
-
-def _apply_snapshot_args(args) -> None:
-    """Map the snapshot CLI flags onto the env knobs the simulator (and
-    any worker processes it spawns) reads."""
-    if getattr(args, "snapshot_interval", None) is not None:
-        if args.snapshot_interval < 0:
-            raise ValueError("--snapshot-interval must be >= 0")
-        settings.put("REPRO_SNAPSHOT_INTERVAL", args.snapshot_interval)
-    if getattr(args, "resume_snapshot", False):
-        settings.put("REPRO_RESUME_SNAPSHOT", 1)
-
-
-def _finish_run(result: SimulationResult) -> int:
-    """Exit code for a single-point command: 3 flags a guard-truncated
-    partial result so scripts never mistake it for a complete run."""
-    if result.extra.get("truncated"):
-        print(
-            "exit 3: partial result (resource guard); resume with "
-            "--resume-snapshot to finish the run",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
-
-
 def _emit(results: List[SimulationResult], args) -> None:
     if args.json:
         print(results_to_json(results))
@@ -183,11 +149,10 @@ def _run_points(points: List[PointSpec]) -> List[SimulationResult]:
 
 
 def cmd_run(args) -> int:
-    _apply_snapshot_args(args)
     (workload, key), kwargs = _point(args.workload, args.config, args)
     result = run_point(workload, key, use_cache=False, **kwargs)
     _emit([result], args)
-    return _finish_run(result)
+    return 0
 
 
 @contextmanager
@@ -236,7 +201,6 @@ def resume_guard(
 
 
 def cmd_sweep(args) -> int:
-    _apply_snapshot_args(args)
     from repro.core.sweep import Sweep
 
     workloads = _workloads(args)
@@ -505,7 +469,6 @@ def cmd_replay(args) -> int:
     from repro.core.system import CMPSystem
     from repro.trace.io import TracePack
 
-    _apply_snapshot_args(args)
     pack = TracePack.load(args.path, skip_bad_records=args.skip_bad_records)
     if pack.skipped_records:
         print(
@@ -527,7 +490,7 @@ def cmd_replay(args) -> int:
     if pack.dropped_tail:
         result.extra["dropped_tail"] = float(pack.dropped_tail)
     _emit([result], args)
-    return _finish_run(result)
+    return 0
 
 
 def cmd_audit(args) -> int:
@@ -594,13 +557,6 @@ def cmd_telemetry(args) -> int:
         if any(resilience.values()):
             print("resilience:     "
                   + ", ".join(f"{k}={v}" for k, v in resilience.items() if v))
-    if summary["snapshot_actions"]:
-        actions = ", ".join(
-            f"{k}={v}" for k, v in sorted(summary["snapshot_actions"].items())
-        )
-        print(f"snapshots:      {actions}")
-    if summary["guard_breaches"]:
-        print(f"guard breaches: {summary['guard_breaches']}")
     return 0
 
 
@@ -885,7 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("workload", choices=all_names())
     p.add_argument("--config", default="base", choices=sorted(CONFIG_FEATURES))
     _add_run_args(p)
-    _add_snapshot_args(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="simulate a workload x config matrix")
@@ -901,7 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "each new one is stored as it completes (observed "
                         "points always re-simulate)")
     _add_run_args(p)
-    _add_snapshot_args(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("cache", help="inspect, verify or clear the on-disk result cache")
@@ -977,7 +931,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-bad-records", action="store_true",
                    help="drop malformed trace records (counted in the "
                         "result extras) instead of failing with exit 2")
-    _add_snapshot_args(p)
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("schemes", help="compare compression schemes on a workload's data")

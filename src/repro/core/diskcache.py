@@ -60,7 +60,6 @@ def point_key(
     seed: int,
     events: int,
     warmup: int,
-    fmt: int = CACHE_FORMAT_VERSION,
 ) -> str:
     """Stable content hash identifying one simulation point; it keys the
     in-process memo of :func:`repro.core.experiment.run_point` too.
@@ -78,7 +77,7 @@ def point_key(
     ):
         cfg.pop(observability_field, None)
     payload = {
-        "format": fmt,
+        "format": CACHE_FORMAT_VERSION,
         "schema": RESULT_SCHEMA_VERSION,
         "workload": workload,
         "seed": seed,
@@ -154,8 +153,7 @@ class DiskCache:
             payload = result_to_full_dict(result)
             blob = json.dumps(payload, separators=(",", ":")).encode("utf-8")
             durable.write_sealed(
-                path, ENTRY_MAGIC, CACHE_FORMAT_VERSION, {"key": key}, blob,
-                fault="corrupt",
+                path, ENTRY_MAGIC, CACHE_FORMAT_VERSION, {"key": key}, blob
             )
             _telemetry.emit("diskcache", outcome="store", key=key)
         except (OSError, TypeError, ValueError) as exc:

@@ -2,9 +2,8 @@
 survive a crash, and reads back one that may not have.
 
 The disk cache (:mod:`repro.core.diskcache`, which is also what
-``repro sweep --resume`` restores from) and the mid-run snapshots
-(:mod:`repro.core.snapshot`) keep their own policy (keys, rotation,
-what counts as a usable file) and share these mechanics; telemetry
+``repro sweep --resume`` restores from) keeps its own policy (keys,
+what counts as a usable file) on top of these mechanics; telemetry
 replay uses the JSON-lines reader.
 
 A sealed file is a ``<4sHI`` header (magic, u16 version, u32 meta
@@ -64,17 +63,15 @@ def atomic_write(path: str, data: bytes) -> None:
 
 
 def write_sealed(
-    path: str, magic: bytes, version: int, meta: Dict[str, Any], payload: bytes,
-    fault: str,
+    path: str, magic: bytes, version: int, meta: Dict[str, Any], payload: bytes
 ) -> None:
-    """Atomically write one sealed file.  ``fault`` names the store's
-    corruption fault kind (``corrupt``, ``snapcorrupt``): when it fires,
-    a payload byte is flipped *after* hashing, so the injected damage is
-    caught exactly like real bit rot."""
+    """Atomically write one sealed file.  When the ``corrupt`` fault
+    fires, a payload byte is flipped *after* hashing, so the injected
+    damage is caught exactly like real bit rot."""
     meta = dict(meta)
     meta["payload_sha256"] = sha256(payload).hexdigest()
     meta["payload_bytes"] = len(payload)
-    if _faults.should(fault, token=path) is not None and payload:
+    if _faults.should("corrupt", token=path) is not None and payload:
         payload = payload[:-1] + bytes([payload[-1] ^ 0xFF])
     blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     atomic_write(path, _HEAD.pack(magic, version, len(blob)) + blob + payload)
@@ -159,8 +156,7 @@ def sweep_stale_tmp(
     cutoff = time.time() - max_age_s
     for dirpath, _dirnames, filenames in os.walk(root):
         for name in filenames:
-            # ``<path>.tmp.<pid>``, and ``<path>.<pid>.tmp`` from the
-            # snapshot writer that preceded atomic_write.
+            # ``<path>.tmp.<pid>`` from atomic_write.
             if ".tmp" not in name:
                 continue
             full = os.path.join(dirpath, name)

@@ -105,7 +105,6 @@ def run_point(
     events: Optional[int] = None,
     warmup: Optional[int] = None,
     use_cache: bool = True,
-    resume_snapshot: Optional[bool] = None,
     **machine,
 ) -> SimulationResult:
     """Run one (workload, config) data point: the one way a point is
@@ -124,13 +123,6 @@ def run_point(
     caching in both directions, and so does any observer the effective
     config turns on (audit, trace, metrics or attribution, after the
     ``REPRO_*`` overrides): an observed point is always simulated.
-
-    ``resume_snapshot`` forwards to :meth:`CMPSystem.run`: ``True``
-    resumes from a matching mid-run snapshot if one exists, ``False``
-    never does, ``None`` (default) follows ``REPRO_SNAPSHOT_INTERVAL`` /
-    ``REPRO_RESUME_SNAPSHOT``.  A run truncated by a resource guard
-    (``result.extra["truncated"]``) is returned but never cached — a
-    partial result must not shadow the eventual complete one.
     """
     t0 = time.perf_counter()
     name, config, events, warmup, key = _bind(
@@ -155,23 +147,19 @@ def run_point(
     # the simulator.
     from repro.core.system import CMPSystem
 
-    system = CMPSystem(config, workload, seed=seed)
-    result = system.run(
-        events, warmup_events=warmup, config_name=name,
-        resume_snapshot=resume_snapshot,
+    result = CMPSystem(config, workload, seed=seed).run(
+        events, warmup_events=warmup, config_name=name
     )
-    if key is not None and not result.extra.get("truncated"):
+    if key is not None:
         _memo_put(key, result)
         if disk:
             store.put(key, result)
-    source = "snapshot" if system.resumed_from_phase is not None else "sim"
-    _emit_point(workload, name, seed, source, key, t0)
+    _emit_point(workload, name, seed, "sim", key, t0)
     return result
 
 
 #: Where the most recent run_point result came from (``memo`` / ``disk``
-#: / ``sim`` / ``snapshot`` for a simulation resumed from a mid-run
-#: snapshot) — per process; the parallel runner reads it right after
+#: / ``sim``) — per process; the parallel runner reads it right after
 #: each point to feed the live progress renderer.
 _LAST_SOURCE = "sim"
 
@@ -226,7 +214,6 @@ def run_points(
 def _point_key(point: PointSpec) -> Optional[str]:
     """A point's cache key (None when it is never cached)."""
     (workload, config), kwargs = point
-    kwargs = {k: v for k, v in kwargs.items() if k != "resume_snapshot"}
     return _bind(workload, config, **kwargs)[4]
 
 
@@ -234,7 +221,7 @@ def _remember(point: PointSpec, result: SimulationResult) -> None:
     """Seed this process's memo with a result computed in a worker
     process, so later lookups reuse it."""
     key = _point_key(point)
-    if key is not None and not result.extra.get("truncated"):
+    if key is not None:
         _memo_put(key, result)
 
 

@@ -179,7 +179,7 @@ class MemoryHierarchy:
 
         Each tuple is ``(l1, pf, stats, hist, fill_latency, level, tax)``
         (``tax``: the level's ``TaxonomyCounts``).  :meth:`reset_stats`
-        and a snapshot restore rebuild them.
+        rebuilds them.
         """
         hist_i = self.latency_hist["l1i"]
         hist_d = self.latency_hist["l1d"]

@@ -95,9 +95,7 @@ _LOST_WORKER_NOTE = (
 )
 _TIMEOUT_NOTE = (
     "point exceeded the per-point wall-clock budget (REPRO_POINT_TIMEOUT); "
-    "the stuck worker was terminated and the pool respawned (set "
-    "REPRO_SNAPSHOT_INTERVAL to let timed-out points resume from their "
-    "last mid-run snapshot instead of failing)"
+    "the stuck worker was terminated and the pool respawned"
 )
 
 #: Internal worker-outcome tuple:
@@ -452,33 +450,11 @@ class ParallelRunner:
                             idx, att, _started = inflight.pop(fut)
                             stats["timeouts"] += 1
                             _event(progress, "timeout")
-                            # With mid-run snapshots on, the killed
-                            # worker left durable phase-boundary state:
-                            # a resubmission auto-resumes from it, so
-                            # the timed-out point deserves a retry
-                            # instead of a terminal error.
-                            resumable = (
-                                settings.get("REPRO_SNAPSHOT_INTERVAL") > 0
-                                and att < max_retries
-                            )
                             if _telemetry.enabled():
                                 _telemetry.emit(
                                     "point-timeout", index=idx,
                                     attempt=att, timeout_s=timeout,
-                                    resumable=resumable,
                                 )
-                            if resumable:
-                                retry_attempt = att + 1
-                                self._note_retry(
-                                    stats, progress, idx, retry_attempt, "timeout"
-                                )
-                                waiting.append((
-                                    time.perf_counter()
-                                    + _retry_backoff_s(idx, retry_attempt),
-                                    idx,
-                                    retry_attempt,
-                                ))
-                                continue
                             done += 1
                             self._finalize(
                                 results, points,

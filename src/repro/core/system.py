@@ -8,8 +8,6 @@ This is the library's main entry object: construct one from a
 from __future__ import annotations
 
 import heapq
-import os
-import sys
 import time
 from typing import List, Optional, Union
 
@@ -58,7 +56,6 @@ class CMPSystem:
         heap = None
         if self.spec.pointer_fraction > 0:
             heap = HeapModel.from_spec(self.spec, seed=seed)
-        self._trace = trace
         self.values = ValueModel(
             self.spec.value_mix, seed=seed, scheme=config.l2.scheme, heap=heap
         )
@@ -68,8 +65,7 @@ class CMPSystem:
             for i in range(config.n_cores)
         ]
         # Per-core event sources: trace cursors for a recorded trace,
-        # chunked generator cursors otherwise.  Both pickle, so every run
-        # can be snapshotted.
+        # chunked generator cursors otherwise.
         if trace is not None:
             self._generators = [trace.iterator(i) for i in range(config.n_cores)]
         else:
@@ -86,9 +82,6 @@ class CMPSystem:
                 for i in range(config.n_cores)
             ]
         self._events_processed = 0
-        #: Phase number this run was restored from (None = clean start);
-        #: set by the snapshot-resume path, read by run_point telemetry.
-        self.resumed_from_phase: Optional[int] = None
         #: Wall seconds of the last completed run's two segments.
         self.warmup_wall_s = self.measure_wall_s = 0.0
         # Opt-in observers (audit, trace, metrics, attribution), strictly
@@ -102,9 +95,7 @@ class CMPSystem:
 
             self.hierarchy.observe(arm(config, self.hierarchy, wanted))
 
-    # The system's observer reference is its hierarchy's, so a restored
-    # snapshot's hierarchy brings its own (pickled with it, sensor state
-    # and all: the auditor is bound to the restored hierarchy).
+    # The system's observer reference is its hierarchy's.
     observer = property(lambda self: self.hierarchy.observer)
     # Plain handles on the armed sensors, for the CLI and tests (None when off).
     auditor = property(lambda self: getattr(self.observer, "auditor", None))
@@ -118,120 +109,36 @@ class CMPSystem:
         events_per_core: int,
         warmup_events: Optional[int] = None,
         config_name: Optional[str] = None,
-        resume_snapshot: Optional[bool] = None,
     ) -> SimulationResult:
         """Warm up, reset stats, measure, and return the result.
 
         Cores are interleaved on a min-heap of local clocks so shared
         resources see causally-ordered contention, mirroring how GEMS
         interleaves processors at cycle granularity.
-
-        Warmup and measurement are each walked in phases.  By default a
-        segment is one phase.  When ``REPRO_SNAPSHOT_INTERVAL`` is set
-        a phase is that many events per core, and the complete simulator
-        state is snapshotted at every phase boundary
-        (:mod:`repro.core.snapshot`); a matching snapshot left behind by
-        an interrupted run is resumed automatically (``resume_snapshot``
-        forces or forbids the attempt).  Phase boundaries also check the
-        ``REPRO_DEADLINE`` / ``REPRO_MEM_LIMIT`` resource guards: a
-        breach returns a *partial* result (marked with a ``truncated``
-        extra) instead of dying, keeping the snapshot to resume from.
         """
         if events_per_core <= 0:
             raise ValueError("events_per_core must be positive")
         if warmup_events is None:
             warmup_events = events_per_core // 2
         name = config_name or self.config.describe()
-        interval = settings.get("REPRO_SNAPSHOT_INTERVAL")
-        resume_requested = bool(settings.get("REPRO_RESUME_SNAPSHOT"))
-        want_resume = resume_snapshot is True or (
-            resume_snapshot is None and (interval > 0 or resume_requested)
-        )
-        warmup_done = measure_done = phase = 0
-        manager = guard = None
-        if interval > 0 or want_resume:
-            if self.observer is not None:
-                self.observer.check_snapshots()
-            # Imported here: a run without snapshots never loads pickle.
-            from repro.core import snapshot as _snapshot
-
-            manager = _snapshot.SnapshotManager(_snapshot.run_key(
-                self.config, self.spec.name, self.seed, events_per_core, warmup_events
-            ))
-            restored = manager.load_latest() if want_resume else None
-            if restored is not None:
-                meta, state = restored
-                self._restore_state(state)
-                warmup_done = int(meta["warmup_done"])
-                measure_done = int(meta["measure_done"])
-                phase = int(meta["phase"])
-                # The phase length is part of the run's identity: the
-                # resumed half must hit the same boundaries as the
-                # uninterrupted run, or the results would diverge.
-                interval = int(meta["interval"])
-                self.resumed_from_phase = phase
-            elif want_resume and (resume_snapshot is True or resume_requested):
-                print("no matching snapshot found; starting clean", file=sys.stderr)
-            guard = _snapshot.ResourceGuard()
-
-        def boundary() -> Optional[SimulationResult]:
-            """Checkpoint, then check the guard: a partial result on a breach."""
-            path = manager.save(self, {
-                "phase": phase,
-                "warmup_done": warmup_done,
-                "measure_done": measure_done,
-                "interval": interval,
-                "workload": self.spec.name,
-                "seed": self.seed,
-                "config_name": name,
-                "events_per_core": events_per_core,
-                "warmup_events": warmup_events,
-                "trace": self._trace is not None,
-            })
-            breach = guard.breach()
-            if breach is None:
-                return None
-            return self._truncated_result(name, warmup_done, measure_done, breach, path)
-
-        observer = self.observer  # read after a snapshot restore
+        observer = self.observer
         t0 = time.perf_counter()
         try:
             if observer is not None:
                 observer.run_phase("warmup", max(core.time for core in self.cores))
-            if warmup_events == 0 and phase == 0:
-                self.reset_stats()
-            while warmup_done < warmup_events:
-                step = min(warmup_events - warmup_done, interval or warmup_events)
-                self._run_events(step)
-                warmup_done += step
-                phase += 1
-                if warmup_done == warmup_events:
-                    # Reset *before* the boundary snapshot, so any snapshot
-                    # with warmup complete is post-reset and the resume
-                    # path never needs to re-reset.
-                    self.reset_stats()
-                if manager is not None and (partial := boundary()) is not None:
-                    return partial
+            if warmup_events > 0:
+                self._run_events(warmup_events)
+            self.reset_stats()
             t1 = time.perf_counter()
             if observer is not None:
                 observer.run_phase("measure", max(core.time for core in self.cores))
-            while measure_done < events_per_core:
-                step = min(events_per_core - measure_done, interval or events_per_core)
-                self._run_events(step)
-                measure_done += step
-                phase += 1
-                # The last boundary needs no snapshot: the run is complete.
-                if (measure_done < events_per_core and manager is not None
-                        and (partial := boundary()) is not None):
-                    return partial
+            self._run_events(events_per_core)
         finally:
             if observer is not None:
                 observer.run_end()
         t2 = time.perf_counter()
         self.warmup_wall_s, self.measure_wall_s = t1 - t0, t2 - t1
         result = self.collect(name, events_per_core)
-        if manager is not None:
-            manager.discard()
         if _telemetry.enabled():
             measured = events_per_core * self.config.n_cores
             _telemetry.emit(
@@ -246,98 +153,10 @@ class CMPSystem:
                 wall_s=t2 - t0,
                 events_per_sec=measured / (t2 - t1) if t2 > t1 else 0.0,
                 settings=settings.from_env(),
-                phases=phase,
-                resumed_phase=self.resumed_from_phase,
                 **(observer.telemetry() if observer is not None else {}),
             )
         if observer is not None:
             observer.write_outputs()
-        return result
-
-    # -- crash-safe phased execution (repro.core.snapshot) -----------------
-
-    def _restore_state(self, state: dict) -> None:
-        """Swap in a snapshot's simulator state (inverse of
-        :func:`repro.core.snapshot.capture_state`)."""
-        from repro.core import snapshot as _snapshot
-
-        self.hierarchy = state["hierarchy"]
-        self.cores = state["cores"]
-        self.values = state["values"]
-        self._events_processed = state["events_processed"]
-        if self._trace is not None:
-            positions = state.get("trace_positions")
-            if positions is None or len(positions) != len(self._generators):
-                raise _snapshot.SnapshotError(
-                    "-", "snapshot does not match this trace-driven system"
-                )
-            for it, pos in zip(self._generators, positions):
-                it.pos = pos
-        else:
-            cursors = state.get("cursors")
-            if cursors is None or len(cursors) != self.config.n_cores:
-                raise _snapshot.SnapshotError(
-                    "-", "snapshot does not match this system's core count"
-                )
-            self._generators = cursors
-        # Derived state is rebuilt, not unpickled: route tuples, bound
-        # taxonomy counters and link message sizes.
-        self.hierarchy._rebuild_routes()
-        self.hierarchy.link.size_messages()
-
-    def _truncated_result(
-        self,
-        config_name: str,
-        warmup_done: int,
-        measure_done: int,
-        reason: str,
-        snapshot_path: Optional[str],
-    ) -> SimulationResult:
-        """A structured partial result for a resource-guard breach.
-
-        The counters cover whatever was measured so far; the
-        ``truncated`` extra marks the result as partial (run_point will
-        not cache it) and the exact resume command goes to stderr — the
-        deadline produced a resumable state, not a dead process.
-        """
-        result = self.collect(config_name, measure_done)
-        result.extra["truncated"] = 1.0
-        result.extra["truncated_warmup_done"] = float(warmup_done)
-        result.extra["truncated_measure_done"] = float(measure_done)
-        _telemetry.emit(
-            "guard",
-            reason=reason,
-            workload=self.spec.name,
-            config=config_name,
-            seed=self.seed,
-            warmup_done=warmup_done,
-            measure_done=measure_done,
-            snapshot=snapshot_path,
-        )
-        print(f"resource guard: {reason}", file=sys.stderr)
-        if snapshot_path:
-            print(
-                f"partial result returned; state saved to {snapshot_path}",
-                file=sys.stderr,
-            )
-            argv = sys.argv
-            if argv and (
-                os.path.basename(argv[0]).startswith("repro")
-                or argv[0].endswith(os.path.join("repro", "__main__.py"))
-            ):
-                cmd = "python -m repro " + " ".join(argv[1:])
-            else:
-                cmd = "<your original command>"
-            print(
-                f"resume with:\n  REPRO_RESUME_SNAPSHOT=1 {cmd}",
-                file=sys.stderr,
-            )
-        else:
-            print(
-                "partial result returned; no snapshot could be written, "
-                "a re-run starts clean",
-                file=sys.stderr,
-            )
         return result
 
     def _run_events(self, events_per_core: int) -> None:

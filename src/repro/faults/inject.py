@@ -40,17 +40,10 @@ kind            site                                              arg
 ``corrupt``     ``DiskCache.put`` via ``durable.write_sealed``:   —
                 flips a payload byte after hashing
 ``slowio``      ``DiskCache.get``/``put``: sleeps before I/O      seconds
-``snapkill``    ``SnapshotManager.save``: ``os._exit`` right      exit code
-                after the selected phase snapshot is durable      (def 137)
-``snapcorrupt`` ``write_snapshot`` via ``durable.write_sealed``:  —
-                the same byte flip, on a snapshot
-``diskfull``    ``snapshot.write_snapshot``: fails the store      —
-                with ``ENOSPC`` (the run must continue)
 =============== ================================================= =========
 
 Selection semantics: sites that know their point index (the worker-body
-sites) match selectors against that index — ``snapkill`` matches against
-the snapshot's *phase* number instead — and, by default, fire only on
+sites) match selectors against that index and, by default, fire only on
 the point's *first* attempt — so an injected transient fault is healed
 by one retry.  A clause's ``x<times>`` suffix widens that to the first
 ``times`` attempts (``transient@0x99`` keeps failing through retry
@@ -73,10 +66,7 @@ from repro.digest import sha256
 ENV_VAR = "REPRO_FAULTS"
 
 #: Every fault kind with an injection site wired into the codebase.
-KINDS = (
-    "kill", "hang", "transient", "corrupt", "slowio",
-    "snapkill", "snapcorrupt", "diskfull",
-)
+KINDS = ("kill", "hang", "transient", "corrupt", "slowio")
 
 
 class TransientFault(RuntimeError):

@@ -33,12 +33,8 @@ class PinLink:
         # The one observer reference (repro.obs.observers); None when
         # every observer is off.
         self.observer = None
-        self.size_messages()
-
-    def size_messages(self) -> None:
-        """Precompute message sizes; ``_data_sizes`` maps 1-8 segments to
-        ``(bytes, flits, payload bytes)``.  Derived state: a restored
-        snapshot rebuilds it."""
+        # Precomputed message sizes; ``_data_sizes`` maps 1-8 segments to
+        # ``(bytes, flits, payload bytes)``.
         self._header = self.config.header_bytes
         self._request_bytes = self.sizer.request_bytes()
         self._equiv_bytes = self.sizer.uncompressed_equiv_bytes()

@@ -65,20 +65,6 @@ class Observers:
                 classify, show = attribution.on_l2_demand_miss, tracer.on_miss_class
                 self.l2_demand_miss = lambda addr: show(classify(addr), addr)
 
-    def __reduce__(self):
-        # Snapshots pickle the hub with the hierarchy; the bound events
-        # are derived, so unpickling rebuilds them from the sensors.
-        return (Observers, (self.auditor, self.tracer, self.sampler,
-                            self.attribution, self.outputs))
-
-    def check_snapshots(self) -> None:
-        """A resumed trace or series would silently lack its pre-kill half."""
-        if self.tracer is not None or self.sampler is not None:
-            raise ValueError(
-                "snapshots do not support event tracing or interval metrics; "
-                "unset REPRO_SNAPSHOT_INTERVAL for traced runs"
-            )
-
     def extra(self) -> Dict[str, float]:
         """The ``attr_*`` extras, which ``result_fingerprint`` strips."""
         return self.attribution.to_extra() if self.attribution is not None else {}

@@ -161,10 +161,9 @@ def profile_point(
     """Run one (workload, config) point under a profiler.
 
     The point runs through :meth:`CMPSystem.run`, so ambient observer
-    outputs (``REPRO_TRACE`` and friends), telemetry and snapshot
-    settings apply as they do to ``repro run``.  ``engine`` is
-    ``"cprofile"`` (exact, ~2x slower) or ``"sampler"`` (statistical,
-    cheap).  The returned events/sec includes the profiler's own
+    outputs (``REPRO_TRACE`` and friends) and telemetry apply as they
+    do to ``repro run``.  ``engine`` is ``"cprofile"`` (exact, ~2x
+    slower) or ``"sampler"`` (statistical, cheap).  The returned events/sec includes the profiler's own
     overhead — compare like with like.
     """
     from repro.core.system import CMPSystem

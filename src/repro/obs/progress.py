@@ -46,7 +46,7 @@ class SweepProgress:
         self.stream = stream if stream is not None else sys.stderr
         self._now = now if now is not None else time.monotonic
         self.started = self._now()
-        self.sources = {"sim": 0, "disk": 0, "memo": 0, "snapshot": 0}
+        self.sources = {"sim": 0, "disk": 0, "memo": 0}
         self.events = {"retry": 0, "restart": 0, "timeout": 0, "quarantine": 0}
         self.errors = 0
         self.done = 0
@@ -64,7 +64,6 @@ class SweepProgress:
         self, done: int, total: int, source: Optional[str] = None
     ) -> None:
         """One point finished; ``source`` is ``sim``/``disk``/``memo``/
-        ``snapshot`` (simulation resumed from a mid-run snapshot)/
         ``error`` when the caller knows it."""
         self.done, self.total = done, total
         if source == "error":

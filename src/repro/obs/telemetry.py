@@ -23,8 +23,8 @@ Kinds emitted by the simulator stack:
   description, per-phase wall seconds, events/sec, audit check count,
   ``settings`` (each environment-set ``REPRO_*`` knob, parsed);
 * ``point`` — one per :func:`repro.core.experiment.run_point`: workload,
-  config name, where the result came from (``memo`` / ``disk`` / ``sim``
-  / ``snapshot``), the point's cache key (null for a point that is
+  config name, where the result came from (``memo`` / ``disk`` /
+  ``sim``), the point's cache key (null for a point that is
   never cached), wall seconds;
 * ``diskcache`` — one per disk-cache probe/store: hit / miss / store,
   plus the resilience outcomes ``corrupt`` (entry quarantined) and
@@ -36,15 +36,7 @@ Kinds emitted by the simulator stack:
 * ``pool-restart`` — one per worker-pool respawn after a lost worker or
   a timed-out point;
 * ``point-timeout`` — one per point killed by ``REPRO_POINT_TIMEOUT``
-  (``resumable`` marks points that get a retry because mid-run
-  snapshots are on);
-* ``snapshot`` — one per mid-run snapshot event
-  (:mod:`repro.core.snapshot`): ``action`` is ``store`` /
-  ``store-failed`` / ``restore`` / ``corrupt`` (a damaged snapshot was
-  quarantined) / ``discard`` (run completed, snapshots deleted);
-* ``guard`` — one per resource-guard breach (``REPRO_DEADLINE`` /
-  ``REPRO_MEM_LIMIT``): the reason, progress counters and the snapshot
-  left behind to resume from;
+  (always terminal: the point fails);
 * ``matrix-point`` — one per distinct interaction-matrix run
   (:func:`repro.report.matrix.run_matrix`), whether it was simulated or
   served by the memo or disk cache (its ``point`` record tells which):
@@ -173,8 +165,6 @@ def summarize(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     sweep_restarts = 0
     sweep_timeouts = 0
     sweep_quarantines = 0
-    snapshot_actions: Dict[str, int] = {}
-    guard_breaches = 0
     for record in records:
         kind = str(record.get("kind"))
         by_kind[kind] = by_kind.get(kind, 0) + 1
@@ -199,11 +189,6 @@ def summarize(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
             sweep_restarts += int(record.get("restarts", 0))
             sweep_timeouts += int(record.get("timeouts", 0))
             sweep_quarantines += int(record.get("quarantines", 0))
-        elif kind == "snapshot":
-            action = str(record.get("action", "?"))
-            snapshot_actions[action] = snapshot_actions.get(action, 0) + 1
-        elif kind == "guard":
-            guard_breaches += 1
     return {
         "records": sum(by_kind.values()),
         "by_kind": by_kind,
@@ -222,6 +207,4 @@ def summarize(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
         "sweep_restarts": sweep_restarts,
         "sweep_timeouts": sweep_timeouts,
         "sweep_quarantines": sweep_quarantines,
-        "snapshot_actions": snapshot_actions,
-        "guard_breaches": guard_breaches,
     }

@@ -64,8 +64,8 @@ def result_to_dict(result: SimulationResult) -> Dict[str, object]:
         "pf_l2_coverage": l2_report.coverage,
         "pf_l2_accuracy": l2_report.accuracy,
     }
-    # The extras dict rides along so markers like guard truncation
-    # (``truncated``) and skipped trace records stay visible to JSON
+    # The extras dict rides along so markers like skipped trace
+    # records (``skipped_records``) stay visible to JSON
     # consumers; the CSV form keeps the flat EXPORT_FIELDS shape.
     if result.extra:
         row["extra"] = dict(result.extra)

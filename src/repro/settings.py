@@ -2,9 +2,9 @@
 
 A simulation result is fixed by its :class:`~repro.params.SystemConfig`
 and its run arguments; *how* a run executes — how many events by
-default, which observers are armed, where the result cache and the
-snapshots live, which faults are injected — is set by ``REPRO_*``
-environment variables.  :data:`TABLE` declares every one of them with
+default, which observers are armed, where the result cache lives,
+which faults are injected — is set by ``REPRO_*`` environment
+variables.  :data:`TABLE` declares every one of them with
 its kind, default, bound and a one-line doc; :func:`get` is the only
 reader, and :func:`check` validates them all up front (``repro`` does
 so before dispatching any command, so a bad value fails every command
@@ -16,7 +16,7 @@ The environment stays the transport: forked pool workers inherit it and
 tests set it with ``monkeypatch.setenv``, so :func:`get` reads it at
 call time.  An unset or empty variable means "use the default".  These
 settings stay out of ``SystemConfig`` on purpose: the config is hashed
-into cache and snapshot keys, and run settings never change a result.
+into cache keys, and run settings never change a result.
 
 ``python -m repro config`` prints every knob with its effective value,
 its source (``env`` or ``default``) and its doc line.
@@ -131,16 +131,6 @@ _ROWS = (
     Setting("REPRO_FUZZ_DIR", "path", ".repro_fuzz", "crash-corpus directory for fuzz failures"),
     Setting("REPRO_FAULTS", "fault-plan", None,
             "deterministic fault-injection plan (see repro.faults.inject)"),
-    # Long-run durability (repro.core.snapshot).
-    Setting("REPRO_SNAPSHOT_INTERVAL", "int", 0,
-            "per-core events between mid-run snapshots (0 = off)", 0),
-    Setting("REPRO_SNAPSHOT_DIR", "path", ".repro_snapshots", "mid-run snapshot directory"),
-    Setting("REPRO_RESUME_SNAPSHOT", "switch", None,
-            "1 forces a resume attempt from the latest matching snapshot"),
-    Setting("REPRO_DEADLINE", "number", None,
-            "wall-clock budget in seconds for one phased run", 0),
-    Setting("REPRO_MEM_LIMIT", "number", None,
-            "resident-memory budget in MiB for one phased run", 0),
 )
 
 #: Every knob, by name, in documentation order.

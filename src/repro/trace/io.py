@@ -16,10 +16,8 @@ bare parse exception; both support *skip-and-count* recovery
 ``TracePack.skipped_records``, surfaced by ``repro replay
 --skip-bad-records`` in the result extras).
 
-Per-core iteration uses :class:`TraceCursor`, whose integer position is
-serializable: a mid-run simulator snapshot (:mod:`repro.core.snapshot`)
-records just the cursor positions and a resumed replay continues the
-stream bit-identically without re-materializing anything.
+Per-core iteration uses :class:`TraceCursor`, an endless cursor over
+one core's recorded events.
 """
 
 from __future__ import annotations
@@ -148,12 +146,10 @@ class TraceReader:
 
 
 class TraceCursor:
-    """Endless per-core event iterator with a serializable position.
+    """Endless per-core event iterator over a recorded stream.
 
-    Replaces the old ``itertools.cycle`` adapter: the event sequence is
-    identical (wrap around at the end, so warmup + measurement longer
-    than the recording still works), but ``pos`` can be read out by a
-    simulator snapshot and set on a fresh cursor to resume the stream.
+    It wraps around at the end, so warmup + measurement longer than the
+    recording still works; ``pos`` is the index of the next event.
     """
 
     __slots__ = ("events", "pos")
@@ -204,7 +200,7 @@ class TracePack:
         return self.header.events_per_core
 
     def iterator(self, core: int) -> TraceCursor:
-        """Endless, position-resumable per-core event stream."""
+        """Endless per-core event stream."""
         return TraceCursor(self.per_core_events[core])
 
     def save(self, path: Union[str, Path]) -> None:

@@ -64,15 +64,6 @@ The relations, and why each must hold:
     stripped by the fingerprint), and its per-event ledgers must
     reconcile exactly with the stats counters (attributed misses sum to
     ``l2.demand_misses``, eviction causes to the eviction totals).
-
-``snapshot_resume_noop``
-    Mid-run snapshots (:mod:`repro.core.snapshot`) must be invisible in
-    the results: a phased run that is interrupted at *every* phase
-    boundary (``REPRO_DEADLINE=0`` truncates each invocation after one
-    phase) and resumed until it completes must fingerprint identically
-    to the same phased run executed uninterrupted.  This is the
-    crash-safety contract — kill-and-resume is a no-op — exercised at
-    its worst case, one kill per boundary.
 """
 
 from __future__ import annotations
@@ -460,69 +451,6 @@ def check_attribution_noop(
         )
 
 
-# ---------------------------------------------------------------------------
-# kill-and-resume is a no-op
-# ---------------------------------------------------------------------------
-
-
-def check_snapshot_resume_noop(
-    config: SystemConfig,
-    workload: Optional[str] = None,
-    *,
-    trace=None,
-    seed: int = 0,
-    events: int = 1200,
-    warmup: Optional[int] = None,
-    interval: Optional[int] = None,
-) -> None:
-    """A phased run interrupted at every boundary and resumed must equal
-    the uninterrupted phased run bit-exactly."""
-    import math
-    import tempfile
-
-    from repro.core import snapshot as _snapshot
-
-    warmup = events if warmup is None else warmup
-    interval = interval if interval is not None else max(events // 3, 1)
-    with settings.suspended(
-        _snapshot.ENV_INTERVAL, _snapshot.ENV_DIR, _snapshot.ENV_RESUME,
-        _snapshot.ENV_DEADLINE, _snapshot.ENV_MEM_LIMIT,
-    ):
-        with tempfile.TemporaryDirectory(prefix="repro-snap-prop-") as tmp:
-            settings.put(_snapshot.ENV_DIR, tmp)
-            settings.put(_snapshot.ENV_INTERVAL, interval)
-            ra = _simulate(config, workload, trace, seed, events, warmup)
-            if ra.extra.get("truncated"):
-                raise PropertyViolation(
-                    "snapshot_resume_noop: the uninterrupted phased run was "
-                    "itself truncated (ambient resource guard?)"
-                )
-            # Interrupted leg: a zero deadline truncates every invocation
-            # at its first phase boundary, so each pass advances exactly
-            # one phase before "dying"; auto-resume stitches them back
-            # together until the run completes.
-            settings.put(_snapshot.ENV_DEADLINE, 0)
-            phases = math.ceil(warmup / interval) + math.ceil(events / interval)
-            rb = None
-            for _ in range(phases + 2):
-                rb = _simulate(config, workload, trace, seed, events, warmup)
-                if not rb.extra.get("truncated"):
-                    break
-            else:
-                raise PropertyViolation(
-                    "snapshot_resume_noop: run never completed after "
-                    f"{phases + 2} resume passes of interval {interval}"
-                )
-    fa, fb = result_fingerprint(ra), result_fingerprint(rb)
-    if fa != fb:
-        problems = diff_full_dicts(result_to_full_dict(ra), result_to_full_dict(rb))
-        raise PropertyViolation(
-            "snapshot_resume_noop: kill-and-resume diverged from the "
-            f"uninterrupted run ({len(problems)} counter(s)):\n"
-            + _render(problems, "uninterrupted", "resumed")
-        )
-
-
 #: Name -> check, for the CLI and the fuzz harness.  Each check accepts
 #: (config, workload, *, trace=..., seed=..., events=..., warmup=...).
 ALL_PROPERTIES = {
@@ -532,5 +460,4 @@ ALL_PROPERTIES = {
     "bandwidth_monotonicity": check_bandwidth_monotonicity,
     "determinism": check_determinism,
     "attribution_noop": check_attribution_noop,
-    "snapshot_resume_noop": check_snapshot_resume_noop,
 }

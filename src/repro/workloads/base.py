@@ -333,10 +333,6 @@ CHUNK = 256
 class ChunkCursor:
     """Iterator over a :class:`TraceGenerator`'s events, refilled a chunk
     at a time through :meth:`TraceGenerator.fill_chunk`.
-
-    The generator keeps all walk state on the instance, so a cursor
-    pickles (simulator snapshots, :mod:`repro.core.snapshot`) and
-    resumes the identical stream.
     """
 
     __slots__ = ("gen", "chunk", "pos")
@@ -357,13 +353,3 @@ class ChunkCursor:
             i = 0
         self.pos = i + 1
         return chunk[i]
-
-    # A pickled cursor keeps only the *unconsumed* tail of its chunk, so
-    # the snapshot size does not depend on where in the chunk the phase
-    # boundary landed.
-    def __getstate__(self):
-        return (self.gen, self.chunk[self.pos:])
-
-    def __setstate__(self, state) -> None:
-        self.gen, self.chunk = state
-        self.pos = 0

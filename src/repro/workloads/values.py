@@ -225,17 +225,6 @@ class ValueModel:
 
         return build_scheme(scheme, sample_lines=self._lines).segments
 
-    def __getstate__(self) -> Dict:
-        # The segment sizer closes over scheme helpers; drop it and
-        # rebuild on restore (simulator snapshots pickle this model).
-        state = self.__dict__.copy()
-        state["_segments_fn"] = None
-        return state
-
-    def __setstate__(self, state: Dict) -> None:
-        self.__dict__.update(state)
-        self._segments_fn = self._build_segments_fn()
-
     def _index(self, line_addr: int) -> int:
         # Knuth multiplicative hash keeps pool selection uncorrelated with
         # set indexing (which uses low address bits).

@@ -19,7 +19,6 @@ Runs under pytest, or as a plain script on an interpreter without it::
 from __future__ import annotations
 
 import itertools
-import pickle
 import platform
 import random
 from itertools import accumulate
@@ -340,10 +339,9 @@ def test_every_scheme_sizes_the_pool_and_the_heap_as_before():
             model = ValueModel(mix, seed=3, pool_size=256, scheme=scheme, heap=heap)
             sizer = reference_sizer(scheme, lines)
             assert model._segments == [sizer(w) for w in lines], scheme
-            for copy in (model, pickle.loads(pickle.dumps(model))):
-                assert [copy.segments_for(a) for a in heap_lines] == [
-                    sizer(heap.line_words(a)) for a in heap_lines
-                ], scheme
+            assert [model.segments_for(a) for a in heap_lines] == [
+                sizer(heap.line_words(a)) for a in heap_lines
+            ], scheme
 
 
 def test_every_workload_trace_is_unchanged_however_it_is_chunked():
@@ -364,30 +362,6 @@ def test_randbelow_matches_randrange_including_one():
             a.randrange(n) for _ in range(200)
         ], n
         assert b.getstate() == a.getstate(), n
-
-
-def _resume_matches(cursor: base.ChunkCursor, n: int = 3000) -> None:
-    copy = pickle.loads(pickle.dumps(cursor))
-    assert list(itertools.islice(copy, n)) == list(itertools.islice(cursor, n))
-
-
-def test_pickled_cursor_continues_the_identical_stream():
-    """Mid-chunk, at a chunk boundary with no fetches pending, and at a
-    boundary with instruction fetches parked in ``_chunk_pending``."""
-    cursor = TraceGenerator(WORKLOADS["zeus"], 0, 2, 16384, 256, seed=0).events()
-    list(itertools.islice(cursor, 500))
-    _resume_matches(cursor)
-
-    seen = set()
-    for spec, seed in itertools.product(("zeus", "chase", "apsi"), range(20)):
-        cursor = TraceGenerator(WORKLOADS[spec], 1, 2, 16384, 256, seed=seed).events()
-        list(itertools.islice(cursor, base.CHUNK))
-        assert cursor.pos == len(cursor.chunk) == base.CHUNK
-        pending = bool(cursor.gen._chunk_pending)
-        if pending not in seen:
-            seen.add(pending)
-            _resume_matches(cursor)
-    assert seen == {False, True}
 
 
 if __name__ == "__main__":

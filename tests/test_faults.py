@@ -62,6 +62,7 @@ class TestParsing:
         "slowio@p:2.0:1",     # probability outside [0, 1]
         "corrupt@every:0",    # non-positive step
         "slowio@p:0.5",       # missing seed
+        "snapkill@1",         # a kind whose site is gone
     ])
     def test_malformed_clause_readable_error(self, bad):
         with pytest.raises(ValueError) as err:

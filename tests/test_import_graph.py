@@ -34,7 +34,6 @@ PLAIN_POINT_NEVER_LOADS = (
     "repro.obs.observers",
     "repro.report.charts",
     "repro.trace.io",
-    "repro.core.snapshot",
     "pickle",
     *OPENSSL,
 )

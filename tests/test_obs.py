@@ -272,17 +272,6 @@ class TestTelemetry:
         assert sim["settings"]["REPRO_TELEMETRY"] == str(sink)
         assert "REPRO_SEEDS" not in sim["settings"]  # unset knobs are left out
 
-    @pytest.mark.parametrize("warmup, phases", [(100, 2), (0, 1)])
-    def test_unphased_record_counts_phases(self, tmp_path, monkeypatch, warmup, phases):
-        """Without snapshots each segment (warmup, measurement) is one phase."""
-        sink = tmp_path / "runs.jsonl"
-        monkeypatch.setenv("REPRO_TELEMETRY", str(sink))
-        CMPSystem(make_tiny_system(), "zeus", seed=0).run(200, warmup_events=warmup)
-        (sim,) = [r for r in telemetry.read_records(str(sink))
-                  if r["kind"] == "simulate"]
-        assert sim["phases"] == phases
-        assert sim["resumed_phase"] is None
-
     def test_run_point_emits_source(self, tmp_path, monkeypatch):
         sink = tmp_path / "points.jsonl"
         monkeypatch.setenv("REPRO_TELEMETRY", str(sink))

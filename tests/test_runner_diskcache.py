@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import json
 import os
+import time
+from pathlib import Path
 
 import pytest
 
 from repro import settings
-from repro.core import diskcache
+from repro.core import diskcache, durable
 from repro.core.diskcache import DiskCache
 from repro.core.experiment import (
     clear_cache,
@@ -125,6 +127,56 @@ class TestDiskCache:
         assert k(base, "zeus", 0, 200, 100) != k(base, "zeus", 1, 200, 100)
         assert k(base, "zeus", 0, 200, 100) != k(base, "oltp", 0, 200, 100)
         assert k(base, "zeus", 0, 200, 100) == k(base, "zeus", 0, 200, 100)
+
+    def test_read_entry_rejects_garbage(self, tmp_path):
+        """The entry reader refuses every malformed file with one
+        :class:`CorruptFile`."""
+        magic, version = diskcache.ENTRY_MAGIC, diskcache.CACHE_FORMAT_VERSION
+        head = durable._HEAD.pack
+        cases = {
+            "empty": b"",
+            "short": magic[:2],
+            "bad-magic": b"XXXX" + b"\x00" * 64,
+            "bad-meta": head(magic, version, 5) + b"not j",
+            "bad-version": head(magic, 99, 2) + b"{}",
+            # The previous format version is refused by version, before
+            # the payload is parsed.
+            "old-version": head(magic, version - 1, 2) + b"{}",
+        }
+        for name, blob in cases.items():
+            path = tmp_path / name
+            path.write_bytes(blob)
+            with pytest.raises(durable.CorruptFile) as info:
+                diskcache.read_entry(str(path))
+            if name.endswith("version"):
+                assert "unsupported cache entry version" in str(info.value)
+        result = run_point("zeus", "base", **FAST, use_cache=False)
+        cache = DiskCache(str(tmp_path / "cache"))
+        cache.put("ab" + "0" * 62, result)
+        flipped = cache.path_for("ab" + "0" * 62)
+        diskcache.read_entry(flipped)
+        data = bytearray(Path(flipped).read_bytes())
+        data[-1] ^= 0xFF
+        Path(flipped).write_bytes(bytes(data))
+        with pytest.raises(durable.CorruptFile, match="checksum"):
+            diskcache.read_entry(flipped)
+
+    def test_stale_tmp_from_killed_writer_is_swept(self, tmp_path):
+        """A writer killed mid-write leaves a temp file no lookup sees;
+        opening the cache removes it once it is older than the stale
+        threshold, and leaves a fresh one alone."""
+        root = tmp_path / "cache"
+        (root / "ab").mkdir(parents=True)
+        stale = root / "ab" / ("ab" + "0" * 62 + ".rpce.tmp.4242")
+        fresh = root / "ab" / ("ab" + "1" * 62 + ".rpce.tmp.4243")
+        for path in (stale, fresh):
+            path.write_bytes(b"RPCE half an entry")
+        aged = time.time() - durable.STALE_TMP_S - 60
+        os.utime(stale, (aged, aged))
+        durable._SWEPT_ROOTS.discard(str(root))
+        DiskCache(str(root))
+        assert not stale.exists()
+        assert fresh.exists()
 
 
 class TestMemoBound:

@@ -135,12 +135,12 @@ def test_empty_is_unset_and_unknown_names_raise(monkeypatch):
 
 def test_suspended_restores_every_named_knob(monkeypatch):
     monkeypatch.setenv("REPRO_AUDIT", "0")
-    monkeypatch.delenv("REPRO_DEADLINE", raising=False)
-    with settings.suspended("REPRO_AUDIT", "REPRO_DEADLINE"):
+    monkeypatch.delenv("REPRO_RETRY_BACKOFF", raising=False)
+    with settings.suspended("REPRO_AUDIT", "REPRO_RETRY_BACKOFF"):
         assert settings.source("REPRO_AUDIT") == "default"
-        settings.put("REPRO_DEADLINE", 0)
-        assert settings.get("REPRO_DEADLINE") == 0.0
+        settings.put("REPRO_RETRY_BACKOFF", 0)
+        assert settings.get("REPRO_RETRY_BACKOFF") == 0.0
     assert os.environ["REPRO_AUDIT"] == "0"
-    assert "REPRO_DEADLINE" not in os.environ
-    with pytest.raises(ValueError, match="REPRO_DEADLINE must be a number >= 0"):
-        settings.put("REPRO_DEADLINE", -1)
+    assert "REPRO_RETRY_BACKOFF" not in os.environ
+    with pytest.raises(ValueError, match="REPRO_RETRY_BACKOFF must be a number >= 0"):
+        settings.put("REPRO_RETRY_BACKOFF", -1)

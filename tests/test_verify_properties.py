@@ -105,7 +105,6 @@ class TestRegistry:
             "bandwidth_monotonicity",
             "determinism",
             "attribution_noop",
-            "snapshot_resume_noop",
         }
 
     def test_violation_is_assertion_error(self):
