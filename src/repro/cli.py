@@ -18,8 +18,7 @@
     python -m repro telemetry runs.jsonl
     python -m repro trace zeus pref_compr -o trace.json
     python -m repro metrics zeus adaptive_compr --interval 2000
-    python -m repro profile zeus --engine sampler
-    python -m repro bench --quick
+    python -m repro profile zeus -o profile.json
     python -m repro config
 
 Output defaults to an aligned table; ``--json`` / ``--csv`` switch the
@@ -626,14 +625,12 @@ def cmd_profile(args) -> int:
         n_cores=args.cores,
         scale=args.scale,
         seed=args.seed,
-        engine=args.engine,
     )
     if args.output:
         text = _json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
         durable.atomic_write(args.output, text.encode("utf-8"))
         print(f"wrote profile report to {args.output}")
-    unit = "calls" if args.engine == "cprofile" else "samples"
-    table = Table(["component", "self s", "%", unit], float_format="{:.3f}")
+    table = Table(["component", "self s", "%", "calls"], float_format="{:.3f}")
     total = sum(c.self_time_s for c in report.components) or 1.0
     for comp in report.components[:args.top]:
         table.add_row(
@@ -641,7 +638,7 @@ def cmd_profile(args) -> int:
         )
     print(f"{args.workload}/{args.config}: {report.events} events in "
           f"{report.warmup_wall_s + report.measure_wall_s:.3f}s wall "
-          f"({report.events_per_sec:.0f} events/s under {args.engine})")
+          f"({report.events_per_sec:.0f} events/s under cprofile)")
     print(table.render())
     return 0
 
@@ -728,68 +725,6 @@ def cmd_fuzz(args) -> int:
     for failure in report.failures:
         print(f"  seed {failure.seed}: {failure.stage} -> {failure.path}", file=sys.stderr)
     return 1 if report.failures else 0
-
-
-_BENCH_POINTS = (("zeus", "base"), ("zeus", "pref_compr"), ("oltp", "pref_compr"))
-
-
-def cmd_bench(args) -> int:
-    """Throughput benchmark of the simulator on three fixed points.
-
-    Points run round-robin within each repetition so machine drift
-    (thermal, scheduler) spreads over all of them; per point the best of
-    ``--reps`` runs is kept.  Absolute events/sec is machine-dependent:
-    compare runs made in one session, not across sessions.
-    """
-    import json
-    import time
-
-    from repro.core.system import CMPSystem
-
-    if args.quick:
-        events, warmup, reps = 1_500, 1_500, 1
-    else:
-        events, warmup, reps = args.events, args.warmup, args.reps
-
-    def measure(workload: str, key: str) -> float:
-        cfg = make_config(key, n_cores=args.cores, scale=args.scale)
-        system = CMPSystem(cfg, workload, seed=args.seed)
-        t0 = time.perf_counter()
-        system.run(events, warmup_events=warmup)
-        wall = time.perf_counter() - t0
-        return (events + warmup) * args.cores / wall
-
-    best = {point: 0.0 for point in _BENCH_POINTS}
-    for _ in range(reps):
-        for point in _BENCH_POINTS:
-            best[point] = max(best[point], measure(*point))
-
-    points = {}
-    table = Table(["point", "ev/s"], float_format="{:.1f}")
-    for (wl, key), eps in best.items():
-        points[f"{wl}/{key}"] = {"ref_events_per_sec": round(eps, 1)}
-        table.add_row([f"{wl}/{key}", round(eps, 1)])
-    payload = {
-        "methodology": (
-            "best-of-N wall clock per point; points alternate within each "
-            "repetition; events/sec counts warmup + measured events across "
-            "all cores.  Absolute numbers are machine-dependent."
-        ),
-        "command": "repro bench" + (" --quick" if args.quick else ""),
-        "events_per_core": events,
-        "warmup_per_core": warmup,
-        "n_cores": args.cores,
-        "scale": args.scale,
-        "reps": reps,
-        "seed": args.seed,
-        "points": points,
-    }
-    if args.output:
-        text = json.dumps(payload, indent=1) + "\n"
-        durable.atomic_write(args.output, text.encode("utf-8"))
-        print(f"wrote {args.output}")
-    print(table.render())
-    return 0
 
 
 def cmd_schemes(args) -> int:
@@ -977,8 +912,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("workload", choices=all_names())
     p.add_argument("config", nargs="?", default="pref_compr", choices=sorted(CONFIG_FEATURES))
     p.add_argument("-o", "--output", default="", help="write the report as JSON")
-    p.add_argument("--engine", choices=("cprofile", "sampler"), default="cprofile",
-                   help="exact cProfile (~2x slower) or cheap stack sampler")
     p.add_argument("--events", type=int, default=6_000)
     p.add_argument("--warmup", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -1010,19 +943,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replay a saved crash file instead of fuzzing")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_fuzz)
-
-    p = sub.add_parser("bench", help="simulator throughput benchmark (events/sec)")
-    p.add_argument("--events", type=int, default=6_000, help="measured events per core")
-    p.add_argument("--warmup", type=int, default=10_000, help="warmup events per core")
-    p.add_argument("--reps", type=int, default=3, help="best-of-N repetitions")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale", type=int, default=4)
-    p.add_argument("--cores", type=int, default=8)
-    p.add_argument("--quick", action="store_true",
-                   help="CI smoke mode: one repetition of 1500+1500 events")
-    p.add_argument("-o", "--output", default="BENCH_throughput.json",
-                   help="JSON artifact path (empty = don't write)")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
         "config", help="print every REPRO_* knob with its effective value and source"

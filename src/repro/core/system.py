@@ -64,8 +64,8 @@ class CMPSystem:
             CoreTimingModel(i, cpi_base=self.spec.cpi_base, tolerance=self.spec.tolerance)
             for i in range(config.n_cores)
         ]
-        # Per-core event sources: trace cursors for a recorded trace,
-        # chunked generator cursors otherwise.
+        # Per-core event sources: endless replays of a recorded trace,
+        # chunked generator streams otherwise.
         if trace is not None:
             self._generators = [trace.iterator(i) for i in range(config.n_cores)]
         else:
@@ -81,7 +81,6 @@ class CMPSystem:
                 ).events()
                 for i in range(config.n_cores)
             ]
-        self._events_processed = 0
         #: Wall seconds of the last completed run's two segments.
         self.warmup_wall_s = self.measure_wall_s = 0.0
         # Opt-in observers (audit, trace, metrics, attribution), strictly
@@ -228,7 +227,6 @@ class CMPSystem:
                 next_sample = sampler.sample(self, t, float(inst_base + sum(instr)))
         if audit_every:
             auditor.check(expected_l1_accesses=base_accesses + processed)
-        self._events_processed += processed
         for i, core in enumerate(cores):
             core.time = times[i]
             st = core.stats

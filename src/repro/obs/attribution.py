@@ -319,7 +319,6 @@ class AttributionTracker(AttributionLedger):
         # -- persistent provenance state (survives reset_counters) -----
         self._seen: set = set()  # addrs ever resident in the L2
         self._l2_lines: Dict[int, list] = {}  # addr -> [inserter, touched]
-        self._l1_lines: Dict[tuple, str] = {}  # (level, core, addr) -> inserter
         # Shadow victim-tag filter: per set, the last filter_depth
         # evicted addrs -> eviction cause (insertion-ordered dict; the
         # oldest entry ages out first).
@@ -392,9 +391,9 @@ class AttributionTracker(AttributionLedger):
 
     def on_l1_fill(self, level: str, core: int, addr: int,
                    inserter: str) -> None:
-        self._l1_lines[(level, core, addr)] = inserter
+        """L1 fills feed no ledger; the hook stays because simbench's
+        layer ledger times it by name."""
 
     def on_l1_evict(self, level: str, core: int, addr: int,
                     cause: str) -> None:
-        self._l1_lines.pop((level, core, addr), None)
         self.l1_evict_cause[cause] += 1

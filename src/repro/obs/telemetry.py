@@ -3,8 +3,8 @@
 Simulation results answer "what did the model predict"; telemetry
 answers "what did the run cost" — wall-clock per phase, events/second,
 disk-cache hits and misses, which worker produced which point.  That is
-the data needed to keep the pure-Python simulator's throughput honest
-(BENCH_throughput.json) and to debug parallel sweeps after the fact.
+the data needed to see what a pure-Python run costs and to debug
+parallel sweeps after the fact.
 
 Enable by pointing ``REPRO_TELEMETRY`` at a file path; every record is
 appended as one JSON line (``O_APPEND`` keeps concurrent workers from

@@ -54,9 +54,13 @@ def _positive(raw: str) -> float:
 
 
 def _fault_plan(raw: str) -> str:
-    from repro.faults.inject import parse_plan
+    from repro.faults.inject import ENV_VAR, parse_plan
 
-    parse_plan(raw)
+    try:
+        parse_plan(raw)
+    except ValueError as exc:
+        # Keep the parser's reason (which clause, and why) for the message.
+        raise ValueError(str(exc).removeprefix(f"{ENV_VAR}: ")) from None
     return raw
 
 
@@ -145,9 +149,10 @@ def _parse(row: Setting, raw: str) -> Any:
         value = parse(raw)
         if row.minimum is not None and not value >= row.minimum:
             raise ValueError(raw)
-    except ValueError:
+    except ValueError as exc:
         bound = f" >= {row.minimum:g}" if row.minimum is not None else ""
-        raise ValueError(f"{row.name} must be {what}{bound}, got {raw!r}") from None
+        why = f": {exc}" if row.kind == "fault-plan" else ""
+        raise ValueError(f"{row.name} must be {what}{bound}, got {raw!r}{why}") from None
     return value
 
 

@@ -16,13 +16,13 @@ bare parse exception; both support *skip-and-count* recovery
 ``TracePack.skipped_records``, surfaced by ``repro replay
 --skip-bad-records`` in the result extras).
 
-Per-core iteration uses :class:`TraceCursor`, an endless cursor over
-one core's recorded events.
+:meth:`TracePack.iterator` replays one core's recorded events endlessly.
 """
 
 from __future__ import annotations
 
 import gzip
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -145,32 +145,6 @@ class TraceReader:
         return pack
 
 
-class TraceCursor:
-    """Endless per-core event iterator over a recorded stream.
-
-    It wraps around at the end, so warmup + measurement longer than the
-    recording still works; ``pos`` is the index of the next event.
-    """
-
-    __slots__ = ("events", "pos")
-
-    def __init__(self, events: Sequence[Event], pos: int = 0) -> None:
-        if not events:
-            raise ValueError("cannot iterate an empty event list")
-        self.events = events
-        self.pos = pos
-
-    def __iter__(self) -> "TraceCursor":
-        return self
-
-    def __next__(self) -> Event:
-        i = self.pos
-        if i >= len(self.events):
-            i = 0
-        self.pos = i + 1
-        return self.events[i]
-
-
 class TracePack:
     """A fully-materialised trace: header + per-core event lists.
 
@@ -199,9 +173,13 @@ class TracePack:
     def events_per_core(self) -> int:
         return self.header.events_per_core
 
-    def iterator(self, core: int) -> TraceCursor:
-        """Endless per-core event stream."""
-        return TraceCursor(self.per_core_events[core])
+    def iterator(self, core: int) -> Iterator[Event]:
+        """Endless per-core event stream.  It wraps around at the end, so
+        warmup + measurement longer than the recording still works."""
+        events = self.per_core_events[core]
+        if not events:
+            raise ValueError("cannot iterate an empty event list")
+        return chain.from_iterable(repeat(events))
 
     def save(self, path: Union[str, Path]) -> None:
         TraceWriter(path).write(self.header, self.per_core_events)

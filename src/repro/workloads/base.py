@@ -36,9 +36,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from math import log
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 IFETCH, LOAD, STORE = 0, 1, 2
 
@@ -200,10 +200,12 @@ class TraceGenerator:
 
     # -- public -------------------------------------------------------------
 
-    def events(self) -> "ChunkCursor":
+    def events(self) -> Iterator[Tuple[int, int, int]]:
         """The event stream: ``(instr_gap, kind, line_addr)`` forever,
-        generated :data:`CHUNK` events at a time."""
-        return ChunkCursor(self)
+        generated :data:`CHUNK` events at a time.  The next chunk is drawn
+        only once the last one is used up, and ``next()`` on the chained
+        iterator runs in C, with no Python frame per event."""
+        return chain.from_iterable(map(self.fill_chunk, repeat(CHUNK)))
 
     def fill_chunk(self, n: int) -> List[Tuple[int, int, int]]:
         """The next ``n`` events of the stream, as a list.
@@ -326,30 +328,5 @@ class TraceGenerator:
         return stream
 
 
-#: Events per :class:`ChunkCursor` refill.
+#: Events per refill of :meth:`TraceGenerator.events`.
 CHUNK = 256
-
-
-class ChunkCursor:
-    """Iterator over a :class:`TraceGenerator`'s events, refilled a chunk
-    at a time through :meth:`TraceGenerator.fill_chunk`.
-    """
-
-    __slots__ = ("gen", "chunk", "pos")
-
-    def __init__(self, gen: TraceGenerator) -> None:
-        self.gen = gen
-        self.chunk: List[Tuple[int, int, int]] = []
-        self.pos = 0
-
-    def __iter__(self) -> "ChunkCursor":
-        return self
-
-    def __next__(self) -> Tuple[int, int, int]:
-        i = self.pos
-        chunk = self.chunk
-        if i >= len(chunk):
-            chunk = self.chunk = self.gen.fill_chunk(CHUNK)
-            i = 0
-        self.pos = i + 1
-        return chunk[i]

@@ -78,6 +78,8 @@ class TestArgparseRejections:
             ("verify", "doom"),
             ("verify", "zeus", "--config", "turbo"),
             ("nonsense",),
+            ("bench",),
+            ("profile", "zeus", "--engine", "sampler"),
         ],
     )
     def test_bad_names_rejected(self, capsys, argv):

@@ -14,6 +14,7 @@ import pytest
 from repro import settings
 from repro.cli import main
 from repro.core.experiment import clear_cache, run_point
+from repro.faults.inject import KINDS as FAULT_KINDS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,6 +28,13 @@ MALFORMED = {
     "path": "   ",
     "switch-or-path": "\t",
     "fault-plan": "garbage@@",
+}
+
+#: What the message adds after ``got '<value>'``: the fault-plan parser's
+#: reason survives into the one line; other kinds add nothing.
+REASON = {
+    "fault-plan": ": bad clause 'garbage@@': unknown fault kind 'garbage'; "
+                  "choose from " + ", ".join(FAULT_KINDS),
 }
 
 #: ``repro run`` at the point the warm-cache fixture pre-computes.
@@ -71,7 +79,7 @@ def test_malformed_value_fails_any_command_in_one_line(
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1, err
         assert err[0].startswith(f"error: {name} must be "), err
-        assert err[0].endswith(f", got {bad!r}"), err
+        assert err[0].endswith(f", got {bad!r}{REASON.get(row.kind, '')}"), err
 
 
 def test_cli_process_exits_2_with_one_line(tmp_path):

@@ -1,15 +1,13 @@
 """External trace ingestion: validated text format, structured errors,
-skip-and-count recovery, and the serializable :class:`TraceCursor`."""
+skip-and-count recovery, and endless replay through
+:meth:`TracePack.iterator`."""
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 
 from repro.trace.format import TraceHeader
 from repro.trace.io import (
-    TraceCursor,
     TraceFormatError,
     TracePack,
     load_external_trace,
@@ -150,31 +148,21 @@ class TestBinaryReader:
             TracePack.load(path)
 
 
-class TestTraceCursor:
+class TestPackIterator:
     EVENTS = [(1, LOAD, 10), (2, STORE, 20), (3, IFETCH, 30)]
 
-    def test_wraps_and_tracks_position(self):
-        cur = TraceCursor(self.EVENTS)
-        drawn = [next(cur) for _ in range(5)]
+    def _pack(self, *per_core):
+        return TracePack(TraceHeader("zeus", len(per_core), 3, 0), per_core)
+
+    def test_wraps_around(self):
+        it = self._pack(self.EVENTS).iterator(0)
+        drawn = [next(it) for _ in range(5)]
         assert drawn == self.EVENTS + self.EVENTS[:2]
-        assert cur.pos == 2
-
-    def test_resume_from_position(self):
-        cur = TraceCursor(self.EVENTS)
-        next(cur)
-        resumed = TraceCursor(self.EVENTS, pos=cur.pos)
-        assert next(resumed) == next(cur)
-
-    def test_pickle_round_trip(self):
-        cur = TraceCursor(self.EVENTS)
-        next(cur), next(cur)
-        clone = pickle.loads(pickle.dumps(cur))
-        assert clone.pos == 2
-        assert next(clone) == next(cur)
 
     def test_rejects_empty(self):
+        # An endless replay of nothing would never yield: refuse it.
         with pytest.raises(ValueError):
-            TraceCursor([])
+            self._pack(self.EVENTS, []).iterator(1)
 
 
 class TestReplayCLI:

@@ -424,8 +424,7 @@ def test_cli_profile_command(tmp_path, capsys, monkeypatch):
 
 
 
-@pytest.mark.parametrize("engine", ["cprofile", "sampler"])
-def test_cli_profile_honours_ambient_observers(tmp_path, capsys, monkeypatch, engine):
+def test_cli_profile_honours_ambient_observers(tmp_path, capsys, monkeypatch):
     """`repro profile` runs the point through CMPSystem.run: an ambient
     REPRO_TRACE path is written and one simulate record is logged."""
     from repro.cli import main
@@ -436,10 +435,10 @@ def test_cli_profile_honours_ambient_observers(tmp_path, capsys, monkeypatch, en
     sink = tmp_path / "runs.jsonl"
     monkeypatch.setenv("REPRO_TRACE", str(trace))
     monkeypatch.setenv("REPRO_TELEMETRY", str(sink))
-    rc = main(["profile", "zeus", "base", "--engine", engine,
+    rc = main(["profile", "zeus", "base",
                "--events", "400", "--scale", "16", "--cores", "2"])
     assert rc == 0
-    assert f"events/s under {engine}" in capsys.readouterr().out
+    assert "events/s under cprofile" in capsys.readouterr().out
     assert validate_trace(json.loads(trace.read_text())) == []
     telemetry.close_sinks()
     sims = [r for r in telemetry.read_records(str(sink)) if r["kind"] == "simulate"]
