@@ -1,8 +1,8 @@
 """Shared infrastructure for the paper-reproduction benchmarks.
 
 Each bench regenerates one table or figure: it runs the needed
-(workload x config) simulation points through the in-process memoised
-harness in :mod:`repro.core.experiment`, prints the same rows/series the
+(workload x config) simulation points through
+:func:`repro.core.experiment.run_point`, prints the same rows/series the
 paper reports, and makes weak *shape* assertions (who wins, direction of
 effects) rather than absolute-number assertions — our substrate is a
 synthetic trace-driven simulator, not the authors' Simics/GEMS testbed.
@@ -14,9 +14,9 @@ Runtime knobs (environment, read through :mod:`repro.settings`):
 * ``REPRO_SEEDS``   — seeds per point            (default 1)
 * ``REPRO_SCALE``   — capacity scale divisor     (default 4)
 
-Because every bench shares the same defaults, the memo cache lets the
-full suite reuse runs across figures (Figure 9 and Table 5, for example,
-are the same four runs).
+Because every bench shares the same defaults, the disk result cache lets
+the full suite reuse runs across figures (Figure 9 and Table 5, for
+example, are the same four runs).
 """
 
 from __future__ import annotations

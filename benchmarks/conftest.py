@@ -10,8 +10,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 @pytest.fixture(autouse=True, scope="session")
 def _isolated_disk_cache(tmp_path_factory):
-    """Benches share runs through the in-process memo; keep the on-disk
-    cache in a temp dir so repeated bench sessions stay self-contained."""
+    """Benches share runs through the disk result cache; keep it in a
+    temp dir per session so repeated bench sessions stay self-contained."""
     import os
 
     old = os.environ.get("REPRO_CACHE_DIR")

@@ -313,11 +313,8 @@ def cmd_matrix(args) -> int:
     prefetchers = args.prefetchers.split(",") if args.prefetchers else list(PREFETCHERS)
     schemes = args.schemes.split(",") if args.schemes else list(SCHEMES)
     base = make_config("base", **_machine(args))
-    # --verbose keeps the legacy one-line-per-simulation log; otherwise
-    # a live progress bar renders when stderr is a terminal.
-    if args.verbose:
-        progress = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
-    elif args.quiet:
+    # A live progress bar renders when stderr is a terminal.
+    if args.quiet:
         progress = None
     else:
         from repro.obs.progress import default_progress
@@ -585,8 +582,8 @@ def cmd_metrics(args) -> int:
     """Run one point with interval metrics on; export and chart the series."""
     from repro.report.charts import timeseries_chart
 
-    system, run = _single_point(args, "REPRO_METRICS", "REPRO_METRICS_INTERVAL",
-                                metrics=True, metrics_interval=args.interval)
+    system, run = _single_point(args, "REPRO_METRICS", metrics=True,
+                                metrics_interval=args.interval)
     run()
     sampler = system.sampler
     if args.output:
@@ -714,7 +711,7 @@ def cmd_fuzz(args) -> int:
         start_seed=args.seed,
         events_per_core=args.events,
         check_properties=not args.no_properties,
-        corpus=Path(args.corpus) if args.corpus else None,
+        corpus=Path(args.corpus),
         log=print if args.verbose else None,
     )
     tail = " (budget exhausted)" if report.budget_exhausted else ""
@@ -814,8 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: none,fpc,bdi)")
     p.add_argument("-o", "--output", default="",
                    help="also write the ranked matrix as CSV")
-    p.add_argument("--verbose", action="store_true",
-                   help="per-simulation progress on stderr")
     p.add_argument("--quiet", action="store_true",
                    help="suppress the live progress bar")
     p.add_argument("--attribution", action="store_true",
@@ -932,11 +927,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=50, help="number of fuzz cases")
     p.add_argument("--budget", default=None,
                    help="wall-clock budget, e.g. 120s or 5m (default: none)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="first case seed (default: REPRO_FUZZ_SEED)")
+    p.add_argument("--seed", type=int, default=0, help="first case seed")
     p.add_argument("--events", type=int, default=600, help="trace events per core")
-    p.add_argument("--corpus", default="",
-                   help="crash-corpus directory (default: REPRO_FUZZ_DIR or .repro_fuzz/)")
+    p.add_argument("--corpus", default=".repro_fuzz", help="crash-corpus directory")
     p.add_argument("--no-properties", action="store_true",
                    help="skip the per-case metamorphic property check")
     p.add_argument("--repro", default="",

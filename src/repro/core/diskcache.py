@@ -61,8 +61,8 @@ def point_key(
     events: int,
     warmup: int,
 ) -> str:
-    """Stable content hash identifying one simulation point; it keys the
-    in-process memo of :func:`repro.core.experiment.run_point` too.
+    """Stable content hash identifying one simulation point: the name of
+    its cache entry, and the ``point_key`` of its telemetry records.
 
     Observability knobs (auditing, tracing, metrics, attribution) are
     stripped from the hashed config: they never change simulation

@@ -1,23 +1,21 @@
-"""Experiment harness: run caching and the multi-point fan-out.
+"""Experiment harness: the one way a point is computed, and the
+multi-point fan-out above it.
 
 The paper's evaluation sweeps eight workloads across feature
 combinations (:data:`~repro.params.CONFIG_FEATURES`, built by
 :func:`~repro.params.make_config`; both are re-exported here); every
 bench in ``benchmarks/`` builds on the helpers here.
-Runs are cached at two levels: a bounded in-process memo (most figures
-share configurations — Figure 9 and Table 5, for example, reuse the
-same four runs) backed by the persistent disk cache
-(:mod:`repro.core.diskcache`), which survives across processes.
-:func:`run_point` is the one way a point is computed, and
-:func:`run_points` the one fan-out above it (workers, memo) that
-sweeps, matrices and the CLI's multi-point commands share.  The disk
-cache is the only result store: it is also what ``repro sweep
---resume`` restores a killed sweep from, since every point is stored
-the moment it completes.
+:func:`run_point` computes one point and :func:`run_points` is the one
+fan-out above it (workers) that sweeps, matrices and the CLI's
+multi-point commands share.  Most figures share configurations
+(Figure 9 and Table 5, for example, are the same four runs); the
+persistent disk cache (:mod:`repro.core.diskcache`) serves that reuse,
+within a process and across processes.  It is the only result store:
+it is also what ``repro sweep --resume`` restores a killed sweep from,
+since every point is stored the moment it completes.
 
-Default sizing (events, warmup, seeds, scale), the memo bound, the disk
-cache switch and every other ``REPRO_*`` knob are declared in
-:mod:`repro.settings`.
+Default sizing (events, warmup, seeds, scale), the disk cache switch
+and every other ``REPRO_*`` knob are declared in :mod:`repro.settings`.
 """
 
 from __future__ import annotations
@@ -38,31 +36,6 @@ from repro.params import CONFIG_FEATURES, SystemConfig, make_config  # noqa: F40
 def _default_warmup() -> int:
     """``REPRO_WARMUP``, falling back to ``REPRO_EVENTS``."""
     return settings.get("REPRO_WARMUP", settings.get("REPRO_EVENTS"))
-
-
-# In-process memo: a bounded LRU (plain dict in recency order) so long
-# sweep sessions cannot grow it without limit.  It is keyed like the
-# disk cache below it (``diskcache.point_key``); the disk cache has no
-# bound; ``repro cache clear`` manages that one.
-_CACHE: Dict[str, SimulationResult] = {}
-
-
-def _memo_get(key: str) -> Optional[SimulationResult]:
-    result = _CACHE.get(key)
-    if result is not None:
-        del _CACHE[key]  # refresh recency
-        _CACHE[key] = result
-    return result
-
-
-def _memo_put(key: str, result: SimulationResult) -> None:
-    if key in _CACHE:
-        del _CACHE[key]
-    else:
-        cap = settings.get("REPRO_MEMO_CAP")
-        while len(_CACHE) >= cap > 0:
-            del _CACHE[next(iter(_CACHE))]  # evict LRU
-    _CACHE[key] = result
 
 
 def _bind(
@@ -118,48 +91,43 @@ def run_point(
     :class:`~repro.core.runner.PointError`; it defaults to the key, or
     to ``config.describe()``.
 
-    Lookup order: in-process memo, then the persistent disk cache, then
-    simulate (and populate both).  ``use_cache=False`` bypasses all
-    caching in both directions, and so does any observer the effective
-    config turns on (audit, trace, metrics or attribution, after the
-    ``REPRO_*`` overrides): an observed point is always simulated.
+    Lookup order: the persistent disk cache (when ``REPRO_CACHE`` is
+    on), then simulate (and store the result).  ``use_cache=False``
+    bypasses the cache in both directions, and so does any observer the
+    effective config turns on (audit, trace, metrics or attribution,
+    after the ``REPRO_*`` overrides): an observed point is always
+    simulated.  Under ``REPRO_CACHE=0`` every call simulates.
     """
     t0 = time.perf_counter()
     name, config, events, warmup, key = _bind(
         workload, config, name=name, seed=seed, events=events, warmup=warmup,
         use_cache=use_cache, **machine,
     )
-    disk = key is not None and settings.get("REPRO_CACHE")
-    if key is not None:
-        result, source = _memo_get(key), "memo"
-        if result is None and disk:
-            store = diskcache.DiskCache()
-            result, source = store.get(key), "disk"
-            if result is not None:
-                _memo_put(key, result)
+    store = None
+    if key is not None and settings.get("REPRO_CACHE"):
+        store = diskcache.DiskCache()
+        result = store.get(key)
         if result is not None:
             if result.config_name != name:
                 # Equal configs share an entry whatever they are called.
                 result = replace(result, config_name=name)
-            _emit_point(workload, name, seed, source, key, t0)
+            _emit_point(workload, name, seed, "disk", key, t0)
             return result
-    # Imported here, so a process served from the caches never loads
+    # Imported here, so a process served from the cache never loads
     # the simulator.
     from repro.core.system import CMPSystem
 
     result = CMPSystem(config, workload, seed=seed).run(
         events, warmup_events=warmup, config_name=name
     )
-    if key is not None:
-        _memo_put(key, result)
-        if disk:
-            store.put(key, result)
+    if store is not None:
+        store.put(key, result)
     _emit_point(workload, name, seed, "sim", key, t0)
     return result
 
 
-#: Where the most recent run_point result came from (``memo`` / ``disk``
-#: / ``sim``) — per process; the parallel runner reads it right after
+#: Where the most recent run_point result came from (``disk`` /
+#: ``sim``) — per process; the parallel runner reads it right after
 #: each point to feed the live progress renderer.
 _LAST_SOURCE = "sim"
 
@@ -198,31 +166,18 @@ def run_points(
     Outcome ``i`` belongs to ``points[i]``; a point that fails is a
     :class:`~repro.core.runner.PointError` in its slot.  ``jobs`` > 1
     runs the points across worker processes (``None`` runs them
-    serially); the outcomes are identical either way, and every result
-    also lands in this process's memo.  With the disk cache on, the
-    process that computes a point stores it the moment it completes, so
-    a run killed partway keeps every finished point and a rerun
-    restores them from the cache.
+    serially); the outcomes are identical either way.  With the disk
+    cache on, the process that computes a point stores it the moment it
+    completes, so a run killed partway keeps every finished point and a
+    rerun restores them from the cache.
     """
-    outcomes = ParallelRunner(jobs or 1).run_points(points, progress=progress)
-    for point, outcome in zip(points, outcomes):
-        if not isinstance(outcome, PointError):
-            _remember(point, outcome)
-    return outcomes
+    return ParallelRunner(jobs or 1).run_points(points, progress=progress)
 
 
 def _point_key(point: PointSpec) -> Optional[str]:
     """A point's cache key (None when it is never cached)."""
     (workload, config), kwargs = point
     return _bind(workload, config, **kwargs)[4]
-
-
-def _remember(point: PointSpec, result: SimulationResult) -> None:
-    """Seed this process's memo with a result computed in a worker
-    process, so later lookups reuse it."""
-    key = _point_key(point)
-    if key is not None:
-        _memo_put(key, result)
 
 
 def stored_points(points: Sequence[PointSpec]) -> int:
@@ -279,9 +234,6 @@ def run_matrix(
     return dict(zip(coords, completed(run_points(points, jobs=jobs))))
 
 
-def clear_cache(disk: bool = False) -> None:
-    """Drop the in-process memo; with ``disk=True`` also empty the
-    persistent on-disk cache."""
-    _CACHE.clear()
-    if disk:
-        diskcache.DiskCache().clear()
+def clear_cache() -> None:
+    """Empty the persistent on-disk result cache (``repro cache clear``)."""
+    diskcache.DiskCache().clear()

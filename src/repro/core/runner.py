@@ -141,7 +141,7 @@ def _run_one(item: Tuple[int, PointSpec, int]) -> _Outcome:
     """Worker body: run one point, never raise.
 
     The ``source`` element reports where the result came from (``sim`` /
-    ``disk`` / ``memo`` / ``error``) for the live progress renderer;
+    ``disk`` / ``error``) for the live progress renderer;
     ``quarantines`` counts durable files quarantined while the
     point ran so the parent can surface them.
     """

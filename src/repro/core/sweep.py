@@ -133,8 +133,7 @@ class Sweep:
         progress: Optional[Callable[[int, int], None]] = None,
         **fixed_kwargs,
     ) -> SweepResults:
-        """Simulate every grid point (cached via run_point's memo and the
-        disk cache).
+        """Simulate every grid point (cached via run_point's disk cache).
 
         ``jobs`` > 1 fans the grid out across worker processes (see
         :func:`repro.core.experiment.run_points`); the merged results

@@ -1,6 +1,5 @@
 """Off-chip pin link and message modeling."""
 
 from repro.interconnect.link import PinLink
-from repro.interconnect.message import MessageKind
 
-__all__ = ["PinLink", "MessageKind"]
+__all__ = ["PinLink"]

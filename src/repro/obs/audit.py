@@ -28,9 +28,9 @@ dict) so a failure pinpoints the broken state instead of a boolean.
 
 Enable via ``SystemConfig.audit=True`` or the ``REPRO_AUDIT=1``
 environment variable (the latter wins either way: ``REPRO_AUDIT=0``
-force-disables).  ``REPRO_AUDIT_INTERVAL`` / ``SystemConfig
-.audit_interval`` set the cadence in trace events.  Auditing is
-read-only: results with auditing on are bit-identical to auditing off.
+force-disables).  ``SystemConfig.audit_interval`` (``repro audit
+--interval``) sets the cadence in trace events.  Auditing is read-only:
+results with auditing on are bit-identical to auditing off.
 """
 
 from __future__ import annotations

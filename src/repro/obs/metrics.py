@@ -27,8 +27,8 @@ first post-warmup row never sees negative deltas.
 Enable via ``SystemConfig.metrics=True`` or ``REPRO_METRICS`` (``0``
 force-disables; a path value additionally makes ``CMPSystem.run`` write
 the series there — ``.csv`` suffix selects CSV, anything else JSONL).
-``REPRO_METRICS_INTERVAL`` / ``SystemConfig.metrics_interval`` set the
-cadence in simulated cycles.
+``SystemConfig.metrics_interval`` (``repro metrics --interval``) sets
+the cadence in simulated cycles.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import io
 import json
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro import settings
 from repro.core import durable
 from repro.obs.attribution import AttributionLedger
 
@@ -204,11 +203,9 @@ class IntervalSampler:
     objects wholesale) cannot desynchronise the sampler.
     """
 
-    def __init__(self, interval: Optional[int] = None,
+    def __init__(self, interval: int = 5000,
                  registry: Optional[MetricsRegistry] = None) -> None:
-        self.interval = (
-            settings.get("REPRO_METRICS_INTERVAL") if interval is None else int(interval)
-        )
+        self.interval = int(interval)
         if self.interval <= 0:
             raise ValueError("metrics interval must be positive")
         self.registry = registry if registry is not None else default_registry()

@@ -16,8 +16,6 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Dict
 
-from repro import settings
-
 #: Every event, grouped by emitter; the arguments are those of the
 #: ``on_<event>`` handlers in repro.obs.trace and repro.obs.attribution.
 EVENTS = (
@@ -90,9 +88,7 @@ def arm(config, hierarchy, wanted: Dict[str, Any]) -> Observers:
     if wanted["audit"]:
         from repro.obs.audit import Auditor
 
-        auditor = Auditor(
-            hierarchy, settings.override("REPRO_AUDIT_INTERVAL", config.audit_interval)
-        )
+        auditor = Auditor(hierarchy, config.audit_interval)
     if wanted["trace"]:
         from repro.obs.trace import Tracer
 
@@ -100,9 +96,7 @@ def arm(config, hierarchy, wanted: Dict[str, Any]) -> Observers:
     if wanted["metrics"]:
         from repro.obs.metrics import IntervalSampler
 
-        sampler = IntervalSampler(
-            settings.override("REPRO_METRICS_INTERVAL", config.metrics_interval)
-        )
+        sampler = IntervalSampler(config.metrics_interval)
     if wanted["attribution"]:
         from repro.obs.attribution import AttributionTracker
 

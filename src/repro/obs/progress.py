@@ -4,15 +4,14 @@ total)`` callback that :class:`repro.core.runner.ParallelRunner` and
 
 The renderer redraws one status line per completed point::
 
-    sweep  12/64 [#####...............] 3.2 pt/s eta 16s sim=9 disk=2 memo=1
+    sweep  12/64 [#####...............] 3.2 pt/s eta 16s sim=9 disk=3
 
 Rate and ETA come from a wall-clock window over completed points; the
-``sim``/``disk``/``memo`` counts show where each result came from
-(fresh simulation, the persistent disk cache — which is also what a
-resumed sweep restores from — or the in-process memo), which is usually
-the difference between a 40-minute sweep and a 2-second one.  Failed
-points add an
-``err=N`` field, and the runner's resilience events append ``retry=N``
+``sim``/``disk`` counts show where each result came from (fresh
+simulation, or the persistent disk cache — which is also what a resumed
+sweep restores from), which is usually the difference between a
+40-minute sweep and a 2-second one.  Failed points add an ``err=N``
+field, and the runner's resilience events append ``retry=N``
 (retried attempts), ``restart=N`` (worker-pool respawns), ``tmo=N``
 (points killed by ``REPRO_POINT_TIMEOUT``) and ``quar=N`` (corrupt
 cache entries quarantined) as they happen.
@@ -46,7 +45,7 @@ class SweepProgress:
         self.stream = stream if stream is not None else sys.stderr
         self._now = now if now is not None else time.monotonic
         self.started = self._now()
-        self.sources = {"sim": 0, "disk": 0, "memo": 0}
+        self.sources = {"sim": 0, "disk": 0}
         self.events = {"retry": 0, "restart": 0, "timeout": 0, "quarantine": 0}
         self.errors = 0
         self.done = 0
@@ -63,8 +62,8 @@ class SweepProgress:
     def point_done(
         self, done: int, total: int, source: Optional[str] = None
     ) -> None:
-        """One point finished; ``source`` is ``sim``/``disk``/``memo``/
-        ``error`` when the caller knows it."""
+        """One point finished; ``source`` is ``sim``/``disk``/``error``
+        when the caller knows it."""
         self.done, self.total = done, total
         if source == "error":
             self.errors += 1

@@ -23,8 +23,8 @@ Kinds emitted by the simulator stack:
   description, per-phase wall seconds, events/sec, audit check count,
   ``settings`` (each environment-set ``REPRO_*`` knob, parsed);
 * ``point`` — one per :func:`repro.core.experiment.run_point`: workload,
-  config name, where the result came from (``memo`` / ``disk`` /
-  ``sim``), the point's cache key (null for a point that is
+  config name, where the result came from (``disk`` / ``sim``), the
+  point's cache key (null for a point that is
   never cached), wall seconds;
 * ``diskcache`` — one per disk-cache probe/store: hit / miss / store,
   plus the resilience outcomes ``corrupt`` (entry quarantined) and
@@ -39,7 +39,7 @@ Kinds emitted by the simulator stack:
   (always terminal: the point fails);
 * ``matrix-point`` — one per distinct interaction-matrix run
   (:func:`repro.report.matrix.run_matrix`), whether it was simulated or
-  served by the memo or disk cache (its ``point`` record tells which):
+  served by the disk cache (its ``point`` record tells which):
   workload, prefetcher, scheme, runtime, done/total progress;
 * ``matrix`` — one per matrix sweep: axis lists, cell and simulation
   counts, whether attribution annotation was on, wall seconds.

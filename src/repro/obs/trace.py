@@ -37,9 +37,9 @@ via ``SystemConfig.trace=True`` or ``REPRO_TRACE`` (``REPRO_TRACE=0``
 force-disables; any other non-empty value enables,
 and a value that is a path — anything but ``0``/``1`` — makes
 :meth:`CMPSystem.run` write the trace there when the run completes).
-``REPRO_TRACE_LIMIT`` caps the in-memory event count (default 1e6);
-events past the cap are counted in ``dropped_events`` metadata instead
-of silently vanishing.
+The tracer's ``limit`` (``repro trace --limit``) caps the in-memory
+event count (default 1e6); events past the cap are counted in
+``dropped_events`` metadata instead of silently vanishing.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ import gc
 import json
 from typing import Any, Dict, List, Optional
 
-from repro import settings
 from repro.core import durable
 
 #: The single simulator process id used for every event.
@@ -67,12 +66,12 @@ class Tracer:
     across runs of the same configuration.
     """
 
-    def __init__(self, n_cores: int, n_banks: int, limit: Optional[int] = None) -> None:
+    def __init__(self, n_cores: int, n_banks: int, limit: int = 1_000_000) -> None:
         if n_cores <= 0 or n_banks <= 0:
             raise ValueError("need at least one core and one bank")
         self.n_cores = n_cores
         self.n_banks = n_banks
-        self.limit = settings.get("REPRO_TRACE_LIMIT") if limit is None else max(int(limit), 1)
+        self.limit = max(int(limit), 1)
         # Compact (ph, tid, name, ts, dur, args) records; JSON dicts are
         # only materialised at export.  Building a dict per event costs
         # ~3x a tuple append and keeps hundreds of thousands of tracked

@@ -220,8 +220,8 @@ class SystemConfig:
     # Opt-in invariant auditing (repro.obs.audit): periodically verify
     # model invariants (inclusion, directory consistency, segment
     # budgets, stats conservation) during simulation.  ``REPRO_AUDIT``
-    # overrides ``audit``; ``REPRO_AUDIT_INTERVAL`` overrides the cadence
-    # (trace events per core-interleaved step between full checks).
+    # overrides ``audit``; ``audit_interval`` is the cadence (trace
+    # events per core-interleaved step between full checks).
     # Auditing never changes simulation results — only whether an
     # :class:`~repro.obs.audit.AuditViolation` can interrupt a run.
     audit: bool = False
@@ -231,8 +231,8 @@ class SystemConfig:
     # export; ``metrics`` samples a time series of IPC/miss-rate/
     # compression/link/prefetch metrics every ``metrics_interval``
     # simulated cycles.  ``REPRO_TRACE`` / ``REPRO_METRICS`` override
-    # the flags, ``REPRO_METRICS_INTERVAL`` the cadence.  Both layers
-    # are read-only: results are bit-identical with them on or off.
+    # the flags.  Both layers are read-only: results are bit-identical
+    # with them on or off.
     trace: bool = False
     metrics: bool = False
     metrics_interval: int = 5000

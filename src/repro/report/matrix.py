@@ -145,7 +145,7 @@ def run_matrix(
     seed: int = 0,
     events: int = 10_000,
     warmup: Optional[int] = None,
-    progress: Optional[Callable[[str], None]] = None,
+    progress: Optional[Callable[[int, int], None]] = None,
     attribution: bool = False,
     jobs: Optional[int] = None,
 ) -> MatrixReport:
@@ -155,14 +155,13 @@ def run_matrix(
     matrix derives every variant from it with :func:`pair_config` so all
     cells share one baseline.  Each workload's distinct runs go through
     :func:`repro.core.experiment.run_points` as one batch, so they are
-    memoised, disk-cached and spread over ``jobs`` workers like any
-    sweep's points.
+    disk-cached and spread over ``jobs`` workers like any sweep's points.
 
-    ``progress`` accepts either a live renderer with a ``point_done``
-    method (:class:`repro.obs.progress.SweepProgress`) or a bare
-    ``callable(message)``, called once per run as each workload's batch
-    completes.  Each run also emits a ``matrix-point`` telemetry record,
-    and the sweep a final ``matrix`` record (:mod:`repro.obs.telemetry`).
+    ``progress`` is the runner's ``progress(done, total)`` callback over
+    the whole matrix, such as the live renderer
+    :class:`repro.obs.progress.SweepProgress`.  Each run emits a
+    ``matrix-point`` telemetry record, and the sweep a final ``matrix``
+    record (:mod:`repro.obs.telemetry`).
 
     ``attribution=True`` runs every point with the causal-attribution
     tracker attached (read-only, so speedups and interactions are
@@ -185,7 +184,6 @@ def run_matrix(
     pairs = matrix_pairs(prefetchers, schemes)
     total = len(workloads) * len(pairs)
     simulations = 0
-    renderer = progress if hasattr(progress, "point_done") else None
     t0 = time.perf_counter()
 
     for workload in workloads:
@@ -203,8 +201,8 @@ def run_matrix(
             points,
             jobs=jobs,
             progress=(
-                OffsetProgress(renderer, simulations, total)
-                if renderer is not None else None
+                OffsetProgress(progress, simulations, total)
+                if progress is not None else None
             ),
         ))
         for (prefetcher, scheme), result in zip(pairs, results):
@@ -218,8 +216,6 @@ def run_matrix(
                 done=simulations,
                 total=total,
             )
-            if progress is not None and renderer is None:
-                progress(f"{workload}: {prefetcher}+{scheme} done")
 
         runs = dict(zip(pairs, results))
         base_rt = runs[("none", "none")].runtime

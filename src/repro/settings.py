@@ -104,7 +104,6 @@ _ROWS = (
             unset="= REPRO_EVENTS"),
     Setting("REPRO_SEEDS", "int", 1, "seeds per data point (>1 adds 95% CIs)", 1),
     Setting("REPRO_SCALE", "int", 4, "capacity scale divisor (1 = full 4 MB L2)", 1),
-    Setting("REPRO_MEMO_CAP", "int", 512, "max in-process memoised results", 0),
     # Result cache, parallel sweeps, retries (repro.core.diskcache/runner).
     Setting("REPRO_CACHE", "switch", True,
             "0 disables the on-disk result cache (sweep --resume keeps it on)"),
@@ -119,20 +118,14 @@ _ROWS = (
     # Observers (repro.obs); each env value overrides its SystemConfig field.
     Setting("REPRO_AUDIT", "switch", None,
             "1/0 forces invariant auditing on/off (overrides SystemConfig.audit)"),
-    Setting("REPRO_AUDIT_INTERVAL", "int", 4096, "trace events between invariant sweeps", 1),
     Setting("REPRO_TRACE", "switch-or-path", None,
             "1/0 forces event tracing on/off; a path also writes the trace there"),
-    Setting("REPRO_TRACE_LIMIT", "int", 1_000_000, "max buffered trace events", 1),
     Setting("REPRO_METRICS", "switch-or-path", None,
             "1/0 forces interval metrics on/off; a path also writes the series there"),
-    Setting("REPRO_METRICS_INTERVAL", "int", 5000,
-            "simulated cycles between metric samples", 1),
     Setting("REPRO_ATTRIBUTION", "switch-or-path", None,
             "1/0 forces causal attribution on/off; a path also writes the ledgers there"),
     Setting("REPRO_TELEMETRY", "path", None, "append JSONL run telemetry to this file"),
-    # Verification and fault injection (repro.verify.fuzz, repro.faults).
-    Setting("REPRO_FUZZ_SEED", "int", 0, "base seed for repro fuzz case derivation"),
-    Setting("REPRO_FUZZ_DIR", "path", ".repro_fuzz", "crash-corpus directory for fuzz failures"),
+    # Fault injection (repro.faults).
     Setting("REPRO_FAULTS", "fault-plan", None,
             "deterministic fault-injection plan (see repro.faults.inject)"),
 )

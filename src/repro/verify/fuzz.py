@@ -21,9 +21,9 @@ whatever still reproduces) and persisted as JSON repro files in the
 crash corpus, replayable with :func:`reproduce` or
 ``repro fuzz --repro <file>``.
 
-``REPRO_FUZZ_SEED`` (the base case seed; the CLI's ``--seed``
-overrides) and ``REPRO_FUZZ_DIR`` (the crash corpus) are declared in
-:mod:`repro.settings`.
+The base case seed (default 0) and the crash-corpus directory (default
+``.repro_fuzz``) are :func:`run_fuzz` arguments, set from the CLI with
+``repro fuzz --seed`` and ``--corpus``.
 """
 
 from __future__ import annotations
@@ -449,8 +449,8 @@ def fuzz_one(
     )
 
 
-def save_failure(failure: FuzzFailure, corpus: Optional[Path] = None) -> Path:
-    root = Path(corpus if corpus is not None else settings.get("REPRO_FUZZ_DIR"))
+def save_failure(failure: FuzzFailure, corpus: Path = Path(".repro_fuzz")) -> Path:
+    root = Path(corpus)
     root.mkdir(parents=True, exist_ok=True)
     path = root / f"crash-seed{failure.seed}-{failure.stage.lower()}.json"
     durable.atomic_write(str(path), failure.to_json().encode("utf-8"))
@@ -480,18 +480,17 @@ def run_fuzz(
     seeds: int,
     *,
     budget_s: Optional[float] = None,
-    start_seed: Optional[int] = None,
+    start_seed: int = 0,
     events_per_core: int = 600,
     check_properties: bool = True,
-    corpus: Optional[Path] = None,
+    corpus: Path = Path(".repro_fuzz"),
     log: Optional[Callable[[str], None]] = None,
 ) -> FuzzReport:
     """Run ``seeds`` cases (stopping early at ``budget_s`` wall seconds),
     persisting every failure to the crash corpus."""
     t0 = time.monotonic()
-    first = settings.get("REPRO_FUZZ_SEED") if start_seed is None else start_seed
     report = FuzzReport()
-    for seed in range(first, first + seeds):
+    for seed in range(start_seed, start_seed + seeds):
         if budget_s is not None and time.monotonic() - t0 >= budget_s:
             report.budget_exhausted = True
             break

@@ -204,11 +204,11 @@ class ValueModel:
         self._heap_segments: Dict[int, int] = {}
 
     def _build_segments_fn(self) -> Callable[[List[int]], int]:
-        """The on-demand line sizer for the active scheme.
+        """The on-demand line sizer for the active scheme (heap lines and
+        the pool sizing of schemes without a batched sizer).
 
         Deterministic given ``scheme_name`` and the (already generated)
-        line pool, so a pickled model rebuilds an identical function —
-        the sizer itself is a local closure and cannot be pickled.
+        line pool.
         """
         scheme = self.scheme_name
         if scheme == "fpc":

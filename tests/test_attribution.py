@@ -25,7 +25,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import settings
-from repro.core.experiment import CONFIG_FEATURES, clear_cache, make_config, run_point
+from repro.core.experiment import CONFIG_FEATURES, make_config, run_point
 from repro.core.missclass import classify_misses
 from repro.core.system import CMPSystem
 from repro.obs.attribution import AttributionTracker
@@ -358,9 +358,7 @@ def test_attribution_on_a_warm_point_is_simulated(tmp_path, monkeypatch):
     def rows(result):
         return {k: v for k, v in result.extra.items() if k.startswith("attr_")}
 
-    clear_cache()
     cold = run_point("zeus", "pref_compr", **point)
-    clear_cache()  # memo gone; only the disk cache could answer
     warm = run_point("zeus", "pref_compr", **point)
     assert rows(cold)
     assert rows(warm) == rows(cold)

@@ -17,7 +17,7 @@ import pytest
 
 from repro import settings
 from repro.cli import resume_guard
-from repro.core.experiment import clear_cache, run_point
+from repro.core.experiment import run_point
 
 FAST = dict(events=200, warmup=100, scale=16, n_cores=2)
 
@@ -26,7 +26,6 @@ class TestResumeGuard:
     def test_sigint_prints_resume_command(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.delenv("REPRO_CACHE", raising=False)
-        clear_cache()
         points = [(("zeus", "base"), FAST), (("zeus", "pref"), FAST)]
         run_point("zeus", "base", **FAST)  # stored; zeus/pref is not
         out = io.StringIO()

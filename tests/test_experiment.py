@@ -5,14 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro import settings
+from repro.core.diskcache import DiskCache
 from repro.core.experiment import (
     CONFIG_FEATURES,
-    clear_cache,
     make_config,
     run_matrix,
     run_point,
     run_seeds,
 )
+from repro.obs.telemetry import read_records
+from repro.report.export import result_fingerprint
 
 
 class TestConfigMatrix:
@@ -57,14 +59,14 @@ class TestConfigMatrix:
 
 class TestEnvKnobs:
     def test_env_int_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MEMO_CAP", raising=False)
-        assert settings.get("REPRO_MEMO_CAP") == 512
-        assert settings.get("REPRO_MEMO_CAP", 42) == 42
+        monkeypatch.delenv("REPRO_RETRIES", raising=False)
+        assert settings.get("REPRO_RETRIES") == 2
+        assert settings.get("REPRO_RETRIES", 42) == 42
 
     def test_env_int_set(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MEMO_CAP", "7")
-        assert settings.get("REPRO_MEMO_CAP") == 7
-        assert settings.get("REPRO_MEMO_CAP", 42) == 7
+        monkeypatch.setenv("REPRO_RETRIES", "7")
+        assert settings.get("REPRO_RETRIES") == 7
+        assert settings.get("REPRO_RETRIES", 42) == 7
 
     def test_defaults_positive(self):
         assert settings.get("REPRO_EVENTS") > 0
@@ -72,23 +74,39 @@ class TestEnvKnobs:
         assert settings.get("REPRO_SCALE") >= 1
 
 
+FAST = dict(events=200, warmup=50, scale=16, n_cores=2)
+
+
 class TestRunHelpers:
-    def test_run_point_caching(self):
-        clear_cache()
-        a = run_point("zeus", "base", events=200, warmup=50, scale=16, n_cores=2)
-        b = run_point("zeus", "base", events=200, warmup=50, scale=16, n_cores=2)
-        assert a is b  # memoised
-        c = run_point("zeus", "base", events=200, warmup=50, scale=16, n_cores=2, use_cache=False)
-        assert c is not a
+    def test_run_point_caching(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        a = run_point("zeus", "base", **FAST)
+        b = run_point("zeus", "base", **FAST)
+        assert b is not a  # read back from the disk cache, not shared
+        assert result_fingerprint(a) == result_fingerprint(b)
+        c = run_point("zeus", "base", **FAST, use_cache=False)
+        assert result_fingerprint(c) == result_fingerprint(a)
+        assert DiskCache().stats()["entries"] == 1
+
+    def test_repeat_simulates_again_with_the_cache_off(self, tmp_path, monkeypatch):
+        # With the cache on, a repeat reads the disk (tests/test_obs.py
+        # checks its "sim", "disk" sources); with it off, nothing is reused.
+        tele = tmp_path / "points.jsonl"
+        monkeypatch.setenv("REPRO_TELEMETRY", str(tele))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        first = run_point("zeus", "base", **FAST)
+        second = run_point("zeus", "base", **FAST)
+        assert result_fingerprint(first) == result_fingerprint(second)
+        assert [r["source"] for r in read_records(str(tele))
+                if r["kind"] == "point"] == ["sim", "sim"]
 
     def test_run_seeds_count(self):
-        clear_cache()
         results = run_seeds("zeus", "base", seeds=2, events=150, warmup=50, scale=16, n_cores=2)
         assert len(results) == 2
         assert results[0].seed == 0 and results[1].seed == 1
 
     def test_run_matrix_keys(self):
-        clear_cache()
         out = run_matrix(["zeus"], ["base", "pref"], events=150, warmup=50, scale=16, n_cores=2)
         assert set(out) == {("zeus", "base"), ("zeus", "pref")}
-        clear_cache()

@@ -8,18 +8,9 @@ same experiments at proper scale.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.experiment import clear_cache, run_point
+from repro.core.experiment import run_point
 
 EV = dict(events=3000, warmup=6000, scale=16)
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _clean_cache():
-    clear_cache()
-    yield
-    clear_cache()
 
 
 def point(w, k, **kw):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.interconnect.link import PinLink
-from repro.interconnect.message import MessageKind
 from repro.params import LinkConfig
 
 
@@ -84,10 +83,3 @@ class TestAccounting:
         link.send_data(0.0, segments=8)  # 72 bytes
         # 72 bytes over 72 cycles at 5 GHz = 5 GB/s
         assert abs(link.stats.demand_gbs(72.0, 5.0) - 5.0) < 1e-9
-
-
-class TestMessageKind:
-    def test_data_kinds(self):
-        assert MessageKind.carries_data(MessageKind.DATA_RESPONSE)
-        assert MessageKind.carries_data(MessageKind.WRITEBACK)
-        assert not MessageKind.carries_data(MessageKind.REQUEST)

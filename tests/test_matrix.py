@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.core.experiment import clear_cache, make_config
+from repro.core.experiment import make_config
 from repro.obs.telemetry import read_records
 from repro.report.matrix import (
     PREFETCHERS,
@@ -171,9 +171,7 @@ class TestMatrixPipeline:
                 "none,stride", "--schemes", "none,fpc", "--quiet",
                 *TestMatrixCLI.SMALL]
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        clear_cache()
         assert main(argv + ["-o", str(tmp_path / "serial.csv")]) == 0
         monkeypatch.setenv("REPRO_JOBS", "2")
-        clear_cache()
         assert main(argv + ["-o", str(tmp_path / "jobs.csv")]) == 0
         assert (tmp_path / "jobs.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -47,10 +48,12 @@ class TestEnableResolution:
         assert not settings.override("REPRO_AUDIT", SystemConfig(audit=True).audit)
 
     def test_interval_env_override(self, monkeypatch):
+        # The cadence is the config field alone: no environment knob
+        # overrides it.
+        monkeypatch.setenv("REPRO_AUDIT", "1")
         monkeypatch.setenv("REPRO_AUDIT_INTERVAL", "128")
-        assert settings.override("REPRO_AUDIT_INTERVAL", 4096) == 128
-        monkeypatch.delenv("REPRO_AUDIT_INTERVAL")
-        assert settings.override("REPRO_AUDIT_INTERVAL", 555) == 555
+        cfg = replace(make_tiny_system(), audit_interval=555)
+        assert CMPSystem(cfg, "zeus", seed=0).auditor.interval == 555
 
     def test_interval_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -165,7 +168,6 @@ class TestTamperDetection:
 class TestSystemIntegration:
     def test_auditor_runs_during_simulation(self, monkeypatch):
         monkeypatch.delenv("REPRO_AUDIT", raising=False)
-        monkeypatch.delenv("REPRO_AUDIT_INTERVAL", raising=False)
         cfg = make_tiny_system()
         from dataclasses import replace
 
@@ -182,9 +184,8 @@ class TestSystemIntegration:
 
     def test_env_enables_audit(self, monkeypatch):
         monkeypatch.setenv("REPRO_AUDIT", "1")
-        monkeypatch.setenv("REPRO_AUDIT_INTERVAL", "32")
         system = CMPSystem(make_tiny_system(), "zeus", seed=0)
-        assert system.auditor is not None and system.auditor.interval == 32
+        assert system.auditor is not None and system.auditor.interval == 4096
 
     def test_simulate_facade_audit_flag(self, monkeypatch):
         monkeypatch.delenv("REPRO_AUDIT", raising=False)
@@ -204,8 +205,9 @@ class TestSystemIntegration:
         cfg = make_tiny_system()
         plain = CMPSystem(cfg, "oltp", seed=3).run(400, warmup_events=200)
         monkeypatch.setenv("REPRO_AUDIT", "1")
-        monkeypatch.setenv("REPRO_AUDIT_INTERVAL", "16")
-        audited = CMPSystem(cfg, "oltp", seed=3).run(400, warmup_events=200)
+        audited = CMPSystem(replace(cfg, audit_interval=16), "oltp", seed=3).run(
+            400, warmup_events=200
+        )
         assert result_fingerprint(plain) == result_fingerprint(audited)
 
 
@@ -276,17 +278,14 @@ class TestTelemetry:
         sink = tmp_path / "points.jsonl"
         monkeypatch.setenv("REPRO_TELEMETRY", str(sink))
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        from repro.core.experiment import clear_cache, run_point
+        from repro.core.experiment import run_point
 
-        clear_cache()
         kwargs = dict(events=200, warmup=100, n_cores=2, scale=16, seed=0)
         run_point("zeus", "base", **kwargs)   # simulated, stored
-        run_point("zeus", "base", **kwargs)   # memo hit
-        clear_cache()
         run_point("zeus", "base", **kwargs)   # disk hit
         sources = [r["source"] for r in telemetry.read_records(str(sink))
                    if r["kind"] == "point"]
-        assert sources == ["sim", "memo", "disk"]
+        assert sources == ["sim", "disk"]
         outcomes = [r["outcome"] for r in telemetry.read_records(str(sink))
                     if r["kind"] == "diskcache"]
         assert outcomes == ["miss", "store", "hit"]

@@ -25,7 +25,7 @@ from repro.cli import main
 from repro.core import runner as runner_mod
 from repro.core.diskcache import DiskCache
 from repro.core import diskcache as diskcache_mod
-from repro.core.experiment import clear_cache, run_point
+from repro.core.experiment import run_point
 from repro.core.runner import ParallelRunner, PointError, default_jobs
 from repro.core.sweep import Sweep
 from repro.obs.telemetry import close_sinks, read_records
@@ -181,11 +181,8 @@ class TestSelfHealingCache:
         monkeypatch.setenv("REPRO_TELEMETRY", tele)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.setenv("REPRO_FAULTS", "corrupt@0")
-        clear_cache()
         first = run_point("zeus", "base", **FAST)   # stored with a bad checksum
-        clear_cache()
         second = run_point("zeus", "base", **FAST)  # corrupt -> quarantine -> resim
-        clear_cache()
         third = run_point("zeus", "base", **FAST)   # clean hit
         assert (result_fingerprint(first)
                 == result_fingerprint(second)
@@ -247,7 +244,6 @@ class TestSelfHealingCache:
 
     def test_verify_quarantines_and_sweeps_tmp(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        clear_cache()
         run_point("zeus", "base", **FAST)
         run_point("zeus", "pref", **FAST)
         store = DiskCache()
@@ -302,7 +298,6 @@ class TestKillAndResume:
         and get clean-run fingerprints while re-simulating only the
         missing points."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        clear_cache()
         clean = _sweep().run(jobs=1, **FAST, use_cache=False)
         expected = {k: result_fingerprint(v) for k, v in clean.points.items()}
         assert len(expected) == 4
@@ -314,14 +309,12 @@ class TestKillAndResume:
             if seen["n"] == 2:
                 raise KeyboardInterrupt
 
-        clear_cache()
         with pytest.raises(KeyboardInterrupt):
             _sweep().run(jobs=1, progress=interrupt_after_two, **FAST)
         assert DiskCache().stats()["entries"] == 2
 
         tele = str(tmp_path / "resume.jsonl")
         monkeypatch.setenv("REPRO_TELEMETRY", tele)
-        clear_cache()
         final = _sweep().run(jobs=1, **FAST)
         assert {k: result_fingerprint(v) for k, v in final.points.items()} == expected
         sources = [r["source"] for r in read_records(tele) if r["kind"] == "point"]
@@ -332,7 +325,6 @@ class TestKillAndResume:
         self, monkeypatch, tmp_path
     ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        clear_cache()
         first = _sweep().run(jobs=2, **FAST)
         assert len(first.points) == 4 and not first.errors
         assert DiskCache().stats()["entries"] == 4  # stored by the workers
@@ -340,7 +332,6 @@ class TestKillAndResume:
 
         tele = str(tmp_path / "resume.jsonl")
         monkeypatch.setenv("REPRO_TELEMETRY", tele)
-        clear_cache()
         second = _sweep().run(jobs=2, **FAST)
         assert {k: result_fingerprint(v) for k, v in second.points.items()} == expected
         sources = [r["source"] for r in read_records(tele) if r["kind"] == "point"]
@@ -353,7 +344,6 @@ class TestKillAndResume:
         import multiprocessing
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        clear_cache()
 
         def interrupt_after_first(done, total):
             raise KeyboardInterrupt
@@ -366,7 +356,6 @@ class TestKillAndResume:
 
         tele = str(tmp_path / "resume.jsonl")
         monkeypatch.setenv("REPRO_TELEMETRY", tele)
-        clear_cache()
         final = _sweep().run(jobs=2, **FAST)
         assert len(final.points) == 4 and not final.errors
         sources = [r["source"] for r in read_records(tele) if r["kind"] == "point"]
@@ -378,7 +367,6 @@ class TestKillAndResume:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.setenv("REPRO_FAULTS", "transient@0x99")
         monkeypatch.setenv("REPRO_RETRIES", "0")
-        clear_cache()
         sweep = (Sweep().dimension("workload", ["zeus", "jbb"])
                  .dimension("key", ["base"]))
         partial = sweep.run(jobs=2, **FAST)
@@ -389,7 +377,6 @@ class TestKillAndResume:
         faults.reset()
         tele = str(tmp_path / "resume.jsonl")
         monkeypatch.setenv("REPRO_TELEMETRY", tele)
-        clear_cache()
         sweep2 = (Sweep().dimension("workload", ["zeus", "jbb"])
                   .dimension("key", ["base"]))
         final = sweep2.run(jobs=2, **FAST)
@@ -414,7 +401,6 @@ class TestCLIResilience:
 
     def test_cache_verify_exit_codes(self, monkeypatch, capsys, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        clear_cache()
         run_point("zeus", "base", **FAST)
         assert main(["cache", "verify"]) == 0
         store = DiskCache()
@@ -454,7 +440,6 @@ class TestCLIResilience:
         argv = ["sweep", "--workloads", "zeus", "--configs", "base,pref",
                 "--events", "200", "--warmup", "100", "--scale", "16",
                 "--cores", "2", "--jobs", "1", "--quiet"]
-        clear_cache()
         assert main(argv + first) == 0
         first_run = capsys.readouterr()
         store = DiskCache()
@@ -464,7 +449,6 @@ class TestCLIResilience:
             entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
         tele = str(tmp_path / "resume.jsonl")
         monkeypatch.setenv("REPRO_TELEMETRY", tele)
-        clear_cache()
         assert main(argv + ["--resume"]) == 0
         second = capsys.readouterr()
         assert second.out == first_run.out

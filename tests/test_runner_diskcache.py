@@ -21,7 +21,6 @@ from repro.core import diskcache, durable
 from repro.core.diskcache import DiskCache
 from repro.core.experiment import (
     clear_cache,
-    make_config,
     run_matrix,
     run_point,
     run_seeds,
@@ -47,7 +46,6 @@ def _same_result(a, b) -> bool:
 
 class TestFullSerialization:
     def test_round_trip_is_lossless(self):
-        clear_cache()
         result = run_point("zeus", "pref_compr", **FAST, use_cache=False)
         back = result_from_dict(json.loads(json.dumps(result_to_full_dict(result))))
         assert _same_result(result, back)
@@ -66,9 +64,7 @@ class TestFullSerialization:
 class TestDiskCache:
     def test_fresh_vs_disk_identical(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        clear_cache()
         fresh = run_point("zeus", "base", **FAST)
-        clear_cache()  # memo gone; disk survives
         cached = run_point("zeus", "base", **FAST)
         assert _same_result(fresh, cached)
         assert DiskCache().stats()["entries"] == 1
@@ -76,14 +72,12 @@ class TestDiskCache:
     def test_opt_out_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.setenv("REPRO_CACHE", "0")
-        clear_cache()
         run_point("zeus", "base", **FAST)
         assert settings.get("REPRO_CACHE") is False
         assert DiskCache().stats()["entries"] == 0
 
     def test_corrupt_entry_degrades_to_recompute(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        clear_cache()
         fresh = run_point("zeus", "base", **FAST)
         store = DiskCache()
         (path,) = [
@@ -93,13 +87,11 @@ class TestDiskCache:
         ]
         with open(path, "w") as fh:
             fh.write("not json{")
-        clear_cache()
         recomputed = run_point("zeus", "base", **FAST)
         assert _same_result(fresh, recomputed)
 
     def test_clear_and_stats(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        clear_cache()
         run_point("zeus", "base", **FAST)
         run_point("zeus", "pref", **FAST)
         store = DiskCache()
@@ -110,11 +102,9 @@ class TestDiskCache:
 
     def test_clear_cache_disk_flag(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        clear_cache()
         run_point("zeus", "base", **FAST)
-        clear_cache()  # memo only
         assert DiskCache().stats()["entries"] == 1
-        clear_cache(disk=True)
+        clear_cache()  # empties the disk cache, the only result store
         assert DiskCache().stats()["entries"] == 0
 
     def test_key_distinguishes_configs(self):
@@ -179,30 +169,6 @@ class TestDiskCache:
         assert fresh.exists()
 
 
-class TestMemoBound:
-    def test_memo_is_lru_bounded(self, monkeypatch):
-        from repro.core import experiment
-
-        monkeypatch.setenv("REPRO_MEMO_CAP", "2")
-        assert settings.get("REPRO_MEMO_CAP") == 2
-        clear_cache()
-        run_point("zeus", "base", **FAST)
-        run_point("zeus", "pref", **FAST)
-        run_point("zeus", "compr", **FAST)
-        assert len(experiment._CACHE) == 2
-        # The oldest point ("base") was evicted; the newer two remain.
-        keys = list(experiment._CACHE)
-
-        def key(name):
-            cfg = make_config(name, n_cores=FAST["n_cores"], scale=FAST["scale"])
-            return diskcache.point_key(
-                cfg, "zeus", 0, FAST["events"], FAST["warmup"]
-            )
-
-        assert key("base") not in keys
-        assert key("compr") in keys
-
-
 class TestParallelRunner:
     def test_default_jobs_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
@@ -221,9 +187,8 @@ class TestParallelRunner:
                 .dimension("seed", [0, 1])
             )
 
-        clear_cache()
         serial = build().run(**FAST_SWEEP)
-        clear_cache(disk=True)
+        clear_cache()
         parallel = build().run(**FAST_SWEEP, jobs=4)
         assert not parallel.errors
         assert set(serial.points) == set(parallel.points)
@@ -232,11 +197,9 @@ class TestParallelRunner:
 
     def test_parallel_warm_cache_second_pass(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        clear_cache()
         first = run_matrix(["zeus"], ["base", "pref"], jobs=2, **FAST)
         entries = DiskCache().stats()["entries"]
         assert entries == 2
-        clear_cache()  # drop the memo; the disk cache must serve everything
         second = run_matrix(["zeus"], ["base", "pref"], **FAST)
         assert DiskCache().stats()["entries"] == entries  # no new simulations
         for key in first:
@@ -244,9 +207,8 @@ class TestParallelRunner:
 
     def test_run_seeds_parallel(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        clear_cache()
         serial = run_seeds("zeus", "base", seeds=2, **FAST)
-        clear_cache(disk=True)
+        clear_cache()
         parallel = run_seeds("zeus", "base", seeds=2, jobs=2, **FAST)
         assert [r.seed for r in parallel] == [0, 1]
         for a, b in zip(serial, parallel):
@@ -267,7 +229,6 @@ class TestParallelRunner:
 
     def test_sweep_records_errors_without_aborting(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        clear_cache()
         sweep = (
             Sweep()
             .dimension("workload", ["zeus"])
@@ -282,7 +243,6 @@ class TestParallelRunner:
 
     def test_progress_callback_counts(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        clear_cache()
         seen = []
         ParallelRunner(jobs=2).run_points(
             [(("zeus", "base"), dict(FAST)), (("zeus", "pref"), dict(FAST))],
@@ -300,7 +260,6 @@ class TestCacheCLI:
         from repro.cli import main
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        clear_cache()
         run_point("zeus", "base", **FAST)
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out

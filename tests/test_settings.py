@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import re
@@ -13,7 +14,7 @@ import pytest
 
 from repro import settings
 from repro.cli import main
-from repro.core.experiment import clear_cache, run_point
+from repro.core.experiment import run_point
 from repro.faults.inject import KINDS as FAULT_KINDS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,6 +42,19 @@ REASON = {
 RUN = ["run", "zeus", "--config", "base", "--events", "300"]
 
 
+#: Every string constant in the modules under ``src/repro`` but
+#: ``settings.py``.  A knob is read by name (``settings.get("REPRO_X")``,
+#: ``settings.suspended("REPRO_X")``, ``faults.inject.ENV_VAR``), so a
+#: row whose name is not among them is a dead knob.
+NAMED = {
+    node.value
+    for path in (ROOT / "src" / "repro").rglob("*.py")
+    if path.name != "settings.py"
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    if isinstance(node, ast.Constant) and isinstance(node.value, str)
+}
+
+
 def _bad_values(row):
     yield MALFORMED[row.kind]
     if row.minimum is not None:
@@ -56,10 +70,8 @@ def warm_cache(tmp_path_factory):
     saved = os.environ.get("REPRO_CACHE_DIR")
     os.environ["REPRO_CACHE_DIR"] = root
     try:
-        clear_cache()
         run_point("zeus", "base", events=300, warmup=300)
     finally:
-        clear_cache()
         if saved is None:
             del os.environ["REPRO_CACHE_DIR"]
         else:
@@ -71,6 +83,7 @@ def warm_cache(tmp_path_factory):
 def test_malformed_value_fails_any_command_in_one_line(
     name, warm_cache, monkeypatch, capsys
 ):
+    assert name in NAMED, f"no module outside settings.py reads {name}"
     row = settings.TABLE[name]
     monkeypatch.setenv("REPRO_CACHE_DIR", warm_cache)
     for bad in _bad_values(row):
@@ -87,8 +100,7 @@ def test_cli_process_exits_2_with_one_line(tmp_path):
     env.update(
         PYTHONPATH=str(ROOT / "src"),
         REPRO_CACHE_DIR=str(tmp_path / "cache"),
-        REPRO_METRICS="1",
-        REPRO_METRICS_INTERVAL="abc",
+        REPRO_RETRIES="abc",
     )
     proc = subprocess.run(
         [sys.executable, "-m", "repro", *RUN],
@@ -96,7 +108,7 @@ def test_cli_process_exits_2_with_one_line(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [
-        "error: REPRO_METRICS_INTERVAL must be an integer >= 1, got 'abc'"
+        "error: REPRO_RETRIES must be an integer >= 0, got 'abc'"
     ]
 
 

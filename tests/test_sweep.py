@@ -4,17 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.experiment import clear_cache
 from repro.core.sweep import METRICS, Sweep, SweepResults
 
 FAST = dict(events=250, warmup=100, scale=16, n_cores=2)
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _clean():
-    clear_cache()
-    yield
-    clear_cache()
 
 
 class TestBuilder:

@@ -258,11 +258,12 @@ def test_path_valued_gates_carry_output_paths(monkeypatch):
 
 
 def test_interval_gate(monkeypatch):
-    cfg = replace(SystemConfig(), metrics_interval=123)
-    monkeypatch.delenv("REPRO_METRICS_INTERVAL", raising=False)
-    assert settings.override("REPRO_METRICS_INTERVAL", cfg.metrics_interval) == 123
+    # The cadence is the config field alone: no environment knob
+    # overrides it.
+    monkeypatch.setenv("REPRO_METRICS", "1")
     monkeypatch.setenv("REPRO_METRICS_INTERVAL", "77")
-    assert settings.override("REPRO_METRICS_INTERVAL", cfg.metrics_interval) == 77
+    cfg = replace(SystemConfig(n_cores=2), metrics_interval=123)
+    assert CMPSystem(cfg, "zeus", seed=0).sampler.interval == 123
 
 
 def test_env_autowrite_artifacts(tmp_path, monkeypatch):
@@ -316,11 +317,11 @@ def test_progress_renders_rate_eta_and_sources():
     bar.point_done(1, 4, source="sim")
     bar.point_done(2, 4, source="disk")
     bar.point_done(3, 4, source="error")
-    bar.point_done(4, 4, source="memo")
+    bar.point_done(4, 4, source="disk")
     text = stream.text
     assert "sweep 4/4" in text
     assert "pt/s" in text and "eta" in text
-    assert "sim=1" in text and "disk=1" in text and "memo=1" in text
+    assert "sim=1" in text and "disk=2" in text
     assert "err=1" in text
     assert text.endswith("\n")  # closed at done == total
     bar.close()  # idempotent
@@ -358,14 +359,14 @@ def test_runner_feeds_sources_to_point_done():
             super().point_done(done, total, source=source)
 
     # A seed no other test uses, so the first run is a genuinely fresh
-    # simulation regardless of what earlier tests memoized.
+    # simulation regardless of what earlier tests stored.
     kwargs = dict(events=200, warmup=100, n_cores=2, scale=16, seed=94613)
     points = [(("zeus", "base"), dict(kwargs)), (("zeus", "base"), dict(kwargs))]
     recorder = Recorder()
     outcomes = ParallelRunner(jobs=1).run_points(points, progress=recorder)
     assert len(outcomes) == 2
     assert recorder.seen[0] == "sim"
-    assert recorder.seen[1] in ("memo", "disk")  # second hit comes from a cache
+    assert recorder.seen[1] == "disk"  # the second is served by the disk cache
 
 
 # ---------------------------------------------------------------------------
