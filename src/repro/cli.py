@@ -755,7 +755,7 @@ def cmd_config(args) -> int:
             indent=2,
         ))
         return 0
-    table = Table(["knob", "value", "source", "doc"])
+    table = Table(["knob", "value", "source", "doc"], left=4)
     for row, value, source in rows:
         table.add_row([row.name, row.show(value), source, row.doc])
     print(table.render())

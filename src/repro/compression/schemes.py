@@ -28,9 +28,9 @@ from :func:`repro.compression.segments.segments_for_size`.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Callable, Dict, Iterable, Sequence
 
-from repro.compression.fpc import PREFIX_BITS, WORDS_PER_LINE, compressed_size_bytes
+from repro.compression.fpc import PREFIX_BITS, compressed_size_bytes
 from repro.compression.segments import segments_for_size
 from repro.params import LINE_BYTES
 

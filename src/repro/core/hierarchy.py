@@ -21,7 +21,7 @@ Timing conventions:
 from __future__ import annotations
 
 from heapq import heappop
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.cache.compressed import CompressedSetCache
 from repro.cache.line import MSIState
@@ -197,9 +197,17 @@ class MemoryHierarchy:
         self._l2_miss_hist = self.latency_hist["l2_miss"]
 
     def access(self, core: int, kind: int, addr: int, now: float) -> Tuple[float, bool]:
-        """Perform one demand access; returns (latency, l1_hit).  The L1
-        hit (the most common event) runs inline; a miss takes
-        :meth:`_demand_miss`."""
+        """Perform one demand access; returns (latency, l1_hit).
+
+        The whole access runs in this one frame: the L1 hit (the most
+        common event), or the L1 miss, the shared-L2 access (a hit, or
+        the default-model fetch: request pins -> DRAM -> data pins -> L2
+        fill and its evictions) and the L1 refill.  Every optional
+        mechanism keeps one guard and its own helper: the MSHR file
+        (``_fetch_line``), the write-back buffer (``_send_writeback``),
+        tree-PLRU, stream buffers, adaptive compression, the NoC and the
+        observer.
+        """
         route = self._route_i[core] if kind == IFETCH else self._route_d[core]
         observer = self.observer
         if observer is not None:
@@ -207,10 +215,9 @@ class MemoryHierarchy:
             # feedback, compression phase flips, miss classes) fired
             # anywhere in this access's dynamic extent.
             observer.now = now
-        l1 = route[0]
+        l1, pf, stats = route[0], route[1], route[2]
         entry = l1._map.get(addr)  # SetAssocCache.probe, inlined
         if entry is not None and entry.valid:
-            pf, stats = route[1], route[2]
             latency = 0.0
             pure_hit = True
             if entry.fill_time > now:
@@ -254,7 +261,210 @@ class MemoryHierarchy:
                 entry.dirty = True
             result = (latency, pure_hit)
         else:
-            latency = self._demand_miss(core, kind, addr, now, route)
+            stats.demand_misses += 1
+            if self._adaptive and l1.victim_match(addr) and l1.set_has_prefetched_line(addr):
+                pf.stats.harmful += 1
+                pf.adaptive.on_harmful()
+                self.taxonomy.on_victim_live(route[5])
+            store = kind == STORE
+
+            # ---- shared L2: bank occupancy (busy-until), then hit or miss ----
+            self._l2_access_count += 1
+            l2 = self.l2
+            if not self._l2_access_count % _SAMPLE_EVERY:
+                self.compression_stats.record_sample(l2.resident_lines())
+            bank = addr % self._n_banks  # CompressedSetCache.bank_of, inlined
+            start = self._bank_free[bank]
+            if start < now:
+                start = now
+            self._bank_free[bank] = start + _BANK_OCCUPANCY
+            bank_delay = start - now
+            if observer is not None:
+                observer.bank_busy(bank, start, _BANK_OCCUPANCY)
+            l2s = self.l2_stats
+            l2map = l2._map
+            entry = l2map.get(addr)  # CompressedSetCache.probe, inlined
+            if entry is not None and entry.valid:
+                latency = bank_delay + self._l2_hit_lat
+                line_compressed = l2.compressed and entry.segments < SEGMENTS_PER_LINE
+                if line_compressed:
+                    latency += self._decompression_cycles
+                    l2s.compressed_hits += 1
+                cp = self.compression_policy
+                if cp.enabled:
+                    cp.on_hit(
+                        l2.stack_depth(addr), self.config.l2.uncompressed_assoc, line_compressed
+                    )
+                if observer is not None:
+                    # Before the LRU touch below: attribution reads the depth.
+                    observer.l2_demand_hit(addr, entry.fill_time > now)
+                wait = entry.fill_time - now
+                if wait > latency:
+                    latency = wait
+                if entry.prefetch_bit:
+                    # First use of a line an L2 prefetch brought in.
+                    if wait > 0:
+                        l2s.partial_hits += 1
+                    else:
+                        l2s.prefetch_hits += 1
+                    self._pf2_stats.useful += 1
+                    self.l2_adaptive.on_useful()
+                    self._tax_l2.useful += 1
+                    entry.prefetch_bit = False
+                l2s.demand_hits += 1
+                # CompressedSetCache.touch, inlined.
+                stack = l2._sets[addr % l2.n_sets].valid_stack
+                if stack[0] is not entry:
+                    stack.remove(entry)
+                    stack.insert(0, entry)
+                plru = l2._plru
+                if plru is not None:
+                    si = addr % l2.n_sets
+                    plru[si] = plru_touch(plru[si], entry.way, l2.tags_per_set)
+                if store:
+                    latency += self._invalidate_other_sharers(entry, core)
+                    self.directory.set_owner(entry, core)
+                    entry.dirty = True
+                elif entry.owner not in (-1, core):
+                    # Dirty intervention: the owning L1 supplies the data.
+                    self._downgrade_owner(entry)
+                    latency += _INTERVENTION_COST
+                entry.sharers |= 1 << core  # Directory.add_sharer, inlined
+                if self._pf_on:
+                    for p in self.pf_l2[core].observe_hit(addr):
+                        self._issue_l2_prefetch(core, p, now)
+            else:
+                sb_hit = None
+                if self.stream_buffers is not None:
+                    sb_hit = self._stream_buffer_hit(core, addr, now, bank_delay, True)
+                if sb_hit is None:
+                    l2s.demand_misses += 1
+                    if observer is not None:
+                        observer.l2_demand_miss(addr)
+                    if self._pf_on and l2.victim_match(addr) and l2.set_has_prefetched_line(addr):
+                        self.taxonomy.on_victim_live("l2")
+                        if self._adaptive:
+                            self._pf2_stats.harmful += 1
+                            self.l2_adaptive.on_harmful()
+                    request_ready = now + bank_delay + self._l2_hit_lat
+                    if self.mshr is not None:
+                        data_done, segments = self._fetch_line(core, addr, request_ready, True)
+                    else:
+                        # _fetch_line's default model: request pins -> DRAM -> data pins.
+                        segments = self.values.segments_for(addr)
+                        cp = self.compression_policy
+                        if cp.enabled and not cp.should_compress():
+                            segments = SEGMENTS_PER_LINE  # store uncompressed this phase
+                        link = self.link
+                        data_done = link.send_data(
+                            self.dram.issue_demand(core, link.send_request(request_ready), addr),
+                            segments,
+                        )
+                    latency = data_done - now
+                    # LatencyHistogram.record, inlined (latencies are non-negative).
+                    hist = self._l2_miss_hist
+                    bucket = int(latency).bit_length()
+                    if bucket > 24:  # LatencyHistogram.MAX_BUCKET
+                        bucket = 24
+                    hist._buckets[bucket] += 1
+                    hist.count += 1
+                    hist.total += latency
+                else:
+                    latency, segments = sb_hit
+                    data_done = now + latency
+                # The L2 fill: compression accounting, insert, evictions.
+                cstats = self.compression_stats
+                if segments < SEGMENTS_PER_LINE:
+                    cstats.compressed_lines += 1
+                else:
+                    cstats.uncompressed_lines += 1
+                cstats.segment_sum += segments
+                if observer is not None:
+                    observer.l2_fill(addr, "demand", segments)
+                for ev in l2.insert(
+                    addr,
+                    segments,
+                    dirty=store,
+                    fill_time=data_done,
+                    sharers=1 << core,
+                    owner=core if store else -1,
+                    state=MSIState.MODIFIED if store else MSIState.SHARED,
+                ):
+                    self._handle_l2_eviction(ev, now)
+                if self._pf_on:
+                    pf2 = self.pf_l2[core]
+                    for p in pf2.observe_miss(addr) if sb_hit is None else pf2.observe_hit(addr):
+                        self._issue_l2_prefetch(core, p, now)
+
+            # ---- back at the L1: the refill ----
+            # The refill pays its own L1's fill latency: L1I for instruction
+            # fetches, L1D for loads and stores.
+            latency += route[4]
+            if self._noc_on:
+                # The fill crosses the on-chip network from the L2 bank.
+                latency = self.noc.transfer_line(core, now + latency) - now
+            # Fill the L1 — unless an L2 prefetch triggered above already
+            # pushed this very line back out of the L2 (possible in small
+            # caches when the prefetcher bursts into the same set); inserting
+            # it then would break inclusion, since the eviction's
+            # back-invalidate ran before the L1 had the line.
+            l2e = l2map.get(addr)
+            if l2e is not None and l2e.valid:
+                state = MSIState.MODIFIED if store else MSIState.SHARED
+                if l1._plru is not None:
+                    ev = l1.insert(addr, state, store, False, now + latency)
+                    if ev is not None:
+                        self._handle_l1_eviction(core, ev, route, now)
+                else:
+                    # SetAssocCache.insert (LRU) and _handle_l1_eviction,
+                    # inlined.  Invalid frames sit at the stack tail, so the
+                    # tail is a free frame or the LRU line.
+                    stack = l1._sets[addr % l1.n_sets]
+                    frame = stack.pop()
+                    l1map = l1._map
+                    if frame.valid:
+                        old = frame.addr
+                        l1map.pop(old, None)
+                        depth = l1.victim_depth
+                        if depth:
+                            victims = l1._victims[old % l1.n_sets]
+                            if old in victims:
+                                victims.remove(old)
+                            victims.insert(0, old)
+                            del victims[depth:]
+                        stats.evictions += 1
+                        if observer is not None:
+                            observer.l1_evict(route[5], core, old, "demand_fill")
+                        if frame.prefetch_bit:
+                            pf.stats.useless += 1
+                            pf.adaptive.on_useless()
+                            route[6].useless += 1
+                        l2e = l2map.get(old)
+                        if l2e is not None and l2e.valid:
+                            # Directory.remove_sharer, inlined.
+                            l2e.sharers &= ~(1 << core)
+                            if l2e.owner == core:
+                                l2e.owner = -1
+                            if frame.dirty:
+                                l2e.dirty = True
+                                stats.writebacks += 1
+                        elif frame.dirty:
+                            # Inclusion normally prevents this; write to memory.
+                            self._send_writeback(now, self.values.segments_for(old))
+                            stats.writebacks += 1
+                        frame.sharers = 0
+                        frame.owner = -1
+                    frame.addr = addr
+                    frame.valid = True
+                    frame.state = state
+                    frame.dirty = store
+                    frame.prefetch_bit = False
+                    frame.fill_time = now + latency
+                    l1map[addr] = frame
+                    stack.insert(0, frame)
+            if self._pf_on:
+                for p in pf.observe_miss(addr):
+                    self._issue_l1_prefetch(core, kind, p, now)
             result = (latency, False)
             if observer is not None:
                 observer.demand_miss_done(core, route[5], now, latency, addr)
@@ -328,232 +538,6 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # L1 paths
     # ------------------------------------------------------------------
-
-    def _demand_miss(self, core, kind, addr, now, route) -> float:
-        """One demand miss from the L1 to memory and back; returns its latency.
-
-        The L1 miss, the shared-L2 access (a hit, or the default-model
-        fetch: request pins -> DRAM -> data pins -> L2 fill and its
-        evictions) and the L1 refill run in this one frame, because
-        demand misses are most trace events on small caches.  Every
-        optional mechanism keeps one guard and its own helper: the MSHR
-        file (``_fetch_line``), the write-back buffer
-        (``_send_writeback``), tree-PLRU, stream buffers, adaptive
-        compression, the NoC and the observer.
-        """
-        l1, pf, stats, _hist, fill_lat, level, tax = route
-        stats.demand_misses += 1
-        if self._adaptive and l1.victim_match(addr) and l1.set_has_prefetched_line(addr):
-            pf.stats.harmful += 1
-            pf.adaptive.on_harmful()
-            self.taxonomy.on_victim_live(level)
-        store = kind == STORE
-        observer = self.observer
-
-        # ---- shared L2: bank occupancy (busy-until), then hit or miss ----
-        self._l2_access_count += 1
-        l2 = self.l2
-        if not self._l2_access_count % _SAMPLE_EVERY:
-            self.compression_stats.record_sample(l2.resident_lines())
-        bank = addr % self._n_banks  # CompressedSetCache.bank_of, inlined
-        start = self._bank_free[bank]
-        if start < now:
-            start = now
-        self._bank_free[bank] = start + _BANK_OCCUPANCY
-        bank_delay = start - now
-        if observer is not None:
-            observer.bank_busy(bank, start, _BANK_OCCUPANCY)
-        l2s = self.l2_stats
-        l2map = l2._map
-        entry = l2map.get(addr)  # CompressedSetCache.probe, inlined
-        if entry is not None and entry.valid:
-            latency = bank_delay + self._l2_hit_lat
-            line_compressed = l2.compressed and entry.segments < SEGMENTS_PER_LINE
-            if line_compressed:
-                latency += self._decompression_cycles
-                l2s.compressed_hits += 1
-            cp = self.compression_policy
-            if cp.enabled:
-                cp.on_hit(
-                    l2.stack_depth(addr), self.config.l2.uncompressed_assoc, line_compressed
-                )
-            if observer is not None:
-                # Stack depth must be read before the LRU touch below.
-                observer.l2_demand_hit(
-                    addr,
-                    l2.stack_depth(addr) >= self.config.l2.uncompressed_assoc,
-                    entry.fill_time > now,
-                )
-            wait = entry.fill_time - now
-            if wait > latency:
-                latency = wait
-            if entry.prefetch_bit:
-                # First use of a line an L2 prefetch brought in.
-                if wait > 0:
-                    l2s.partial_hits += 1
-                else:
-                    l2s.prefetch_hits += 1
-                self._pf2_stats.useful += 1
-                self.l2_adaptive.on_useful()
-                self._tax_l2.useful += 1
-                entry.prefetch_bit = False
-            l2s.demand_hits += 1
-            # CompressedSetCache.touch, inlined.
-            stack = l2._sets[addr % l2.n_sets].valid_stack
-            if stack[0] is not entry:
-                stack.remove(entry)
-                stack.insert(0, entry)
-            plru = l2._plru
-            if plru is not None:
-                si = addr % l2.n_sets
-                plru[si] = plru_touch(plru[si], entry.way, l2.tags_per_set)
-            if store:
-                latency += self._invalidate_other_sharers(entry, core)
-                self.directory.set_owner(entry, core)
-                entry.dirty = True
-            elif entry.owner not in (-1, core):
-                # Dirty intervention: the owning L1 supplies the data.
-                self._downgrade_owner(entry)
-                latency += _INTERVENTION_COST
-            entry.sharers |= 1 << core  # Directory.add_sharer, inlined
-            if self._pf_on:
-                for p in self.pf_l2[core].observe_hit(addr):
-                    self._issue_l2_prefetch(core, p, now)
-        else:
-            sb_hit = None
-            if self.stream_buffers is not None:
-                sb_hit = self._stream_buffer_hit(core, addr, now, bank_delay, True)
-            if sb_hit is None:
-                l2s.demand_misses += 1
-                if observer is not None:
-                    observer.l2_demand_miss(addr)
-                if self._pf_on and l2.victim_match(addr) and l2.set_has_prefetched_line(addr):
-                    self.taxonomy.on_victim_live("l2")
-                    if self._adaptive:
-                        self._pf2_stats.harmful += 1
-                        self.l2_adaptive.on_harmful()
-                request_ready = now + bank_delay + self._l2_hit_lat
-                if self.mshr is not None:
-                    data_done, segments = self._fetch_line(core, addr, request_ready, True)
-                else:
-                    # _fetch_line's default model: request pins -> DRAM -> data pins.
-                    segments = self.values.segments_for(addr)
-                    cp = self.compression_policy
-                    if cp.enabled and not cp.should_compress():
-                        segments = SEGMENTS_PER_LINE  # store uncompressed this phase
-                    link = self.link
-                    data_done = link.send_data(
-                        self.dram.issue_demand(core, link.send_request(request_ready), addr),
-                        segments,
-                    )
-                latency = data_done - now
-                # LatencyHistogram.record, inlined (latencies are non-negative).
-                hist = self._l2_miss_hist
-                bucket = int(latency).bit_length()
-                if bucket > 24:  # LatencyHistogram.MAX_BUCKET
-                    bucket = 24
-                hist._buckets[bucket] += 1
-                hist.count += 1
-                hist.total += latency
-            else:
-                latency, segments = sb_hit
-                data_done = now + latency
-            # The L2 fill: compression accounting, insert, evictions.
-            cstats = self.compression_stats
-            if segments < SEGMENTS_PER_LINE:
-                cstats.compressed_lines += 1
-            else:
-                cstats.uncompressed_lines += 1
-            cstats.segment_sum += segments
-            if observer is not None:
-                observer.l2_fill(addr, "demand", segments)
-            for ev in l2.insert(
-                addr,
-                segments,
-                dirty=store,
-                fill_time=data_done,
-                sharers=1 << core,
-                owner=core if store else -1,
-                state=MSIState.MODIFIED if store else MSIState.SHARED,
-            ):
-                self._handle_l2_eviction(ev, now)
-            if self._pf_on:
-                pf2 = self.pf_l2[core]
-                for p in pf2.observe_miss(addr) if sb_hit is None else pf2.observe_hit(addr):
-                    self._issue_l2_prefetch(core, p, now)
-
-        # ---- back at the L1: the refill ----
-        # The refill pays its own L1's fill latency: L1I for instruction
-        # fetches, L1D for loads and stores.
-        total = fill_lat + latency
-        if self._noc_on:
-            # The fill crosses the on-chip network from the L2 bank.
-            total = self.noc.transfer_line(core, now + total) - now
-        # Fill the L1 — unless an L2 prefetch triggered above already
-        # pushed this very line back out of the L2 (possible in small
-        # caches when the prefetcher bursts into the same set); inserting
-        # it then would break inclusion, since the eviction's
-        # back-invalidate ran before the L1 had the line.
-        l2e = l2map.get(addr)
-        if l2e is not None and l2e.valid:
-            if observer is not None:
-                observer.l1_fill(level, core, addr, "demand")
-            state = MSIState.MODIFIED if store else MSIState.SHARED
-            if l1._plru is not None:
-                ev = l1.insert(addr, state, store, False, now + total)
-                if ev is not None:
-                    self._handle_l1_eviction(core, ev, route, now)
-            else:
-                # SetAssocCache.insert (LRU) and _handle_l1_eviction,
-                # inlined.  Invalid frames sit at the stack tail, so the
-                # tail is a free frame or the LRU line.
-                stack = l1._sets[addr % l1.n_sets]
-                frame = stack.pop()
-                l1map = l1._map
-                if frame.valid:
-                    old = frame.addr
-                    l1map.pop(old, None)
-                    depth = l1.victim_depth
-                    if depth:
-                        victims = l1._victims[old % l1.n_sets]
-                        if old in victims:
-                            victims.remove(old)
-                        victims.insert(0, old)
-                        del victims[depth:]
-                    stats.evictions += 1
-                    if observer is not None:
-                        observer.l1_evict(level, core, old, "demand_fill")
-                    if frame.prefetch_bit:
-                        pf.stats.useless += 1
-                        pf.adaptive.on_useless()
-                        tax.useless += 1
-                    l2e = l2map.get(old)
-                    if l2e is not None and l2e.valid:
-                        # Directory.remove_sharer, inlined.
-                        l2e.sharers &= ~(1 << core)
-                        if l2e.owner == core:
-                            l2e.owner = -1
-                        if frame.dirty:
-                            l2e.dirty = True
-                            stats.writebacks += 1
-                    elif frame.dirty:
-                        # Inclusion normally prevents this; write to memory.
-                        self._send_writeback(now, self.values.segments_for(old))
-                        stats.writebacks += 1
-                    frame.sharers = 0
-                    frame.owner = -1
-                frame.addr = addr
-                frame.valid = True
-                frame.state = state
-                frame.dirty = store
-                frame.prefetch_bit = False
-                frame.fill_time = now + total
-                l1map[addr] = frame
-                stack.insert(0, frame)
-        if self._pf_on:
-            for p in pf.observe_miss(addr):
-                self._issue_l1_prefetch(core, kind, p, now)
-        return total
 
     def _handle_l1_eviction(
         self, core, ev: Eviction, route, now: float, cause: str = "demand_fill"
@@ -740,7 +724,7 @@ class MemoryHierarchy:
 
     def _issue_l1_prefetch(self, core: int, kind: int, addr: int, now: float) -> None:
         """One L1 prefetch and its shared-L2 leg, in one frame, with the
-        same guards as :meth:`_demand_miss`.  An L1 prefetch that misses
+        same guards as the demand path in :meth:`access`.  An L1 prefetch that misses
         the L2 trains the L2 prefetcher too (the paper "allows L1
         prefetches to trigger L2 prefetches")."""
         if addr < 0:
@@ -865,11 +849,9 @@ class MemoryHierarchy:
         # The prefetched fill pays its own L1's fill latency (L1I for
         # instruction-side prefetches, L1D for data-side ones).  Skip the
         # fill if a nested L2 prefetch evicted this line from the L2
-        # again before the L1 could take it (see _demand_miss).
+        # again before the L1 could take it (see access).
         l2e = l2._map.get(addr)
         if l2e is not None and l2e.valid:
-            if observer is not None:
-                observer.l1_fill(level, core, addr, "prefetch")
             ev = l1.insert(addr, MSIState.SHARED, False, True, now + fill_lat + latency)
             if ev is not None:
                 self._handle_l1_eviction(core, ev, route, now, "prefetch_fill")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from itertools import islice
 from typing import List, Optional, Union
 
 from repro import settings
@@ -162,13 +163,14 @@ class CMPSystem:
         # Hot loop: the core timing model (advance_compute /
         # apply_memory_latency) is inlined here with per-core state held
         # in locals, and written back once at the end.  The arithmetic is
-        # kept bit-identical to CoreTimingModel's methods.
+        # kept bit-identical to CoreTimingModel's methods.  Each core's
+        # source is cut to this run's events by ``islice``: a spent core
+        # raises StopIteration at its next turn and leaves the heap.
         cores = self.cores
         n = len(cores)
         heap = [(core.time, i) for i, core in enumerate(cores)]
         heapq.heapify(heap)
-        remaining = [events_per_core] * n
-        next_event = [g.__next__ for g in self._generators]
+        next_event = [islice(g, events_per_core).__next__ for g in self._generators]
         access = self.hierarchy.access
         pop, replace = heapq.heappop, heapq.heapreplace
         times = [core.time for core in cores]
@@ -178,8 +180,7 @@ class CMPSystem:
         instr = [0] * n
         stall = [0.0] * n
         ifetch = [0] * n
-        data = [0] * n
-        processed = 0
+        processed = 0  # counted only while the auditor is armed
         auditor = self.auditor
         audit_every = auditor.interval if auditor is not None else 0
         if audit_every:
@@ -197,12 +198,17 @@ class CMPSystem:
             # Peek the earliest core; re-seat it with heapreplace (one
             # sift) instead of a pop + push pair when it continues.
             idx = heap[0][1]
-            gap, kind, addr = next_event[idx]()
+            try:
+                gap, kind, addr = next_event[idx]()
+            except StopIteration:
+                pop(heap)
+                continue
             t = times[idx]
             if gap:
                 t += gap * cpi[idx]
                 instr[idx] += gap
             latency, l1_hit = access(idx, kind, addr, t)
+            # A partial L1 hit (a prefetch still in flight) stalls too.
             if not l1_hit and latency > 0.0:
                 over = latency - hide[idx]
                 if over > 0.0:
@@ -210,19 +216,14 @@ class CMPSystem:
                     t += s
                     stall[idx] += s
             times[idx] = t
-            if kind == 0:
+            if not kind:  # IFETCH
                 ifetch[idx] += 1
-            else:
-                data[idx] += 1
-            processed += 1
-            remaining[idx] -= 1
-            if remaining[idx] > 0:
-                replace(heap, (t, idx))
-            else:
-                pop(heap)
-            if audit_every and not processed % audit_every:
-                auditor.check(expected_l1_accesses=base_accesses + processed)
-                self.observer.audit_check(t)  # the auditor implies an observer
+            replace(heap, (t, idx))
+            if audit_every:
+                processed += 1
+                if not processed % audit_every:
+                    auditor.check(expected_l1_accesses=base_accesses + processed)
+                    self.observer.audit_check(t)  # the auditor implies an observer
             if next_sample is not None and t >= next_sample:
                 next_sample = sampler.sample(self, t, float(inst_base + sum(instr)))
         if audit_every:
@@ -233,7 +234,7 @@ class CMPSystem:
             st.instructions += instr[i]
             st.memory_stall_cycles += stall[i]
             st.ifetch_accesses += ifetch[i]
-            st.data_accesses += data[i]
+            st.data_accesses += events_per_core - ifetch[i]
             st.cycles = times[i] - core.start_time
 
     def reset_stats(self) -> None:

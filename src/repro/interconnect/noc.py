@@ -11,7 +11,7 @@ line transfers between L1 and L2.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.params import LINE_BYTES
 

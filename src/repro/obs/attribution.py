@@ -57,7 +57,7 @@ Two structural notes:
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core import durable
 from repro.params import SEGMENT_BYTES, SEGMENTS_PER_LINE
@@ -311,10 +311,13 @@ class AttributionTracker(AttributionLedger):
     (otherwise every post-warmup miss would look compulsory).
     """
 
-    def __init__(self, config) -> None:
+    def __init__(self, config, stack_depth: Callable[[int], int]) -> None:
+        """``stack_depth`` is the L2's ``CompressedSetCache.stack_depth``,
+        read by :meth:`on_l2_demand_hit` before the hit's LRU touch."""
         self.n_sets = config.l2.n_sets
         self.filter_depth = config.l2.tags_per_set
         self.uncompressed_assoc = config.l2.uncompressed_assoc
+        self._stack_depth = stack_depth
         self.cache_compressed = config.l2.compressed
         # -- persistent provenance state (survives reset_counters) -----
         self._seen: set = set()  # addrs ever resident in the L2
@@ -370,14 +373,14 @@ class AttributionTracker(AttributionLedger):
         if len(shadow) > self.filter_depth:
             del shadow[next(iter(shadow))]
 
-    def on_l2_demand_hit(self, addr: int, beyond_uncompressed: bool,
-                         late: bool) -> None:
-        """Ledger bookkeeping for one L2 demand hit.
+    def on_l2_demand_hit(self, addr: int, late: bool) -> None:
+        """Ledger bookkeeping for one L2 demand hit, before its LRU touch.
 
-        ``beyond_uncompressed``: the hit's LRU stack depth was at or past
-        ``uncompressed_assoc`` (an avoided miss under compression).
-        ``late``: the line's fill was still in flight (a prefetched line
-        that arrived too late to fully hide the latency).
+        A hit whose LRU stack depth is at or past ``uncompressed_assoc``
+        is an avoided miss under compression; the depth is read here, so
+        only an attributed run pays that O(assoc) scan.  ``late``: the
+        line's fill was still in flight (a prefetched line that arrived
+        too late to fully hide the latency).
         """
         info = self._l2_lines.get(addr)
         if info is not None and not info[1]:
@@ -386,13 +389,15 @@ class AttributionTracker(AttributionLedger):
                 if late:
                     self.pf_late += 1
             info[1] = True
-        if beyond_uncompressed:
+        if self._stack_depth(addr) >= self.uncompressed_assoc:
             self.comp_avoided_hits += 1
 
     def on_l1_fill(self, level: str, core: int, addr: int,
                    inserter: str) -> None:
-        """L1 fills feed no ledger; the hook stays because simbench's
-        layer ledger times it by name."""
+        """Takes no event: nothing emits ``l1_fill`` any more.  The empty
+        method stays only because simbench's span ledger wraps it by name
+        (``vars(AttributionTracker)["on_l1_fill"]``), so removing it would
+        raise ``KeyError`` in every traced simbench run."""
 
     def on_l1_evict(self, level: str, core: int, addr: int,
                     cause: str) -> None:

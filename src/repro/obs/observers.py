@@ -21,7 +21,7 @@ from typing import Any, Dict
 EVENTS = (
     # MemoryHierarchy, which also stamps Observers.now once per access
     "bank_busy", "demand_miss_done", "prefetch_done", "mshr_coalesce", "mshr_fetch",
-    "l2_demand_hit", "l2_demand_miss", "l2_fill", "l2_evict", "l1_fill", "l1_evict", "reset",
+    "l2_demand_hit", "l2_demand_miss", "l2_fill", "l2_evict", "l1_evict", "reset",
     # PinLink, OnChipNetwork, DRAM
     "link_data", "noc_transfer", "dram_service",
     # AdaptiveController, AdaptiveCompressionPolicy: no clock, timed by Observers.now
@@ -100,7 +100,7 @@ def arm(config, hierarchy, wanted: Dict[str, Any]) -> Observers:
     if wanted["attribution"]:
         from repro.obs.attribution import AttributionTracker
 
-        tracker = AttributionTracker(config)
+        tracker = AttributionTracker(config, hierarchy.l2.stack_depth)
     writers = {"trace": tracer, "metrics": sampler, "attribution": tracker}
     outputs = [(writers[name], value) for name, value in wanted.items()
                if name in writers and isinstance(value, str)]

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 Cell = Union[str, int, float]
 
 
 class Table:
     """A simple right-aligned numeric table with a left-aligned key column.
+
+    The first ``left`` columns are left-aligned (text); the rest are
+    right-aligned (numbers).  A left-aligned last column is not padded.
 
     >>> t = Table(["workload", "speedup"])
     >>> t.add_row(["zeus", 1.213])
@@ -18,11 +21,14 @@ class Table:
     zeus         1.213
     """
 
-    def __init__(self, columns: Sequence[str], float_format: str = "{:.3f}") -> None:
+    def __init__(
+        self, columns: Sequence[str], float_format: str = "{:.3f}", left: int = 1
+    ) -> None:
         if not columns:
             raise ValueError("a table needs at least one column")
         self.columns = list(columns)
         self.float_format = float_format
+        self.left = left
         self._rows: List[List[str]] = []
 
     def add_row(self, cells: Sequence[Cell]) -> None:
@@ -44,20 +50,16 @@ class Table:
         for row in self._rows:
             for i, cell in enumerate(row):
                 widths[i] = max(widths[i], len(cell))
-        lines = []
-        header = separator.join(
-            c.ljust(widths[i]) if i == 0 else c.rjust(widths[i])
-            for i, c in enumerate(self.columns)
-        )
-        lines.append(header)
-        lines.append(separator.join(("-" * widths[i]) for i in range(len(widths))))
-        for row in self._rows:
-            lines.append(
-                separator.join(
-                    cell.ljust(widths[i]) if i == 0 else cell.rjust(widths[i])
-                    for i, cell in enumerate(row)
-                )
-            )
+        last = len(widths) - 1
+
+        def align(i: int, cell: str) -> str:
+            if i >= self.left:
+                return cell.rjust(widths[i])
+            return cell if i == last else cell.ljust(widths[i])
+
+        lines = [separator.join(align(i, c) for i, c in enumerate(row))
+                 for row in (self.columns, *self._rows)]
+        lines.insert(1, separator.join("-" * w for w in widths))
         return "\n".join(lines)
 
     def __len__(self) -> int:

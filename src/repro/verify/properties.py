@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import settings
 from repro.core.results import SimulationResult

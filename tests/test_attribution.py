@@ -25,9 +25,11 @@ from types import SimpleNamespace
 import pytest
 
 from repro import settings
+from repro.cache.compressed import CompressedSetCache
 from repro.core.experiment import CONFIG_FEATURES, make_config, run_point
 from repro.core.missclass import classify_misses
 from repro.core.system import CMPSystem
+from repro.digest import stable_hash
 from repro.obs.attribution import AttributionTracker
 from repro.params import SystemConfig
 from repro.report.export import result_fingerprint
@@ -76,6 +78,47 @@ def test_attr_extras_do_not_perturb_fingerprint_input():
     assert result_fingerprint(result) != fp
 
 
+def _count_stack_depth(monkeypatch):
+    """Count calls of ``CompressedSetCache.stack_depth`` from here on."""
+    calls = []
+    original = CompressedSetCache.stack_depth
+
+    def counted(self, line_addr):
+        calls.append(line_addr)
+        return original(self, line_addr)
+
+    monkeypatch.setattr(CompressedSetCache, "stack_depth", counted)
+    return calls
+
+
+def test_only_attribution_reads_the_l2_stack_depth(monkeypatch):
+    """The O(assoc) depth scan runs for an L2 demand hit only when the
+    tracker takes the event; a trace-only run never pays it."""
+    monkeypatch.delenv("REPRO_ATTRIBUTION", raising=False)
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    calls = _count_stack_depth(monkeypatch)
+    cfg = replace(make_config("base", n_cores=2, scale=64), trace=True)
+    result = CMPSystem(cfg, "apache", seed=5).run(2000, warmup_events=1000)
+    assert result.l2.demand_hits > 0
+    assert calls == []
+    _tracked_run("base", "apache", events=2000, warmup=1000)
+    assert calls
+
+
+def test_attributed_extras_match_the_recorded_point(monkeypatch):
+    """The tracker reads the stack depth itself; its ``attr_*`` extras
+    equal those recorded when the hierarchy passed the depth in."""
+    monkeypatch.delenv("REPRO_ATTRIBUTION", raising=False)
+    cfg = replace(make_config("pref_compr", n_cores=2, scale=64), attribution=True)
+    result = CMPSystem(cfg, "apache", seed=5).run(2000, warmup_events=1000)
+    extra = {k: v for k, v in result.extra.items() if k.startswith("attr_")}
+    assert extra["attr_comp_avoided_hits"] == 54.0
+    assert extra["attr_pf_useful"] == 211.0
+    assert stable_hash(extra) == (
+        "15077381b080ee8a1bb87c6019f1f1d5efb43be2ea8f431e34a8b4c58fcc3e49"
+    )
+
+
 # ---------------------------------------------------------------------------
 # estimator vs ground truth
 # ---------------------------------------------------------------------------
@@ -121,11 +164,13 @@ def test_figure8_estimate_tracks_measured_attribution(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _tracker(n_sets=4, tags_per_set=2, uncompressed_assoc=2, compressed=True):
+def _tracker(n_sets=4, tags_per_set=2, uncompressed_assoc=2, compressed=True,
+             depth=0):
+    """A tracker whose L2 reports every hit at LRU stack depth ``depth``."""
     cfg = SimpleNamespace(l2=SimpleNamespace(
         n_sets=n_sets, tags_per_set=tags_per_set,
         uncompressed_assoc=uncompressed_assoc, compressed=compressed))
-    return AttributionTracker(cfg)
+    return AttributionTracker(cfg, lambda addr: depth)
 
 
 def test_miss_classification_paths():
@@ -161,8 +206,8 @@ def test_shadow_filter_ages_out_oldest():
 def test_prefetch_ledger_useful_late_useless():
     t = _tracker(n_sets=1)
     t.on_l2_fill(0x10, "l2_prefetch", 8)
-    t.on_l2_demand_hit(0x10, False, True)  # first touch, fill in flight
-    t.on_l2_demand_hit(0x10, False, False)  # second touch: not re-counted
+    t.on_l2_demand_hit(0x10, True)  # first touch, fill in flight
+    t.on_l2_demand_hit(0x10, False)  # second touch: not re-counted
     t.on_l2_fill(0x20, "l1_prefetch", 8)
     t.on_l2_evict(0x20, "demand_fill")  # evicted untouched
     t.on_l2_fill(0x30, "demand", 8)
@@ -171,12 +216,13 @@ def test_prefetch_ledger_useful_late_useless():
 
 
 def test_compression_ledger_gated_on_cache_compression():
-    on = _tracker(compressed=True)
-    off = _tracker(compressed=False)
+    # Stack depth 2 is at uncompressed_assoc: the hit is an avoided miss.
+    on = _tracker(compressed=True, depth=2)
+    off = _tracker(compressed=False, depth=2)
     for t in (on, off):
         t.on_l2_fill(0x10, "demand", 3)  # compressible: 5 segments saved
         t.on_l2_fill(0x20, "demand", 8)  # incompressible
-        t.on_l2_demand_hit(0x10, True, False)
+        t.on_l2_demand_hit(0x10, False)
     assert (on.comp_fills, on.comp_segments_saved) == (1, 5)
     assert on.comp_bytes_saved == 5 * 8
     assert on.comp_avoided_hits == 1

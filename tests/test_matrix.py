@@ -6,7 +6,6 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +16,6 @@ from repro.obs.telemetry import read_records
 from repro.report.matrix import (
     PREFETCHERS,
     SCHEMES,
-    MatrixCell,
     pair_config,
     run_matrix,
 )

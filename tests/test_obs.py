@@ -16,14 +16,7 @@ from repro import settings
 from repro.cache.line import MSIState
 from repro.core.system import CMPSystem
 from repro.obs import telemetry
-from repro.obs.audit import (
-    AuditViolation,
-    Auditor,
-    audit_hierarchy,
-    audit_cache_structure,
-    audit_inclusion,
-    audit_stats,
-)
+from repro.obs.audit import AuditViolation, Auditor, audit_hierarchy
 from repro.params import SystemConfig
 from repro.report.export import result_fingerprint
 

@@ -66,16 +66,19 @@ def test_every_bank_occupancy_has_a_span(no_repro_env):
 
 
 # Python-level calls per trace event, about 5% above the measured value
-# (12.67 and 3.93).  Call counts depend on the interpreter's inlining,
-# so only CPython 3.11 is held to them.
-CALL_BUDGETS = [("fma3d", "pref_compr", 13.3), ("zeus", "base", 4.15)]
+# (12.40 and 3.21: a demand access is one ``access`` frame).  Call counts
+# depend on the interpreter's inlining, so only CPython 3.11 is held to them.
+CALL_BUDGETS = [("fma3d", "pref_compr", 13.0), ("zeus", "base", 3.37)]
 
 
 @pytest.mark.skipif(
     platform.python_implementation() != "CPython" or sys.version_info[:2] != (3, 11),
     reason="call budgets are calibrated on CPython 3.11",
 )
-@pytest.mark.parametrize("workload,key,budget", CALL_BUDGETS)
+# Ids name the point, not the budget, so a retuned budget keeps the test id.
+@pytest.mark.parametrize(
+    "workload,key,budget", CALL_BUDGETS, ids=[f"{w}-{k}" for w, k, _ in CALL_BUDGETS]
+)
 def test_calls_per_trace_event_stay_within_budget(no_repro_env, workload, key, budget):
     system = CMPSystem(make_config(key, n_cores=2, scale=8), workload, seed=0)
     calls = 0

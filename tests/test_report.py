@@ -24,6 +24,28 @@ class TestTable:
         assert all(len(line) == len(lines[0]) for line in lines[1:])
         assert "1.213" in text
 
+    def test_numeric_columns_right_aligned(self):
+        t = Table(["workload", "speedup", "misses"])
+        t.add_row(["zeus", 1.213, 12])
+        t.add_row(["apache-long-name", 0.9, 3456])
+        assert t.render() == (
+            "workload           speedup   misses\n"
+            "----------------   -------   ------\n"
+            "zeus                 1.213       12\n"
+            "apache-long-name     0.900     3456"
+        )
+
+    def test_text_columns_left_aligned_without_trailing_pad(self):
+        t = Table(["knob", "value", "doc"], left=3)
+        t.add_row(["REPRO_A", 1, "one line"])
+        t.add_row(["REPRO_LONG", "= REPRO_A", "another, longer line"])
+        assert t.render() == (
+            "knob         value       doc\n"
+            "----------   ---------   --------------------\n"
+            "REPRO_A      1           one line\n"
+            "REPRO_LONG   = REPRO_A   another, longer line"
+        )
+
     def test_row_width_checked(self):
         t = Table(["a", "b"])
         with pytest.raises(ValueError):

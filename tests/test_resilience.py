@@ -522,7 +522,7 @@ def _write_attribution(path, monkeypatch):
     from repro.obs.attribution import AttributionTracker
     from repro.params import SystemConfig
 
-    tracker = AttributionTracker(SystemConfig())
+    tracker = AttributionTracker(SystemConfig(), lambda addr: 0)
     monkeypatch.setattr(tracker, "to_dict", _unserializable)
     tracker.write(path)
 

@@ -129,6 +129,11 @@ def test_config_reports_value_and_source(monkeypatch, capsys):
     assert main(["config"]) == 0
     table = capsys.readouterr().out
     assert re.search(r"^REPRO_JOBS\s+3\s+env\s", table, re.M)
+    # Value, source and doc are text: each column starts at one offset.
+    lines = table.splitlines()
+    for name in ("value", "source", "doc"):
+        col = lines[0].index(name)
+        assert all(line[col - 1] == " " != line[col] for line in lines[2:]), name
 
 
 def test_readme_knob_table_matches_settings_table():

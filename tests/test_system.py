@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import islice
+
 import pytest
 
 from repro.core.experiment import run_point
 from repro.core.system import CMPSystem
 from repro.params import CacheConfig, L2Config, SystemConfig
+from repro.workloads.base import IFETCH
 
 
 def small_config(**features) -> SystemConfig:
@@ -123,3 +127,33 @@ class TestSimulateFacade:
         r = run_point("zeus", small_config(), events=100, warmup=10,
                       name="mylabel", use_cache=False)
         assert r.config_name == "mylabel"
+
+
+class TestRunLoop:
+    """Each core runs exactly its events, and no source is drawn past them."""
+
+    @staticmethod
+    def _check(system, ran, measured):
+        """Every core ran ``ran`` events since construction, ``measured``
+        of them since the last stats reset, and its source's next event
+        is the one an identical, unrun system's stream holds next."""
+        fresh = CMPSystem(system.config, system.spec, seed=system.seed)
+        for core in range(system.config.n_cores):
+            stream = fresh._generators[core]
+            events = list(islice(stream, ran))
+            st = system.cores[core].stats
+            assert st.ifetch_accesses + st.data_accesses == measured
+            ifetch = sum(1 for _, kind, _ in events[ran - measured:] if kind == IFETCH)
+            assert st.ifetch_accesses == ifetch
+            assert next(system._generators[core]) == next(stream)
+
+    def test_warmup_plus_measure(self):
+        system = CMPSystem(small_config(prefetching=True), "oltp", seed=4)
+        system.run(300, warmup_events=200)
+        self._check(system, 500, 300)
+
+    def test_repeated_slices_add_up(self):
+        system = CMPSystem(replace(small_config(), n_cores=4), "zeus", seed=2)
+        for k in (1, 3, 7, 64):
+            system._run_events(k)
+        self._check(system, 75, 75)
