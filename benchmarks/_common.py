@@ -21,7 +21,7 @@ example, are the same four runs).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro import settings
 from repro.core.experiment import run_point

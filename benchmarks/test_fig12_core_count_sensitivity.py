@@ -11,7 +11,7 @@ their Table 1 values.
 
 from __future__ import annotations
 
-from _common import improvement_pct, print_header
+from _common import improvement_pct
 
 CORE_COUNTS = (1, 4, 8, 16)
 WORKLOADS = ("zeus", "apache", "jbb")

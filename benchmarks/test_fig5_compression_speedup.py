@@ -8,7 +8,7 @@ combination is slightly better than cache compression alone.
 
 from __future__ import annotations
 
-from _common import ALL, COMMERCIAL, improvement_pct, point, print_header, print_row
+from _common import ALL, COMMERCIAL, improvement_pct, print_header, print_row
 
 KEYS = ("cache_compr", "link_compr", "compr")
 

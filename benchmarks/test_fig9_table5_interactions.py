@@ -20,7 +20,7 @@ at least as good as pref+compr for commercial workloads.
 
 from __future__ import annotations
 
-from _common import ALL, COMMERCIAL, point, print_header, print_row, seeded_runtime
+from _common import ALL, COMMERCIAL, print_header, print_row, seeded_runtime
 from repro.core.interaction import InteractionBreakdown
 
 

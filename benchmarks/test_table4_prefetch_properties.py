@@ -9,7 +9,7 @@ commercial L2 accuracy sits in the 32-58% band.
 
 from __future__ import annotations
 
-from _common import ALL, COMMERCIAL, SCIENTIFIC, point, print_header
+from _common import ALL, COMMERCIAL, SCIENTIFIC, point
 
 
 def run_table4():

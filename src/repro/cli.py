@@ -21,8 +21,8 @@
     python -m repro profile zeus -o profile.json
     python -m repro config
 
-Output defaults to an aligned table; ``--json`` / ``--csv`` switch the
-format for piping into other tools.
+``run``, ``sweep`` and ``replay`` print an aligned table; ``--json`` /
+``--csv`` switch their format for piping into other tools.
 """
 
 from __future__ import annotations
@@ -53,6 +53,10 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scale", type=int, default=4, help="capacity scale divisor")
     p.add_argument("--cores", type=int, default=8)
     p.add_argument("--bandwidth", type=float, default=20.0, help="pin GB/s; 0 = infinite")
+
+
+def _add_format_args(p: argparse.ArgumentParser) -> None:
+    """``--json`` / ``--csv``: only on the commands :func:`_emit` prints for."""
     p.add_argument("--json", action="store_true")
     p.add_argument("--csv", action="store_true")
 
@@ -773,6 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("workload", choices=all_names())
     p.add_argument("--config", default="base", choices=sorted(CONFIG_FEATURES))
     _add_run_args(p)
+    _add_format_args(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="simulate a workload x config matrix")
@@ -788,6 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "each new one is stored as it completes (observed "
                         "points always re-simulate)")
     _add_run_args(p)
+    _add_format_args(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("cache", help="inspect, verify or clear the on-disk result cache")
@@ -856,8 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=int, default=None)
     p.add_argument("--scale", type=int, default=4)
     p.add_argument("--bandwidth", type=float, default=20.0)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    _add_format_args(p)
     p.add_argument("--skip-bad-records", action="store_true",
                    help="drop malformed trace records (counted in the "
                         "result extras) instead of failing with exit 2")

@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import asdict
 from typing import Dict, Optional
 
-from repro import faults, settings
+from repro import settings
 from repro.core import durable
 from repro.core.durable import QUARANTINE_DIR, CorruptFile
 from repro.core.results import SimulationResult
@@ -125,9 +124,6 @@ class DiskCache:
         and the point degrades to a recompute, never an error.
         """
         path = self.path_for(key)
-        hit = faults.should("slowio", token=key)
-        if hit is not None:
-            time.sleep(hit.arg if hit.arg is not None else 0.02)
         try:
             result = read_entry(path)
         except OSError:
@@ -146,9 +142,6 @@ class DiskCache:
         is an accelerator, not a correctness dependency) but recorded as
         a telemetry-visible ``store-failed`` outcome."""
         path = self.path_for(key)
-        hit = faults.should("slowio", token=key)
-        if hit is not None:
-            time.sleep(hit.arg if hit.arg is not None else 0.02)
         try:
             payload = result_to_full_dict(result)
             blob = json.dumps(payload, separators=(",", ":")).encode("utf-8")

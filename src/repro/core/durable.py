@@ -71,7 +71,7 @@ def write_sealed(
     meta = dict(meta)
     meta["payload_sha256"] = sha256(payload).hexdigest()
     meta["payload_bytes"] = len(payload)
-    if _faults.should("corrupt", token=path) is not None and payload:
+    if _faults.should("corrupt") is not None and payload:
         payload = payload[:-1] + bytes([payload[-1] ^ 0xFF])
     blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     atomic_write(path, _HEAD.pack(magic, version, len(blob)) + blob + payload)

@@ -13,12 +13,12 @@ hit (all of them injectable via :mod:`repro.faults` for tests):
 
 * **Lost workers** — a worker killed by the OS (OOM, signal) breaks the
   whole ``ProcessPoolExecutor``; the runner respawns the pool and
-  retries the in-flight points instead of converting every pending
-  point into a :class:`PointError`.
-* **Retries** — retryable failures (lost workers, injected transient
-  faults) are retried up to ``REPRO_RETRIES`` times with exponential
-  backoff and deterministic jitter.  Deterministic simulation
-  exceptions are *not* retried: the same input would fail the same way.
+  resubmits the in-flight points to it at once, up to
+  :data:`MAX_RETRIES` times each, instead of converting every pending
+  point into a :class:`PointError`.  This is the only failure that is
+  retried: a simulation exception is deterministic, so the same input
+  would fail the same way.  A serial run has no worker to lose, so it
+  never retries.
 * **Hung points** — with ``REPRO_POINT_TIMEOUT=<seconds>`` set, a point
   running longer than the budget is recorded as a ``timeout``
   :class:`PointError`; the stuck worker is terminated, the pool is
@@ -30,8 +30,8 @@ Workers inherit the disk cache (:mod:`repro.core.diskcache`): each
 worker process consults and populates it through ``run_point``, so a
 parallel sweep warms the same persistent cache a serial one would.
 
-The ``REPRO_JOBS``, ``REPRO_RETRIES``, ``REPRO_POINT_TIMEOUT`` and
-``REPRO_RETRY_BACKOFF`` knobs are declared in :mod:`repro.settings`.
+The ``REPRO_JOBS`` and ``REPRO_POINT_TIMEOUT`` knobs are declared in
+:mod:`repro.settings`.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import signal
 import time
 import traceback
 import warnings
-import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -69,7 +68,6 @@ class PointError:
     """A grid point that failed; the sweep carries on without it.
 
     ``kind`` classifies the failure: ``error`` (the simulation raised),
-    ``transient`` (an injected retryable fault survived every retry),
     ``lost-worker`` (the worker process died and retries ran out) or
     ``timeout`` (the point exceeded ``REPRO_POINT_TIMEOUT``).
     ``attempts`` counts how many times the point was tried.
@@ -99,22 +97,17 @@ _TIMEOUT_NOTE = (
 )
 
 #: Internal worker-outcome tuple:
-#: (index, result, error-or-None, source, retryable, quarantines)
+#: (index, result, error-or-None, source, quarantines)
 #: where error = (repr, traceback, kind).
-_Outcome = Tuple[int, Any, Optional[Tuple[str, str, str]], str, bool, int]
+_Outcome = Tuple[int, Any, Optional[Tuple[str, str, str]], str, int]
+
+#: How many times a point lost with its worker is resubmitted.
+MAX_RETRIES = 2
 
 
 def default_jobs() -> int:
     """``REPRO_JOBS`` if set, else the machine's CPU count."""
     return settings.get("REPRO_JOBS") or os.cpu_count() or 1
-
-
-def _retry_backoff_s(index: int, attempt: int) -> float:
-    """Exponential backoff before retry ``attempt`` (1-based) of point
-    ``index``, with deterministic jitter in [0.5, 1.0) so retried points
-    neither stampede together nor perturb reproducibility."""
-    jitter = 0.5 + 0.5 * (zlib.crc32(f"{index}:{attempt}".encode()) / 0xFFFFFFFF)
-    return settings.get("REPRO_RETRY_BACKOFF") * (2.0 ** (attempt - 1)) * jitter
 
 
 #: True in pool worker processes (set by the pool initializer); the
@@ -150,26 +143,18 @@ def _run_one(item: Tuple[int, PointSpec, int]) -> _Outcome:
         from repro.core.experiment import last_point_source, run_point
 
         quarantined_before = durable.quarantine_count()
-        if faults.active():
-            hit = faults.should("transient", index=index, attempt=attempt)
+        if _IN_WORKER and faults.active():
+            hit = faults.should("kill", index=index, attempt=attempt)
             if hit is not None:
-                raise faults.TransientFault(
-                    f"injected transient fault (point {index}, attempt {attempt})"
-                )
-            if _IN_WORKER:
-                hit = faults.should("kill", index=index, attempt=attempt)
-                if hit is not None:
-                    os._exit(int(hit.arg) if hit.arg is not None else 1)
-                hit = faults.should("hang", index=index, attempt=attempt)
-                if hit is not None:
-                    time.sleep(hit.arg if hit.arg is not None else 3600.0)
+                os._exit(int(hit.arg) if hit.arg is not None else 1)
+            hit = faults.should("hang", index=index, attempt=attempt)
+            if hit is not None:
+                time.sleep(hit.arg if hit.arg is not None else 3600.0)
         result = run_point(workload, key, **kwargs)
         quarantines = durable.quarantine_count() - quarantined_before
-        return index, result, None, last_point_source(), False, quarantines
-    except faults.TransientFault as exc:
-        return index, None, (repr(exc), traceback.format_exc(), "transient"), "error", True, 0
+        return index, result, None, last_point_source(), quarantines
     except Exception as exc:  # noqa: BLE001 - captured per point by design
-        return index, None, (repr(exc), traceback.format_exc(), "error"), "error", False, 0
+        return index, None, (repr(exc), traceback.format_exc(), "error"), "error", 0
 
 
 def _stop_pool(pool) -> None:
@@ -286,43 +271,16 @@ class ParallelRunner:
         t0 = time.perf_counter()
         results: List[Optional[PointOutcome]] = [None] * total
         stats = {"retries": 0, "restarts": 0, "timeouts": 0, "quarantines": 0}
-        max_retries = settings.get("REPRO_RETRIES")
         if self.jobs == 1 or total <= 1:
-            self._run_serial(points, results, progress, stats, max_retries)
+            for index, spec in enumerate(points):
+                self._finalize(
+                    results, points, _run_one((index, spec, 0)), 1, index + 1,
+                    total, progress, stats,
+                )
         else:
-            self._run_parallel(points, results, progress, stats, max_retries)
+            self._run_parallel(points, results, progress, stats)
         self._emit_sweep(results, workers=min(self.jobs, total), t0=t0, stats=stats)
         return results  # type: ignore[return-value]
-
-    # -- serial path --------------------------------------------------------
-
-    def _run_serial(
-        self,
-        points: Sequence[PointSpec],
-        results: List[Optional[PointOutcome]],
-        progress: Optional[Callable],
-        stats: Dict[str, int],
-        max_retries: int,
-    ) -> None:
-        total = len(points)
-        for done, (index, spec) in enumerate(enumerate(points)):
-            attempt = 0
-            while True:
-                outcome = _run_one((index, spec, attempt))
-                if (
-                    outcome[2] is not None
-                    and outcome[4]
-                    and attempt < max_retries
-                ):
-                    attempt += 1
-                    self._note_retry(stats, progress, index, attempt, outcome[2][2])
-                    time.sleep(_retry_backoff_s(index, attempt))
-                    continue
-                break
-            self._finalize(
-                results, points, outcome, attempt + 1, done + 1, total,
-                progress, stats,
-            )
 
     # -- parallel path ------------------------------------------------------
 
@@ -332,7 +290,6 @@ class ParallelRunner:
         results: List[Optional[PointOutcome]],
         progress: Optional[Callable],
         stats: Dict[str, int],
-        max_retries: int,
     ) -> None:
         """Windowed scheduler: at most ``workers`` points are in flight,
         so each in-flight future's submission time approximates its run
@@ -347,7 +304,6 @@ class ParallelRunner:
         timeout = settings.get("REPRO_POINT_TIMEOUT")
         pool = ProcessPoolExecutor(max_workers=workers, initializer=_worker_init)
         queue: deque = deque((i, 0) for i in range(total))
-        waiting: List[Tuple[float, int, int]] = []  # (ready_at, index, attempt)
         inflight: Dict[Any, Tuple[int, int, float]] = {}  # fut -> (idx, att, started)
         done = 0
 
@@ -361,12 +317,6 @@ class ParallelRunner:
 
         try:
             while done < total:
-                now = time.perf_counter()
-                if waiting:
-                    ready = [w for w in waiting if w[0] <= now]
-                    waiting = [w for w in waiting if w[0] > now]
-                    for _at, idx, att in sorted(ready, key=lambda w: w[1]):
-                        queue.append((idx, att))
                 while queue and len(inflight) < workers:
                     idx, att = queue.popleft()
                     try:
@@ -379,19 +329,11 @@ class ParallelRunner:
                         fut = pool.submit(_run_one, (idx, points[idx], att))
                     inflight[fut] = (idx, att, time.perf_counter())
                 if not inflight:
-                    if waiting:
-                        next_ready = min(w[0] for w in waiting)
-                        time.sleep(max(next_ready - time.perf_counter(), 0.0))
-                        continue
                     break  # defensive: done should already equal total
                 wait_s: Optional[float] = None
                 if timeout is not None:
                     oldest = min(start for (_i, _a, start) in inflight.values())
                     wait_s = max(oldest + timeout - time.perf_counter(), 0.0)
-                if waiting:
-                    until_retry = min(w[0] for w in waiting) - time.perf_counter()
-                    wait_s = until_retry if wait_s is None else min(wait_s, until_retry)
-                    wait_s = max(wait_s, 0.0)
                 finished, _pending = wait(
                     set(inflight), timeout=wait_s, return_when=FIRST_COMPLETED
                 )
@@ -402,30 +344,26 @@ class ParallelRunner:
                         outcome: _Outcome = fut.result()
                     except BrokenProcessPool as exc:
                         pool_broken = True
+                        if att < MAX_RETRIES:
+                            # Resubmitted to the respawned pool below.
+                            stats["retries"] += 1
+                            _event(progress, "retry")
+                            if _telemetry.enabled():
+                                _telemetry.emit(
+                                    "retry", index=idx, attempt=att + 1,
+                                    fault="lost-worker",
+                                )
+                            queue.append((idx, att + 1))
+                            continue
                         outcome = (
                             idx, None, (repr(exc), _LOST_WORKER_NOTE, "lost-worker"),
-                            "error", True, 0,
+                            "error", 0,
                         )
                     except Exception as exc:  # noqa: BLE001 - per-point capture
                         outcome = (
                             idx, None, (repr(exc), traceback.format_exc(), "error"),
-                            "error", False, 0,
+                            "error", 0,
                         )
-                    if (
-                        outcome[2] is not None
-                        and outcome[4]
-                        and att < max_retries
-                    ):
-                        retry_attempt = att + 1
-                        self._note_retry(
-                            stats, progress, idx, retry_attempt, outcome[2][2]
-                        )
-                        waiting.append((
-                            time.perf_counter() + _retry_backoff_s(idx, retry_attempt),
-                            idx,
-                            retry_attempt,
-                        ))
-                        continue
                     done += 1
                     self._finalize(
                         results, points, outcome, att + 1, done, total,
@@ -465,7 +403,7 @@ class ParallelRunner:
                                         f"{timeout}s wall-clock budget')",
                                         _TIMEOUT_NOTE, "timeout",
                                     ),
-                                    "error", False, 0,
+                                    "error", 0,
                                 ),
                                 att + 1, done, total, progress, stats,
                             )
@@ -485,19 +423,6 @@ class ParallelRunner:
 
     # -- shared bookkeeping -------------------------------------------------
 
-    def _note_retry(
-        self,
-        stats: Dict[str, int],
-        progress: Optional[Callable],
-        index: int,
-        attempt: int,
-        kind: str,
-    ) -> None:
-        stats["retries"] += 1
-        _event(progress, "retry")
-        if _telemetry.enabled():
-            _telemetry.emit("retry", index=index, attempt=attempt, fault=kind)
-
     def _finalize(
         self,
         results: List[Optional[PointOutcome]],
@@ -509,7 +434,7 @@ class ParallelRunner:
         progress: Optional[Callable],
         stats: Dict[str, int],
     ) -> None:
-        quarantines = outcome[5] if len(outcome) > 5 else 0
+        quarantines = outcome[4]
         if quarantines:
             stats["quarantines"] += quarantines
             for _ in range(quarantines):
@@ -554,6 +479,6 @@ class ParallelRunner:
                 kwargs=dict(kwargs),
                 error=error[0],
                 traceback=error[1],
-                kind=error[2] if len(error) > 2 else "error",
+                kind=error[2],
                 attempts=attempts,
             )

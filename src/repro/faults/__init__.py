@@ -5,7 +5,6 @@ from repro.faults.inject import (
     KINDS,
     Clause,
     FaultHit,
-    TransientFault,
     active,
     parse_plan,
     reset,
@@ -17,7 +16,6 @@ __all__ = [
     "KINDS",
     "Clause",
     "FaultHit",
-    "TransientFault",
     "active",
     "parse_plan",
     "reset",

@@ -12,19 +12,13 @@ variable (inherited by worker processes; declared and validated with
 every other knob in :mod:`repro.settings`), a semicolon-separated list
 of clauses::
 
-    REPRO_FAULTS="kill@2;transient@0,5;hang(2.5)@7;corrupt@every:3;slowio(0.01)@p:0.5:42"
+    REPRO_FAULTS="kill@2,5;hang(2.5)@7;corrupt@0-3"
 
 Clause grammar (whitespace-insensitive)::
 
     clause   := kind [ '(' arg ')' ] '@' selector (',' selector)* [ 'x' times ]
     selector := N          fire at occurrence/point-index N (0-based)
               | N '-' M    fire for every index in [N, M]
-              | 'every:' K fire when index % K == 0
-              | 'p:' P ':' SEED
-                           fire pseudo-randomly with probability P,
-                           derived from a stable hash of
-                           (SEED, kind, index) — deterministic across
-                           runs and processes
               | '*'        fire always
 
 The registered fault kinds and their injection sites:
@@ -35,21 +29,19 @@ kind            site                                              arg
 ``kill``        worker body (``runner._run_one``): ``os._exit``   exit code
 ``hang``        worker body: ``time.sleep`` (pair with            seconds
                 ``REPRO_POINT_TIMEOUT``)                          (def 3600)
-``transient``   worker body: raises :class:`TransientFault`       —
-                (retryable; the runner retries it)
 ``corrupt``     ``DiskCache.put`` via ``durable.write_sealed``:   —
                 flips a payload byte after hashing
-``slowio``      ``DiskCache.get``/``put``: sleeps before I/O      seconds
 =============== ================================================= =========
+
+The worker-body sites fire only in pool workers, never in a serial run.
 
 Selection semantics: sites that know their point index (the worker-body
 sites) match selectors against that index and, by default, fire only on
-the point's *first* attempt — so an injected transient fault is healed
-by one retry.  A clause's ``x<times>`` suffix widens that to the first
-``times`` attempts (``transient@0x99`` keeps failing through retry
-exhaustion).  Sites with no natural index (the disk-cache and
-durable-file sites) match against a per-process, per-kind occurrence
-counter.
+the point's *first* attempt — so a killed worker's point is healed by
+one retry.  A clause's ``x<times>`` suffix widens that to the first
+``times`` attempts (``kill@0x99`` keeps failing through retry
+exhaustion).  The durable-file site has no natural index and matches
+against a per-process, per-kind occurrence counter.
 
 With ``REPRO_FAULTS`` unset, :func:`should` is a single environment
 lookup — the machinery adds nothing to a clean run.
@@ -61,16 +53,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import settings
-from repro.digest import sha256
 
 ENV_VAR = "REPRO_FAULTS"
 
 #: Every fault kind with an injection site wired into the codebase.
-KINDS = ("kill", "hang", "transient", "corrupt", "slowio")
-
-
-class TransientFault(RuntimeError):
-    """An injected failure the runner is expected to retry away."""
+KINDS = ("kill", "hang", "corrupt")
 
 
 @dataclass(frozen=True)
@@ -97,40 +84,15 @@ class Clause:
                 return True
             if tag == "range" and sel[1] <= value <= sel[2]:
                 return True
-            if tag == "every" and value % sel[1] == 0:
-                return True
             if tag == "always":
-                return True
-            if tag == "prob" and _stable_unit(sel[2], self.kind, value) < sel[1]:
                 return True
         return False
 
 
-def _stable_unit(seed: int, kind: str, value: int) -> float:
-    """A deterministic pseudo-random float in [0, 1) from (seed, kind,
-    value) — stable across processes, platforms and Python versions
-    (unlike ``hash()``)."""
-    digest = sha256(f"{seed}:{kind}:{value}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") / 2**64
-
-
-def _parse_selector(text: str, kind: str) -> Tuple:
+def _parse_selector(text: str) -> Tuple:
     text = text.strip()
     if text == "*":
         return ("always",)
-    if text.startswith("every:"):
-        step = int(text[len("every:"):])
-        if step <= 0:
-            raise ValueError(f"every:{step} needs a positive step")
-        return ("every", step)
-    if text.startswith("p:"):
-        parts = text[2:].split(":")
-        if len(parts) != 2:
-            raise ValueError(f"probabilistic selector {text!r} must be p:<prob>:<seed>")
-        prob = float(parts[0])
-        if not 0.0 <= prob <= 1.0:
-            raise ValueError(f"probability {prob} outside [0, 1]")
-        return ("prob", prob, int(parts[1]))
     if "-" in text:
         lo, hi = text.split("-", 1)
         return ("range", int(lo), int(hi))
@@ -168,7 +130,7 @@ def parse_plan(spec: str) -> Dict[str, List[Clause]]:
                 times = int(times_text)
                 if times <= 0:
                     raise ValueError(f"x{times} must fire at least once")
-            selectors = [_parse_selector(s, kind) for s in tail.split(",") if s.strip()]
+            selectors = [_parse_selector(s) for s in tail.split(",") if s.strip()]
             if not selectors:
                 raise ValueError("no selectors")
         except ValueError as exc:
@@ -198,19 +160,13 @@ def reset() -> None:
 
 
 def should(
-    kind: str,
-    *,
-    index: Optional[int] = None,
-    attempt: int = 0,
-    token: Optional[str] = None,
+    kind: str, *, index: Optional[int] = None, attempt: int = 0
 ) -> Optional[FaultHit]:
     """Consult the plan: does fault ``kind`` fire at this site?
 
     ``index`` is the point index for sites that have one; otherwise a
     per-process occurrence counter is used.  ``attempt`` gates repeat
-    firings (see the ``x<times>`` clause suffix).  ``token`` is accepted
-    for site context (e.g. a cache key) but does not affect selection —
-    selection must stay deterministic under retry and reordering.
+    firings (see the ``x<times>`` clause suffix).
     """
     spec = settings.get(ENV_VAR)
     if spec is None:

@@ -32,7 +32,8 @@ Kinds emitted by the simulator stack:
 * ``sweep`` — one per :meth:`ParallelRunner.run_points` call: point
   count, error count, worker count, wall seconds, plus retry / pool
   restart / timeout / quarantine counts and ``settings``;
-* ``retry`` — one per retried point attempt (index, attempt, fault kind);
+* ``retry`` — one per point resubmitted after its worker was lost
+  (index, attempt, ``fault`` = ``lost-worker``);
 * ``pool-restart`` — one per worker-pool respawn after a lost worker or
   a timed-out point;
 * ``point-timeout`` — one per point killed by ``REPRO_POINT_TIMEOUT``

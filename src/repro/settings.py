@@ -67,7 +67,6 @@ def _fault_plan(raw: str) -> str:
 #: kind -> (what a value must be, parser raising ValueError on malformed input)
 KINDS: Dict[str, Tuple[str, Callable[[str], Any]]] = {
     "int": ("an integer", int),
-    "number": ("a number", float),
     "positive": ("a number > 0", _positive),
     "switch": ("0 or 1", _switch),
     "path": ("a path", _path),
@@ -104,17 +103,14 @@ _ROWS = (
             unset="= REPRO_EVENTS"),
     Setting("REPRO_SEEDS", "int", 1, "seeds per data point (>1 adds 95% CIs)", 1),
     Setting("REPRO_SCALE", "int", 4, "capacity scale divisor (1 = full 4 MB L2)", 1),
-    # Result cache, parallel sweeps, retries (repro.core.diskcache/runner).
+    # Result cache and parallel sweeps (repro.core.diskcache/runner).
     Setting("REPRO_CACHE", "switch", True,
             "0 disables the on-disk result cache (sweep --resume keeps it on)"),
     Setting("REPRO_CACHE_DIR", "path", ".repro_cache", "on-disk result cache root"),
     Setting("REPRO_JOBS", "int", None, "default worker count for parallel sweeps", 1,
             unset="cpu count"),
-    Setting("REPRO_RETRIES", "int", 2, "max retries per point for retryable failures", 0),
     Setting("REPRO_POINT_TIMEOUT", "positive", None,
             "per-point wall-clock budget in seconds for parallel sweeps"),
-    Setting("REPRO_RETRY_BACKOFF", "number", 0.05,
-            "base seconds before the first retry (doubled per attempt)", 0),
     # Observers (repro.obs); each env value overrides its SystemConfig field.
     Setting("REPRO_AUDIT", "switch", None,
             "1/0 forces invariant auditing on/off (overrides SystemConfig.audit)"),

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.core.bottleneck import CycleBreakdown, analyze
 from repro.core.system import CMPSystem
 from repro.params import CacheConfig, L2Config, LinkConfig, SystemConfig

@@ -88,6 +88,20 @@ class TestArgparseRejections:
         assert excinfo.value.code == 2
         assert "usage" in capsys.readouterr().err.lower()
 
+    # Only run, sweep and replay print through a format switch; every
+    # other command refuses the flags instead of printing plain text.
+    @pytest.mark.parametrize("flag", ["--json", "--csv"])
+    @pytest.mark.parametrize("argv", [
+        ("table5",), ("matrix",), ("figure8",), ("why", "zeus"),
+        ("audit", "zeus"), ("trace", "zeus"), ("metrics", "zeus"),
+        ("verify", "zeus"),
+    ], ids=lambda argv: argv[0])
+    def test_format_flags_rejected_where_ignored(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 class TestUnknownSweepNames:
     """``repro sweep`` rejects an unknown ``--configs`` key the way it

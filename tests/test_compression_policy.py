@@ -69,8 +69,6 @@ class TestCounterDynamics:
 
 class TestHierarchyIntegration:
     def _system(self, adaptive_compression: bool):
-        from dataclasses import replace
-
         from repro.core.system import CMPSystem
         from repro.params import CacheConfig, L2Config, SystemConfig
 

@@ -2,9 +2,8 @@
 ``hashlib``'s, and the keys earlier versions wrote to disk still hit.
 
 The pinned hex values below were computed with ``hashlib`` before the
-package stopped importing it.  A cache entry or a seeded fault plan
-is found by exactly these values, so a mismatch means old caches miss
-and fault plans fire on other points.
+package stopped importing it.  A cache entry is found by exactly these
+values, so a mismatch means old caches miss.
 
 Runs under pytest, or as a plain script on an interpreter without it::
 
@@ -24,7 +23,6 @@ from pathlib import Path
 
 from repro import digest, make_config
 from repro.core.diskcache import point_key
-from repro.faults.inject import _stable_unit
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -83,12 +81,6 @@ def test_disk_cache_key_is_unchanged():
     assert point_key(config, "zeus", 0, 1500, 1500) == (
         "c03b6a84ea858887a53b7ec2e8ec3f02b7a1855989978ddbd255c551ea088caf"
     )
-
-
-def test_fault_selection_is_unchanged():
-    assert _stable_unit(0, "kill", 0) == 0.019710450013107828
-    assert _stable_unit(7, "transient", 3) == 0.49607459667151144
-    assert _stable_unit(123, "corrupt", 42) == 0.39731732906535583
 
 
 if __name__ == "__main__":

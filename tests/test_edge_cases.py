@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import pytest
-
 from repro.core.system import CMPSystem
 from repro.params import (
     CacheConfig,

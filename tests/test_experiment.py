@@ -59,14 +59,14 @@ class TestConfigMatrix:
 
 class TestEnvKnobs:
     def test_env_int_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RETRIES", raising=False)
-        assert settings.get("REPRO_RETRIES") == 2
-        assert settings.get("REPRO_RETRIES", 42) == 42
+        monkeypatch.delenv("REPRO_WARMUP", raising=False)
+        assert settings.get("REPRO_WARMUP") is None
+        assert settings.get("REPRO_WARMUP", 42) == 42
 
     def test_env_int_set(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRIES", "7")
-        assert settings.get("REPRO_RETRIES") == 7
-        assert settings.get("REPRO_RETRIES", 42) == 7
+        monkeypatch.setenv("REPRO_WARMUP", "0")
+        assert settings.get("REPRO_WARMUP") == 0
+        assert settings.get("REPRO_WARMUP", 42) == 0
 
     def test_defaults_positive(self):
         assert settings.get("REPRO_EVENTS") > 0

@@ -3,10 +3,6 @@ don't exercise together."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-import pytest
-
 from repro.core.system import CMPSystem
 from repro.params import (
     CacheConfig,

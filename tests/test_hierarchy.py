@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-import pytest
-
 from repro.cache.line import MSIState
 from repro.core.hierarchy import MemoryHierarchy
 from repro.params import CacheConfig, L2Config, LinkConfig, PrefetchConfig, SystemConfig

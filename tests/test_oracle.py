@@ -11,7 +11,7 @@ from repro.core.experiment import make_config
 from repro.core.system import CMPSystem
 from repro.obs.audit import audit_hierarchy
 from repro.prefetch.adaptive import AdaptiveController
-from repro.verify.oracle import OracleMismatch, ReferenceHierarchy, verify_system
+from repro.verify.oracle import ReferenceHierarchy, verify_system
 from repro.verify.tap import OpTap
 from repro.workloads.base import LOAD, STORE
 

@@ -1,8 +1,8 @@
 """Resilient sweep execution, end to end under injected faults.
 
-Every fault class the injector knows (worker kill, hang, transient
-exception, cache corruption) is driven through the real runner / disk
-cache / sweep stack, and the recovery contract is asserted each time:
+Every fault class the injector knows (worker kill, hang, cache
+corruption) is driven through the real runner / disk cache / sweep
+stack, and the recovery contract is asserted each time:
 the sweep completes, every point is accounted for exactly once, results
 are bit-identical to a clean run, and the failure shows up in telemetry
 rather than vanishing.
@@ -56,10 +56,9 @@ def _sweep():
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    for var in ("REPRO_FAULTS", "REPRO_RETRIES", "REPRO_POINT_TIMEOUT",
-                "REPRO_TELEMETRY", "REPRO_JOBS"):
+    for var in ("REPRO_FAULTS", "REPRO_POINT_TIMEOUT", "REPRO_TELEMETRY",
+                "REPRO_JOBS"):
         monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.01")
     faults.reset()
     yield
     faults.reset()
@@ -67,40 +66,7 @@ def _clean_env(monkeypatch):
 
 
 class TestTransientRetry:
-    def test_retried_and_healed_serial(self, monkeypatch, tmp_path):
-        tele = str(tmp_path / "t.jsonl")
-        monkeypatch.setenv("REPRO_TELEMETRY", tele)
-        monkeypatch.setenv("REPRO_FAULTS", "transient@1")
-        pairs = [("zeus", "base"), ("zeus", "pref"), ("zeus", "compr")]
-        outcomes = ParallelRunner(jobs=1).run_points(_points(pairs))
-        assert not any(isinstance(o, PointError) for o in outcomes)
-        assert [result_fingerprint(o) for o in outcomes] == _expected(pairs)
-        records = read_records(tele)
-        retries = [r for r in records if r["kind"] == "retry"]
-        assert len(retries) == 1
-        assert retries[0]["index"] == 1 and retries[0]["fault"] == "transient"
-        sweep_record = [r for r in records if r["kind"] == "sweep"][-1]
-        assert sweep_record["retries"] == 1 and sweep_record["errors"] == 0
-
-    def test_exhaustion_keeps_attempt_count(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "transient@0x99")
-        monkeypatch.setenv("REPRO_RETRIES", "2")
-        outcomes = ParallelRunner(jobs=1).run_points(
-            _points([("zeus", "base"), ("zeus", "pref")])
-        )
-        failed = outcomes[0]
-        assert isinstance(failed, PointError)
-        assert failed.kind == "transient"
-        assert failed.attempts == 3  # first try + REPRO_RETRIES retries
-        assert "injected transient fault" in failed.error
-        assert not isinstance(outcomes[1], PointError)
-
-    def test_retries_zero_fails_first_try(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "transient@0x99")
-        monkeypatch.setenv("REPRO_RETRIES", "0")
-        outcomes = ParallelRunner(jobs=1).run_points(_points([("zeus", "base")]))
-        assert isinstance(outcomes[0], PointError)
-        assert outcomes[0].attempts == 1
+    """Only a transient failure, a lost worker, is retried."""
 
     def test_deterministic_exception_not_retried(self, monkeypatch, tmp_path):
         tele = str(tmp_path / "t.jsonl")
@@ -137,16 +103,35 @@ class TestLostWorkers:
         assert sweep_record["errors"] == 0
         assert [r for r in records if r["kind"] == "pool-restart"]
 
+    def test_lost_point_resubmitted_without_sleeping(self, monkeypatch, tmp_path):
+        """A point lost with its worker goes straight back on the queue of
+        the respawned pool: nothing sleeps between respawn and resubmit."""
+        tele = str(tmp_path / "t.jsonl")
+        monkeypatch.setenv("REPRO_TELEMETRY", tele)
+        monkeypatch.setenv("REPRO_FAULTS", "kill@0")
+        sleeps = []
+        monkeypatch.setattr(runner_mod, "time", SimpleNamespace(
+            perf_counter=time.perf_counter, sleep=sleeps.append,
+        ))
+        pairs = [("zeus", "base"), ("zeus", "pref")]
+        outcomes = ParallelRunner(jobs=2).run_points(_points(pairs))
+        assert sleeps == []
+        assert [result_fingerprint(o) for o in outcomes] == _expected(pairs)
+        # The broken pool may take the other in-flight point down too.
+        retries = {(r["index"], r["attempt"], r["fault"])
+                   for r in read_records(tele) if r["kind"] == "retry"}
+        assert (0, 1, "lost-worker") in retries
+        assert retries <= {(0, 1, "lost-worker"), (1, 1, "lost-worker")}
+
     def test_exhaustion_reports_lost_worker(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "kill@*x99")
-        monkeypatch.setenv("REPRO_RETRIES", "1")
         outcomes = ParallelRunner(jobs=2).run_points(
             _points([("zeus", "base"), ("zeus", "pref")])
         )
         for outcome in outcomes:
             assert isinstance(outcome, PointError)
             assert outcome.kind == "lost-worker"
-            assert outcome.attempts == 2
+            assert outcome.attempts == 3  # first try + MAX_RETRIES retries
             assert "worker process terminated abruptly" in outcome.traceback
 
 
@@ -365,8 +350,10 @@ class TestKillAndResume:
         self, monkeypatch, tmp_path
     ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_FAULTS", "transient@0x99")
-        monkeypatch.setenv("REPRO_RETRIES", "0")
+        # A killed worker would take the other in-flight point down with
+        # it; a timed-out one leaves that point a free resubmission.
+        monkeypatch.setenv("REPRO_FAULTS", "hang(60)@0")
+        monkeypatch.setenv("REPRO_POINT_TIMEOUT", "1")
         sweep = (Sweep().dimension("workload", ["zeus", "jbb"])
                  .dimension("key", ["base"]))
         partial = sweep.run(jobs=2, **FAST)
@@ -374,6 +361,7 @@ class TestKillAndResume:
         assert DiskCache().stats()["entries"] == 1  # an error is never stored
 
         monkeypatch.delenv("REPRO_FAULTS")
+        monkeypatch.delenv("REPRO_POINT_TIMEOUT")
         faults.reset()
         tele = str(tmp_path / "resume.jsonl")
         monkeypatch.setenv("REPRO_TELEMETRY", tele)

@@ -123,8 +123,6 @@ class TestValueModelSchemeIntegration:
         assert fpc.average_segments() < zero.average_segments()
 
     def test_l2config_scheme_reaches_system(self):
-        from dataclasses import replace
-
         from repro.core.system import CMPSystem
         from repro.params import CacheConfig, L2Config, SystemConfig
 

@@ -81,8 +81,6 @@ class TestAdaptiveDegree:
 
 class TestHierarchyIntegration:
     def test_sequential_kind_selected(self):
-        from dataclasses import replace
-
         from repro.core.system import CMPSystem
         from repro.params import CacheConfig, L2Config, SystemConfig
 

@@ -23,7 +23,6 @@ ROOT = Path(__file__).resolve().parent.parent
 #: fails the parametrized test below until it gets one.
 MALFORMED = {
     "int": "lots",
-    "number": "soon",
     "positive": "x1",
     "switch": "banana",
     "path": "   ",
@@ -100,7 +99,7 @@ def test_cli_process_exits_2_with_one_line(tmp_path):
     env.update(
         PYTHONPATH=str(ROOT / "src"),
         REPRO_CACHE_DIR=str(tmp_path / "cache"),
-        REPRO_RETRIES="abc",
+        REPRO_WARMUP="abc",
     )
     proc = subprocess.run(
         [sys.executable, "-m", "repro", *RUN],
@@ -108,14 +107,14 @@ def test_cli_process_exits_2_with_one_line(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [
-        "error: REPRO_RETRIES must be an integer >= 0, got 'abc'"
+        "error: REPRO_WARMUP must be an integer >= 0, got 'abc'"
     ]
 
 
 def test_config_reports_value_and_source(monkeypatch, capsys):
     monkeypatch.setenv("REPRO_JOBS", "3")
     monkeypatch.setenv("REPRO_TRACE", "/tmp/run.json")
-    monkeypatch.delenv("REPRO_RETRIES", raising=False)
+    monkeypatch.delenv("REPRO_SEEDS", raising=False)
     assert main(["config", "--json"]) == 0
     rows = {row["name"]: row for row in json.loads(capsys.readouterr().out)}
     assert list(rows) == list(settings.TABLE)
@@ -123,8 +122,8 @@ def test_config_reports_value_and_source(monkeypatch, capsys):
     assert (rows["REPRO_TRACE"]["value"], rows["REPRO_TRACE"]["source"]) == (
         "/tmp/run.json", "env"
     )
-    assert (rows["REPRO_RETRIES"]["value"], rows["REPRO_RETRIES"]["source"]) == (
-        2, "default"
+    assert (rows["REPRO_SEEDS"]["value"], rows["REPRO_SEEDS"]["source"]) == (
+        1, "default"
     )
     assert main(["config"]) == 0
     table = capsys.readouterr().out
@@ -160,12 +159,12 @@ def test_empty_is_unset_and_unknown_names_raise(monkeypatch):
 
 def test_suspended_restores_every_named_knob(monkeypatch):
     monkeypatch.setenv("REPRO_AUDIT", "0")
-    monkeypatch.delenv("REPRO_RETRY_BACKOFF", raising=False)
-    with settings.suspended("REPRO_AUDIT", "REPRO_RETRY_BACKOFF"):
+    monkeypatch.delenv("REPRO_POINT_TIMEOUT", raising=False)
+    with settings.suspended("REPRO_AUDIT", "REPRO_POINT_TIMEOUT"):
         assert settings.source("REPRO_AUDIT") == "default"
-        settings.put("REPRO_RETRY_BACKOFF", 0)
-        assert settings.get("REPRO_RETRY_BACKOFF") == 0.0
+        settings.put("REPRO_POINT_TIMEOUT", 0.5)
+        assert settings.get("REPRO_POINT_TIMEOUT") == 0.5
     assert os.environ["REPRO_AUDIT"] == "0"
-    assert "REPRO_RETRY_BACKOFF" not in os.environ
-    with pytest.raises(ValueError, match="REPRO_RETRY_BACKOFF must be a number >= 0"):
-        settings.put("REPRO_RETRY_BACKOFF", -1)
+    assert "REPRO_POINT_TIMEOUT" not in os.environ
+    with pytest.raises(ValueError, match="REPRO_POINT_TIMEOUT must be a number > 0"):
+        settings.put("REPRO_POINT_TIMEOUT", 0)

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from repro.workloads.base import IFETCH, LOAD, STORE, TraceGenerator, WorkloadSpec
+from repro.workloads.base import IFETCH, LOAD, STORE, TraceGenerator
 from repro.workloads.registry import WORKLOADS, get_spec
 
 

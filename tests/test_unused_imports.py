@@ -1,11 +1,13 @@
-"""No module under ``src/`` imports a name it never uses.
+"""No module under ``src/``, ``tests/``, ``benchmarks/`` or
+``examples/`` imports a name it never uses.
 
 The repo runs no linter, so this stdlib-``ast`` scan is the guard.  A
 name counts as used when the module reads it (including inside a quoted
 annotation), lists it in ``__all__``, or re-exports it on purpose: a
 ``lazy_exports`` table names it from that module, or its import line is
-marked ``# noqa: F401``.  ``from __future__`` imports are directives,
-not names.
+marked ``# noqa: F401``.  A fixture imported from a ``conftest`` module
+counts as used when a function takes it as a parameter.
+``from __future__`` imports are directives, not names.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ import ast
 from pathlib import Path
 from typing import Dict, Iterator, List, Set
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def _strings(node: ast.AST) -> Iterator[str]:
@@ -48,19 +53,25 @@ def unused_imports(source: str, filename: str, exported=frozenset()) -> List[str
     tree = ast.parse(source, filename)
     lines = source.splitlines()
     imported: Dict[str, int] = {}
+    fixtures: Set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            module = getattr(node, "module", None) or ""
+            if module == "__future__":
                 continue
             if "noqa: F401" in lines[node.end_lineno - 1]:
                 continue
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
+                if module.split(".")[-1] == "conftest":
+                    fixtures.add(name)
     used = set(exported)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
+        elif isinstance(node, ast.arg) and node.arg in fixtures:
+            used.add(node.arg)
         elif isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
@@ -90,6 +101,16 @@ def test_src_has_no_unused_imports():
     assert found == []
 
 
+@pytest.mark.parametrize("root", ["tests", "benchmarks", "examples"])
+def test_scripts_have_no_unused_imports(root):
+    found = [
+        f"{path.relative_to(ROOT)}:{hit}"
+        for path in sorted((ROOT / root).rglob("*.py"))
+        for hit in unused_imports(path.read_text(), str(path))
+    ]
+    assert found == []
+
+
 def test_the_scan_sees_what_it_should():
     source = '''
 from __future__ import annotations
@@ -103,3 +124,9 @@ def f(x: "Optional[int]") -> Dict:
 '''
     assert unused_imports(source, "<case>") == ["3: os", "4: List"]
     assert unused_imports(source, "<case>", {"os", "List"}) == []
+    fixtures = '''
+from tests.conftest import tiny, unused
+def test_x(tiny):
+    pass
+'''
+    assert unused_imports(fixtures, "<case>") == ["2: unused"]
