@@ -1,6 +1,9 @@
 """Command-line interface, for example::
 
     python -m repro run zeus --config pref_compr --events 10000
+    python -m repro run zeus --config pref_compr --audit --verify
+    python -m repro run zeus --config pref_compr --why why.json --trace trace.json
+    python -m repro run zeus --config adaptive_compr --metrics metrics.csv --interval 2000
     python -m repro sweep --workloads zeus,jbb --configs base,pref,compr
     python -m repro sweep --workloads zeus,jbb --jobs 4
     python -m repro sweep --workloads zeus,jbb --jobs 4 --resume
@@ -12,22 +15,23 @@
     python -m repro figure8 --workloads oltp --attribution
     python -m repro matrix --workloads chase -o matrix.csv
     python -m repro matrix --workloads chase --attribution
-    python -m repro why zeus pref_compr --events 5000
     python -m repro schemes oltp
-    python -m repro audit zeus --config pref_compr --events 5000
     python -m repro telemetry runs.jsonl
-    python -m repro trace zeus pref_compr -o trace.json
-    python -m repro metrics zeus adaptive_compr --interval 2000
     python -m repro profile zeus -o profile.json
     python -m repro config
 
 ``run``, ``sweep`` and ``replay`` print an aligned table; ``--json`` /
-``--csv`` switch their format for piping into other tools.
+``--csv`` switch their format for piping into other tools.  ``run``'s
+lens flags (``--audit``, ``--trace``, ``--metrics``, ``--why``,
+``--verify``) arm their observers together on the one simulated system
+and print one section each after the table (on stderr under ``--json``
+/ ``--csv``, so stdout stays machine-readable).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import signal
 import sys
 from contextlib import contextmanager, nullcontext
@@ -36,7 +40,7 @@ from typing import Iterator, List, Optional
 
 from repro import settings
 from repro.core import durable
-from repro.core.experiment import completed, run_point, run_points, stored_points
+from repro.core.experiment import completed, run_points, stored_points
 from repro.core.interaction import InteractionBreakdown
 from repro.core.results import SimulationResult
 from repro.core.runner import PointSpec
@@ -102,23 +106,6 @@ def _sizing(args) -> dict:
     return dict(seed=args.seed, events=args.events, warmup=warmup)
 
 
-def _single_point(args, *suspend: str, **observers):
-    """A single-point command's system, with the ``observers`` config
-    fields forced and armed while the ``suspend`` knobs are unset (an
-    ambient ``REPRO_AUDIT=0`` must not turn off ``repro audit``), and a
-    call running it at the command's sizing through ``runner``."""
-    from repro.core.system import CMPSystem
-
-    cfg = replace(make_config(args.config, **_machine(args)), **observers)
-    with settings.suspended(*suspend):
-        system = CMPSystem(cfg, args.workload, seed=args.seed)
-
-    def run(runner=CMPSystem.run):
-        return runner(system, args.events, warmup_events=_sizing(args)["warmup"],
-                      config_name=args.config)
-    return system, run
-
-
 def _point(workload: str, key: str, args, attribution: bool = False) -> PointSpec:
     """One named config at the command's sizing, as a pipeline point;
     ``attribution`` turns causal attribution on in its config."""
@@ -152,10 +139,137 @@ def _run_points(points: List[PointSpec]) -> List[SimulationResult]:
 
 
 def cmd_run(args) -> int:
-    (workload, key), kwargs = _point(args.workload, args.config, args)
-    result = run_point(workload, key, use_cache=False, **kwargs)
+    """Simulate one point, never through the result cache.  Each lens
+    flag turns its observer's config field on, so all of them ride the
+    one run; ``--verify`` runs it under the functional oracle.  An audit
+    violation or an oracle mismatch stops the run (exit 1); after it,
+    each lens prints its section and the worst section code is the
+    exit code."""
+    from repro.core.system import CMPSystem
+
+    plain = make_config(args.config, **_machine(args))
+    lenses = dict(audit=args.audit, trace=args.trace is not None,
+                  metrics=args.metrics is not None, attribution=args.why is not None)
+    if args.interval is not None:
+        lenses["metrics_interval"] = args.interval
+    system = CMPSystem(replace(plain, **lenses), args.workload, seed=args.seed)
+    run, stops = CMPSystem.run, []
+    if args.audit:
+        from repro.obs.audit import AuditViolation
+
+        stops.append(AuditViolation)
+    if args.verify:
+        from repro.verify.oracle import OracleMismatch, verify_system
+
+        stops.append(OracleMismatch)
+
+        def run(*a, **kw):
+            return verify_system(*a, **kw)[0]
+    try:
+        result = run(system, args.events, warmup_events=_sizing(args)["warmup"],
+                     config_name=args.config)
+    except tuple(stops) as exc:
+        print(f"{type(exc).__name__} in {args.workload}/{args.config}:", file=sys.stderr)
+        print(str(exc), file=sys.stderr)
+        return 1
     _emit([result], args)
+    out = sys.stderr if args.json or args.csv else sys.stdout
+    code = 0
+    if args.audit:
+        print(f"audit OK: {system.auditor.checks_run} check(s), 0 violations", file=out)
+    if args.verify:
+        print(f"oracle OK: {args.workload}/{args.config}, {args.events} events/core",
+              file=out)
+    if args.trace is not None:
+        code = max(code, _trace_lens(system.tracer, args.trace, out))
+    if args.metrics is not None:
+        code = max(code, _metrics_lens(system.sampler, args, out))
+    if args.why is not None:
+        code = max(code, _why_lens(system.observer.attribution, result, args, out))
+    if args.properties:
+        code = max(code, _properties(plain, args, out))
+    return code
+
+
+def _trace_lens(tracer, path: str, out) -> int:
+    """Write the Perfetto/Chrome trace; exit 1 on a schema problem."""
+    from repro.obs.trace import validate_trace
+
+    problems = validate_trace(tracer.to_dict())
+    tracer.write(path)
+    dropped = f" ({tracer.dropped} dropped)" if tracer.dropped else ""
+    print(f"wrote {len(tracer.events)} trace event(s){dropped} to {path}", file=out)
+    print("open in https://ui.perfetto.dev or chrome://tracing", file=out)
+    for problem in problems[:10]:
+        print(f"schema: {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
+
+def _metrics_lens(sampler, args, out) -> int:
+    """Write and chart the interval series; exit 1 on no samples, 2 on
+    an unknown ``--columns`` name."""
+    from repro.report.charts import timeseries_chart
+
+    if args.metrics:
+        sampler.write(args.metrics)
+        print(f"wrote {sampler.samples} sample(s) to {args.metrics}", file=out)
+    if sampler.samples == 0:
+        print("no samples recorded (run shorter than one interval); "
+              "lower --interval", file=sys.stderr)
+        return 1
+    columns = (
+        args.columns.split(",") if args.columns
+        else [c for c in sampler.columns if c != "cycle"]
+    )
+    unknown = [c for c in columns if c not in sampler.series]
+    if unknown:
+        print(f"error: unknown metric column(s): {', '.join(unknown)}; "
+              f"choose from {', '.join(sampler.columns)}", file=sys.stderr)
+        return 2
+    print(f"{args.workload}/{args.config}: {sampler.samples} sample(s) "
+          f"every {sampler.interval} simulated cycles", file=out)
+    print(timeseries_chart({c: sampler.series[c] for c in columns}), file=out)
     return 0
+
+
+def _why_lens(tracker, result, args, out) -> int:
+    """Print (and write) the why table; exit 1 unless it reconciles."""
+    print(
+        f"{args.workload}/{args.config}: {result.events} event(s), "
+        f"{result.l2.demand_misses} L2 demand miss(es), "
+        f"{result.l2.evictions} L2 eviction(s)", file=out,
+    )
+    print(tracker.table(), file=out)
+    if args.why:
+        tracker.write(args.why)
+        print(f"wrote attribution JSON to {args.why}", file=out)
+    problems = tracker.reconcile_result(result)
+    for problem in problems:
+        print(f"reconcile: {problem}", file=sys.stderr)
+    if problems:
+        return 1
+    print("attribution reconciles exactly with the stats counters", file=out)
+    return 0
+
+
+def _properties(plain, args, out) -> int:
+    """The metamorphic property suite on the point's plain config."""
+    from repro.verify.properties import ALL_PROPERTIES, PropertyViolation
+
+    failed = 0
+    for name, check in ALL_PROPERTIES.items():
+        if name == "bandwidth_monotonicity" and plain.link.bandwidth_gbs is None:
+            print(f"property {name}: skipped (bandwidth already infinite)", file=out)
+            continue
+        try:
+            check(plain, args.workload, seed=args.seed, events=args.events)
+        except PropertyViolation as exc:
+            failed += 1
+            print(f"property {name}: FAILED", file=sys.stderr)
+            print(str(exc), file=sys.stderr)
+        else:
+            print(f"property {name}: OK", file=out)
+    return 1 if failed else 0
 
 
 @contextmanager
@@ -206,6 +320,8 @@ def resume_guard(
 def cmd_sweep(args) -> int:
     from repro.core.sweep import Sweep
 
+    if args.jobs < 0:
+        raise ValueError(f"--jobs must be >= 0 (0 = REPRO_JOBS/cpu count), got {args.jobs}")
     workloads = _workloads(args)
     keys = _configs(args)
     coords = [(w, k) for w in workloads for k in keys]
@@ -324,21 +440,18 @@ def cmd_matrix(args) -> int:
         from repro.obs.progress import default_progress
 
         progress = default_progress(label="matrix")
-    # --attribution's whole point is annotation; an ambient
-    # REPRO_ATTRIBUTION=0 must not silently blank the shares.
-    with settings.suspended(*(("REPRO_ATTRIBUTION",) if args.attribution else ())):
-        report = run_matrix(
-            workloads,
-            base_config=base,
-            prefetchers=prefetchers,
-            schemes=schemes,
-            seed=args.seed,
-            events=args.events,
-            warmup=args.warmup,
-            progress=progress,
-            attribution=args.attribution,
-            jobs=settings.get("REPRO_JOBS"),
-        )
+    report = run_matrix(
+        workloads,
+        base_config=base,
+        prefetchers=prefetchers,
+        schemes=schemes,
+        seed=args.seed,
+        events=args.events,
+        warmup=args.warmup,
+        progress=progress,
+        attribution=args.attribution,
+        jobs=settings.get("REPRO_JOBS"),
+    )
     if args.output:
         durable.atomic_write(args.output, report.to_csv().encode("utf-8"))
         print(f"wrote {len(report.cells)} cell(s) to {args.output}", file=sys.stderr)
@@ -372,37 +485,6 @@ def cmd_matrix(args) -> int:
     return 0
 
 
-def cmd_why(args) -> int:
-    """Run one point with causal attribution on; print the why table."""
-    from repro.obs.attribution import AttributionLedger
-
-    (workload, config), kwargs = _point(
-        args.workload, args.config, args, attribution=True
-    )
-    # The command's whole point is attribution; an ambient
-    # REPRO_ATTRIBUTION=0 must not turn it off, and a path value must
-    # not double-write.
-    with settings.suspended("REPRO_ATTRIBUTION"):
-        result = run_point(workload, config, **kwargs)
-    att = AttributionLedger.from_extra(result.extra)
-    print(
-        f"{args.workload}/{args.config}: {result.events} event(s), "
-        f"{result.l2.demand_misses} L2 demand miss(es), "
-        f"{result.l2.evictions} L2 eviction(s)"
-    )
-    print(att.table())
-    if args.output:
-        att.write(args.output)
-        print(f"wrote attribution JSON to {args.output}")
-    problems = att.reconcile_result(result)
-    if problems:
-        for problem in problems:
-            print(f"reconcile: {problem}", file=sys.stderr)
-        return 1
-    print("attribution reconciles exactly with the stats counters")
-    return 0
-
-
 def cmd_figure8(args) -> int:
     """Figure 8's four-run miss classification, per workload; with
     ``--attribution``, also the measured-vs-estimated delta."""
@@ -411,12 +493,9 @@ def cmd_figure8(args) -> int:
     workloads = _workloads(args)
     keys = ("base", "compr", "pref", "pref_compr")
     for workload in workloads:
-        with settings.suspended(
-            *(("REPRO_ATTRIBUTION",) if args.attribution else ())
-        ):
-            runs = dict(zip(keys, _run_points(
-                [_point(workload, key, args, args.attribution) for key in keys]
-            )))
+        runs = dict(zip(keys, _run_points(
+            [_point(workload, key, args, args.attribution) for key in keys]
+        )))
         cls = classify_misses(
             runs["base"], runs["compr"], runs["pref"], runs["pref_compr"]
         )
@@ -493,26 +572,6 @@ def cmd_replay(args) -> int:
     return 0
 
 
-def cmd_audit(args) -> int:
-    """Run one point with invariant auditing forced on and report."""
-    from repro.obs.audit import AuditViolation
-    from repro.report.export import result_fingerprint
-
-    system, run = _single_point(args, "REPRO_AUDIT", audit=True, audit_interval=args.interval)
-    try:
-        result = run()
-    except AuditViolation as exc:
-        print(f"AUDIT FAILED after {system.auditor.checks_run} check(s):", file=sys.stderr)
-        print(str(exc), file=sys.stderr)
-        return 1
-    print(
-        f"audit OK: {system.auditor.checks_run} check(s), 0 violations "
-        f"({args.workload}/{args.config}, {result.events} events)"
-    )
-    print(f"result fingerprint: {result_fingerprint(result)}")
-    return 0
-
-
 def cmd_telemetry(args) -> int:
     """Summarise a JSONL telemetry stream (see repro.obs.telemetry)."""
     import json as _json
@@ -560,58 +619,6 @@ def cmd_telemetry(args) -> int:
     return 0
 
 
-def cmd_trace(args) -> int:
-    """Run one point with event tracing on; export Perfetto/Chrome JSON."""
-    from repro.obs.trace import validate_trace
-
-    # A path value of REPRO_TRACE must not double-write either.
-    system, run = _single_point(args, "REPRO_TRACE", trace=True)
-    if args.limit is not None:
-        system.tracer.limit = max(args.limit, 1)
-    run()
-    tracer = system.tracer
-    problems = validate_trace(tracer.to_dict())
-    tracer.write(args.output)
-    dropped = f" ({tracer.dropped} dropped)" if tracer.dropped else ""
-    print(f"wrote {len(tracer.events)} trace event(s){dropped} to {args.output}")
-    print("open in https://ui.perfetto.dev or chrome://tracing")
-    if problems:
-        for problem in problems[:10]:
-            print(f"schema: {problem}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_metrics(args) -> int:
-    """Run one point with interval metrics on; export and chart the series."""
-    from repro.report.charts import timeseries_chart
-
-    system, run = _single_point(args, "REPRO_METRICS", metrics=True,
-                                metrics_interval=args.interval)
-    run()
-    sampler = system.sampler
-    if args.output:
-        sampler.write(args.output)
-        print(f"wrote {sampler.samples} sample(s) to {args.output}")
-    if sampler.samples == 0:
-        print("no samples recorded (run shorter than one interval); "
-              "lower --interval", file=sys.stderr)
-        return 1
-    columns = (
-        args.columns.split(",") if args.columns
-        else [c for c in sampler.columns if c != "cycle"]
-    )
-    unknown = [c for c in columns if c not in sampler.series]
-    if unknown:
-        print(f"error: unknown metric column(s): {', '.join(unknown)}; "
-              f"choose from {', '.join(sampler.columns)}", file=sys.stderr)
-        return 2
-    print(f"{args.workload}/{args.config}: {sampler.samples} sample(s) "
-          f"every {sampler.interval} simulated cycles")
-    print(timeseries_chart({c: sampler.series[c] for c in columns}))
-    return 0
-
-
 def cmd_profile(args) -> int:
     """Profile the simulator's own wall-clock on one point."""
     import json as _json
@@ -644,48 +651,22 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    """Differentially verify one point against the functional oracle."""
-    from repro.verify.oracle import OracleMismatch, verify_system
-    from repro.verify.properties import ALL_PROPERTIES, PropertyViolation
-
-    system, run = _single_point(args)
-    try:
-        run(verify_system)
-    except OracleMismatch as exc:
-        print("ORACLE MISMATCH:", file=sys.stderr)
-        print(str(exc), file=sys.stderr)
-        return 1
-    print(f"oracle OK: {args.workload}/{args.config}, {args.events} events/core")
-    if not args.properties:
-        return 0
-    failed = 0
-    for name, check in ALL_PROPERTIES.items():
-        if name == "bandwidth_monotonicity" and system.config.link.bandwidth_gbs is None:
-            print(f"property {name}: skipped (bandwidth already infinite)")
-            continue
-        try:
-            check(system.config, args.workload, seed=args.seed, events=args.events)
-        except PropertyViolation as exc:
-            failed += 1
-            print(f"property {name}: FAILED", file=sys.stderr)
-            print(str(exc), file=sys.stderr)
-        else:
-            print(f"property {name}: OK")
-    return 1 if failed else 0
-
-
 def _parse_budget(text: Optional[str]) -> Optional[float]:
-    """Accept plain seconds or a trailing 's'/'m' unit: 120, 120s, 2m."""
+    """Accept plain seconds or a trailing 's'/'m' unit: 120, 120s, 2m.
+    A budget that is not a finite number of seconds above 0 would end
+    the fuzz run before its first case, so it is an operator error."""
     if not text:
         return None
-    text = text.strip().lower()
+    raw, text = text, text.strip().lower()
     scale = 1.0
     if text.endswith("m"):
         scale, text = 60.0, text[:-1]
     elif text.endswith("s"):
         text = text[:-1]
-    return float(text) * scale
+    budget = float(text) * scale
+    if not 0 < budget < math.inf:
+        raise ValueError(f"--budget must be a finite time above 0, got {raw!r}")
+    return budget
 
 
 def cmd_fuzz(args) -> int:
@@ -709,6 +690,9 @@ def cmd_fuzz(args) -> int:
             return 1
         print(f"{args.repro}: no longer reproduces")
         return 0
+    for flag, value in (("--seeds", args.seeds), ("--events", args.events)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     report = run_fuzz(
         args.seeds,
         budget_s=_parse_budget(args.budget),
@@ -773,9 +757,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", help="simulate one (workload, config) point")
+    p = sub.add_parser(
+        "run", help="simulate one (workload, config) point, with any observer lenses on it"
+    )
     p.add_argument("workload", choices=all_names())
     p.add_argument("--config", default="base", choices=sorted(CONFIG_FEATURES))
+    p.add_argument("--audit", action="store_true",
+                   help="check model invariants during the run "
+                        "(every SystemConfig.audit_interval events)")
+    p.add_argument("--trace", metavar="PATH",
+                   help="record simulated-time events; write Perfetto/Chrome JSON to PATH")
+    p.add_argument("--metrics", metavar="PATH", nargs="?", const="",
+                   help="sample interval metrics and chart them; a PATH also gets "
+                        "the series (.csv -> CSV, else JSONL)")
+    p.add_argument("--interval", type=int, default=None,
+                   help="simulated cycles between metric samples "
+                        "(default: SystemConfig.metrics_interval)")
+    p.add_argument("--columns", default="",
+                   help="comma list of metric columns to chart (default: all)")
+    p.add_argument("--why", metavar="PATH", nargs="?", const="",
+                   help="causal attribution: print the why table and check it "
+                        "reconciles; a PATH also gets the ledgers as JSON")
+    p.add_argument("--verify", action="store_true",
+                   help="check the run against the functional oracle")
+    p.add_argument("--properties", action="store_true",
+                   help="also run the metamorphic property suite on the plain config")
     _add_run_args(p)
     _add_format_args(p)
     p.set_defaults(func=cmd_run)
@@ -790,8 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true",
                    help="keep the result cache on for this sweep, even under "
                         "REPRO_CACHE=0: completed points load from it and "
-                        "each new one is stored as it completes (observed "
-                        "points always re-simulate)")
+                        "each new one is stored as it completes")
     _add_run_args(p)
     _add_format_args(p)
     p.set_defaults(func=cmd_sweep)
@@ -824,17 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "expansion miss shares (causal attribution)")
     _add_run_args(p)
     p.set_defaults(func=cmd_matrix)
-
-    p = sub.add_parser(
-        "why", help="run one point with causal attribution; print the why table"
-    )
-    p.add_argument("workload", choices=all_names())
-    p.add_argument("config", nargs="?", default="pref_compr",
-                   choices=sorted(CONFIG_FEATURES))
-    p.add_argument("-o", "--output", default="",
-                   help="also write the attribution ledgers as JSON")
-    _add_run_args(p)
-    p.set_defaults(func=cmd_why)
 
     p = sub.add_parser(
         "figure8", help="Figure 8 miss classification from four runs"
@@ -873,40 +867,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_schemes)
 
-    p = sub.add_parser("audit", help="run one point with invariant auditing on")
-    p.add_argument("workload", choices=all_names())
-    p.add_argument("--config", default="base", choices=sorted(CONFIG_FEATURES))
-    p.add_argument("--interval", type=int, default=2048,
-                   help="trace events between invariant sweeps")
-    _add_run_args(p)
-    p.set_defaults(func=cmd_audit)
-
     p = sub.add_parser("telemetry", help="summarise a JSONL telemetry file")
     p.add_argument("path")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_telemetry)
-
-    p = sub.add_parser("trace", help="run one point with event tracing; export Perfetto JSON")
-    p.add_argument("workload", choices=all_names())
-    p.add_argument("config", nargs="?", default="pref_compr", choices=sorted(CONFIG_FEATURES))
-    p.add_argument("-o", "--output", default="trace.json",
-                   help="Chrome trace-event JSON path (default trace.json)")
-    p.add_argument("--limit", type=int, default=None,
-                   help="max in-memory trace events (default 1e6)")
-    _add_run_args(p)
-    p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser("metrics", help="run one point with interval metrics; chart the series")
-    p.add_argument("workload", choices=all_names())
-    p.add_argument("config", nargs="?", default="pref_compr", choices=sorted(CONFIG_FEATURES))
-    p.add_argument("-o", "--output", default="",
-                   help="write the series (.csv -> CSV, else JSONL)")
-    p.add_argument("--interval", type=int, default=5_000,
-                   help="simulated cycles between samples")
-    p.add_argument("--columns", default="",
-                   help="comma list of metric columns to chart (default: all)")
-    _add_run_args(p)
-    p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("profile", help="profile the simulator's own wall-clock on one point")
     p.add_argument("workload", choices=all_names())
@@ -919,14 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cores", type=int, default=8)
     p.add_argument("--top", type=int, default=12, help="components to list")
     p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser("verify", help="check one point against the functional oracle")
-    p.add_argument("workload", choices=all_names())
-    p.add_argument("--config", default="pref_compr", choices=sorted(CONFIG_FEATURES))
-    p.add_argument("--properties", action="store_true",
-                   help="also run the metamorphic property suite")
-    _add_run_args(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("fuzz", help="fuzz random traces/configs through the verifiers")
     p.add_argument("--seeds", type=int, default=50, help="number of fuzz cases")

@@ -64,7 +64,7 @@ def _bind(
     events = events if events is not None else settings.get("REPRO_EVENTS")
     warmup = warmup if warmup is not None else _default_warmup()
     key = None
-    if use_cache and not any(settings.observers(config).values()):
+    if use_cache and not config.observed:
         key = diskcache.point_key(config, workload, seed, events, warmup)
     return name or config.describe(), config, events, warmup, key
 
@@ -94,9 +94,9 @@ def run_point(
     Lookup order: the persistent disk cache (when ``REPRO_CACHE`` is
     on), then simulate (and store the result).  ``use_cache=False``
     bypasses the cache in both directions, and so does any observer the
-    effective config turns on (audit, trace, metrics or attribution,
-    after the ``REPRO_*`` overrides): an observed point is always
-    simulated.  Under ``REPRO_CACHE=0`` every call simulates.
+    config turns on (audit, trace, metrics or attribution): an observed
+    point is always simulated.  Under ``REPRO_CACHE=0`` every call
+    simulates.
     """
     t0 = time.perf_counter()
     name, config, events, warmup, key = _bind(

@@ -88,12 +88,11 @@ class CMPSystem:
         # read-only: results are bit-identical with any of them on or off.
         # All off, the one observer reference is None everywhere and no
         # observer module is imported; otherwise repro.obs.observers arms
-        # the requested sensors on one hub.
-        wanted = settings.observers(config)
-        if any(wanted.values()):
+        # the config's sensors on one hub.
+        if config.observed:
             from repro.obs.observers import arm
 
-            self.hierarchy.observe(arm(config, self.hierarchy, wanted))
+            self.hierarchy.observe(arm(config, self.hierarchy))
 
     # The system's observer reference is its hierarchy's.
     observer = property(lambda self: self.hierarchy.observer)
@@ -155,8 +154,6 @@ class CMPSystem:
                 settings=settings.from_env(),
                 **(observer.telemetry() if observer is not None else {}),
             )
-        if observer is not None:
-            observer.write_outputs()
         return result
 
     def _run_events(self, events_per_core: int) -> None:

@@ -36,9 +36,8 @@ from the one observer hook path (:mod:`repro.obs.observers`).  The
 ``attr_*`` rows it adds to ``SimulationResult.extra`` are observations
 *about* the run, so :func:`repro.report.export.
 result_fingerprint` strips them before hashing.  Enable via
-``SystemConfig.attribution=True`` or ``REPRO_ATTRIBUTION``
-(``0`` force-disables; a path value additionally makes
-:meth:`CMPSystem.run` write the attribution table there as JSON).
+``SystemConfig.attribution=True``; ``repro run --why [PATH]`` does so,
+prints the why table and writes the ledgers to PATH as JSON.
 
 Two structural notes:
 

@@ -26,10 +26,8 @@ Violations raise :class:`AuditViolation`, which carries the full list of
 structured :class:`Violation` records (invariant name, message, context
 dict) so a failure pinpoints the broken state instead of a boolean.
 
-Enable via ``SystemConfig.audit=True`` or the ``REPRO_AUDIT=1``
-environment variable (the latter wins either way: ``REPRO_AUDIT=0``
-force-disables).  ``SystemConfig.audit_interval`` (``repro audit
---interval``) sets the cadence in trace events.  Auditing is read-only:
+Enable via ``SystemConfig.audit=True`` (``repro run --audit``).
+``SystemConfig.audit_interval`` sets the cadence in trace events.  Auditing is read-only:
 results with auditing on are bit-identical to auditing off.
 """
 
@@ -285,8 +283,8 @@ class Auditor:
     """Periodic audit driver owned by a running :class:`CMPSystem`.
 
     ``interval`` is the number of trace events between full sweeps;
-    ``checks_run`` / ``violations_found`` feed telemetry and the
-    ``repro audit`` CLI.
+    ``checks_run`` / ``violations_found`` feed telemetry and
+    ``repro run --audit``.
     """
 
     def __init__(self, hierarchy, interval: int = 4096) -> None:

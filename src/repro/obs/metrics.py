@@ -7,7 +7,7 @@ under a prefetch burst.  The sampler rides inside the simulator's event
 loop (one comparison per trace event when enabled, one ``is not None``
 branch when disabled) and snapshots the registered metrics into a
 columnar time series that exports as CSV or JSONL and renders as
-terminal phase charts (``repro metrics``).
+terminal phase charts (``repro run --metrics``).
 
 Two metric kinds:
 
@@ -24,11 +24,10 @@ run.  :meth:`IntervalSampler.on_reset` re-bases every rate's previous
 snapshot when :meth:`CMPSystem.reset_stats` zeroes the counters, so the
 first post-warmup row never sees negative deltas.
 
-Enable via ``SystemConfig.metrics=True`` or ``REPRO_METRICS`` (``0``
-force-disables; a path value additionally makes ``CMPSystem.run`` write
-the series there — ``.csv`` suffix selects CSV, anything else JSONL).
-``SystemConfig.metrics_interval`` (``repro metrics --interval``) sets
-the cadence in simulated cycles.
+Enable via ``SystemConfig.metrics=True``; ``repro run --metrics PATH``
+does so and writes the series to PATH (``.csv`` suffix selects CSV,
+anything else JSONL).  ``SystemConfig.metrics_interval`` (``repro run
+--interval``) sets the cadence in simulated cycles.
 """
 
 from __future__ import annotations

@@ -42,13 +42,11 @@ class Observers:
     event is an instance attribute bound to its takers' handlers."""
 
     def __init__(self, auditor=None, tracer=None, sampler=None,
-                 attribution=None, outputs=()) -> None:
+                 attribution=None) -> None:
         self.auditor = auditor
         self.tracer = tracer
         self.sampler = sampler
         self.attribution = attribution
-        #: (sensor, path) pairs written when a run completes.
-        self.outputs = list(outputs)
         #: Issue time of the access in flight, stamped by the hierarchy.
         self.now = 0.0
         sensors = [s for s in (tracer, sampler, attribution) if s is not None]
@@ -76,32 +74,24 @@ class Observers:
             "metrics_samples": self.sampler.samples if self.sampler is not None else 0,
         }
 
-    def write_outputs(self) -> None:
-        for sensor, path in self.outputs:
-            sensor.write(path)
 
-
-def arm(config, hierarchy, wanted: Dict[str, Any]) -> Observers:
-    """A hub of the sensors ``wanted`` (:func:`repro.settings.observers`)
-    asks for; a path value names the file the sensor writes at the end."""
+def arm(config, hierarchy) -> Observers:
+    """A hub of the sensors whose ``SystemConfig`` fields are on."""
     auditor = tracer = sampler = tracker = None
-    if wanted["audit"]:
+    if config.audit:
         from repro.obs.audit import Auditor
 
         auditor = Auditor(hierarchy, config.audit_interval)
-    if wanted["trace"]:
+    if config.trace:
         from repro.obs.trace import Tracer
 
         tracer = Tracer(config.n_cores, config.l2.n_banks)
-    if wanted["metrics"]:
+    if config.metrics:
         from repro.obs.metrics import IntervalSampler
 
         sampler = IntervalSampler(config.metrics_interval)
-    if wanted["attribution"]:
+    if config.attribution:
         from repro.obs.attribution import AttributionTracker
 
         tracker = AttributionTracker(config, hierarchy.l2.stack_depth)
-    writers = {"trace": tracer, "metrics": sampler, "attribution": tracker}
-    outputs = [(writers[name], value) for name, value in wanted.items()
-               if name in writers and isinstance(value, str)]
-    return Observers(auditor, tracer, sampler, tracker, outputs)
+    return Observers(auditor, tracer, sampler, tracker)

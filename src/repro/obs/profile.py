@@ -91,9 +91,8 @@ def profile_point(
 ) -> ProfileReport:
     """Run one (workload, config) point under a profiler.
 
-    The point runs through :meth:`CMPSystem.run`, so ambient observer
-    outputs (``REPRO_TRACE`` and friends) and telemetry apply as they
-    do to ``repro run``.  The returned events/sec includes cProfile's
+    The point runs through :meth:`CMPSystem.run`, so its ``simulate``
+    telemetry record is logged as for ``repro run``.  The returned events/sec includes cProfile's
     own overhead (~2x) — compare like with like.
     """
     from repro.core.system import CMPSystem

@@ -33,12 +33,9 @@ The tracer's ``on_*`` handlers take the simulator's scalar events from
 its one observer hook path (:mod:`repro.obs.observers`) and are the only
 code that knows the tracks, span names and arguments below.  Tracing is
 strictly read-only: results are bit-identical to a plain run.  Enable
-via ``SystemConfig.trace=True`` or ``REPRO_TRACE`` (``REPRO_TRACE=0``
-force-disables; any other non-empty value enables,
-and a value that is a path — anything but ``0``/``1`` — makes
-:meth:`CMPSystem.run` write the trace there when the run completes).
-The tracer's ``limit`` (``repro trace --limit``) caps the in-memory
-event count (default 1e6); events past the cap are counted in
+via ``SystemConfig.trace=True``; ``repro run --trace PATH`` does so and
+writes the trace to PATH when the run completes.  The tracer's
+``limit`` caps the in-memory event count (default 1e6); events past the cap are counted in
 ``dropped_events`` metadata instead of silently vanishing.
 """
 

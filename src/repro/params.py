@@ -219,9 +219,9 @@ class SystemConfig:
     prefetch: PrefetchConfig = field(default_factory=PrefetchConfig)
     # Opt-in invariant auditing (repro.obs.audit): periodically verify
     # model invariants (inclusion, directory consistency, segment
-    # budgets, stats conservation) during simulation.  ``REPRO_AUDIT``
-    # overrides ``audit``; ``audit_interval`` is the cadence (trace
-    # events per core-interleaved step between full checks).
+    # budgets, stats conservation) during simulation (``repro run
+    # --audit``).  ``audit_interval`` is the cadence (trace events per
+    # core-interleaved step between full checks).
     # Auditing never changes simulation results — only whether an
     # :class:`~repro.obs.audit.AuditViolation` can interrupt a run.
     audit: bool = False
@@ -230,9 +230,9 @@ class SystemConfig:
     # ``trace`` records simulated-time spans and instants for Perfetto
     # export; ``metrics`` samples a time series of IPC/miss-rate/
     # compression/link/prefetch metrics every ``metrics_interval``
-    # simulated cycles.  ``REPRO_TRACE`` / ``REPRO_METRICS`` override
-    # the flags.  Both layers are read-only: results are bit-identical
-    # with them on or off.
+    # simulated cycles (``repro run --trace`` / ``--metrics``).  Both
+    # layers are read-only: results are bit-identical with them on or
+    # off.
     trace: bool = False
     metrics: bool = False
     metrics_interval: int = 5000
@@ -240,9 +240,8 @@ class SystemConfig:
     # cached line with its inserter, record every eviction's cause, and
     # classify each demand miss online into compulsory / capacity /
     # pollution / expansion via per-set shadow victim-tag filters.
-    # ``REPRO_ATTRIBUTION`` overrides the flag (a path value also names
-    # the JSON output file).  Read-only like trace/metrics: results are
-    # bit-identical with attribution on or off.
+    # ``repro run --why`` turns it on.  Read-only like trace/metrics:
+    # results are bit-identical with attribution on or off.
     attribution: bool = False
     # The simulation engine (core.hierarchy driven by core.system's
     # event loop).  A class constant, not a field; run headers print it.
@@ -253,6 +252,11 @@ class SystemConfig:
             raise ValueError("audit_interval must be positive")
         if self.metrics_interval <= 0:
             raise ValueError("metrics_interval must be positive")
+
+    @property
+    def observed(self) -> bool:
+        """Whether any observer (audit, trace, metrics, attribution) is on."""
+        return self.audit or self.trace or self.metrics or self.attribution
 
     @property
     def cache_compression(self) -> bool:

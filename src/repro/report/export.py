@@ -171,7 +171,7 @@ def result_fingerprint(result: SimulationResult) -> str:
     Two results fingerprint identically iff every counter, float and
     histogram bucket is bit-identical (floats round-trip exactly through
     ``repr``).  The audit subsystem uses this to prove that enabling
-    ``REPRO_AUDIT`` does not perturb simulations, and the golden-snapshot
+    auditing does not perturb simulations, and the golden-snapshot
     test uses it to detect behavioural drift.
 
     ``attr_*`` extras are stripped before hashing: causal attribution

@@ -2,13 +2,12 @@
 
 A simulation result is fixed by its :class:`~repro.params.SystemConfig`
 and its run arguments; *how* a run executes — how many events by
-default, which observers are armed, where the result cache lives,
-which faults are injected — is set by ``REPRO_*`` environment
-variables.  :data:`TABLE` declares every one of them with
-its kind, default, bound and a one-line doc; :func:`get` is the only
-reader, and :func:`check` validates them all up front (``repro`` does
-so before dispatching any command, so a bad value fails every command
-the same way, cache hits included)::
+default, where the result cache lives, which faults are injected — is
+set by ``REPRO_*`` environment variables.  :data:`TABLE` declares every
+one of them with its kind, default, bound and a one-line doc;
+:func:`get` is the only reader, and :func:`check` validates them all up
+front (``repro`` does so before dispatching any command, so a bad value
+fails every command the same way, cache hits included)::
 
     REPRO_X must be <kind>[ >= n], got '<value>'
 
@@ -42,10 +41,6 @@ def _path(raw: str) -> str:
     return raw
 
 
-def _switch_or_path(raw: str):
-    return _switch(raw) if raw in ("0", "1") else _path(raw)
-
-
 def _positive(raw: str) -> float:
     value = float(raw)
     if not value > 0:
@@ -70,7 +65,6 @@ KINDS: Dict[str, Tuple[str, Callable[[str], Any]]] = {
     "positive": ("a number > 0", _positive),
     "switch": ("0 or 1", _switch),
     "path": ("a path", _path),
-    "switch-or-path": ("0, 1 or a path", _switch_or_path),
     "fault-plan": ("a fault plan", _fault_plan),
 }
 
@@ -111,15 +105,7 @@ _ROWS = (
             unset="cpu count"),
     Setting("REPRO_POINT_TIMEOUT", "positive", None,
             "per-point wall-clock budget in seconds for parallel sweeps"),
-    # Observers (repro.obs); each env value overrides its SystemConfig field.
-    Setting("REPRO_AUDIT", "switch", None,
-            "1/0 forces invariant auditing on/off (overrides SystemConfig.audit)"),
-    Setting("REPRO_TRACE", "switch-or-path", None,
-            "1/0 forces event tracing on/off; a path also writes the trace there"),
-    Setting("REPRO_METRICS", "switch-or-path", None,
-            "1/0 forces interval metrics on/off; a path also writes the series there"),
-    Setting("REPRO_ATTRIBUTION", "switch-or-path", None,
-            "1/0 forces causal attribution on/off; a path also writes the ledgers there"),
+    # Run telemetry (repro.obs.telemetry).
     Setting("REPRO_TELEMETRY", "path", None, "append JSONL run telemetry to this file"),
     # Fault injection (repro.faults).
     Setting("REPRO_FAULTS", "fault-plan", None,
@@ -169,24 +155,6 @@ def from_env() -> Dict[str, Any]:
     """Every knob set in the environment, with its parsed value (the
     ``settings`` field of ``simulate`` and ``sweep`` telemetry)."""
     return {name: get(name) for name in TABLE if source(name) == "env"}
-
-
-def override(name: str, config_value: Any) -> Any:
-    """The precedence shared by the observer knobs: a set env value wins
-    over the matching ``SystemConfig`` field (so ``REPRO_AUDIT=0``
-    force-disables an audited config)."""
-    value = get(name, None)
-    return config_value if value is None else value
-
-
-def observers(config: Any) -> Dict[str, Any]:
-    """Each observer's effective setting for a ``SystemConfig``: its
-    ``REPRO_*`` knob overrides the config field (audit, trace, metrics,
-    attribution, in that order)."""
-    return {
-        name: override("REPRO_" + name.upper(), getattr(config, name))
-        for name in ("audit", "trace", "metrics", "attribution")
-    }
 
 
 def check() -> None:

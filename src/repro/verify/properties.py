@@ -72,7 +72,6 @@ import json
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import settings
 from repro.core.results import SimulationResult
 from repro.core.system import CMPSystem
 from repro.params import SystemConfig
@@ -416,15 +415,12 @@ def check_attribution_noop(
     warmup = events if warmup is None else warmup
     off = replace(config, attribution=False)
     on = replace(config, attribution=True)
-    # An ambient REPRO_ATTRIBUTION would override both sides of the
-    # pair (turning A/B into A/A); suspend it for the comparison.
-    with settings.suspended("REPRO_ATTRIBUTION"):
-        r_off = _simulate(off, workload, trace, seed, events, warmup)
-        if trace is not None:
-            system = CMPSystem(on, trace=trace)
-        else:
-            system = CMPSystem(on, workload, seed=seed)
-        r_on = system.run(events, warmup_events=warmup, config_name="property")
+    r_off = _simulate(off, workload, trace, seed, events, warmup)
+    if trace is not None:
+        system = CMPSystem(on, trace=trace)
+    else:
+        system = CMPSystem(on, workload, seed=seed)
+    r_on = system.run(events, warmup_events=warmup, config_name="property")
     f_off, f_on = result_fingerprint(r_off), result_fingerprint(r_on)
     if f_off != f_on:
         ignore = tuple(

@@ -3,7 +3,7 @@
 The two load-bearing guarantees, proven across the full workload x
 config matrix:
 
-* **read-only** — ``REPRO_ATTRIBUTION``/``SystemConfig.attribution``
+* **read-only** — ``SystemConfig.attribution`` (``repro run --why``)
   leaves ``result_fingerprint`` bit-identical to a plain run;
 * **exact accounting** — attributed misses sum to ``l2.demand_misses``,
   eviction causes sum to the eviction/invalidation counters, with no
@@ -11,9 +11,8 @@ config matrix:
 
 The rest of the suite covers the classification semantics of the shadow
 victim filter, the prefetch/compression ledgers, the estimator-vs-
-ground-truth cross-check against Figure 8's set arithmetic, the env-var
-gate, and the ``why`` / ``figure8`` / ``matrix --attribution`` CLI
-entry points.
+ground-truth cross-check against Figure 8's set arithmetic, and the
+``run --why`` / ``figure8`` / ``matrix --attribution`` CLI entry points.
 """
 
 from __future__ import annotations
@@ -24,14 +23,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro import settings
 from repro.cache.compressed import CompressedSetCache
+from repro.core.diskcache import DiskCache
 from repro.core.experiment import CONFIG_FEATURES, make_config, run_point
 from repro.core.missclass import classify_misses
 from repro.core.system import CMPSystem
 from repro.digest import stable_hash
 from repro.obs.attribution import AttributionTracker
-from repro.params import SystemConfig
 from repro.report.export import result_fingerprint
 from repro.workloads.registry import all_names
 
@@ -50,10 +48,9 @@ def _tracked_run(key, workload, *, events=400, warmup=200, seed=5):
 
 @pytest.mark.parametrize("workload", sorted(all_names()))
 @pytest.mark.parametrize("key", sorted(CONFIG_FEATURES))
-def test_attribution_never_changes_results(workload, key, monkeypatch):
+def test_attribution_never_changes_results(workload, key):
     """Attribution off vs on: bit-identical fingerprints and exact
     reconciliation against the stats counters."""
-    monkeypatch.delenv("REPRO_ATTRIBUTION", raising=False)
     plain_cfg = make_config(key, n_cores=2, scale=16)
     plain = CMPSystem(plain_cfg, workload, seed=5).run(400, warmup_events=200)
     system, tracked = _tracked_run(key, workload)
@@ -94,8 +91,6 @@ def _count_stack_depth(monkeypatch):
 def test_only_attribution_reads_the_l2_stack_depth(monkeypatch):
     """The O(assoc) depth scan runs for an L2 demand hit only when the
     tracker takes the event; a trace-only run never pays it."""
-    monkeypatch.delenv("REPRO_ATTRIBUTION", raising=False)
-    monkeypatch.delenv("REPRO_TRACE", raising=False)
     calls = _count_stack_depth(monkeypatch)
     cfg = replace(make_config("base", n_cores=2, scale=64), trace=True)
     result = CMPSystem(cfg, "apache", seed=5).run(2000, warmup_events=1000)
@@ -105,10 +100,9 @@ def test_only_attribution_reads_the_l2_stack_depth(monkeypatch):
     assert calls
 
 
-def test_attributed_extras_match_the_recorded_point(monkeypatch):
+def test_attributed_extras_match_the_recorded_point():
     """The tracker reads the stack depth itself; its ``attr_*`` extras
     equal those recorded when the hierarchy passed the depth in."""
-    monkeypatch.delenv("REPRO_ATTRIBUTION", raising=False)
     cfg = replace(make_config("pref_compr", n_cores=2, scale=64), attribution=True)
     result = CMPSystem(cfg, "apache", seed=5).run(2000, warmup_events=1000)
     extra = {k: v for k, v in result.extra.items() if k.startswith("attr_")}
@@ -124,7 +118,7 @@ def test_attributed_extras_match_the_recorded_point(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_figure8_estimate_tracks_measured_attribution(monkeypatch):
+def test_figure8_estimate_tracks_measured_attribution():
     """Figure 8's four-run set arithmetic vs the per-event ledgers.
 
     The two methods measure different things — the estimator counts
@@ -138,7 +132,6 @@ def test_figure8_estimate_tracks_measured_attribution(monkeypatch):
     flags a broken ledger (order-of-magnitude disagreement, e.g.
     double counting) without chasing simulator noise.
     """
-    monkeypatch.delenv("REPRO_ATTRIBUTION", raising=False)
     for workload in ("oltp", "apache"):
         runs, trackers = {}, {}
         for key in ("base", "compr", "pref", "pref_compr"):
@@ -273,41 +266,6 @@ def test_shares_and_export_shapes():
 
 
 # ---------------------------------------------------------------------------
-# gate + artifact
-# ---------------------------------------------------------------------------
-
-
-def test_env_gate_overrides_config(monkeypatch):
-    on = replace(SystemConfig(), attribution=True)
-    off = SystemConfig()
-    def enabled(cfg):
-        return bool(settings.override("REPRO_ATTRIBUTION", cfg.attribution))
-
-    monkeypatch.delenv("REPRO_ATTRIBUTION", raising=False)
-    assert enabled(on)
-    assert not enabled(off)
-    monkeypatch.setenv("REPRO_ATTRIBUTION", "0")
-    assert not enabled(on)
-    monkeypatch.setenv("REPRO_ATTRIBUTION", "1")
-    assert enabled(off)
-    assert settings.get("REPRO_ATTRIBUTION") is True
-    monkeypatch.setenv("REPRO_ATTRIBUTION", "/tmp/a.json")
-    assert settings.get("REPRO_ATTRIBUTION") == "/tmp/a.json"
-
-
-def test_env_autowrite_artifact(tmp_path, monkeypatch):
-    out = tmp_path / "attr.json"
-    monkeypatch.setenv("REPRO_ATTRIBUTION", str(out))
-    cfg = make_config("pref_compr", n_cores=2, scale=16)
-    CMPSystem(cfg, "zeus", seed=0).run(400, warmup_events=200)
-    data = json.loads(out.read_text())
-    for key in ("miss_class", "l2_evict_cause", "prefetch", "compression",
-                "shares"):
-        assert key in data
-    assert sum(data["miss_class"].values()) > 0
-
-
-# ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
@@ -317,7 +275,7 @@ def test_cli_why_command(tmp_path, capsys, monkeypatch):
 
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "why.json"
-    rc = main(["why", "zeus", "pref_compr", "-o", str(out),
+    rc = main(["run", "zeus", "--config", "pref_compr", "--why", str(out),
                "--events", "400", "--scale", "16", "--cores", "2"])
     assert rc == 0
     captured = capsys.readouterr().out
@@ -398,13 +356,13 @@ def test_attribution_on_a_warm_point_is_simulated(tmp_path, monkeypatch):
     """An observed point never reads the caches, so a warm disk cache
     cannot hand back a result without its ledgers."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setenv("REPRO_ATTRIBUTION", "1")
-    point = dict(events=400, warmup=400, scale=16, n_cores=2)
+    cfg = replace(make_config("pref_compr", scale=16, n_cores=2), attribution=True)
 
     def rows(result):
         return {k: v for k, v in result.extra.items() if k.startswith("attr_")}
 
-    cold = run_point("zeus", "pref_compr", **point)
-    warm = run_point("zeus", "pref_compr", **point)
+    cold = run_point("zeus", cfg, events=400, warmup=400)
+    warm = run_point("zeus", cfg, events=400, warmup=400)
     assert rows(cold)
     assert rows(warm) == rows(cold)
+    assert DiskCache().stats()["entries"] == 0

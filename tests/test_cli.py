@@ -61,6 +61,72 @@ class TestRun:
         code, out = run_cli(capsys, "run", "zeus", "--csv", *SMALL)
         assert out.splitlines()[0].startswith("workload,")
 
+    def test_every_lens_on_one_run(self, capsys, tmp_path):
+        """All five lens flags arm together on one system and run once:
+        each lens writes and prints its output, and the result is the
+        plain run's."""
+        from repro.obs.trace import validate_trace
+
+        trace, metrics, why = (str(tmp_path / name)
+                               for name in ("t.json", "m.csv", "w.json"))
+        lenses = ("--audit", "--trace", trace, "--metrics", metrics,
+                  "--why", why, "--verify")
+        code, out = run_cli(capsys, "run", "zeus", "--config", "pref_compr",
+                            *lenses, *SMALL)
+        assert code == 0
+        for line in ("audit OK", "oracle OK", "reconciles exactly"):
+            assert line in out
+        data = json.loads(open(trace).read())
+        assert validate_trace(data) == []
+        assert any(e.get("ph") == "i" and e["name"].startswith("attr.miss.")
+                   for e in data["traceEvents"])
+        assert open(metrics).read().startswith("cycle,")
+        assert "miss_class" in json.loads(open(why).read())
+
+        def plain_rows(text):
+            rows = json.loads(text)
+            for row in rows:
+                extra = {k: v for k, v in row.pop("extra", {}).items()
+                         if not k.startswith("attr_")}
+                if extra:
+                    row["extra"] = extra
+            return rows
+
+        code = main(["run", "zeus", "--config", "pref_compr", *lenses, "--json", *SMALL])
+        observed = capsys.readouterr()
+        assert code == 0
+        assert "audit OK" in observed.err  # lens sections keep stdout JSON
+        code, plain = run_cli(capsys, "run", "zeus", "--config", "pref_compr",
+                              "--json", *SMALL)
+        assert code == 0
+        assert plain_rows(observed.out) == plain_rows(plain)
+
+
+    def test_a_failed_check_stops_the_run(self, capsys, monkeypatch):
+        """An audit violation or an oracle mismatch ends the run with
+        exit 1, naming what failed on stderr, before any section prints."""
+        from repro.obs.audit import AuditViolation, Violation
+        from repro.verify.oracle import ReferenceHierarchy
+
+        def violate(hierarchy, expected=None):
+            raise AuditViolation([Violation("planted", "broken on purpose")])
+
+        monkeypatch.setattr("repro.obs.audit.audit_hierarchy", violate)
+        monkeypatch.setattr(ReferenceHierarchy, "compare", lambda self, h: ["planted"])
+        for flag, name in (("--audit", "AuditViolation"), ("--verify", "OracleMismatch")):
+            code = main(["run", "zeus", flag, *SMALL])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert captured.err.startswith(f"{name} in zeus/base:")
+            assert "planted" in captured.err
+
+    def test_no_metric_samples_exits_1(self, capsys):
+        code = main(["run", "zeus", "--metrics", "--interval", "100000000", *SMALL])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "no samples recorded" in captured.err
+
 
 class TestSweep:
     def test_matrix(self, capsys):

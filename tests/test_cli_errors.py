@@ -67,6 +67,36 @@ class TestBadValues:
         with pytest.raises(ValueError):
             _parse_budget("soon")
 
+    # A fuzz run that could check nothing is an operator error: exit 2
+    # with one line before any case runs, and no crash file is written.
+    @pytest.mark.parametrize("argv", [
+        ("--budget", "0"),
+        ("--budget", "-5"),
+        ("--budget", "nan"),
+        ("--budget", "infs"),
+        ("--seeds", "0"),
+        ("--events", "0"),
+    ], ids=lambda argv: "".join(argv).lstrip("-"))
+    def test_fuzz_that_checks_nothing_rejected(self, capsys, tmp_path, argv):
+        corpus = tmp_path / "corpus"
+        code, out, err = run_cli(capsys, "fuzz", "--seeds", "1", "--events", "50",
+                                 "--corpus", str(corpus), *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: {argv[0]} must be"), err
+        assert not corpus.exists()
+
+    @pytest.mark.parametrize("jobs", ["-3", "-1"])
+    def test_sweep_negative_jobs_rejected(self, capsys, monkeypatch, tmp_path, jobs):
+        store = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(store))
+        code, out, err = run_cli(capsys, "sweep", "--workloads", "zeus", "--configs",
+                                 "base", "--jobs", jobs, "--events", "50", "--quiet")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: --jobs must be >= 0"), err
+        assert not store.exists()
+
 
 class TestArgparseRejections:
     # argparse exits with SystemExit(2) and a usage line of its own.
@@ -77,6 +107,11 @@ class TestArgparseRejections:
             ("run", "zeus", "--config", "turbo"),
             ("verify", "doom"),
             ("verify", "zeus", "--config", "turbo"),
+            ("why", "zeus"),
+            ("audit", "zeus"),
+            ("trace", "zeus"),
+            ("metrics", "zeus"),
+            ("verify", "zeus"),
             ("nonsense",),
             ("bench",),
             ("profile", "zeus", "--engine", "sampler"),
@@ -92,9 +127,7 @@ class TestArgparseRejections:
     # other command refuses the flags instead of printing plain text.
     @pytest.mark.parametrize("flag", ["--json", "--csv"])
     @pytest.mark.parametrize("argv", [
-        ("table5",), ("matrix",), ("figure8",), ("why", "zeus"),
-        ("audit", "zeus"), ("trace", "zeus"), ("metrics", "zeus"),
-        ("verify", "zeus"),
+        ("table5",), ("matrix",), ("figure8",),
     ], ids=lambda argv: argv[0])
     def test_format_flags_rejected_where_ignored(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as excinfo:

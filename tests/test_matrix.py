@@ -138,9 +138,7 @@ class TestMatrixPipeline:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
-        for var in ("REPRO_CACHE", "REPRO_JOBS", "REPRO_TELEMETRY",
-                    "REPRO_ATTRIBUTION", "REPRO_AUDIT", "REPRO_TRACE",
-                    "REPRO_METRICS"):
+        for var in ("REPRO_CACHE", "REPRO_JOBS", "REPRO_TELEMETRY"):
             env.pop(var, None)
 
         def matrix(csv, **extra):

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from repro import settings
 from repro.cache.line import MSIState
 from repro.core.system import CMPSystem
 from repro.obs import telemetry
@@ -27,25 +26,11 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestEnableResolution:
-    def test_config_switch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AUDIT", raising=False)
-        assert not settings.override("REPRO_AUDIT", SystemConfig().audit)
-        assert settings.override("REPRO_AUDIT", SystemConfig(audit=True).audit)
-
-    def test_env_overrides_config_on(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AUDIT", "1")
-        assert settings.override("REPRO_AUDIT", SystemConfig(audit=False).audit)
-
-    def test_env_zero_force_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AUDIT", "0")
-        assert not settings.override("REPRO_AUDIT", SystemConfig(audit=True).audit)
-
     def test_interval_env_override(self, monkeypatch):
         # The cadence is the config field alone: no environment knob
         # overrides it.
-        monkeypatch.setenv("REPRO_AUDIT", "1")
         monkeypatch.setenv("REPRO_AUDIT_INTERVAL", "128")
-        cfg = replace(make_tiny_system(), audit_interval=555)
+        cfg = replace(make_tiny_system(), audit=True, audit_interval=555)
         assert CMPSystem(cfg, "zeus", seed=0).auditor.interval == 555
 
     def test_interval_must_be_positive(self):
@@ -159,31 +144,22 @@ class TestTamperDetection:
 
 
 class TestSystemIntegration:
-    def test_auditor_runs_during_simulation(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AUDIT", raising=False)
-        cfg = make_tiny_system()
-        from dataclasses import replace
-
-        cfg = replace(cfg, audit=True, audit_interval=64)
+    def test_auditor_runs_during_simulation(self):
+        cfg = replace(make_tiny_system(), audit=True, audit_interval=64)
         system = CMPSystem(cfg, "zeus", seed=0)
         system.run(300, warmup_events=100)
         assert system.auditor is not None
         assert system.auditor.checks_run >= 300 * cfg.n_cores // 64
         assert system.auditor.violations_found == 0
 
-    def test_audit_off_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AUDIT", raising=False)
+    def test_audit_off_by_default(self):
         assert CMPSystem(make_tiny_system(), "zeus", seed=0).auditor is None
 
-    def test_env_enables_audit(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AUDIT", "1")
-        system = CMPSystem(make_tiny_system(), "zeus", seed=0)
+    def test_config_enables_audit_at_default_interval(self):
+        system = CMPSystem(replace(make_tiny_system(), audit=True), "zeus", seed=0)
         assert system.auditor is not None and system.auditor.interval == 4096
 
-    def test_simulate_facade_audit_flag(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AUDIT", raising=False)
-        from dataclasses import replace
-
+    def test_simulate_facade_audit_flag(self):
         from repro.core.experiment import run_point
 
         result = run_point(
@@ -192,15 +168,12 @@ class TestSystemIntegration:
         )
         assert result.events == 400  # ran to completion, zero violations
 
-    def test_audit_does_not_change_results(self, monkeypatch):
+    def test_audit_does_not_change_results(self):
         """The acceptance criterion: auditing is observation only."""
-        monkeypatch.delenv("REPRO_AUDIT", raising=False)
         cfg = make_tiny_system()
         plain = CMPSystem(cfg, "oltp", seed=3).run(400, warmup_events=200)
-        monkeypatch.setenv("REPRO_AUDIT", "1")
-        audited = CMPSystem(replace(cfg, audit_interval=16), "oltp", seed=3).run(
-            400, warmup_events=200
-        )
+        audited = CMPSystem(replace(cfg, audit=True, audit_interval=16), "oltp",
+                            seed=3).run(400, warmup_events=200)
         assert result_fingerprint(plain) == result_fingerprint(audited)
 
 
@@ -300,18 +273,16 @@ class TestTelemetry:
 
 
 class TestCLI:
-    def test_audit_command_smoke(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_AUDIT", raising=False)
+    def test_audit_command_smoke(self, capsys):
         from repro.cli import main
 
         code = main([
-            "audit", "zeus", "--config", "pref_compr", "--events", "300",
-            "--warmup", "300", "--scale", "16", "--cores", "2", "--interval", "64",
+            "run", "zeus", "--config", "pref_compr", "--audit", "--events", "300",
+            "--warmup", "300", "--scale", "16", "--cores", "2",
         ])
         out = capsys.readouterr().out
         assert code == 0
         assert "audit OK" in out and "0 violations" in out
-        assert "fingerprint" in out
 
     def test_telemetry_command_smoke(self, capsys, tmp_path, monkeypatch):
         sink = tmp_path / "t.jsonl"

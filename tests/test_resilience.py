@@ -415,9 +415,7 @@ class TestCLIResilience:
         ({}, [], False, 2, 0),
         # A damaged entry is quarantined and recomputed.
         ({"REPRO_CACHE": "0"}, ["--resume"], True, 2, 1),
-        # Observed points stay out of the store: all re-simulate.
-        ({"REPRO_CACHE": "0", "REPRO_AUDIT": "1"}, ["--resume"], False, 0, 2),
-    ], ids=["cache-off", "cache-on", "cut-entry", "audited"])
+    ], ids=["cache-off", "cache-on", "cut-entry"])
     def test_sweep_resume_round_trip_identical_stdout(
         self, monkeypatch, capsys, tmp_path, env, first, cut, stored, simulated,
     ):

@@ -26,7 +26,6 @@ MALFORMED = {
     "positive": "x1",
     "switch": "banana",
     "path": "   ",
-    "switch-or-path": "\t",
     "fault-plan": "garbage@@",
 }
 
@@ -113,14 +112,14 @@ def test_cli_process_exits_2_with_one_line(tmp_path):
 
 def test_config_reports_value_and_source(monkeypatch, capsys):
     monkeypatch.setenv("REPRO_JOBS", "3")
-    monkeypatch.setenv("REPRO_TRACE", "/tmp/run.json")
+    monkeypatch.setenv("REPRO_TELEMETRY", "/tmp/run.jsonl")
     monkeypatch.delenv("REPRO_SEEDS", raising=False)
     assert main(["config", "--json"]) == 0
     rows = {row["name"]: row for row in json.loads(capsys.readouterr().out)}
     assert list(rows) == list(settings.TABLE)
     assert (rows["REPRO_JOBS"]["value"], rows["REPRO_JOBS"]["source"]) == (3, "env")
-    assert (rows["REPRO_TRACE"]["value"], rows["REPRO_TRACE"]["source"]) == (
-        "/tmp/run.json", "env"
+    assert (rows["REPRO_TELEMETRY"]["value"], rows["REPRO_TELEMETRY"]["source"]) == (
+        "/tmp/run.jsonl", "env"
     )
     assert (rows["REPRO_SEEDS"]["value"], rows["REPRO_SEEDS"]["source"]) == (
         1, "default"
@@ -158,13 +157,13 @@ def test_empty_is_unset_and_unknown_names_raise(monkeypatch):
 
 
 def test_suspended_restores_every_named_knob(monkeypatch):
-    monkeypatch.setenv("REPRO_AUDIT", "0")
+    monkeypatch.setenv("REPRO_CACHE", "0")
     monkeypatch.delenv("REPRO_POINT_TIMEOUT", raising=False)
-    with settings.suspended("REPRO_AUDIT", "REPRO_POINT_TIMEOUT"):
-        assert settings.source("REPRO_AUDIT") == "default"
+    with settings.suspended("REPRO_CACHE", "REPRO_POINT_TIMEOUT"):
+        assert settings.source("REPRO_CACHE") == "default"
         settings.put("REPRO_POINT_TIMEOUT", 0.5)
         assert settings.get("REPRO_POINT_TIMEOUT") == 0.5
-    assert os.environ["REPRO_AUDIT"] == "0"
+    assert os.environ["REPRO_CACHE"] == "0"
     assert "REPRO_POINT_TIMEOUT" not in os.environ
     with pytest.raises(ValueError, match="REPRO_POINT_TIMEOUT must be a number > 0"):
         settings.put("REPRO_POINT_TIMEOUT", 0)

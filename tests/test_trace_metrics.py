@@ -5,7 +5,7 @@ the central guarantee — proven here across the full workload x config
 matrix — is that results are bit-identical (same ``result_fingerprint``)
 with them on or off.  The rest of the suite checks the artifacts
 themselves: the Chrome trace-event schema contract, sampler determinism
-across ``reset_stats``, the env-var gates, the live sweep progress
+across ``reset_stats``, the config gates, the live sweep progress
 renderer, and the CLI entry points.
 """
 
@@ -16,7 +16,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro import settings
 from repro.core.experiment import CONFIG_FEATURES, make_config
 from repro.core.system import CMPSystem
 from repro.obs.metrics import IntervalSampler, MetricsRegistry
@@ -231,50 +230,12 @@ def test_registry_rejects_duplicates_and_reads_rates():
 # ---------------------------------------------------------------------------
 
 
-def test_env_gates_override_config(monkeypatch):
-    on = replace(SystemConfig(), trace=True, metrics=True)
-    off = SystemConfig()
-    for var, field in (("REPRO_TRACE", "trace"), ("REPRO_METRICS", "metrics")):
-        def enabled(cfg):
-            return bool(settings.override(var, getattr(cfg, field)))
-
-        monkeypatch.delenv(var, raising=False)
-        assert enabled(on) and not enabled(off)
-        monkeypatch.setenv(var, "0")
-        assert not enabled(on) and not enabled(off)
-        monkeypatch.setenv(var, "1")
-        assert enabled(on) and enabled(off)
-        monkeypatch.delenv(var, raising=False)
-
-
-def test_path_valued_gates_carry_output_paths(monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE", "/tmp/t.json")
-    monkeypatch.setenv("REPRO_METRICS", "/tmp/m.csv")
-    assert settings.override("REPRO_TRACE", SystemConfig().trace)
-    assert settings.get("REPRO_TRACE") == "/tmp/t.json"
-    assert settings.get("REPRO_METRICS") == "/tmp/m.csv"
-    monkeypatch.setenv("REPRO_TRACE", "1")
-    assert settings.get("REPRO_TRACE") is True
-
-
 def test_interval_gate(monkeypatch):
     # The cadence is the config field alone: no environment knob
     # overrides it.
-    monkeypatch.setenv("REPRO_METRICS", "1")
     monkeypatch.setenv("REPRO_METRICS_INTERVAL", "77")
-    cfg = replace(SystemConfig(n_cores=2), metrics_interval=123)
+    cfg = replace(SystemConfig(n_cores=2), metrics=True, metrics_interval=123)
     assert CMPSystem(cfg, "zeus", seed=0).sampler.interval == 123
-
-
-def test_env_autowrite_artifacts(tmp_path, monkeypatch):
-    trace_out = tmp_path / "auto.json"
-    metrics_out = tmp_path / "auto.csv"
-    monkeypatch.setenv("REPRO_TRACE", str(trace_out))
-    monkeypatch.setenv("REPRO_METRICS", str(metrics_out))
-    cfg = make_config("pref", n_cores=2, scale=16)
-    CMPSystem(cfg, "zeus", seed=0).run(400, warmup_events=200)
-    assert validate_trace(json.loads(trace_out.read_text())) == []
-    assert metrics_out.read_text().startswith("cycle,")
 
 
 def test_metrics_interval_must_be_positive():
@@ -379,7 +340,7 @@ def test_cli_trace_command(tmp_path, capsys, monkeypatch):
 
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "trace.json"
-    rc = main(["trace", "zeus", "pref_compr", "-o", str(out),
+    rc = main(["run", "zeus", "--config", "pref_compr", "--trace", str(out),
                "--events", "400", "--scale", "16", "--cores", "2"])
     assert rc == 0
     assert validate_trace(json.loads(out.read_text())) == []
@@ -391,7 +352,7 @@ def test_cli_metrics_command(tmp_path, capsys, monkeypatch):
 
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "series.csv"
-    rc = main(["metrics", "zeus", "adaptive_compr", "-o", str(out),
+    rc = main(["run", "zeus", "--config", "adaptive_compr", "--metrics", str(out),
                "--events", "800", "--scale", "16", "--cores", "2",
                "--interval", "500", "--columns", "ipc,l2_miss_rate"])
     assert rc == 0
@@ -404,7 +365,8 @@ def test_cli_metrics_rejects_unknown_column(tmp_path, monkeypatch, capsys):
     from repro.cli import main
 
     monkeypatch.chdir(tmp_path)
-    rc = main(["metrics", "zeus", "--events", "600", "--scale", "16",
+    rc = main(["run", "zeus", "--config", "pref_compr", "--metrics",
+               "--events", "600", "--scale", "16",
                "--cores", "2", "--interval", "500", "--columns", "nope"])
     assert rc == 2
     assert "unknown metric column" in capsys.readouterr().err
@@ -425,22 +387,19 @@ def test_cli_profile_command(tmp_path, capsys, monkeypatch):
 
 
 
-def test_cli_profile_honours_ambient_observers(tmp_path, capsys, monkeypatch):
-    """`repro profile` runs the point through CMPSystem.run: an ambient
-    REPRO_TRACE path is written and one simulate record is logged."""
+def test_cli_profile_logs_one_simulate_record(tmp_path, capsys, monkeypatch):
+    """`repro profile` runs the point through CMPSystem.run, so one
+    simulate record is logged."""
     from repro.cli import main
     from repro.obs import telemetry
 
     monkeypatch.chdir(tmp_path)
-    trace = tmp_path / "t.json"
     sink = tmp_path / "runs.jsonl"
-    monkeypatch.setenv("REPRO_TRACE", str(trace))
     monkeypatch.setenv("REPRO_TELEMETRY", str(sink))
     rc = main(["profile", "zeus", "base",
                "--events", "400", "--scale", "16", "--cores", "2"])
     assert rc == 0
     assert "events/s under cprofile" in capsys.readouterr().out
-    assert validate_trace(json.loads(trace.read_text())) == []
     telemetry.close_sinks()
     sims = [r for r in telemetry.read_records(str(sink)) if r["kind"] == "simulate"]
     assert len(sims) == 1
